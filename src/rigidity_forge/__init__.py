@@ -45,8 +45,8 @@ from .graph_core import (
 )
 from .modlinalg import (
     DEFAULT_PRIME,
-    FieldConfig,
     ModMatrix,
+    RowBasis,
     left_kernel_basis,
     left_kernel_sample,
     make_rng,
@@ -54,7 +54,6 @@ from .modlinalg import (
 )
 from .rigidity import (
     Cover,
-    Framework,
     RankReport,
     Verdict,
     cover_rank_bound,
@@ -64,8 +63,6 @@ from .rigidity import (
     is_linked,
     is_rigid,
     is_t_redundantly_rigid,
-    random_framework,
-    rigidity_matrix,
 )
 
 __version__ = "0.1.0"

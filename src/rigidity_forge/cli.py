@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import combinatorics, constructions, experiments, global_rigidity, rigidity
 from .combinatorics import CliqueSystem
 from .graph_core import Graph, GraphParseError, parse_graph, vertex_connectivity
-from .modlinalg import DEFAULT_PRIME, FieldConfig, make_rng
+from .modlinalg import DEFAULT_PRIME, MASK64, is_prime, make_rng
 
 SCHEMA = "rigidity-forge/1"
 
@@ -47,7 +47,14 @@ class CliConfig:
             raise CliError("dimension must be at least 1")
         if self.trials < 1:
             raise CliError("trials must be at least 1")
-        FieldConfig(self.prime, self.seed)  # validates primality and seed range
+        if self.prime <= (1 << 32):
+            raise CliError("modulus must exceed 2^32 for negligible failure odds")
+        if self.prime >= (1 << 64):
+            raise CliError("modulus must be below 2^64, where the primality test is exact")
+        if not is_prime(self.prime):
+            raise CliError(f"modulus {self.prime} is not prime")
+        if not (0 <= self.seed <= MASK64):
+            raise CliError("seed must be a 64-bit unsigned integer")
         if self.fmt not in ("json", "text"):
             raise CliError(f"unknown format {self.fmt!r}")
 
@@ -104,22 +111,18 @@ def jsonable(obj):
     return obj
 
 
-def _read_input(cfg: CliConfig) -> tuple[str, str]:
+def _read_input(cfg: CliConfig) -> str:
     if cfg.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(cfg.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliError(f"cannot read input: {exc}") from None
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-    return text, digest
+        return sys.stdin.read()
+    try:
+        with open(cfg.input, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read input: {exc}") from None
 
 
 def _read_graph(cfg: CliConfig) -> tuple[Graph, str]:
-    text, _ = _read_input(cfg)
-    g = parse_graph(text)
+    g = parse_graph(_read_input(cfg))
     digest = hashlib.sha256(g.to_edge_list().encode()).hexdigest()[:16]
     return g, digest
 
@@ -214,7 +217,8 @@ def _cmd_gen_harary(args, cfg):
 
 
 def _cmd_comblemma(args, cfg):
-    text, digest = _read_input(cfg)
+    text = _read_input(cfg)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     try:
         payload = json.loads(text)
         system = CliqueSystem(

@@ -162,28 +162,27 @@ class SpotCheckReport:
     passed: bool | None
 
 
-def theorem1_spot_check(
-    g: Graph, d: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
-) -> SpotCheckReport:
-    """d(d+1)-connected graphs must be rigid; inapplicable below threshold."""
+def _connectivity_spot_check(verdict, g, d, trials, seed, p) -> SpotCheckReport:
     kappa = vertex_connectivity(g)
     threshold = d * (d + 1)
     if kappa < threshold:
         return SpotCheckReport("inapplicable", kappa, threshold, None, None)
-    verdict = is_rigid(g, d, trials, seed, p)
-    return SpotCheckReport("checked", kappa, threshold, verdict, verdict.value)
+    v = verdict(g, d, trials, seed, p)
+    return SpotCheckReport("checked", kappa, threshold, v, v.value)
+
+
+def theorem1_spot_check(
+    g: Graph, d: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
+) -> SpotCheckReport:
+    """d(d+1)-connected graphs must be rigid; inapplicable below threshold."""
+    return _connectivity_spot_check(is_rigid, g, d, trials, seed, p)
 
 
 def theorem2_spot_check(
     g: Graph, d: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
 ) -> SpotCheckReport:
     """d(d+1)-connected graphs must be globally rigid."""
-    kappa = vertex_connectivity(g)
-    threshold = d * (d + 1)
-    if kappa < threshold:
-        return SpotCheckReport("inapplicable", kappa, threshold, None, None)
-    verdict = is_globally_rigid(g, d, trials, seed, p)
-    return SpotCheckReport("checked", kappa, threshold, verdict, verdict.value)
+    return _connectivity_spot_check(is_globally_rigid, g, d, trials, seed, p)
 
 
 @dataclass(frozen=True)

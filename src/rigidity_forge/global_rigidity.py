@@ -13,16 +13,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .graph_core import Graph, as_vertex_set, induced_subgraph, path_avoiding, vertex_connectivity
-from .modlinalg import DEFAULT_PRIME, ModMatrix, left_kernel_sample, make_rng, rank
-from .rigidity import (
-    CERTAIN,
-    WHP,
-    Verdict,
-    _matrix_rows,
-    _points_from_rng,
-    is_linked,
-    is_rigid,
-)
+from .modlinalg import DEFAULT_PRIME, ModMatrix, left_kernel_sample, rank
+from .rigidity import CERTAIN, WHP, Verdict, is_linked, is_rigid, placements
 
 
 @dataclass(frozen=True)
@@ -40,13 +32,17 @@ class StressCertificate:
 def stress_matrix(g: Graph, stress: tuple[int, ...], p: int = DEFAULT_PRIME) -> ModMatrix:
     """Assemble the n x n stress matrix: -w_uv off-diagonal, row sums zero."""
     n = g.n
-    entries = [[0] * n for _ in range(n)]
+    data: list[dict[int, int]] = [{} for _ in range(n)]
     for w, (u, v) in zip(stress, g.sorted_edges()):
-        entries[u][v] = (-w) % p
-        entries[v][u] = (-w) % p
-        entries[u][u] = (entries[u][u] + w) % p
-        entries[v][v] = (entries[v][v] + w) % p
-    return ModMatrix.from_rows(entries, n, p)
+        w %= p
+        if w:
+            data[u][v] = data[v][u] = p - w
+            data[u][u] = (data[u].get(u, 0) + w) % p
+            data[v][v] = (data[v].get(v, 0) + w) % p
+    for i, row in enumerate(data):
+        if row.get(i) == 0:
+            del row[i]
+    return ModMatrix(data, n, p)
 
 
 def stress_matrix_rank(
@@ -61,15 +57,10 @@ def stress_matrix_rank(
     n = g.n
     if n < d + 2:
         raise ValueError("stress certificates need at least d+2 vertices")
-    if trials < 1:
-        raise ValueError("need at least one trial")
     target = n - d - 1
-    rng = make_rng(seed)
     best: StressCertificate | None = None
-    for _ in range(trials):
-        points = _points_from_rng(n, d, rng, p)
-        rig = ModMatrix.from_rows(_matrix_rows(g, d, points, p), d * n, p)
-        stress = tuple(left_kernel_sample(rig, rng.getrandbits(64)))
+    for rows, rng in placements(g, d, trials, seed, p):
+        stress = tuple(left_kernel_sample(ModMatrix(rows, d * n, p), rng.getrandbits(64)))
         omega_rank = rank(stress_matrix(g, stress, p)) if any(stress) else 0
         if best is None or omega_rank > best.omega_rank:
             best = StressCertificate(g, d, stress, omega_rank, target, seed)

@@ -1,5 +1,10 @@
 """Exact linear algebra over a large prime field Z_p.
 
+Every operation rests on one incremental row-echelon basis,
+:class:`RowBasis`, whose rows are sparse: a row is a dict mapping each
+column of a nonzero entry to that entry, reduced mod p (zero entries are
+left out).
+
 All randomness flows through :func:`make_rng`, a Mersenne Twister
 (``random.Random``) seeded with a 64-bit unsigned integer.  The generator
 algorithm is fixed across platforms and CPython versions for the methods
@@ -10,8 +15,6 @@ bit-reproducible from (seed, trials, p).
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 #: Default modulus: the Mersenne prime 2^61 - 1.  Large enough that a single
 #: random evaluation misses the generic rank with probability < 2 m d n / p,
@@ -21,6 +24,8 @@ DEFAULT_PRIME = (1 << 61) - 1
 MASK64 = (1 << 64) - 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+Row = dict[int, int]
 
 
 def is_prime(m: int) -> bool:
@@ -53,200 +58,151 @@ def make_rng(seed: int) -> random.Random:
     return random.Random(seed & MASK64)
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """Per-task seed: seed XOR task index, masked to 64 bits."""
-    return (seed ^ index) & MASK64
+class RowBasis:
+    """Row-echelon basis over Z_p, grown one sparse row at a time.
 
+    ``pivots`` maps the leading (smallest) column of each basis row to the
+    rest of that row, scaled so the leading entry is 1.  No two basis rows
+    share a leading column.
+    """
 
-@dataclass(frozen=True)
-class FieldConfig:
-    """Prime modulus and master seed for randomized rank computations."""
+    __slots__ = ("p", "pivots")
 
-    p: int = DEFAULT_PRIME
-    seed: int = 0
+    def __init__(self, p: int):
+        self.p = p
+        self.pivots: dict[int, Row] = {}
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-        if self.p <= (1 << 32):
-            raise ValueError("modulus must exceed 2^32 for negligible failure odds")
-        if not (0 <= self.seed <= MASK64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _reduce(self, row: Row) -> Row:
+        """A copy of row minus basis rows until its leading column is not a
+        pivot; empty iff row lies in the span.  This is the one elimination
+        loop of the package."""
+        row = dict(row)
+        pivots, p = self.pivots, self.p
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                break
+            f = row.pop(lead)
+            for j, x in prow.items():
+                y = (row.get(j, 0) - f * x) % p
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+        return row
+
+    def add(self, row: Row) -> bool:
+        """Add row to the basis; True iff it was independent of the basis."""
+        rest = self._reduce(row)
+        if not rest:
+            return False
+        lead = min(rest)
+        inv = pow(rest.pop(lead), -1, self.p)
+        self.pivots[lead] = {j: x * inv % self.p for j, x in rest.items()}
+        return True
+
+    def in_span(self, row: Row) -> bool:
+        """True iff row is a combination of the basis rows; the basis is unchanged."""
+        return not self._reduce(row)
 
 
 class ModMatrix:
-    """Dense matrix over Z_p, entries stored row-major and reduced mod p."""
+    """A rows x cols matrix over Z_p held as sparse rows (see module doc)."""
 
-    __slots__ = ("rows", "cols", "p", "_data")
+    __slots__ = ("data", "rows", "cols", "p")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[int], p: int = DEFAULT_PRIME):
-        if rows < 0 or cols < 0:
-            raise ValueError("dimensions must be non-negative")
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        if p < 2:
-            raise ValueError("modulus must be at least 2")
-        self.rows = rows
+    def __init__(self, data: list[Row], cols: int, p: int = DEFAULT_PRIME):
+        self.data = data
+        self.rows = len(data)
         self.cols = cols
         self.p = p
-        self._data = [
-            [entries[i * cols + j] % p for j in range(cols)] for i in range(rows)
-        ]
-
-    @classmethod
-    def from_rows(cls, row_lists: Iterable[Iterable[int]], cols: int, p: int = DEFAULT_PRIME) -> "ModMatrix":
-        flat: list[int] = []
-        count = 0
-        for row in row_lists:
-            row = list(row)
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-            count += 1
-        return cls(count, cols, flat, p)
-
-    def entry(self, i: int, j: int) -> int:
-        return self._data[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(self._data[i])
-
-    def row_lists(self) -> list[list[int]]:
-        """Fresh mutable copies of the rows."""
-        return [row[:] for row in self._data]
-
-    def transpose(self) -> "ModMatrix":
-        flat = [self._data[i][j] for j in range(self.cols) for i in range(self.rows)]
-        return ModMatrix(self.cols, self.rows, flat, self.p)
 
     def __repr__(self) -> str:
         return f"ModMatrix({self.rows}x{self.cols} mod {self.p})"
 
 
-def rank_of_rows(rows: list[list[int]], cols: int, p: int) -> int:
-    """Rank via in-place Gaussian elimination; the row lists are consumed."""
-    nrows = len(rows)
-    rk = 0
-    col = 0
-    while rk < nrows and col < cols:
-        piv = -1
-        for i in range(rk, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            col += 1
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        prow = rows[rk]
-        inv = pow(prow[col], -1, p)
-        prow[col:] = [x * inv % p for x in prow[col:]]
-        for i in range(rk + 1, nrows):
-            ri = rows[i]
-            f = ri[col]
-            if f:
-                ri[col:] = [(a - f * b) % p for a, b in zip(ri[col:], prow[col:])]
-        rk += 1
-        col += 1
-    return rk
+def rank_of_rows(rows: list[Row], cols: int, p: int) -> int:
+    """Rank of the span of sparse rows; the rows are not changed.
+
+    cols, the row length, states the matrix shape; the sparse elimination
+    does not need it (perfbench reads it to count eliminated cells).
+    """
+    basis = RowBasis(p)
+    for row in rows:
+        basis.add(row)
+    return basis.rank
 
 
 def rank(m: ModMatrix) -> int:
     """Exact rank over Z_p; 0 for empty matrices."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return rank_of_rows(m.row_lists(), m.cols, m.p)
+    return rank_of_rows(m.data, m.cols, m.p)
 
 
-def _rref(rows: list[list[int]], cols: int, p: int) -> list[int]:
-    """Reduced row echelon form in place; returns the pivot column list."""
-    nrows = len(rows)
-    pivots: list[int] = []
-    rk = 0
-    for col in range(cols):
-        piv = -1
-        for i in range(rk, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        prow = rows[rk]
-        inv = pow(prow[col], -1, p)
-        prow[col:] = [x * inv % p for x in prow[col:]]
-        for i in range(nrows):
-            if i != rk:
-                ri = rows[i]
-                f = ri[col]
-                if f:
-                    ri[col:] = [(a - f * b) % p for a, b in zip(ri[col:], prow[col:])]
-        pivots.append(col)
-        rk += 1
-        if rk == nrows:
-            break
-    return pivots
+def _column_basis(m: ModMatrix) -> RowBasis:
+    """Echelon basis of the column space of m, as vectors indexed by row.
+
+    Its leading positions are the rows that are not combinations of earlier
+    rows; the others are the free coordinates of the left kernel.
+    """
+    columns: list[Row] = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.data):
+        for j, x in row.items():
+            columns[j][i] = x
+    basis = RowBasis(m.p)
+    for column in columns:
+        basis.add(column)
+    return basis
+
+
+def _kernel_vector(basis: RowBasis, w: list[int]) -> list[int]:
+    """Fill the pivot coordinates of w, whose free coordinates are set, so
+    that w is orthogonal to every basis row (back-substitution)."""
+    p = basis.p
+    for q in sorted(basis.pivots, reverse=True):
+        w[q] = -sum(x * w[j] for j, x in basis.pivots[q].items()) % p
+    return w
 
 
 def left_kernel_basis(m: ModMatrix) -> list[list[int]]:
     """Basis of {w : w.m = 0}, each vector of length m.rows.
 
-    Computed from the RREF of the transpose; the basis is deterministic for
-    a given matrix.
+    The canonical basis: one vector per free row f, with entry 1 at f and 0
+    at every other free row, in increasing order of f.
     """
-    if m.rows == 0:
-        return []
-    if m.cols == 0:
-        return [[1 if j == i else 0 for j in range(m.rows)] for i in range(m.rows)]
-    at = m.transpose().row_lists()
-    pivots = _rref(at, m.rows, m.p)
-    pivot_set = set(pivots)
-    p = m.p
-    basis = []
-    for free in range(m.rows):
-        if free in pivot_set:
-            continue
-        vec = [0] * m.rows
-        vec[free] = 1
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = (-at[prow][free]) % p
-        basis.append(vec)
-    return basis
+    basis = _column_basis(m)
+    out = []
+    for f in range(m.rows):
+        if f not in basis.pivots:
+            w = [0] * m.rows
+            w[f] = 1
+            out.append(_kernel_vector(basis, w))
+    return out
 
 
 def left_kernel_sample(m: ModMatrix, seed: int) -> list[int]:
     """A seeded random left-kernel element; all-zero iff the kernel is trivial.
 
-    Drawn as a uniform Z_p-combination of a kernel basis, resampling the rare
-    all-zero combination so the zero vector uniquely signals a trivial kernel.
+    A uniform Z_p-combination of the :func:`left_kernel_basis` vectors, drawn
+    as its free coordinates in increasing row order.  The rare all-zero draw
+    is redrawn, so the zero vector uniquely signals a trivial kernel.
     """
-    basis = left_kernel_basis(m)
-    if not basis:
-        return [0] * m.rows
-    p = m.p
+    basis = _column_basis(m)
+    free = [f for f in range(m.rows) if f not in basis.pivots]
+    w = [0] * m.rows
+    if not free:
+        return w
     rng = make_rng(seed)
     for _ in range(8):
-        coeffs = [rng.randrange(p) for _ in basis]
-        vec = [0] * m.rows
-        for c, b in zip(coeffs, basis):
-            if c:
-                for i, x in enumerate(b):
-                    if x:
-                        vec[i] = (vec[i] + c * x) % p
-        if any(vec):
-            return vec
-    return list(basis[0])
-
-
-def vec_mat(w: Sequence[int], m: ModMatrix) -> list[int]:
-    """Row vector times matrix over Z_p (for kernel verification)."""
-    if len(w) != m.rows:
-        raise ValueError("vector length must match row count")
-    p = m.p
-    out = [0] * m.cols
-    for wi, row in zip(w, m._data):
-        if wi:
-            for j, x in enumerate(row):
-                if x:
-                    out[j] = (out[j] + wi * x) % p
-    return out
+        coeffs = [rng.randrange(m.p) for _ in free]
+        if any(coeffs):
+            break
+    else:
+        coeffs = [1] + [0] * (len(free) - 1)
+    for f, c in zip(free, coeffs):
+        w[f] = c
+    return _kernel_vector(basis, w)

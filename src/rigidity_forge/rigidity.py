@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from math import comb
 
@@ -19,28 +19,15 @@ from .graph_core import Edge, Graph, normalize_edge
 from .modlinalg import (
     DEFAULT_PRIME,
     ModMatrix,
+    Row,
+    RowBasis,
     left_kernel_basis,
     make_rng,
-    rank,
     rank_of_rows,
 )
 
 CERTAIN = "certain"
 WHP = "whp"
-
-
-@dataclass(frozen=True)
-class Framework:
-    """A graph with d field coordinates per vertex (flat, vertex-major)."""
-
-    graph: Graph
-    dim: int
-    points: tuple[int, ...]
-    p: int
-    seed: int
-
-    def point(self, v: int) -> tuple[int, ...]:
-        return self.points[v * self.dim : (v + 1) * self.dim]
 
 
 @dataclass(frozen=True)
@@ -90,34 +77,34 @@ def generic_rank_cap(n: int, d: int) -> int:
     return comb(n, 2)
 
 
-def _points_from_rng(n: int, d: int, rng: random.Random, p: int) -> tuple[int, ...]:
-    return tuple(rng.randrange(1, p) for _ in range(n * d))
+def placements(
+    g: Graph, d: int, trials: int, seed: int, p: int
+) -> Iterator[tuple[list[Row], random.Random]]:
+    """The seeded placement stream behind every randomized verdict.
 
-
-def random_framework(g: Graph, d: int, seed: int, p: int = DEFAULT_PRIME) -> Framework:
-    """Seeded pseudo-generic placement: coordinates uniform in [1, p-1]."""
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
+    Yields, for each of `trials` placements, the rows of the rigidity matrix
+    R(G,p) and the stream itself, from which a caller may draw more before
+    the next placement.  Coordinates are uniform in [1, p-1], drawn vertex
+    by vertex.  R(G,p) has one row per sorted edge uv: the block of vertex u
+    holds p(u)-p(v), the block of v holds p(v)-p(u).
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     rng = make_rng(seed)
-    return Framework(g, d, _points_from_rng(g.n, d, rng, p), p, seed)
+    for _ in range(trials):
+        points = [rng.randrange(1, p) for _ in range(g.n * d)]
+        yield _matrix_rows(g, d, points, p), rng
 
 
-def rigidity_matrix(f: Framework) -> ModMatrix:
-    """|E| x d.n matrix, one row per sorted edge uv: the block of vertex u
-    holds p(u)-p(v), the block of v holds p(v)-p(u), zeros elsewhere."""
-    g, d, p = f.graph, f.dim, f.p
-    rows = _matrix_rows(g, d, f.points, p)
-    return ModMatrix.from_rows(rows, d * g.n, p)
-
-
-def _matrix_rows(g: Graph, d: int, points: Sequence[int], p: int) -> list[list[int]]:
+def _matrix_rows(g: Graph, d: int, points: Sequence[int], p: int) -> list[Row]:
     rows = []
     for u, v in g.sorted_edges():
-        row = [0] * (d * g.n)
+        row = {}
         for t in range(d):
             diff = (points[u * d + t] - points[v * d + t]) % p
-            row[u * d + t] = diff
-            row[v * d + t] = (p - diff) % p
+            if diff:
+                row[u * d + t] = diff
+                row[v * d + t] = p - diff
         rows.append(row)
     return rows
 
@@ -131,16 +118,11 @@ def generic_rank(
     with high probability; "certain" is reported exactly when the rank hits
     the a-priori cap min(|E|, dn - C(d+1,2)).
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     if d < 1:
         raise ValueError("dimension must be at least 1")
     cap = min(g.edge_count, generic_rank_cap(g.n, d))
-    rng = make_rng(seed)
     best = 0
-    for _ in range(trials):
-        points = _points_from_rng(g.n, d, rng, p)
-        rows = _matrix_rows(g, d, points, p)
+    for rows, _ in placements(g, d, trials, seed, p):
         best = max(best, rank_of_rows(rows, d * g.n, p))
         if best == cap:
             break
@@ -182,7 +164,8 @@ def is_linked(
 ) -> Verdict:
     """True iff adding uv does not raise the generic rank.
 
-    Both ranks in a trial are evaluated on the same placement, which makes
+    Each trial eliminates R(G,p) once and tests whether the row of uv on the
+    same placement lies in its row space, which makes
     rank(G) <= rank(G+uv) <= rank(G)+1 hold exactly per trial.
     """
     if u == v:
@@ -191,18 +174,16 @@ def is_linked(
         raise ValueError("endpoint out of range")
     if g.has_edge(u, v):
         return Verdict(True, CERTAIN)
-    if trials < 1:
-        raise ValueError("need at least one trial")
     g2 = g.add_edge(u, v)
     new_row = g2.sorted_edges().index(normalize_edge(u, v))
-    rng = make_rng(seed)
     best_g = best_g2 = 0
-    for _ in range(trials):
-        points = _points_from_rng(g.n, d, rng, p)
-        rows2 = _matrix_rows(g2, d, points, p)
-        rows1 = [row[:] for i, row in enumerate(rows2) if i != new_row]
-        best_g2 = max(best_g2, rank_of_rows(rows2, d * g.n, p))
-        best_g = max(best_g, rank_of_rows(rows1, d * g.n, p))
+    for rows, _ in placements(g2, d, trials, seed, p):
+        uv_row = rows.pop(new_row)
+        basis = RowBasis(p)
+        for row in rows:
+            basis.add(row)
+        best_g = max(best_g, basis.rank)
+        best_g2 = max(best_g2, basis.rank + (not basis.in_span(uv_row)))
     value = best_g == best_g2
     cap = generic_rank_cap(g.n, d)
     if value and best_g == cap:
@@ -241,17 +222,12 @@ def is_t_redundantly_rigid(
             return RedundancyReport(True, CERTAIN, None, 1)
         return RedundancyReport(False, CERTAIN, tuple(edges[:k]), 1)
     target = d * n - comb(d + 1, 2)
-    rng = make_rng(seed)
-    trial_data: list[tuple[int, list[list[int]], int]] = []
-    for _ in range(trials):
-        points = _points_from_rng(n, d, rng, p)
-        rows = _matrix_rows(g, d, points, p)
-        mm = ModMatrix.from_rows(rows, d * n, p)
-        full_rank = rank(mm)
-        kernel = left_kernel_basis(mm)
+    trial_data: list[tuple[int, list[Row], int]] = []
+    for rows, _ in placements(g, d, trials, seed, p):
+        kernel = left_kernel_basis(ModMatrix(rows, d * n, p))
         # dual vectors per edge: column i of the kernel matrix
-        dual = [[vec[i] for vec in kernel] for i in range(m)]
-        trial_data.append((full_rank, dual, len(kernel)))
+        dual = [{f: vec[i] for f, vec in enumerate(kernel) if vec[i]} for i in range(m)]
+        trial_data.append((m - len(kernel), dual, len(kernel)))
     checked = 0
     for subset in itertools.combinations(range(m), k):
         checked += 1
@@ -259,9 +235,8 @@ def is_t_redundantly_rigid(
         for full_rank, dual, dual_cols in trial_data:
             if full_rank < target:
                 continue
-            sub = [dual[i][:] for i in subset]
             # rank(G - S) = full_rank - |S| + rank of the dual rows of S
-            if rank_of_rows(sub, dual_cols, p) == k:
+            if rank_of_rows([dual[i] for i in subset], dual_cols, p) == k:
                 ok = True
                 break
         if not ok:

@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 from rigidity_forge.cli import main as cli_main
 from rigidity_forge.combinatorics import (
@@ -237,45 +238,83 @@ def test_criterion_11_global_rigidity_certificate_sanity():
         assert cert.omega_rank == 1 == cert.target == 4 - 2 - 1
 
 
+GOLDEN_OUTPUTS = Path(__file__).parent / "golden" / "criterion_12.json"
+
+
+def criterion_12_invocations(tmp_path):
+    """The criterion-12 command lines, their input files written to tmp_path."""
+    k4 = tmp_path / "k4.txt"
+    k4.write_text(complete_graph(4).to_edge_list())
+    c4 = tmp_path / "c4.txt"
+    c4.write_text(cycle_graph(4).to_edge_list())
+    k66 = tmp_path / "k66.txt"
+    k66.write_text(complete_bipartite_graph(6, 6).to_edge_list())
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({"n": 6, "d": 2, "sets": [[0, 1, 2]]}))
+    k4, c4, k66, system = str(k4), str(c4), str(k66), str(system)
+    return [
+        ("rank", "--input", k4, "--seed", "11"),
+        ("rigid", "--input", k4, "--seed", "11"),
+        ("globally-rigid", "--input", k66, "--seed", "11"),
+        ("linked", "--u", "0", "--v", "2", "--input", c4, "--seed", "11"),
+        ("redundant", "--t", "2", "--input", k4, "--seed", "11"),
+        ("connectivity", "--input", k66),
+        ("gpi", "--input", k4, "--seed", "11"),
+        ("expected-gpi", "--input", k4),
+        ("gen-ly", "--dim", "2", "--s", "8"),
+        ("gen-sharpness", "--dim", "2"),
+        ("gen-harary", "--k", "5", "--s", "8"),
+        ("comblemma", "--m", "3", "--input", system),
+        ("mdk", "--k", "5"),
+        ("grn-bound", "--input", k66),
+        ("check-theorem1", "--input", k66, "--seed", "11"),
+        ("check-theorem2", "--input", k66, "--seed", "11"),
+        ("check-theorem9", "--dim", "2", "--seed", "11"),
+        ("check-theorem10", "--input", c4, "--seed", "11"),
+        ("check-lemma6", "--input", c4, "--seed", "11"),
+        ("check-lemma7-hyp", "--input", k66),
+        ("wgl", "--u", "0", "--v", "2", "--v0", "0,1,2,3", "--input", c4, "--seed", "11"),
+    ]
+
+
+def scrub_runtime(out: str) -> str:
+    return re.sub(r'"runtime_ms": \d+', "", out)
+
+
 def test_criterion_12_byte_identical_reruns(capsys, tmp_path):
     with criterion("12 (deterministic reports)"):
-        k4 = tmp_path / "k4.txt"
-        k4.write_text(complete_graph(4).to_edge_list())
-        c4 = tmp_path / "c4.txt"
-        c4.write_text(cycle_graph(4).to_edge_list())
-        k66 = tmp_path / "k66.txt"
-        k66.write_text(complete_bipartite_graph(6, 6).to_edge_list())
-        system = tmp_path / "sys.json"
-        system.write_text(json.dumps({"n": 6, "d": 2, "sets": [[0, 1, 2]]}))
-
-        invocations = [
-            ("rank", "--input", str(k4), "--seed", "11"),
-            ("rigid", "--input", str(k4), "--seed", "11"),
-            ("globally-rigid", "--input", str(k66), "--seed", "11"),
-            ("linked", "--u", "0", "--v", "2", "--input", str(c4), "--seed", "11"),
-            ("redundant", "--t", "2", "--input", str(k4), "--seed", "11"),
-            ("connectivity", "--input", str(k66)),
-            ("gpi", "--input", str(k4), "--seed", "11"),
-            ("expected-gpi", "--input", str(k4)),
-            ("gen-ly", "--dim", "2", "--s", "8"),
-            ("gen-sharpness", "--dim", "2"),
-            ("gen-harary", "--k", "5", "--s", "8"),
-            ("comblemma", "--m", "3", "--input", str(system)),
-            ("mdk", "--k", "5"),
-            ("grn-bound", "--input", str(k66)),
-            ("check-theorem1", "--input", str(k66), "--seed", "11"),
-            ("check-theorem2", "--input", str(k66), "--seed", "11"),
-            ("check-theorem9", "--dim", "2", "--seed", "11"),
-            ("check-theorem10", "--input", str(c4), "--seed", "11"),
-            ("check-lemma6", "--input", str(c4), "--seed", "11"),
-            ("check-lemma7-hyp", "--input", str(k66)),
-            ("wgl", "--u", "0", "--v", "2", "--v0", "0,1,2,3", "--input", str(c4), "--seed", "11"),
-        ]
-        for argv in invocations:
+        for argv in criterion_12_invocations(tmp_path):
             code_a = cli_main(list(argv))
             out_a = capsys.readouterr().out
             code_b = cli_main(list(argv))
             out_b = capsys.readouterr().out
-            scrub = lambda s: re.sub(r'"runtime_ms": \d+', "", s)  # noqa: E731
             assert code_a == code_b
-            assert scrub(out_a) == scrub(out_b), argv
+            assert scrub_runtime(out_a) == scrub_runtime(out_b), argv
+
+
+def golden_outputs(capsys, tmp_path) -> dict:
+    """Exit code and runtime-free stdout of every criterion-12 command line,
+    plus the stress vectors of a few certificates, which no command prints."""
+    runs = []
+    for argv in criterion_12_invocations(tmp_path):
+        code = cli_main(list(argv))
+        out = scrub_runtime(capsys.readouterr().out)
+        label = " ".join(a.replace(str(tmp_path) + "/", "") for a in argv)
+        runs.append({"argv": label, "code": code, "stdout": out})
+    stresses = {
+        "complete_graph(5), d=2": stress_matrix_rank(complete_graph(5), 2),
+        "sharpness_example(2), d=2": stress_matrix_rank(sharpness_example(2), 2),
+        "complete_graph(6), d=3, seed=5": stress_matrix_rank(complete_graph(6), 3, seed=5),
+    }
+    return {"cli": runs, "stress": {k: list(c.stress) for k, c in stresses.items()}}
+
+
+def test_criterion_12_outputs_match_golden_file(capsys, tmp_path):
+    # the stress vectors reach no CLI output, so only this pin catches a
+    # changed kernel basis or placement draw order
+    expected = json.loads(GOLDEN_OUTPUTS.read_text())
+    actual = golden_outputs(capsys, tmp_path)
+    for want, got in zip(expected["cli"], actual["cli"]):
+        assert got == want
+    assert len(actual["cli"]) == len(expected["cli"])
+    assert actual["stress"] == expected["stress"]

@@ -176,6 +176,21 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert "error" in json.loads(capsys.readouterr().out)
 
 
+def test_field_errors_exit_two(capsys, k4_file):
+    for flags in [
+        ("--prime", str(2**61 - 3)),  # composite
+        ("--prime", "97"),  # prime, but too small for negligible failure odds
+        # 399165290221 * 798330580441: a strong pseudoprime to every base of
+        # is_prime, which is exact only below 2^64
+        ("--prime", "318665857834031151167461"),
+        ("--prime", str(2**89 - 1)),  # a prime above 2^64
+        ("--seed", "-1"),
+        ("--seed", str(2**64)),
+    ]:
+        code, payload = run_json(capsys, "rank", "--input", k4_file, *flags)
+        assert code == 2 and "error" in payload, flags
+
+
 def test_missing_input_file(capsys):
     code, payload = run_json(capsys, "rigid", "--input", "/nonexistent/graph.txt")
     assert code == 2 and "cannot read input" in payload["error"]

@@ -18,7 +18,7 @@ from rigidity_forge.graph_core import (
     cycle_graph,
     vertex_connectivity,
 )
-from rigidity_forge.modlinalg import DEFAULT_PRIME, rank
+from rigidity_forge.modlinalg import DEFAULT_PRIME
 from rigidity_forge.rigidity import generic_rank, generic_rank_cap, is_rigid
 
 from helpers import random_graph
@@ -41,10 +41,14 @@ def test_stress_matrix_shape_and_row_sums():
     stress = tuple(rng.randrange(P) for _ in range(g.edge_count))
     omega = stress_matrix(g, stress)
     assert (omega.rows, omega.cols) == (5, 5)
+    entry = [[omega.data[i].get(j, 0) for j in range(5)] for i in range(5)]
     for i in range(5):
-        assert sum(omega.entry(i, j) for j in range(5)) % P == 0
+        assert sum(entry[i]) % P == 0
         for j in range(5):
-            assert omega.entry(i, j) == omega.entry(j, i)
+            assert entry[i][j] == entry[j][i]
+    assert 0 not in (x for row in omega.data for x in row.values())  # sparse rows hold no zeros
+    path = stress_matrix(Graph(3, [(0, 1), (1, 2)]), (5, P - 5))
+    assert 1 not in path.data[1]  # the diagonal entry 5 + (P - 5) cancels
 
 
 def test_stress_matrix_rank_examples():

@@ -5,17 +5,30 @@ import pytest
 
 from rigidity_forge.modlinalg import (
     DEFAULT_PRIME,
-    FieldConfig,
     ModMatrix,
+    RowBasis,
     is_prime,
     left_kernel_basis,
     left_kernel_sample,
     make_rng,
     rank,
-    vec_mat,
+    rank_of_rows,
 )
 
 P = DEFAULT_PRIME
+
+
+def sparse(row):
+    return {j: x % P for j, x in enumerate(row) if x % P}
+
+
+def matrix(rows, cols):
+    return ModMatrix([sparse(row) for row in rows], cols)
+
+
+def left_product(w, rows, cols):
+    """w . M over Z_p, written out entry by entry."""
+    return [sum(wi * row[j] for wi, row in zip(w, rows)) % P for j in range(cols)]
 
 
 def rational_rank(rows):
@@ -46,47 +59,26 @@ def test_default_prime_is_the_mersenne_prime():
     assert is_prime(P)
 
 
-def test_field_config_validation():
-    FieldConfig()  # defaults are valid
-    with pytest.raises(ValueError):
-        FieldConfig(p=2**61 - 3)  # composite
-    with pytest.raises(ValueError):
-        FieldConfig(p=97)  # prime but too small
-    with pytest.raises(ValueError):
-        FieldConfig(seed=-1)
-    with pytest.raises(ValueError):
-        FieldConfig(seed=2**64)
-
-
-def test_modmatrix_validation():
-    with pytest.raises(ValueError):
-        ModMatrix(2, 2, [1, 2, 3])
-    m = ModMatrix(2, 2, [-1, 0, 1, P + 5])
-    assert m.entry(0, 0) == P - 1 and m.entry(1, 1) == 5
-
-
 def test_rank_examples():
-    assert rank(ModMatrix(3, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1])) == 3
-    assert rank(ModMatrix(2, 5, [0] * 10)) == 0
-    assert rank(ModMatrix(2, 4, [1, 2, 3, 4, 2, 4, 6, 8])) == 1
-    assert rank(ModMatrix(0, 4, [])) == 0
-    assert rank(ModMatrix(3, 0, [])) == 0
+    assert rank(matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)) == 3
+    assert rank(matrix([[0] * 5, [0] * 5], 5)) == 0
+    assert rank(matrix([[1, 2, 3, 4], [2, 4, 6, 8]], 4)) == 1
+    assert rank(matrix([], 4)) == 0
+    assert rank(matrix([[], [], []], 0)) == 0
 
 
 def test_rank_bounds_and_permutation_invariance():
     rng = random.Random(12)
     for _ in range(60):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
-        entries = [rng.randint(-50, 50) for _ in range(r * c)]
-        m = ModMatrix(r, c, entries)
-        rk = rank(m)
+        rows = [[rng.randint(-50, 50) for _ in range(c)] for _ in range(r)]
+        rk = rank(matrix(rows, c))
         assert rk <= min(r, c)
-        rows = m.row_lists()
         rng.shuffle(rows)
         perm = list(range(c))
         rng.shuffle(perm)
         shuffled = [[row[j] for j in perm] for row in rows]
-        assert rank(ModMatrix.from_rows(shuffled, c)) == rk
+        assert rank(matrix(shuffled, c)) == rk
 
 
 def test_rank_matches_rational_oracle():
@@ -97,44 +89,77 @@ def test_rank_matches_rational_oracle():
         # plant some dependent rows
         if r >= 2 and rng.random() < 0.5:
             rows[-1] = [2 * x for x in rows[0]]
-        assert rank(ModMatrix.from_rows(rows, c)) == rational_rank(rows)
+        sparse_rows = [sparse(row) for row in rows]
+        assert rank_of_rows(sparse_rows, c, P) == rational_rank(rows)
+        assert sparse_rows == [sparse(row) for row in rows]  # rows are not consumed
+
+
+def test_row_basis_add_and_in_span():
+    basis = RowBasis(P)
+    assert basis.add({0: 1, 2: 5}) and basis.add({1: 3})
+    assert not basis.add({0: 2, 1: 6, 2: 10})  # 2*(first) + 2*(second)
+    assert basis.rank == 2
+    assert basis.in_span({0: 1, 1: 1, 2: 5}) and not basis.in_span({2: 1})
+    assert basis.rank == 2  # in_span leaves the basis alone
+    assert basis.in_span({}) and not basis.add({})
 
 
 def test_left_kernel_sample_examples():
-    assert left_kernel_sample(ModMatrix(1, 1, [1]), seed=4) == [0]
-    assert left_kernel_sample(ModMatrix(3, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1]), seed=4) == [0, 0, 0]
-    w = left_kernel_sample(ModMatrix(2, 2, [1, 0, 1, 0]), seed=4)
+    assert left_kernel_sample(matrix([[1]], 1), seed=4) == [0]
+    assert left_kernel_sample(matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3), seed=4) == [0, 0, 0]
+    w = left_kernel_sample(matrix([[1, 0], [1, 0]], 2), seed=4)
     assert w[0] != 0 and (w[0] + w[1]) % P == 0
+    assert left_kernel_sample(matrix([[], []], 0), seed=4)[0] != 0  # no columns: all of Z_p^2
 
 
 def test_left_kernel_sample_annihilates_exactly():
     rng = random.Random(5)
     for trial in range(40):
         r, c = rng.randint(1, 7), rng.randint(1, 5)
-        m = ModMatrix(r, c, [rng.randrange(P) if rng.random() < 0.7 else 0 for _ in range(r * c)])
+        rows = [[rng.randrange(P) if rng.random() < 0.7 else 0 for _ in range(c)] for _ in range(r)]
+        m = matrix(rows, c)
         w = left_kernel_sample(m, seed=trial)
-        assert vec_mat(w, m) == [0] * c
+        assert left_product(w, rows, c) == [0] * c
         basis = left_kernel_basis(m)
         assert len(basis) == r - rank(m)
         assert any(w) == bool(basis)
+
+
+def test_left_kernel_basis_is_canonical():
+    # free rows are those in the span of the rows before them; the basis has
+    # one vector per free row, 1 there and 0 at every other free row
+    rng = random.Random(31)
+    for _ in range(40):
+        r, c = rng.randint(1, 7), rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, 1, 2, 3)) for _ in range(c)] for _ in range(r)]
+        if r >= 3:
+            rows[2] = [(a - b) % P for a, b in zip(rows[0], rows[1])]
+        sparse_rows = [sparse(row) for row in rows]
+        free = [i for i in range(r)
+                if rank_of_rows(sparse_rows[: i + 1], c, P) == rank_of_rows(sparse_rows[:i], c, P)]
+        basis = left_kernel_basis(ModMatrix(sparse_rows, c))
+        assert len(basis) == len(free)
+        for f, w in zip(free, basis):
+            assert [w[g] for g in free] == [int(g == f) for g in free]
+            assert left_product(w, rows, c) == [0] * c
 
 
 def test_appending_row_in_row_space_keeps_rank():
     rng = random.Random(8)
     for trial in range(30):
         r, c = rng.randint(1, 5), rng.randint(1, 5)
-        m = ModMatrix(r, c, [rng.randrange(100) for _ in range(r * c)])
+        rows = [[rng.randrange(100) for _ in range(c)] for _ in range(r)]
         coeffs = [rng.randrange(P) for _ in range(r)]
-        extra = [0] * c
-        for k, i in zip(coeffs, range(r)):
-            for j in range(c):
-                extra[j] = (extra[j] + k * m.entry(i, j)) % P
-        stacked = ModMatrix.from_rows(m.row_lists() + [extra], c)
-        assert rank(stacked) == rank(m)
+        extra = [sum(k * row[j] for k, row in zip(coeffs, rows)) % P for j in range(c)]
+        assert rank(matrix(rows + [extra], c)) == rank(matrix(rows, c))
+        basis = RowBasis(P)
+        for row in rows:
+            basis.add(sparse(row))
+        assert basis.in_span(sparse(extra))
 
 
 def test_kernel_sample_is_seed_deterministic():
-    m = ModMatrix(4, 2, [1, 1, 2, 2, 3, 3, 4, 4])
+    m = matrix([[1, 1], [2, 2], [3, 3], [4, 4]], 2)
     assert left_kernel_sample(m, seed=9) == left_kernel_sample(m, seed=9)
     rng_a, rng_b = make_rng(123), make_rng(123)
     assert [rng_a.randrange(P) for _ in range(5)] == [rng_b.randrange(P) for _ in range(5)]

@@ -7,10 +7,9 @@ import pytest
 from rigidity_forge.constructions import lovasz_yemini_family, sharpness_example, sharpness_matching
 from rigidity_forge.experiments import exact_generic_rank
 from rigidity_forge.graph_core import Graph, complete_graph, cycle_graph, vertex_connectivity
-from rigidity_forge.modlinalg import DEFAULT_PRIME, rank, rank_of_rows
+from rigidity_forge.modlinalg import DEFAULT_PRIME, RowBasis, make_rng, rank_of_rows
 from rigidity_forge.rigidity import (
     Cover,
-    Framework,
     cover_rank_bound,
     generic_rank,
     generic_rank_cap,
@@ -18,8 +17,7 @@ from rigidity_forge.rigidity import (
     is_linked,
     is_rigid,
     is_t_redundantly_rigid,
-    random_framework,
-    rigidity_matrix,
+    placements,
 )
 
 from helpers import random_graph
@@ -30,25 +28,34 @@ P = DEFAULT_PRIME
 # -- rigidity matrix -------------------------------------------------------
 
 
+def first_placement(g, d, seed):
+    rows, _ = next(placements(g, d, 1, seed, P))
+    return rows
+
+
 def test_rigidity_matrix_single_edge_d1():
-    f = Framework(Graph(2, [(0, 1)]), 1, (2, 5), P, seed=0)
-    m = rigidity_matrix(f)
-    assert (m.rows, m.cols) == (1, 2)
-    assert m.row(0) == ((-3) % P, 3)
+    rows = first_placement(Graph(2, [(0, 1)]), 1, seed=0)
+    rng = make_rng(0)
+    a, b = rng.randrange(1, P), rng.randrange(1, P)  # p(0), then p(1)
+    assert rows == [{0: (a - b) % P, 1: (b - a) % P}]
 
 
 def test_rigidity_matrix_empty_graph():
-    f = random_framework(Graph(4), 2, seed=0)
-    m = rigidity_matrix(f)
-    assert (m.rows, m.cols) == (0, 8)
-    assert rank(m) == 0
+    assert first_placement(Graph(4), 2, seed=0) == []
 
 
 def test_rigidity_matrix_triangle_rank():
-    f = random_framework(complete_graph(3), 2, seed=3)
-    m = rigidity_matrix(f)
-    assert (m.rows, m.cols) == (3, 6)
-    assert rank(m) == 3  # the cap 2*3 - 3
+    rows = first_placement(complete_graph(3), 2, seed=3)
+    assert len(rows) == 3 and all(len(row) == 4 for row in rows)  # 2d entries per edge
+    assert rank_of_rows(rows, 6, P) == 3  # the cap 2*3 - 3
+
+
+def test_placements_draw_fresh_points_per_trial():
+    g = complete_graph(3)
+    (first, _), (second, _) = placements(g, 2, 2, 7, P)
+    assert first != second
+    with pytest.raises(ValueError):
+        next(placements(g, 2, 0, 7, P))
 
 
 # -- generic rank ----------------------------------------------------------
@@ -163,12 +170,15 @@ def test_rank_monotone_per_shared_framework():
             continue
         e = rng.choice(non_edges)
         g2 = g.add_edge(*e)
-        f = random_framework(g2, 2, seed=rng.randrange(2**32))
-        m2 = rigidity_matrix(f)
-        row_index = g2.sorted_edges().index(e)
-        rows1 = [row for i, row in enumerate(m2.row_lists()) if i != row_index]
-        r2 = rank(m2)
-        r1 = rank_of_rows(rows1, m2.cols, P)
+        rows = first_placement(g2, 2, seed=rng.randrange(2**32))
+        uv_row = rows.pop(g2.sorted_edges().index(e))
+        basis = RowBasis(P)
+        for row in rows:
+            basis.add(row)
+        r1 = basis.rank
+        r2 = r1 + (not basis.in_span(uv_row))
+        assert r1 == rank_of_rows(rows, 2 * g.n, P)
+        assert r2 == rank_of_rows(rows + [uv_row], 2 * g.n, P)
         assert r1 <= r2 <= r1 + 1
 
 
