@@ -15,18 +15,17 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import combinatorics, constructions, experiments, global_rigidity, rigidity
 from .combinatorics import CliqueSystem
-from .graph_core import Graph, GraphParseError, parse_graph, vertex_connectivity
+from .graph_core import Graph, parse_graph, vertex_connectivity
 from .modlinalg import DEFAULT_PRIME, MASK64, is_prime, make_rng
 
 SCHEMA = "rigidity-forge/1"
 
 ENV_PREFIX = "RIGIDITY_FORGE_"
-
-GENERATOR_COMMANDS = ("gen-ly", "gen-sharpness", "gen-harary")
 
 
 class CliError(ValueError):
@@ -80,7 +79,7 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
             return conv(env_val)
         return default
 
-    fmt_default = "text" if args.command in GENERATOR_COMMANDS else "json"
+    fmt_default = "text" if COMMANDS[args.command].generator else "json"
     try:
         return CliConfig(
             dim=pick(args.dim, "DIM", 2, int),
@@ -121,12 +120,6 @@ def _read_input(cfg: CliConfig) -> str:
         raise CliError(f"cannot read input: {exc}") from None
 
 
-def _read_graph(cfg: CliConfig) -> tuple[Graph, str]:
-    g = parse_graph(_read_input(cfg))
-    digest = hashlib.sha256(g.to_edge_list().encode()).hexdigest()[:16]
-    return g, digest
-
-
 def _csv_ints(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.replace(",", " ").split()]
@@ -134,193 +127,126 @@ def _csv_ints(text: str) -> list[int]:
         raise CliError(f"expected comma-separated integers, got {text!r}") from None
 
 
-# -- command handlers ------------------------------------------------------
-# each returns (result, confidence, input_digest, exit_code)
-
-
-def _cmd_rank(args, cfg):
-    g, digest = _read_graph(cfg)
-    rep = rigidity.generic_rank(g, cfg.dim, cfg.trials, cfg.seed, cfg.prime)
-    return rep.rank, rep.confidence, digest, 0
-
-
-def _cmd_rigid(args, cfg):
-    g, digest = _read_graph(cfg)
-    v = rigidity.is_rigid(g, cfg.dim, cfg.trials, cfg.seed, cfg.prime)
-    return v.value, v.confidence, digest, 0
-
-
-def _cmd_globally_rigid(args, cfg):
-    g, digest = _read_graph(cfg)
-    v = global_rigidity.is_globally_rigid(g, cfg.dim, cfg.trials, cfg.seed, cfg.prime)
-    return v.value, v.confidence, digest, 0
-
-
-def _cmd_linked(args, cfg):
-    g, digest = _read_graph(cfg)
-    v = rigidity.is_linked(g, cfg.dim, args.u, args.v, cfg.trials, cfg.seed, cfg.prime)
-    return v.value, v.confidence, digest, 0
-
-
-def _cmd_redundant(args, cfg):
-    g, digest = _read_graph(cfg)
-    rep = rigidity.is_t_redundantly_rigid(g, cfg.dim, args.t, cfg.trials, cfg.seed, cfg.prime)
-    result = {
-        "value": rep.value,
-        "witness": jsonable(rep.witness),
-        "subsets_checked": rep.subsets_checked,
-    }
-    return result, rep.confidence, digest, 0
-
-
-def _cmd_connectivity(args, cfg):
-    g, digest = _read_graph(cfg)
-    return vertex_connectivity(g), "certain", digest, 0
-
-
-def _cmd_gpi(args, cfg):
-    g, digest = _read_graph(cfg)
+def _gpi(g: Graph, cfg: CliConfig, args: argparse.Namespace) -> dict:
     if args.ordering:
         order = _csv_ints(args.ordering)
     else:
         order = list(range(g.n))
         make_rng(cfg.seed).shuffle(order)
     res = constructions.build_gpi(g, cfg.dim, order)
-    result = {
+    return {
         "ordering": order,
         "edge_count": res.edge_count,
-        "edges": [list(e) for e in res.subgraph.sorted_edges()],
-        "trace": jsonable(list(res.steps)),
+        "edges": res.subgraph.sorted_edges(),
+        "trace": res.steps,
     }
-    return result, "certain", digest, 0
 
 
-def _cmd_expected_gpi(args, cfg):
-    g, digest = _read_graph(cfg)
-    value = combinatorics.exact_expected_gpi_edges(g, cfg.dim, args.degree_cap)
-    return jsonable(value), "certain", digest, 0
-
-
-def _cmd_gen_ly(args, cfg):
-    g, _cover = constructions.lovasz_yemini_family(cfg.dim, args.s)
-    return {"n": g.n, "m": g.edge_count, "edge_list": g.to_edge_list()}, "certain", None, 0
-
-
-def _cmd_gen_sharpness(args, cfg):
-    g = constructions.sharpness_example(cfg.dim)
-    return {"n": g.n, "m": g.edge_count, "edge_list": g.to_edge_list()}, "certain", None, 0
-
-
-def _cmd_gen_harary(args, cfg):
-    g = constructions.harary_graph(args.k, args.s)
-    return {"n": g.n, "m": g.edge_count, "edge_list": g.to_edge_list()}, "certain", None, 0
-
-
-def _cmd_comblemma(args, cfg):
-    text = _read_input(cfg)
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+def _clique_system(text: str, dim: int) -> CliqueSystem:
     try:
         payload = json.loads(text)
-        system = CliqueSystem(
+        return CliqueSystem(
             int(payload["n"]),
-            int(payload.get("d", cfg.dim)),
+            int(payload.get("d", dim)),
             tuple(frozenset(int(x) for x in h) for h in payload["sets"]),
         )
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise CliError(f"bad clique-system JSON: {exc}") from None
-    report = combinatorics.verify_comblemma(system, args.m)
-    return jsonable(report), "certain", digest, 0
 
 
-def _cmd_mdk(args, cfg):
-    return jsonable(combinatorics.m_dk(cfg.dim, args.k)), "certain", None, 0
+@dataclasses.dataclass(frozen=True)
+class Command:
+    """Everything the driver needs to know about one command."""
+
+    help: str
+    #: run(input, cfg, args): the input is a parsed Graph, the raw text or None,
+    #: as `reads` says.  Runners look library functions up at call time, so a
+    #: patched module attribute (a tracer, a test double) is the one called.
+    run: Callable
+    reads: str | None = "graph"  # "graph", "text" or None
+    flags: dict = dataclasses.field(default_factory=dict)  # flag -> add_argument kwargs
+    #: a fixed tag, or None to take the result's own `confidence` field
+    confidence: str | None = "certain"
+    #: with confidence None: the report field printed as the result (None: all the rest)
+    pick: str | None = None
+    check: str | None = None  # report field added to the result; False exits 1
+    generator: bool = False  # returns a Graph, printed as edge-list text by default
 
 
-def _cmd_grn_bound(args, cfg):
-    g, digest = _read_graph(cfg)
-    return combinatorics.grn_lower_bound(g.n, g.edge_count), "certain", digest, 0
+_INT = {"type": int, "required": True}
+_PAIR = {"--u": _INT, "--v": _INT}
 
-
-def _assert_exit(passed) -> int:
-    return 1 if passed is False else 0
-
-
-def _cmd_check_theorem1(args, cfg):
-    g, digest = _read_graph(cfg)
-    rep = experiments.theorem1_spot_check(g, cfg.dim, cfg.trials, cfg.seed, cfg.prime)
-    return jsonable(rep), "whp", digest, _assert_exit(rep.passed)
-
-
-def _cmd_check_theorem2(args, cfg):
-    g, digest = _read_graph(cfg)
-    rep = experiments.theorem2_spot_check(g, cfg.dim, cfg.trials, cfg.seed, cfg.prime)
-    return jsonable(rep), "whp", digest, _assert_exit(rep.passed)
-
-
-def _cmd_check_theorem9(args, cfg):
-    rep = experiments.theorem9_check(cfg.dim, cfg.trials, cfg.seed, cfg.prime, args.allow_large)
-    return jsonable(rep) | {"passed": rep.passed}, "whp", None, _assert_exit(rep.passed)
-
-
-def _cmd_check_theorem10(args, cfg):
-    g, digest = _read_graph(cfg)
-    rep = experiments.theorem10_check(g, cfg.dim, cfg.trials, cfg.seed, cfg.prime)
-    return jsonable(rep), "whp", digest, _assert_exit(rep.passed)
-
-
-def _cmd_check_lemma6(args, cfg):
-    g, digest = _read_graph(cfg)
-    rep = experiments.lemma6_property_check(
-        g, cfg.dim, args.orderings, cfg.trials, cfg.seed, cfg.prime
-    )
-    return jsonable(rep) | {"passed": rep.passed}, "whp", digest, _assert_exit(rep.passed)
-
-
-def _cmd_check_lemma7_hyp(args, cfg):
-    g, digest = _read_graph(cfg)
-    rep = experiments.check_lemma7_hypotheses(g, cfg.dim)
-    return jsonable(rep) | {"all_ok": rep.all_ok}, "certain", digest, _assert_exit(rep.all_ok)
-
-
-def _cmd_wgl(args, cfg):
-    g, digest = _read_graph(cfg)
-    v = global_rigidity.wgl_sufficient(
-        g, cfg.dim, args.u, args.v, _csv_ints(args.v0), cfg.trials, cfg.seed, cfg.prime
-    )
-    return v.value, v.confidence, digest, 0
-
-
-HANDLERS = {
-    "rank": _cmd_rank,
-    "rigid": _cmd_rigid,
-    "globally-rigid": _cmd_globally_rigid,
-    "linked": _cmd_linked,
-    "redundant": _cmd_redundant,
-    "connectivity": _cmd_connectivity,
-    "gpi": _cmd_gpi,
-    "expected-gpi": _cmd_expected_gpi,
-    "gen-ly": _cmd_gen_ly,
-    "gen-sharpness": _cmd_gen_sharpness,
-    "gen-harary": _cmd_gen_harary,
-    "comblemma": _cmd_comblemma,
-    "mdk": _cmd_mdk,
-    "grn-bound": _cmd_grn_bound,
-    "check-theorem1": _cmd_check_theorem1,
-    "check-theorem2": _cmd_check_theorem2,
-    "check-theorem9": _cmd_check_theorem9,
-    "check-theorem10": _cmd_check_theorem10,
-    "check-lemma6": _cmd_check_lemma6,
-    "check-lemma7-hyp": _cmd_check_lemma7_hyp,
-    "wgl": _cmd_wgl,
+COMMANDS = {
+    "rank": Command("generic rigidity matroid rank",
+        lambda g, c, a: rigidity.generic_rank(g, c.dim, c.trials, c.seed, c.prime),
+        confidence=None, pick="rank"),
+    "rigid": Command("generic rigidity verdict",
+        lambda g, c, a: rigidity.is_rigid(g, c.dim, c.trials, c.seed, c.prime),
+        confidence=None, pick="value"),
+    "globally-rigid": Command("generic global rigidity verdict",
+        lambda g, c, a: global_rigidity.is_globally_rigid(g, c.dim, c.trials, c.seed, c.prime),
+        confidence=None, pick="value"),
+    "linked": Command("is the pair {u,v} linked",
+        lambda g, c, a: rigidity.is_linked(g, c.dim, a.u, a.v, c.trials, c.seed, c.prime),
+        flags=_PAIR, confidence=None, pick="value"),
+    "redundant": Command("t-redundant rigidity verdict",
+        lambda g, c, a: rigidity.is_t_redundantly_rigid(g, c.dim, a.t, c.trials, c.seed, c.prime),
+        flags={"--t": _INT}, confidence=None),
+    "connectivity": Command("exact vertex connectivity", lambda g, c, a: vertex_connectivity(g)),
+    "gpi": Command("build the ordered subgraph", _gpi, flags={"--ordering": {
+        "default": None, "help": "comma-separated permutation; default seeded shuffle"}}),
+    "expected-gpi": Command("exact expected ordered-subgraph size",
+        lambda g, c, a: combinatorics.exact_expected_gpi_edges(g, c.dim, a.degree_cap),
+        flags={"--degree-cap": {"type": int, "default": 20}}),
+    "gen-ly": Command("generate the split-clique non-rigid family",
+        lambda _, c, a: constructions.lovasz_yemini_family(c.dim, a.s)[0],
+        reads=None, flags={"--s": _INT | {"help": "base graph size"}}, generator=True),
+    "gen-sharpness": Command("generate the matched-cliques redundancy example",
+        lambda _, c, a: constructions.sharpness_example(c.dim), reads=None, generator=True),
+    "gen-harary": Command("generate the k-connected k-regular circulant",
+        lambda _, c, a: constructions.harary_graph(a.k, a.s),
+        reads=None, flags={"--k": _INT, "--s": _INT}, generator=True),
+    "comblemma": Command("verify the covered-subset bound on a clique system (JSON input)",
+        lambda text, c, a: combinatorics.verify_comblemma(_clique_system(text, c.dim), a.m),
+        reads="text", flags={"--m": _INT}),
+    "mdk": Command("sharp rank density m_{d,k}", lambda _, c, a: combinatorics.m_dk(c.dim, a.k),
+        reads=None, flags={"--k": _INT}),
+    "grn-bound": Command("lower bound on the best nontrivial globally rigid dimension",
+        lambda g, c, a: combinatorics.grn_lower_bound(g.n, g.edge_count)),
+    "check-theorem1": Command("assert: d(d+1)-connected implies rigid",
+        lambda g, c, a: experiments.theorem1_spot_check(g, c.dim, c.trials, c.seed, c.prime),
+        confidence="whp", check="passed"),
+    "check-theorem2": Command("assert: d(d+1)-connected implies globally rigid",
+        lambda g, c, a: experiments.theorem2_spot_check(g, c.dim, c.trials, c.seed, c.prime),
+        confidence="whp", check="passed"),
+    "check-theorem9": Command("assert the sharp redundancy constants",
+        lambda _, c, a: experiments.theorem9_check(
+            c.dim, c.trials, c.seed, c.prime, a.allow_large),
+        reads=None, confidence="whp", check="passed",
+        flags={"--allow-large": {"action": "store_true", "help": "permit d > 2 (slow)"}}),
+    "check-theorem10": Command("assert the m_{d,k} rank lower bound",
+        lambda g, c, a: experiments.theorem10_check(g, c.dim, c.trials, c.seed, c.prime),
+        confidence="whp", check="passed"),
+    "check-lemma6": Command("assert ordered subgraphs are independent when no non-edge is linked",
+        lambda g, c, a: experiments.lemma6_property_check(
+            g, c.dim, a.orderings, c.trials, c.seed, c.prime),
+        flags={"--orderings": {"type": int, "default": 20}}, confidence="whp", check="passed"),
+    "check-lemma7-hyp": Command("check the expected-size lemma hypotheses",
+        lambda g, c, a: experiments.check_lemma7_hypotheses(g, c.dim), check="all_ok"),
+    "wgl": Command("sufficient condition for weak global linkedness",
+        lambda g, c, a: global_rigidity.wgl_sufficient(
+            g, c.dim, a.u, a.v, _csv_ints(a.v0), c.trials, c.seed, c.prime),
+        flags=_PAIR | {"--v0": {
+            "required": True, "help": "comma-separated vertex set containing u and v"}},
+        confidence=None, pick="value"),
 }
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="rigidity-forge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
         p.add_argument("--dim", type=int, default=None, help="dimension d (default 2)")
         p.add_argument("--seed", type=int, default=None, help="64-bit seed (default 0)")
         p.add_argument("--trials", type=int, default=None, help="randomized trials (default 2)")
@@ -330,45 +256,20 @@ def build_parser() -> _Parser:
             "--format", dest="fmt", choices=("json", "text"), default=None,
             help="output format (generators default to text, the rest to json)",
         )
-        return p
-
-    add("rank", "generic rigidity matroid rank")
-    add("rigid", "generic rigidity verdict")
-    add("globally-rigid", "generic global rigidity verdict")
-    p = add("linked", "is the pair {u,v} linked")
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
-    p = add("redundant", "t-redundant rigidity verdict")
-    p.add_argument("--t", type=int, required=True)
-    add("connectivity", "exact vertex connectivity")
-    p = add("gpi", "build the ordered subgraph")
-    p.add_argument("--ordering", default=None, help="comma-separated permutation; default seeded shuffle")
-    p = add("expected-gpi", "exact expected ordered-subgraph size")
-    p.add_argument("--degree-cap", type=int, default=20)
-    p = add("gen-ly", "generate the split-clique non-rigid family")
-    p.add_argument("--s", type=int, required=True, help="base graph size")
-    add("gen-sharpness", "generate the matched-cliques redundancy example")
-    p = add("gen-harary", "generate the k-connected k-regular circulant")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p = add("comblemma", "verify the covered-subset bound on a clique system (JSON input)")
-    p.add_argument("--m", type=int, required=True)
-    p = add("mdk", "sharp rank density m_{d,k}")
-    p.add_argument("--k", type=int, required=True)
-    add("grn-bound", "lower bound on the best nontrivial globally rigid dimension")
-    add("check-theorem1", "assert: d(d+1)-connected implies rigid")
-    add("check-theorem2", "assert: d(d+1)-connected implies globally rigid")
-    p = add("check-theorem9", "assert the sharp redundancy constants")
-    p.add_argument("--allow-large", action="store_true", help="permit d > 2 (slow)")
-    add("check-theorem10", "assert the m_{d,k} rank lower bound")
-    p = add("check-lemma6", "assert ordered subgraphs are independent when no non-edge is linked")
-    p.add_argument("--orderings", type=int, default=20)
-    add("check-lemma7-hyp", "check the expected-size lemma hypotheses")
-    p = add("wgl", "sufficient condition for weak global linkedness")
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--v0", required=True, help="comma-separated vertex set containing u and v")
+        for flag, spec in cmd.flags.items():
+            p.add_argument(flag, **spec)
     return parser
+
+
+def _load(cmd: Command, cfg: CliConfig) -> tuple[Graph | str | None, str | None]:
+    """The command's input and its digest (a graph's is of its canonical edge list)."""
+    if cmd.reads is None:
+        return None, None
+    text = _read_input(cfg)
+    if cmd.reads == "graph":
+        g = parse_graph(text)
+        return g, hashlib.sha256(g.to_edge_list().encode()).hexdigest()[:16]
+    return text, hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -390,10 +291,22 @@ def _emit(payload: dict, fmt: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    cmd = COMMANDS[args.command]
     try:
         cfg = _resolve_config(args)
         started = time.perf_counter()
-        result, confidence, digest, code = HANDLERS[args.command](args, cfg)
+        source, digest = _load(cmd, cfg)
+        report = cmd.run(source, cfg, args)
+        if cmd.generator:
+            report = {"n": report.n, "m": report.edge_count, "edge_list": report.to_edge_list()}
+        result = jsonable(report)
+        confidence = cmd.confidence or result.pop("confidence")
+        if cmd.pick:
+            result = result[cmd.pick]
+        code = 0
+        if cmd.check:
+            result[cmd.check] = getattr(report, cmd.check)
+            code = 1 if result[cmd.check] is False else 0
         runtime_ms = int((time.perf_counter() - started) * 1000)
         payload = {
             "schema": SCHEMA,
@@ -411,7 +324,9 @@ def main(argv: list[str] | None = None) -> int:
         }
         _emit(payload, cfg.fmt)
         return code
-    except (CliError, GraphParseError, ValueError) as exc:
+    # deep inputs overflow the recursion limit and infinite JSON numbers
+    # overflow int(): both are input errors, not failed checks
+    except (ValueError, OverflowError, RecursionError) as exc:
         print(json.dumps({"schema": SCHEMA, "command": args.command, "error": str(exc)}, sort_keys=True))
         return 2
 

@@ -222,6 +222,8 @@ def theorem9_check(
     Larger d is gated behind ``allow_large`` (the subset enumerations grow
     fast).
     """
+    if d < 2:
+        raise ValueError("requires dimension >= 2")
     if d != 2 and not allow_large:
         raise ValueError("pass allow_large=True for d > 2 (long runtime)")
     g = sharpness_example(d)
@@ -289,6 +291,24 @@ class Lemma6Report:
         return None if self.status == "inapplicable" else self.all_independent
 
 
+def _nonedge_scan_then_orderings(g, d, orderings_count, trials, seed, p, certify, report, status):
+    """The loop shared by the lemma 6/8 checks.  The first non-edge uv that
+    `certify(u, v, rng)` accepts makes the check inapplicable; otherwise
+    seeded ordered subgraphs are tested for independence."""
+    rng = make_rng(seed)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not g.has_edge(u, v) and certify(u, v, rng):
+                return report("inapplicable", (u, v), 0, None)
+    order = list(range(g.n))
+    for _ in range(orderings_count):
+        rng.shuffle(order)
+        result = build_gpi(g, d, order)
+        if not is_independent(result.subgraph, d, trials, rng.getrandbits(64), p).value:
+            return report(status, None, orderings_count, False)
+    return report(status, None, orderings_count, True)
+
+
 def lemma6_property_check(
     g: Graph,
     d: int,
@@ -302,20 +322,11 @@ def lemma6_property_check(
     the n <= 40 bound."""
     if g.n > 40:
         raise ValueError("hypothesis verification is limited to n <= 40")
-    rng = make_rng(seed)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                continue
-            if is_linked(g, d, u, v, trials, rng.getrandbits(64), p).value:
-                return Lemma6Report("inapplicable", (u, v), 0, None)
-    order = list(range(g.n))
-    for _ in range(orderings_count):
-        rng.shuffle(order)
-        result = build_gpi(g, d, order)
-        if not is_independent(result.subgraph, d, trials, rng.getrandbits(64), p).value:
-            return Lemma6Report("checked", None, orderings_count, False)
-    return Lemma6Report("checked", None, orderings_count, True)
+    return _nonedge_scan_then_orderings(
+        g, d, orderings_count, trials, seed, p,
+        lambda u, v, rng: is_linked(g, d, u, v, trials, rng.getrandbits(64), p).value,
+        Lemma6Report, "checked",
+    )
 
 
 @dataclass(frozen=True)
@@ -346,24 +357,17 @@ def lemma8_property_check(
     are advisory."""
     if g.n > 40:
         raise ValueError("non-edge scan is limited to n <= 40")
-    rng = make_rng(seed)
     everything = set(range(g.n))
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                continue
-            candidates = [set(g.neighbors(u)) | set(g.neighbors(v)) | {u, v}]
-            candidates.extend(
-                everything - {z} for z in sorted(g.neighbors(u) & g.neighbors(v))
-            )
-            for v0 in candidates:
-                cert = wgl_sufficient(g, d, u, v, v0, trials, rng.getrandbits(64), p)
-                if cert.value:
-                    return Lemma8Report("inapplicable", (u, v), 0, None)
-    order = list(range(g.n))
-    for _ in range(orderings_count):
-        rng.shuffle(order)
-        result = build_gpi(g, d, order)
-        if not is_independent(result.subgraph, d, trials, rng.getrandbits(64), p).value:
-            return Lemma8Report("hypothesis-not-verifiable", None, orderings_count, False)
-    return Lemma8Report("hypothesis-not-verifiable", None, orderings_count, True)
+
+    def certified(u, v, rng):
+        candidates = [set(g.neighbors(u)) | set(g.neighbors(v)) | {u, v}]
+        candidates.extend(everything - {z} for z in sorted(g.neighbors(u) & g.neighbors(v)))
+        return any(
+            wgl_sufficient(g, d, u, v, v0, trials, rng.getrandbits(64), p).value
+            for v0 in candidates
+        )
+
+    return _nonedge_scan_then_orderings(
+        g, d, orderings_count, trials, seed, p, certified, Lemma8Report,
+        "hypothesis-not-verifiable",
+    )

@@ -9,6 +9,7 @@ a-priori cap, "whp" otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections.abc import Iterator, Sequence
@@ -21,6 +22,7 @@ from .modlinalg import (
     ModMatrix,
     Row,
     RowBasis,
+    is_prime,
     left_kernel_basis,
     make_rng,
     rank_of_rows,
@@ -86,14 +88,24 @@ def placements(
     R(G,p) and the stream itself, from which a caller may draw more before
     the next placement.  Coordinates are uniform in [1, p-1], drawn vertex
     by vertex.  R(G,p) has one row per sorted edge uv: the block of vertex u
-    holds p(u)-p(v), the block of v holds p(v)-p(u).
+    holds p(u)-p(v), the block of v holds p(v)-p(u).  The modulus must be
+    prime: over a ring with zero divisors elimination is undefined.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    _require_prime(p)
     rng = make_rng(seed)
     for _ in range(trials):
         points = [rng.randrange(1, p) for _ in range(g.n * d)]
         yield _matrix_rows(g, d, points, p), rng
+
+
+@functools.lru_cache(maxsize=64)
+def _require_prime(p: int) -> None:
+    # cached: theorem-level checks open thousands of streams on one modulus,
+    # and a Miller-Rabin run costs far more than the lookup
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
 
 
 def _matrix_rows(g: Graph, d: int, points: Sequence[int], p: int) -> list[Row]:

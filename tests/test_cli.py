@@ -1,8 +1,10 @@
+import io
 import json
 import re
 
 import pytest
 
+from rigidity_forge import experiments
 from rigidity_forge.cli import main
 from rigidity_forge.graph_core import (
     complete_bipartite_graph,
@@ -52,6 +54,13 @@ def test_rigid_command(capsys, k4_file):
     assert payload["schema"] == "rigidity-forge/1"
     assert payload["command"] == "rigid"
     assert isinstance(payload["runtime_ms"], int)
+
+
+def test_text_format_from_flag_and_env(capsys, k4_file, monkeypatch):
+    expected = "command: rank\nresult: 5\nconfidence: certain\nseed: 0\n"
+    assert run_cli(capsys, "rank", "--format", "text", "--input", k4_file) == (0, expected)
+    monkeypatch.setenv("RIGIDITY_FORGE_FORMAT", "text")
+    assert run_cli(capsys, "rank", "--input", k4_file) == (0, expected)
 
 
 def test_rigid_false_still_exits_zero(capsys, c4_file):
@@ -158,11 +167,19 @@ def test_check_commands_exit_codes(capsys, k4_file, tmp_path):
     assert code == 0 and payload["result"]["passed"] is True
 
 
-def test_usage_errors_exit_two(capsys, tmp_path):
+def test_usage_errors_exit_two(capsys, tmp_path, monkeypatch):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 1\n0 9\n")
     code, payload = run_json(capsys, "rigid", "--input", str(bad))
     assert code == 2 and "line 2" in payload["error"]
+
+    code, payload = run_json(capsys, "check-theorem9", "--dim", "1")
+    assert code == 2 and payload["error"] == "requires dimension >= 2"
+
+    # a JSON number too large for a float overflows int()
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 1e400, "sets": []}\n'))
+    code, payload = run_json(capsys, "comblemma", "--m", "3")
+    assert code == 2 and "error" in payload
 
     code, payload = run_json(capsys, "mdk", "--k", "99")
     assert code == 2 and "error" in payload
@@ -174,6 +191,16 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         main(["no-such-command"])
     assert exc.value.code == 2
     assert "error" in json.loads(capsys.readouterr().out)
+
+
+def test_recursion_limit_exits_two(capsys, k4_file, monkeypatch):
+    # stands in for maximal_cliques on K_1010 minus an edge, too large for a unit test
+    def too_deep(g, d):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(experiments, "check_lemma7_hypotheses", too_deep)
+    code, payload = run_json(capsys, "check-lemma7-hyp", "--input", k4_file)
+    assert code == 2 and "recursion" in payload["error"]
 
 
 def test_field_errors_exit_two(capsys, k4_file):

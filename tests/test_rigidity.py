@@ -4,8 +4,10 @@ from math import comb
 
 import pytest
 
+from rigidity_forge import rigidity
 from rigidity_forge.constructions import lovasz_yemini_family, sharpness_example, sharpness_matching
 from rigidity_forge.experiments import exact_generic_rank
+from rigidity_forge.global_rigidity import stress_matrix_rank
 from rigidity_forge.graph_core import Graph, complete_graph, cycle_graph, vertex_connectivity
 from rigidity_forge.modlinalg import DEFAULT_PRIME, RowBasis, make_rng, rank_of_rows
 from rigidity_forge.rigidity import (
@@ -56,6 +58,25 @@ def test_placements_draw_fresh_points_per_trial():
     assert first != second
     with pytest.raises(ValueError):
         next(placements(g, 2, 0, 7, P))
+
+
+def test_composite_modulus_is_refused(monkeypatch):
+    for p in (15, 91):
+        message = f"modulus {p} is not prime"
+        with pytest.raises(ValueError, match=message):
+            generic_rank(complete_graph(6), 2, p=p)
+        with pytest.raises(ValueError, match=message):
+            is_linked(cycle_graph(6), 2, 0, 2, p=p)
+        with pytest.raises(ValueError, match=message):
+            stress_matrix_rank(complete_graph(6), 2, p=p)
+
+    # a prime is tested once, not once per placement stream
+    real, calls = rigidity.is_prime, []
+    monkeypatch.setattr(rigidity, "is_prime", lambda m: calls.append(m) or real(m))
+    rigidity._require_prime.cache_clear()
+    for seed in range(3):
+        generic_rank(complete_graph(6), 2, seed=seed, p=P)
+    assert calls == [P]
 
 
 # -- generic rank ----------------------------------------------------------
