@@ -23,6 +23,7 @@ from .constructions import (
 )
 from .global_rigidity import (
     StressCertificate,
+    globally_rigid_deletions,
     is_globally_rigid,
     lemma4_consistency,
     stress_matrix,
@@ -63,6 +64,7 @@ from .rigidity import (
     is_linked,
     is_rigid,
     is_t_redundantly_rigid,
+    linked_pairs,
 )
 
 __version__ = "0.1.0"

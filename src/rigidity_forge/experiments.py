@@ -17,16 +17,16 @@ from math import comb, factorial, sqrt
 
 from .combinatorics import m_dk
 from .constructions import build_gpi, gpi_edge_count, sharpness_example, sharpness_matching
-from .global_rigidity import is_globally_rigid, wgl_sufficient
+from .global_rigidity import globally_rigid_deletions, is_globally_rigid, wgl_sufficient
 from .graph_core import Edge, Graph, induced_subgraph, maximal_cliques, vertex_connectivity
 from .modlinalg import DEFAULT_PRIME, make_rng
 from .rigidity import (
     Verdict,
     generic_rank,
     is_independent,
-    is_linked,
     is_rigid,
     is_t_redundantly_rigid,
+    linked_pairs,
 )
 
 # two-sided 99% normal quantile; the t correction is negligible at the
@@ -225,7 +225,7 @@ def theorem9_check(
     if d < 2:
         raise ValueError("requires dimension >= 2")
     if d != 2 and not allow_large:
-        raise ValueError("pass allow_large=True for d > 2 (long runtime)")
+        raise ValueError("d > 2 runs long: pass --allow-large (allow_large=True in Python)")
     g = sharpness_example(d)
     matching = sharpness_matching(d)
     c = comb(d + 1, 2)
@@ -233,15 +233,9 @@ def theorem9_check(
     red = is_t_redundantly_rigid(g, d, c + 1, trials, seed, p)
     over = is_rigid(g.remove_edges(matching[: c + 1]), d, trials, seed, p)
 
-    gr_witness = None
-    edges = g.sorted_edges()
-    rng = make_rng(seed)
-    for subset in itertools.combinations(range(len(edges)), c - 1):
-        gone = [edges[i] for i in subset]
-        sub_seed = rng.getrandbits(64)
-        if not is_globally_rigid(g.remove_edges(gone), d, trials, sub_seed, p).value:
-            gr_witness = tuple(gone)
-            break
+    shown, scanned = itertools.tee(itertools.combinations(g.sorted_edges(), c - 1))
+    verdicts = globally_rigid_deletions(g, d, scanned, trials, seed, p)
+    gr_witness = next((gone for gone, v in zip(shown, verdicts) if not v.value), None)
 
     boundary = g.remove_edges(matching[:c])
     boundary_rigid = is_rigid(boundary, d, trials, seed, p)
@@ -291,15 +285,18 @@ class Lemma6Report:
         return None if self.status == "inapplicable" else self.all_independent
 
 
-def _nonedge_scan_then_orderings(g, d, orderings_count, trials, seed, p, certify, report, status):
-    """The loop shared by the lemma 6/8 checks.  The first non-edge uv that
-    `certify(u, v, rng)` accepts makes the check inapplicable; otherwise
-    seeded ordered subgraphs are tested for independence."""
+def _nonedge_scan_then_orderings(
+    g, d, orderings_count, trials, seed, p, first_certified, report, status
+):
+    """The loop shared by the lemma 6/8 checks.  A non-edge returned by
+    `first_certified(nonedges, rng)`, given the non-edges in lexicographic
+    order, makes the check inapplicable; otherwise seeded ordered subgraphs
+    are tested for independence."""
     rng = make_rng(seed)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v) and certify(u, v, rng):
-                return report("inapplicable", (u, v), 0, None)
+    nonedges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    pair = first_certified(nonedges, rng)
+    if pair is not None:
+        return report("inapplicable", pair, 0, None)
     order = list(range(g.n))
     for _ in range(orderings_count):
         rng.shuffle(order)
@@ -322,10 +319,13 @@ def lemma6_property_check(
     the n <= 40 bound."""
     if g.n > 40:
         raise ValueError("hypothesis verification is limited to n <= 40")
+
+    def first_linked(nonedges, rng):
+        verdicts = linked_pairs(g, d, nonedges, trials, rng.getrandbits(64), p)
+        return next((uv for uv, v in zip(nonedges, verdicts) if v.value), None)
+
     return _nonedge_scan_then_orderings(
-        g, d, orderings_count, trials, seed, p,
-        lambda u, v, rng: is_linked(g, d, u, v, trials, rng.getrandbits(64), p).value,
-        Lemma6Report, "checked",
+        g, d, orderings_count, trials, seed, p, first_linked, Lemma6Report, "checked",
     )
 
 
@@ -368,6 +368,7 @@ def lemma8_property_check(
         )
 
     return _nonedge_scan_then_orderings(
-        g, d, orderings_count, trials, seed, p, certified, Lemma8Report,
-        "hypothesis-not-verifiable",
+        g, d, orderings_count, trials, seed, p,
+        lambda nonedges, rng: next((uv for uv in nonedges if certified(*uv, rng)), None),
+        Lemma8Report, "hypothesis-not-verifiable",
     )

@@ -41,10 +41,11 @@ class Graph:
     """Immutable simple graph: no self-loops, no parallel edges.
 
     Adjacency sets and per-vertex neighbor bitmasks are precomputed once;
-    bitmasks make clique tests cheap for the construction routines.
+    bitmasks make clique tests cheap for the construction routines.  The
+    sorted edge tuple is computed on first use and kept.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_mask")
+    __slots__ = ("n", "edges", "_adj", "_mask", "_sorted")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
@@ -65,6 +66,7 @@ class Graph:
             adj[v].add(u)
         self._adj = tuple(frozenset(a) for a in adj)
         self._mask = tuple(sum(1 << w for w in a) for a in adj)
+        self._sorted: tuple[Edge, ...] | None = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -72,8 +74,10 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+    def sorted_edges(self) -> tuple[Edge, ...]:
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.edges))
+        return self._sorted
 
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edges
@@ -282,50 +286,100 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
-def _local_vertex_connectivity(g: Graph, s: int, t: int) -> int:
-    """Max number of internally disjoint s-t paths (s,t non-adjacent).
+def _split_digraph(g: Graph) -> tuple[list[int], list[int], list[list[int]], dict[Edge, int]]:
+    """The split digraph of g, as flat arc arrays for unit-capacity max-flow.
 
-    Unit-capacity max-flow on the split digraph: vertex v becomes arc
-    v_in -> v_out of capacity 1, each edge becomes two infinite arcs.
+    Vertex v becomes nodes in(v) = 2v and out(v) = 2v + 1, joined by arc 2v
+    of capacity 1; each edge uv becomes arcs out(u) -> in(v) and
+    out(v) -> in(u) of capacity n + 1.  Arc a ^ 1 is the reverse of arc a,
+    with capacity 0.  Returns the head and capacity of each arc, the arcs
+    leaving each node, and the arc out(a) -> in(b) of each ordered edge ab.
     """
-    n = g.n
-    big = n + 1
-    # node ids: in(v) = 2v, out(v) = 2v + 1
-    adj: list[list[list[int]]] = [[] for _ in range(2 * n)]
+    head: list[int] = []
+    cap: list[int] = []
+    leaving: list[list[int]] = [[] for _ in range(2 * g.n)]
+    arc_of: dict[Edge, int] = {}
 
-    def add_arc(a: int, b: int, cap: int) -> None:
-        adj[a].append([b, cap, len(adj[b])])
-        adj[b].append([a, 0, len(adj[a]) - 1])
+    def add_arc(a: int, b: int, c: int) -> None:
+        leaving[a].append(len(head))
+        head.append(b)
+        cap.append(c)
+        leaving[b].append(len(head))
+        head.append(a)
+        cap.append(0)
 
-    for v in range(n):
-        add_arc(2 * v, 2 * v + 1, 1 if v not in (s, t) else big)
+    for v in range(g.n):
+        add_arc(2 * v, 2 * v + 1, 1)
     for u, v in g.edges:
-        add_arc(2 * u + 1, 2 * v, big)
-        add_arc(2 * v + 1, 2 * u, big)
+        for a, b in ((u, v), (v, u)):
+            arc_of[a, b] = len(head)
+            add_arc(2 * a + 1, 2 * b, g.n + 1)
+    return head, cap, leaving, arc_of
+
+
+def _local_vertex_connectivity(g: Graph, digraph, s: int, t: int, limit: int) -> int:
+    """min(limit, max number of internally disjoint s-t paths), s and t
+    non-adjacent, by max-flow on the split digraph of g.
+
+    Before the first augmenting-path search, each common neighbour w carries
+    the path s-w-t, then each other neighbour a of s carries a path s-a-b-t
+    through a free neighbour b of t; the search stops once the flow reaches
+    limit.
+    """
+    head, base_cap, leaving, arc_of = digraph
+    cap = base_cap.copy()
+    cap[2 * s] = cap[2 * t] = g.n + 1
+
+    def push(arc: int) -> None:
+        cap[arc] -= 1
+        cap[arc ^ 1] += 1
+
+    def route(*path: int) -> None:
+        for a, b in zip(path, path[1:]):
+            push(arc_of[a, b])
+            if b != t:
+                push(2 * b)
+
+    near_s, near_t = g.neighbors(s), g.neighbors(t)
+    common = near_s & near_t
+    free_t = set(near_t - common)
+    flow = 0
+    for w in sorted(common):
+        if flow >= limit:
+            return flow
+        route(s, w, t)
+        flow += 1
+    for a in sorted(near_s - common):
+        if flow >= limit:
+            return flow
+        ends = g.neighbors(a) & free_t
+        if ends:
+            b = min(ends)
+            free_t.discard(b)
+            route(s, a, b, t)
+            flow += 1
 
     source, sink = 2 * s + 1, 2 * t
-    flow = 0
-    while True:
-        parent: list[tuple[int, int] | None] = [None] * (2 * n)
-        parent[source] = (-1, -1)
+    while flow < limit:
+        parent = [-1] * (2 * g.n)  # the arc that reached each node
+        parent[source] = -2
         queue = deque([source])
-        while queue and parent[sink] is None:
+        while queue and parent[sink] == -1:
             a = queue.popleft()
-            for i, arc in enumerate(adj[a]):
-                b, cap, _ = arc
-                if cap > 0 and parent[b] is None:
-                    parent[b] = (a, i)
+            for arc in leaving[a]:
+                b = head[arc]
+                if cap[arc] > 0 and parent[b] == -1:
+                    parent[b] = arc
                     queue.append(b)
-        if parent[sink] is None:
+        if parent[sink] == -1:
             return flow
         b = sink
         while b != source:
-            a, i = parent[b]  # type: ignore[misc]
-            adj[a][i][1] -= 1
-            rev = adj[a][i][2]
-            adj[b][rev][1] += 1
-            b = a
+            arc = parent[b]
+            push(arc)
+            b = head[arc ^ 1]
         flow += 1
+    return flow
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -333,7 +387,8 @@ def vertex_connectivity(g: Graph) -> int:
 
     Convention: complete graphs have connectivity n-1, disconnected graphs 0.
     Uses the standard candidate-pair scheme around a minimum-degree vertex,
-    so only O(n + deg^2) max-flow calls are needed.
+    so only O(n + deg^2) max-flow calls are needed, all on one split
+    digraph; each stops once it reaches the smallest value found so far.
     """
     n = g.n
     if n <= 1:
@@ -342,16 +397,17 @@ def vertex_connectivity(g: Graph) -> int:
         return n - 1
     if not is_connected(g):
         return 0
+    digraph = _split_digraph(g)
     v = min(range(n), key=g.degree)
     best = n - 1
     non_neighbors = [w for w in range(n) if w != v and not g.has_edge(v, w)]
     for w in non_neighbors:
-        best = min(best, _local_vertex_connectivity(g, v, w))
+        best = _local_vertex_connectivity(g, digraph, v, w, best)
     nbrs = sorted(g.neighbors(v))
     for i, x in enumerate(nbrs):
         for y in nbrs[i + 1 :]:
             if not g.has_edge(x, y):
-                best = min(best, _local_vertex_connectivity(g, x, y))
+                best = _local_vertex_connectivity(g, digraph, x, y, best)
     return best
 
 

@@ -171,42 +171,80 @@ def is_rigid(
     return Verdict(value, CERTAIN if value else WHP, rank=rep.rank)
 
 
+def linked_pairs(
+    g: Graph,
+    d: int,
+    pairs: Sequence[Edge],
+    trials: int = 2,
+    seed: int = 0,
+    p: int = DEFAULT_PRIME,
+) -> list[Verdict]:
+    """For each pair uv: True iff adding uv does not raise the generic rank.
+
+    Each trial eliminates R(G,p) once and tests whether the row of each uv on
+    the same placement lies in its row space, which makes
+    rank(G) <= rank(G+uv) <= rank(G)+1 hold exactly per trial.  A pair is
+    linked when its best rank over the trials equals the best rank of G.
+    Edges of G are linked with certainty and cost nothing.
+    """
+    for u, v in pairs:
+        if u == v:
+            raise ValueError("endpoints must differ")
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            raise ValueError("endpoint out of range")
+    queries = {normalize_edge(u, v) for u, v in pairs} - g.edges
+    if not queries:
+        return [Verdict(True, CERTAIN) for _ in pairs]
+    # placing G plus every queried pair draws the same coordinates as placing G
+    placed = g.add_edges(queries)
+    best_g = 0
+    best_uv = dict.fromkeys(queries, 0)
+    for rows, _ in placements(placed, d, trials, seed, p):
+        row_of = dict(zip(placed.sorted_edges(), rows))
+        basis = RowBasis(p)
+        for e in g.sorted_edges():
+            basis.add(row_of[e])
+        best_g = max(best_g, basis.rank)
+        for uv in queries:
+            best_uv[uv] = max(best_uv[uv], basis.rank + (not basis.in_span(row_of[uv])))
+    cap = generic_rank_cap(g.n, d)
+    out = []
+    for u, v in pairs:
+        if g.has_edge(u, v):
+            out.append(Verdict(True, CERTAIN))
+            continue
+        value = best_g == best_uv[normalize_edge(u, v)]
+        if value and best_g == cap:
+            # rank is at the cap, so no edge can raise it
+            confidence = CERTAIN
+        elif not value and best_g == g.edge_count:
+            # G is certainly independent and the new edge certainly adds rank
+            confidence = CERTAIN
+        else:
+            confidence = WHP
+        out.append(Verdict(value, confidence, rank=best_g))
+    return out
+
+
 def is_linked(
     g: Graph, d: int, u: int, v: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
 ) -> Verdict:
-    """True iff adding uv does not raise the generic rank.
+    """True iff adding uv does not raise the generic rank (see :func:`linked_pairs`)."""
+    return linked_pairs(g, d, [(u, v)], trials, seed, p)[0]
 
-    Each trial eliminates R(G,p) once and tests whether the row of uv on the
-    same placement lies in its row space, which makes
-    rank(G) <= rank(G+uv) <= rank(G)+1 hold exactly per trial.
+
+def _kernel_view(rows: list[Row], cols: int, p: int) -> tuple[int, int, list[Row]]:
+    """What edge deletions need from one placement: the rank of R(G,p), the
+    dimension of its left kernel, and the canonical left-kernel basis K held
+    as one dual row per edge (the edge's column of K, keyed by basis index).
+
+    Deleting an edge set S leaves rank(G - S) = rank - |S| + rank of the
+    dual rows of S, and the stresses of G - S are the K-combinations that
+    vanish on S.
     """
-    if u == v:
-        raise ValueError("endpoints must differ")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError("endpoint out of range")
-    if g.has_edge(u, v):
-        return Verdict(True, CERTAIN)
-    g2 = g.add_edge(u, v)
-    new_row = g2.sorted_edges().index(normalize_edge(u, v))
-    best_g = best_g2 = 0
-    for rows, _ in placements(g2, d, trials, seed, p):
-        uv_row = rows.pop(new_row)
-        basis = RowBasis(p)
-        for row in rows:
-            basis.add(row)
-        best_g = max(best_g, basis.rank)
-        best_g2 = max(best_g2, basis.rank + (not basis.in_span(uv_row)))
-    value = best_g == best_g2
-    cap = generic_rank_cap(g.n, d)
-    if value and best_g == cap:
-        # rank is at the cap, so no edge can raise it
-        confidence = CERTAIN
-    elif not value and best_g == g.edge_count:
-        # G is certainly independent and the new edge certainly adds rank
-        confidence = CERTAIN
-    else:
-        confidence = WHP
-    return Verdict(value, confidence, rank=best_g)
+    kernel = left_kernel_basis(ModMatrix(rows, cols, p))
+    dual = [{f: vec[i] for f, vec in enumerate(kernel) if vec[i]} for i in range(len(rows))]
+    return len(rows) - len(kernel), len(kernel), dual
 
 
 def is_t_redundantly_rigid(
@@ -229,26 +267,21 @@ def is_t_redundantly_rigid(
     n = g.n
     if n <= d + 1:
         if not g.is_complete():
-            return RedundancyReport(False, CERTAIN, tuple(edges[:k]), 1)
+            return RedundancyReport(False, CERTAIN, edges[:k], 1)
         if k == 0:
             return RedundancyReport(True, CERTAIN, None, 1)
-        return RedundancyReport(False, CERTAIN, tuple(edges[:k]), 1)
+        return RedundancyReport(False, CERTAIN, edges[:k], 1)
     target = d * n - comb(d + 1, 2)
-    trial_data: list[tuple[int, list[Row], int]] = []
-    for rows, _ in placements(g, d, trials, seed, p):
-        kernel = left_kernel_basis(ModMatrix(rows, d * n, p))
-        # dual vectors per edge: column i of the kernel matrix
-        dual = [{f: vec[i] for f, vec in enumerate(kernel) if vec[i]} for i in range(m)]
-        trial_data.append((m - len(kernel), dual, len(kernel)))
+    views = [_kernel_view(rows, d * n, p) for rows, _ in placements(g, d, trials, seed, p)]
     checked = 0
     for subset in itertools.combinations(range(m), k):
         checked += 1
         ok = False
-        for full_rank, dual, dual_cols in trial_data:
+        for full_rank, kernel_dim, dual in views:
             if full_rank < target:
                 continue
             # rank(G - S) = full_rank - |S| + rank of the dual rows of S
-            if rank_of_rows([dual[i] for i in subset], dual_cols, p) == k:
+            if rank_of_rows([dual[i] for i in subset], kernel_dim, p) == k:
                 ok = True
                 break
         if not ok:

@@ -292,15 +292,21 @@ def test_criterion_12_byte_identical_reruns(capsys, tmp_path):
             assert scrub_runtime(out_a) == scrub_runtime(out_b), argv
 
 
-def golden_outputs(capsys, tmp_path) -> dict:
-    """Exit code and runtime-free stdout of every criterion-12 command line,
-    plus the stress vectors of a few certificates, which no command prints."""
+def cli_runs(capsys, tmp_path, invocations) -> list[dict]:
+    """Exit code and runtime-free stdout of each command line."""
     runs = []
-    for argv in criterion_12_invocations(tmp_path):
+    for argv in invocations:
         code = cli_main(list(argv))
         out = scrub_runtime(capsys.readouterr().out)
         label = " ".join(a.replace(str(tmp_path) + "/", "") for a in argv)
         runs.append({"argv": label, "code": code, "stdout": out})
+    return runs
+
+
+def golden_outputs(capsys, tmp_path) -> dict:
+    """Exit code and runtime-free stdout of every criterion-12 command line,
+    plus the stress vectors of a few certificates, which no command prints."""
+    runs = cli_runs(capsys, tmp_path, criterion_12_invocations(tmp_path))
     stresses = {
         "complete_graph(5), d=2": stress_matrix_rank(complete_graph(5), 2),
         "sharpness_example(2), d=2": stress_matrix_rank(sharpness_example(2), 2),
@@ -318,3 +324,43 @@ def test_criterion_12_outputs_match_golden_file(capsys, tmp_path):
         assert got == want
     assert len(actual["cli"]) == len(expected["cli"])
     assert actual["stress"] == expected["stress"]
+
+
+SCAN_GOLDEN_OUTPUTS = Path(__file__).parent / "golden" / "scans.json"
+
+
+def scan_invocations(tmp_path):
+    """Command lines that scan many pairs or edge deletions of one graph, at
+    seeds 1 and 2, their input files written to tmp_path."""
+    inputs = {
+        "c20.txt": cycle_graph(20),
+        "c40.txt": cycle_graph(40),
+        "k12-e.txt": complete_graph(12).remove_edges([(2, 9)]),
+        "sharpness.txt": sharpness_example(2),
+    }
+    for name, g in inputs.items():
+        (tmp_path / name).write_text(g.to_edge_list())
+    c20, c40, k12e, sharp = (str(tmp_path / name) for name in inputs)
+    out = []
+    for seed in ("1", "2"):
+        out += [
+            ("check-lemma6", "--input", c20, "--seed", seed),
+            ("check-lemma6", "--input", c40, "--seed", seed),
+            ("check-theorem9", "--dim", "2", "--seed", seed),
+            ("linked", "--u", "0", "--v", "20", "--input", c40, "--seed", seed),
+            ("linked", "--u", "3", "--v", "17", "--input", c40, "--seed", seed),
+            ("linked", "--u", "2", "--v", "9", "--input", k12e, "--seed", seed),
+            ("redundant", "--t", "3", "--input", sharp, "--seed", seed),
+            ("redundant", "--t", "4", "--input", sharp, "--seed", seed),
+        ]
+    return out
+
+
+def test_scan_outputs_match_golden_file(capsys, tmp_path):
+    # written by the per-pair and per-deletion code that the shared-placement
+    # scans replaced
+    expected = json.loads(SCAN_GOLDEN_OUTPUTS.read_text())
+    actual = cli_runs(capsys, tmp_path, scan_invocations(tmp_path))
+    for want, got in zip(expected, actual):
+        assert got == want
+    assert len(actual) == len(expected)

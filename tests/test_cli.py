@@ -193,6 +193,21 @@ def test_usage_errors_exit_two(capsys, tmp_path, monkeypatch):
     assert "error" in json.loads(capsys.readouterr().out)
 
 
+def test_theorem9_above_dimension_two_names_the_flag(capsys):
+    code, payload = run_json(capsys, "check-theorem9", "--dim", "3")
+    assert code == 2 and "--allow-large" in payload["error"]
+
+
+def test_redundant_counts_every_deleted_triple(capsys, tmp_path):
+    code, out = run_cli(capsys, "gen-sharpness", "--dim", "2")
+    path = tmp_path / "sharpness.txt"
+    path.write_text(out)
+    code, payload = run_json(capsys, "redundant", "--t", "4", "--input", str(path))
+    assert code == 0
+    assert payload["result"]["value"] is True
+    assert payload["result"]["subsets_checked"] == 7140  # C(36, 3)
+
+
 def test_recursion_limit_exits_two(capsys, k4_file, monkeypatch):
     # stands in for maximal_cliques on K_1010 minus an edge, too large for a unit test
     def too_deep(g, d):

@@ -1,10 +1,13 @@
+import itertools
 import random
 
 import pytest
 
-from rigidity_forge.constructions import sharpness_example
+from rigidity_forge import global_rigidity
+from rigidity_forge.constructions import sharpness_example, sharpness_matching
 from rigidity_forge.global_rigidity import (
     Lemma4Report,
+    globally_rigid_deletions,
     is_globally_rigid,
     lemma4_consistency,
     stress_matrix,
@@ -120,6 +123,54 @@ def test_globally_rigid_monotone_under_edge_addition():
     assert is_globally_rigid(g.add_edge(0, 1).add_edge(4, 5), 2).value
 
 
+# -- deletion scans ------------------------------------------------------------
+
+
+def test_deletion_scan_matches_is_globally_rigid_on_sharpness_example():
+    g = sharpness_example(2)
+    subsets = list(itertools.combinations(g.sorted_edges(), 2))
+    assert len(subsets) == 630
+    scan = [v.value for v in globally_rigid_deletions(g, 2, subsets, seed=4)]
+    direct = [is_globally_rigid(g.remove_edges(gone), 2, seed=5).value for gone in subsets]
+    assert scan == direct
+    assert all(scan)  # the sharp constant: C(3,2) - 1 = 2 deletions keep it globally rigid
+
+
+def test_deleting_three_matching_edges_breaks_global_rigidity():
+    g = sharpness_example(2)
+    matching = sharpness_matching(2)
+    [verdict] = globally_rigid_deletions(g, 2, [matching[:3]], seed=4)
+    assert not verdict.value and verdict.confidence == "whp"
+    assert verdict.rank == 2 * g.n - 3  # still rigid
+    [verdict] = globally_rigid_deletions(g, 2, [matching[:2]], seed=4)
+    assert verdict.value
+
+
+def test_deletion_scan_matches_is_globally_rigid_on_random_graphs():
+    rng = random.Random(73)
+    outcomes = set()
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(5, 8), 0.8)
+        d = rng.choice((2, 3)) if g.n >= 7 else 2
+        subsets = list(itertools.combinations(g.sorted_edges(), rng.randint(0, 2)))
+        seed = rng.getrandbits(64)
+        scan = [v.value for v in globally_rigid_deletions(g, d, subsets, seed=seed)]
+        direct = [is_globally_rigid(g.remove_edges(s), d, seed=seed).value for s in subsets]
+        assert scan == direct
+        outcomes.update(scan)
+    assert outcomes == {True, False}
+
+
+def test_deletion_scan_validation():
+    g = complete_graph(5)
+    with pytest.raises(ValueError):
+        next(globally_rigid_deletions(g, 1, [[(0, 1)]]))
+    with pytest.raises(ValueError):
+        next(globally_rigid_deletions(complete_graph(3), 2, [[(0, 1)]]))
+    with pytest.raises(ValueError):
+        next(globally_rigid_deletions(g.remove_edges([(0, 1)]), 2, [[(0, 1)]]))
+
+
 # -- weak global linkedness ----------------------------------------------------
 
 
@@ -132,6 +183,17 @@ def test_wgl_sufficient_examples():
 
     k3 = complete_graph(3)
     assert wgl_sufficient(k3, 2, 0, 1, [0, 1]).value  # adjacent pair, edge is the path
+
+
+def test_wgl_sufficient_tests_the_path_before_the_rank(monkeypatch):
+    def no_rank_work(*args):
+        raise AssertionError("is_linked called although no path avoids v0")
+
+    monkeypatch.setattr(global_rigidity, "is_linked", no_rank_work)
+    verdict = wgl_sufficient(cycle_graph(4), 2, 0, 2, [0, 1, 2, 3])
+    assert verdict == global_rigidity.Verdict(False, "certain")
+    with pytest.raises(ValueError):  # argument checks still come first
+        wgl_sufficient(cycle_graph(4), 2, 0, 0, [0, 1, 2, 3])
 
 
 def test_wgl_sufficient_validation():

@@ -43,6 +43,13 @@ def test_graph_dedups_and_normalizes():
     assert g.degree(1) == 2
 
 
+def test_sorted_edges_is_one_cached_tuple():
+    g = Graph(4, [(3, 2), (0, 1), (1, 3)])
+    assert g.sorted_edges() == ((0, 1), (1, 3), (2, 3))
+    assert g.sorted_edges() is g.sorted_edges()
+    assert Graph(0).sorted_edges() == ()
+
+
 def test_is_clique():
     g = complete_graph(4).remove_edges([(0, 1)])
     assert g.is_clique([0, 2, 3])
@@ -118,6 +125,8 @@ def test_edge_list_round_trip_is_canonical():
         (Graph(4, [(0, 1), (2, 3)]), 0),
         (complete_bipartite_graph(3, 5), 3),
         (Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), 1),
+        # cut vertex 3: both 3-paths 0-1-3-x and 0-2-3-x must not be routed
+        (Graph(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)]), 1),
     ],
 )
 def test_vertex_connectivity_known(g, kappa):
@@ -129,6 +138,18 @@ def test_vertex_connectivity_fuzz_against_oracle():
     for _ in range(200):
         g = random_graph(rng, rng.randint(2, 7), rng.random())
         assert vertex_connectivity(g) == brute_vertex_connectivity(g)
+
+
+def test_vertex_connectivity_matches_networkx_on_larger_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+    for n in (30, 40, 50, 60):
+        for density in (0.15, 0.5):
+            g = random_graph(rng, n, density)
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges)
+            assert vertex_connectivity(g) == nx.node_connectivity(h), (n, density)
 
 
 def test_connectivity_at_most_min_degree():

@@ -5,13 +5,19 @@ from math import comb
 import pytest
 
 from rigidity_forge import rigidity
-from rigidity_forge.constructions import lovasz_yemini_family, sharpness_example, sharpness_matching
+from rigidity_forge.constructions import (
+    harary_graph,
+    lovasz_yemini_family,
+    sharpness_example,
+    sharpness_matching,
+)
 from rigidity_forge.experiments import exact_generic_rank
 from rigidity_forge.global_rigidity import stress_matrix_rank
 from rigidity_forge.graph_core import Graph, complete_graph, cycle_graph, vertex_connectivity
 from rigidity_forge.modlinalg import DEFAULT_PRIME, RowBasis, make_rng, rank_of_rows
 from rigidity_forge.rigidity import (
     Cover,
+    Verdict,
     cover_rank_bound,
     generic_rank,
     generic_rank_cap,
@@ -19,6 +25,7 @@ from rigidity_forge.rigidity import (
     is_linked,
     is_rigid,
     is_t_redundantly_rigid,
+    linked_pairs,
     placements,
 )
 
@@ -201,6 +208,74 @@ def test_rank_monotone_per_shared_framework():
         assert r1 == rank_of_rows(rows, 2 * g.n, P)
         assert r2 == rank_of_rows(rows + [uv_row], 2 * g.n, P)
         assert r1 <= r2 <= r1 + 1
+
+
+# -- linked-pair scans -------------------------------------------------------
+
+
+def nonedges(g):
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+
+
+@pytest.mark.parametrize(
+    "g, stride",
+    [
+        (cycle_graph(20), 1),
+        (cycle_graph(40), 1),
+        (harary_graph(4, 30), 1),
+        # every 5th of 680 pairs: a one-pair call costs two eliminations here
+        (lovasz_yemini_family(2, 8)[0], 5),
+    ],
+    ids=["C20", "C40", "harary(4,30)", "LY(2,8)"],
+)
+def test_linked_pairs_match_one_pair_calls(g, stride):
+    pairs = nonedges(g)
+    scan = linked_pairs(g, 2, pairs, seed=9)
+    assert len(scan) == len(pairs)
+    for (u, v), verdict in list(zip(pairs, scan))[::stride]:
+        assert is_linked(g, 2, u, v, seed=9) == verdict
+
+
+def test_linked_pairs_match_rank_increments_on_random_graphs():
+    # the definition on the same placements: uv is linked iff the best rank
+    # of G + uv over the trials equals the best rank of G
+    rng = random.Random(61)
+    linked = unlinked = 0
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(4, 10), rng.random())
+        d = rng.choice((2, 3))
+        pairs = nonedges(g)
+        pairs += [(v, u) for u, v in pairs[:2]] + sorted(g.edges)[:2]
+        seed = rng.getrandbits(64)
+        scan = linked_pairs(g, d, pairs, seed=seed)
+        assert scan == [is_linked(g, d, u, v, seed=seed) for u, v in pairs]
+        for (u, v), verdict in zip(pairs, scan):
+            if g.has_edge(u, v):
+                assert verdict.value and verdict.confidence == "certain"
+                continue
+            g2 = g.add_edge(u, v)
+            uv = g2.sorted_edges().index((min(u, v), max(u, v)))
+            best_g = best_g2 = 0
+            for rows, _ in placements(g2, d, 2, seed, P):
+                best_g2 = max(best_g2, rank_of_rows(rows, d * g.n, P))
+                best_g = max(best_g, rank_of_rows(rows[:uv] + rows[uv + 1:], d * g.n, P))
+            assert verdict.value == (best_g == best_g2) and verdict.rank == best_g
+            linked += verdict.value
+            unlinked += not verdict.value
+    assert linked and unlinked
+
+
+def test_linked_pairs_validation_and_edges():
+    g = cycle_graph(5)
+    with pytest.raises(ValueError):
+        linked_pairs(g, 2, [(0, 2), (1, 1)])
+    with pytest.raises(ValueError):
+        linked_pairs(g, 2, [(0, 5)])
+    assert linked_pairs(g, 2, []) == []
+    # pairs that are edges need no placement, so no trial either
+    assert linked_pairs(g, 2, [(0, 1), (4, 0)], trials=0) == [Verdict(True, "certain")] * 2
+    with pytest.raises(ValueError):
+        linked_pairs(g, 2, [(0, 2)], trials=0)
 
 
 # -- redundant rigidity ------------------------------------------------------
