@@ -55,28 +55,28 @@ class CliqueSystem:
         return None
 
 
-def covered_subset_count(system: CliqueSystem, m: int, method: str = "enumerate") -> int:
+def covered_subset_count(system: CliqueSystem, m: int, method: str = "auto") -> int:
     """Number of m-subsets of [n] contained in some H_j.
 
-    "enumerate" checks every m-subset (always valid).  "binomial" uses the
-    pairwise inclusion-exclusion shortcut, which is exact only when no
-    m-subset can lie in three of the sets; it is guarded by m > 2(d-2) plus
-    the system hypotheses.  "auto" picks the shortcut when the guard holds.
+    "enumerate" checks every m-subset (always valid).  "binomial" is the
+    closed form sum_j C(|H_j|, m), exact when no m-subset lies in two of the
+    sets: the system hypotheses bound every pairwise intersection by d-2, so
+    it is guarded by m > d-2 plus the hypotheses.  "auto" takes the closed
+    form when the guard holds and enumerates otherwise.
     """
     if not (0 <= m <= system.n):
         raise ValueError(f"m={m} out of range [0, {system.n}]")
     if method not in ("enumerate", "binomial", "auto"):
         raise ValueError(f"unknown method {method!r}")
-    shortcut_ok = (
-        system.hypothesis_violation() is None and m > 2 * (system.d - 2)
-    )
-    if method == "binomial" and not shortcut_ok:
+    closed_form_ok = m > system.d - 2 and system.hypothesis_violation() is None
+    if method == "binomial" and not closed_form_ok:
         raise ValueError("binomial shortcut guard failed; use enumerate")
-    if method != "enumerate" and shortcut_ok:
-        total = sum(comb(len(h), m) for h in system.sets)
-        for a, b in itertools.combinations(system.sets, 2):
-            total -= comb(len(a & b), m)
-        return total
+    if method != "enumerate" and closed_form_ok:
+        return sum(comb(len(h), m) for h in system.sets)
+    return _enumerated_covered_count(system, m)
+
+
+def _enumerated_covered_count(system: CliqueSystem, m: int) -> int:
     masks = [sum(1 << x for x in h) for h in system.sets]
     bit = [1 << i for i in range(system.n)]
     count = 0
@@ -102,7 +102,9 @@ class CombLemmaReport:
 
 def verify_comblemma(system: CliqueSystem, m: int) -> CombLemmaReport:
     """Check count <= C(n-1, m) for an admissible system; the inequality is a
-    theorem, so this exists for fuzzing, not deciding."""
+    theorem, so this exists for fuzzing, not deciding.  Admissibility puts m
+    at d+1 or more, inside the closed form's guard, so the count is
+    sum_j C(|H_j|, m) and no subset is enumerated."""
     reason = system.hypothesis_violation(m)
     if reason is not None:
         return CombLemmaReport("inapplicable", reason, None, None, None)
@@ -132,7 +134,15 @@ def grn_lower_bound(n_vertices: int, n_edges: int) -> int:
 
 
 def _clique_size_counts(g: Graph, v: int) -> list[int]:
-    """counts[i] = number of i-subsets of N(v) inducing a clique in g."""
+    """counts[i] = number of i-subsets of N(v) inducing a clique in g.
+
+    These are the coefficients of the clique polynomial of N(v), the
+    independence polynomial of its complement (Hoede & Li 1994).  For a
+    vertex i of a mask with a non-neighbour in the mask,
+    P(mask) = P(mask - i) + x P(mask & N(i)); a mask that is a clique of c
+    vertices has P = (1 + x)^c.  P is memoised on the mask, and each branch
+    drops at least one vertex, so the recursion is at most deg(v) deep.
+    """
     nbrs = sorted(g.neighbors(v))
     k = len(nbrs)
     index = {w: i for i, w in enumerate(nbrs)}
@@ -144,19 +154,31 @@ def _clique_size_counts(g: Graph, v: int) -> list[int]:
             if j is not None:
                 mask |= 1 << j
         local[i] = mask
-    counts = [0] * (k + 1)
+    memo: dict[int, list[int]] = {}
 
-    def grow(candidates: int, size: int) -> None:
-        counts[size] += 1
-        m = candidates
-        while m:
-            bit = m & -m
+    def poly(mask: int) -> list[int]:
+        row = memo.get(mask)
+        if row is not None:
+            return row
+        rest = mask
+        while rest:
+            bit = rest & -rest
             i = bit.bit_length() - 1
-            m ^= bit
-            grow(candidates & local[i] & ~((bit << 1) - 1), size + 1)
+            if mask & ~local[i] != bit:  # i has a non-neighbour in mask
+                without, within = poly(mask ^ bit), poly(mask & local[i])
+                row = without + [0] * (len(within) + 1 - len(without))
+                for s, c in enumerate(within, start=1):
+                    row[s] += c
+                break
+            rest ^= bit
+        else:
+            c = mask.bit_count()
+            row = [comb(c, s) for s in range(c + 1)]
+        memo[mask] = row
+        return row
 
-    grow((1 << k) - 1, 0)
-    return counts
+    counts = poly((1 << k) - 1)
+    return counts + [0] * (k + 1 - len(counts))
 
 
 def exact_expected_gpi_edges(g: Graph, d: int, degree_cap: int = 20) -> Fraction:

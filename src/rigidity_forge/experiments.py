@@ -1,6 +1,6 @@
 """Theorem-level harness: hypothesis checkers, Monte Carlo sampling of the
-ordered construction, brute-force oracles for tiny inputs, and spot checks
-of the connectivity-implies-rigidity results.
+ordered construction, and spot checks of the connectivity-implies-rigidity
+results.
 
 The spot checks treat the underlying theorems as ground truth: a failure on
 an applicable input means an implementation bug (or an astronomically
@@ -13,7 +13,7 @@ import itertools
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, sqrt
+from math import comb, sqrt
 
 from .combinatorics import m_dk
 from .constructions import build_gpi, gpi_edge_count, sharpness_example, sharpness_matching
@@ -62,50 +62,6 @@ def monte_carlo_gpi(g: Graph, d: int, trials: int, seed: int = 0) -> MonteCarloS
     stdev = statistics.stdev(samples) if trials > 1 else 0.0
     half_width = Z99 * stdev / sqrt(trials)
     return MonteCarloStats(trials, mean, stdev, half_width, seed)
-
-
-def brute_force_expected_gpi(g: Graph, d: int) -> Fraction:
-    """Average |E_pi| over all n! orderings; independent oracle, n <= 8."""
-    if g.n > 8:
-        raise ValueError("full ordering enumeration is limited to n <= 8")
-    total = 0
-    for order in itertools.permutations(range(g.n)):
-        total += gpi_edge_count(g, d, order)
-    return Fraction(total, factorial(g.n))
-
-
-def exact_generic_rank(g: Graph, d: int, seed: int = 11) -> int:
-    """Rank oracle over exact rationals: random integer coordinates, Fraction
-    elimination.  Tiny instances only; independent of the mod-p path."""
-    if d * g.n > 36:
-        raise ValueError("rational oracle is limited to d*n <= 36")
-    rng = make_rng(seed)
-    coords = [rng.randrange(1, 10**9) for _ in range(g.n * d)]
-    rows = []
-    for u, v in g.sorted_edges():
-        row = [Fraction(0)] * (d * g.n)
-        for t in range(d):
-            diff = Fraction(coords[u * d + t] - coords[v * d + t])
-            row[u * d + t] = diff
-            row[v * d + t] = -diff
-        rows.append(row)
-    rank = 0
-    ncols = d * g.n
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col] / prow[col]
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rank += 1
-        col += 1
-    return rank
 
 
 @dataclass(frozen=True)

@@ -417,8 +417,11 @@ def vertex_connectivity(g: Graph) -> int:
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     """All inclusion-maximal cliques, each sorted, in lexicographic order.
 
-    Bron-Kerbosch with pivoting on bitmasks.  Isolated vertices yield
-    singleton cliques; the empty graph on 0 vertices yields no cliques.
+    Bron-Kerbosch with pivoting on bitmasks, driven by an explicit stack of
+    (clique, candidates, excluded) states, so a deep clique does not recurse.
+    Only states with candidates are pushed: one without is settled where it
+    is made, as a maximal clique when nothing is excluded.  Isolated vertices
+    yield singleton cliques; the empty graph on 0 vertices yields no cliques.
     """
     n = g.n
     if n == 0:
@@ -434,24 +437,28 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
             mask ^= b
         return res
 
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(tuple(bits(r)))
-            return
-        pivot_pool = p | x
+    stack = [(0, (1 << n) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
         pivot = -1
         best = -1
-        for u in bits(pivot_pool):
+        rest = p | x
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            u = b.bit_length() - 1
             c = (p & masks[u]).bit_count()
             if c > best:
                 best, pivot = c, u
         for v in bits(p & ~masks[pivot]):
             vb = 1 << v
-            expand(r | vb, p & masks[v], x & masks[v])
+            p_v = p & masks[v]
+            if p_v:
+                stack.append((r | vb, p_v, x & masks[v]))
+            elif not x & masks[v]:
+                out.append(tuple(bits(r | vb)))
             p ^= vb
             x |= vb
-
-    expand(0, (1 << n) - 1, 0)
     return sorted(out)
 
 

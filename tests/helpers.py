@@ -5,9 +5,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
+from math import factorial
 
 from rigidity_forge.combinatorics import CliqueSystem
+from rigidity_forge.constructions import gpi_edge_count
 from rigidity_forge.graph_core import Graph
+from rigidity_forge.modlinalg import make_rng
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -89,3 +93,76 @@ def brute_covered_count(system: CliqueSystem, m: int) -> int:
         if any(s <= h for h in system.sets):
             count += 1
     return count
+
+
+def enumerated_clique_size_counts(g: Graph, v: int) -> list[int]:
+    """counts[i] = number of i-subsets of N(v) inducing a clique in g, by
+    listing every clique of N(v) (degree 20 at most, in practice)."""
+    nbrs = sorted(g.neighbors(v))
+    k = len(nbrs)
+    index = {w: i for i, w in enumerate(nbrs)}
+    local = [0] * k
+    for i, w in enumerate(nbrs):
+        mask = 0
+        for x in g.neighbors(w):
+            j = index.get(x)
+            if j is not None:
+                mask |= 1 << j
+        local[i] = mask
+    counts = [0] * (k + 1)
+
+    def grow(candidates: int, size: int) -> None:
+        counts[size] += 1
+        m = candidates
+        while m:
+            bit = m & -m
+            i = bit.bit_length() - 1
+            m ^= bit
+            grow(candidates & local[i] & ~((bit << 1) - 1), size + 1)
+
+    grow((1 << k) - 1, 0)
+    return counts
+
+
+def brute_force_expected_gpi(g: Graph, d: int) -> Fraction:
+    """Average |E_pi| over all n! orderings; independent oracle, n <= 8."""
+    if g.n > 8:
+        raise ValueError("full ordering enumeration is limited to n <= 8")
+    total = 0
+    for order in itertools.permutations(range(g.n)):
+        total += gpi_edge_count(g, d, order)
+    return Fraction(total, factorial(g.n))
+
+
+def exact_generic_rank(g: Graph, d: int, seed: int = 11) -> int:
+    """Rank oracle over exact rationals: random integer coordinates, Fraction
+    elimination.  Tiny instances only; independent of the mod-p path."""
+    if d * g.n > 36:
+        raise ValueError("rational oracle is limited to d*n <= 36")
+    rng = make_rng(seed)
+    coords = [rng.randrange(1, 10**9) for _ in range(g.n * d)]
+    rows = []
+    for u, v in g.sorted_edges():
+        row = [Fraction(0)] * (d * g.n)
+        for t in range(d):
+            diff = Fraction(coords[u * d + t] - coords[v * d + t])
+            row[u * d + t] = diff
+            row[v * d + t] = -diff
+        rows.append(row)
+    rank = 0
+    ncols = d * g.n
+    col = 0
+    while rank < len(rows) and col < ncols:
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / prow[col]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        rank += 1
+        col += 1
+    return rank

@@ -27,7 +27,6 @@ from rigidity_forge.constructions import (
     zero_extension,
 )
 from rigidity_forge.experiments import (
-    brute_force_expected_gpi,
     monte_carlo_gpi,
     theorem9_check,
     theorem10_check,
@@ -49,7 +48,7 @@ from rigidity_forge.rigidity import (
     is_t_redundantly_rigid,
 )
 
-from helpers import random_clique_system, random_graph
+from helpers import brute_force_expected_gpi, random_clique_system, random_graph
 
 
 @contextmanager
@@ -361,6 +360,51 @@ def test_scan_outputs_match_golden_file(capsys, tmp_path):
     # scans replaced
     expected = json.loads(SCAN_GOLDEN_OUTPUTS.read_text())
     actual = cli_runs(capsys, tmp_path, scan_invocations(tmp_path))
+    for want, got in zip(expected, actual):
+        assert got == want
+    assert len(actual) == len(expected)
+
+
+COUNTING_GOLDEN_OUTPUTS = Path(__file__).parent / "golden" / "counting.json"
+
+
+def counting_invocations(tmp_path):
+    """Command lines of the counting layer, their input files written to
+    tmp_path: `comblemma` on seeded admissible systems (d = 4 at m = n//2,
+    d = 5 and 6 at every m in [d+1, 2d-4]) and on one system that breaks the
+    hypotheses; `expected-gpi` and `check-lemma7-hyp` on K14..K17, K_{7,7}
+    and two seeded random graphs on 21 vertices, whose degrees are therefore
+    within the `expected-gpi` cap of 20."""
+    rng = random.Random(909)
+    cases = [(n, 4, n // 2) for n in (18, 19, 20, 21)]
+    cases += [(n, d, m) for d, n in ((5, 16), (6, 18)) for m in range(d + 1, 2 * d - 3)]
+    out = []
+    for i, (n, d, m) in enumerate(cases):
+        system = random_clique_system(rng, n, d, max_sets=6)
+        path = tmp_path / f"system{i}.json"
+        path.write_text(json.dumps({"n": n, "d": d, "sets": [sorted(h) for h in system.sets]}))
+        out.append(("comblemma", "--m", str(m), "--input", str(path)))
+    overlapping = tmp_path / "overlapping.json"  # |H_0 ∩ H_1| = 3 > d-2
+    overlapping.write_text(json.dumps({"n": 12, "d": 4, "sets": [[0, 1, 2, 3, 4, 5], [2, 3, 4, 6, 7, 8]]}))
+    out.append(("comblemma", "--m", "6", "--input", str(overlapping)))
+    graphs = {f"k{n}.txt": complete_graph(n) for n in (14, 15, 16, 17)}
+    graphs["k77.txt"] = complete_bipartite_graph(7, 7)
+    graphs["random-sparse.txt"] = random_graph(rng, 21, 0.5)
+    graphs["random-dense.txt"] = random_graph(rng, 21, 0.85)
+    for name, g in graphs.items():
+        path = str(tmp_path / name)
+        (tmp_path / name).write_text(g.to_edge_list())
+        out.append(("expected-gpi", "--input", path))
+        out.append(("check-lemma7-hyp", "--input", path))
+    out.append(("expected-gpi", "--dim", "3", "--input", str(tmp_path / "random-dense.txt")))
+    return out
+
+
+def test_counting_outputs_match_golden_file(capsys, tmp_path):
+    # written by the code that enumerated covered subsets and neighbourhood
+    # cliques, before the closed form and the clique polynomial replaced it
+    expected = json.loads(COUNTING_GOLDEN_OUTPUTS.read_text())
+    actual = cli_runs(capsys, tmp_path, counting_invocations(tmp_path))
     for want, got in zip(expected, actual):
         assert got == want
     assert len(actual) == len(expected)

@@ -209,7 +209,7 @@ def test_redundant_counts_every_deleted_triple(capsys, tmp_path):
 
 
 def test_recursion_limit_exits_two(capsys, k4_file, monkeypatch):
-    # stands in for maximal_cliques on K_1010 minus an edge, too large for a unit test
+    # stands in for any library call that runs past the recursion limit
     def too_deep(g, d):
         raise RecursionError("maximum recursion depth exceeded")
 

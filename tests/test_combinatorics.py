@@ -1,24 +1,33 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from rigidity_forge import combinatorics
 from rigidity_forge.combinatorics import (
     CliqueSystem,
+    _clique_size_counts,
     covered_subset_count,
     exact_expected_gpi_edges,
     grn_lower_bound,
     m_dk,
     verify_comblemma,
 )
-from rigidity_forge.experiments import brute_force_expected_gpi
 from rigidity_forge.graph_core import (
+    Graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
 )
 
-from helpers import brute_covered_count, random_clique_system, random_graph
+from helpers import (
+    brute_covered_count,
+    brute_force_expected_gpi,
+    enumerated_clique_size_counts,
+    random_clique_system,
+    random_graph,
+)
 
 
 def system(n, d, *sets):
@@ -65,13 +74,48 @@ def test_covered_subset_count_methods_agree():
         d = rng.choice((2, 3, 4))
         n = rng.randint(d + 2, 10)
         sys_ = random_clique_system(rng, n, d)
-        for m in range(2 * (d - 2) + 1, n + 1):
+        for m in range(d - 1, n + 1):
             assert covered_subset_count(sys_, m, method="binomial") == (
                 covered_subset_count(sys_, m, method="enumerate")
             )
+    overlapping = system(8, 4, {0, 1, 2, 3}, {2, 3, 4, 5})
+    assert covered_subset_count(overlapping, 3, method="binomial") == (
+        covered_subset_count(overlapping, 3, method="enumerate")
+    )
     with pytest.raises(ValueError):
-        # guard: m too small for the pairwise shortcut
-        covered_subset_count(system(8, 4, {0, 1, 2}), 3, method="binomial")
+        # guard: with m <= d-2 the 2-subset {2, 3} lies in both sets
+        covered_subset_count(overlapping, 2, method="binomial")
+
+
+def test_covered_subset_count_auto_matches_enumeration():
+    rng = random.Random(72)
+    admissible = 0
+    for case in range(1200):
+        d = rng.randint(2, 6)
+        n = rng.randint(2, 10)
+        if case % 2:
+            sys_ = random_clique_system(rng, n, d)
+        else:  # arbitrary subsets: most of these break the hypotheses
+            sets = {frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(rng.randint(1, 5))}
+            sys_ = CliqueSystem(n, d, tuple(sets))
+        admissible += sys_.hypothesis_violation() is None
+        for m in range(n + 1):  # includes m <= d-2 and the boundary m = d-1
+            assert covered_subset_count(sys_, m, method="auto") == (
+                covered_subset_count(sys_, m, method="enumerate")
+            ), (sys_, m)
+    assert 300 < admissible < 1000
+
+
+def test_verify_comblemma_counts_without_enumerating(monkeypatch):
+    def refuse(system, m):
+        raise AssertionError("enumerated the m-subsets")
+
+    monkeypatch.setattr(combinatorics, "_enumerated_covered_count", refuse)
+    sets = (range(40), range(38, 64), (5, 6, 45))  # pairwise intersections <= d-2 = 2
+    rep = verify_comblemma(system(64, 4, *sets), 32)
+    assert rep.status == "checked" and rep.holds
+    assert rep.count == sum(comb(len(h), 32) for h in sets) == comb(40, 32)
+    assert rep.bound == comb(63, 32)
 
 
 def test_covered_subset_count_matches_brute_oracle():
@@ -182,3 +226,12 @@ def test_expected_gpi_matches_brute_force_oracle():
         g = random_graph(rng, rng.randint(2, 7), rng.random())
         d = rng.choice((2, 3))
         assert exact_expected_gpi_edges(g, d) == brute_force_expected_gpi(g, d)
+
+
+def test_clique_size_counts_match_enumeration():
+    rng = random.Random(304)
+    graphs = [complete_graph(n) for n in (1, 2, 9, 13)] + [Graph(5), cycle_graph(4)]
+    graphs += [random_graph(rng, rng.randint(1, 14), rng.uniform(0.1, 0.97)) for _ in range(300)]
+    for g in graphs:
+        for v in range(g.n):
+            assert _clique_size_counts(g, v) == enumerated_clique_size_counts(g, v), (g, v)

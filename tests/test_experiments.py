@@ -5,9 +5,7 @@ import pytest
 
 from rigidity_forge.constructions import lovasz_yemini_family, sharpness_example
 from rigidity_forge.experiments import (
-    brute_force_expected_gpi,
     check_lemma7_hypotheses,
-    exact_generic_rank,
     lemma6_property_check,
     lemma8_property_check,
     monte_carlo_gpi,
@@ -24,7 +22,7 @@ from rigidity_forge.graph_core import (
     cycle_graph,
 )
 
-from helpers import random_graph
+from helpers import brute_force_expected_gpi, exact_generic_rank, random_graph
 
 
 def test_lemma7_hypotheses_examples():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -190,6 +191,36 @@ def test_maximal_cliques_properties():
         assert all(g.is_clique(c) for c in cliques)
         sets = [set(c) for c in cliques]
         assert not any(a < b for a in sets for b in sets)
+
+
+def test_maximal_cliques_match_networkx_on_larger_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(37)
+    for n, density in ((30, 0.8), (40, 0.1), (50, 0.6), (60, 0.3), (80, 0.5), (80, 0.15)):
+        g = random_graph(rng, n, density)
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges)
+        expected = sorted(tuple(sorted(c)) for c in nx.find_cliques(h))
+        assert maximal_cliques(g) == expected, (n, density)
+
+
+def test_maximal_cliques_deeper_than_recursion_limit():
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = depth + 100
+    n = limit + 50  # K_n minus an edge has two maximal cliques of n-1 vertices
+    g = complete_graph(n).remove_edges([(0, n - 1)])
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        cliques = maximal_cliques(g)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert cliques == [tuple(range(n - 1)), tuple(range(1, n))]
 
 
 # -- induced subgraphs -----------------------------------------------------

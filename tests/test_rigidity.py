@@ -11,7 +11,6 @@ from rigidity_forge.constructions import (
     sharpness_example,
     sharpness_matching,
 )
-from rigidity_forge.experiments import exact_generic_rank
 from rigidity_forge.global_rigidity import stress_matrix_rank
 from rigidity_forge.graph_core import Graph, complete_graph, cycle_graph, vertex_connectivity
 from rigidity_forge.modlinalg import DEFAULT_PRIME, RowBasis, make_rng, rank_of_rows
@@ -29,7 +28,7 @@ from rigidity_forge.rigidity import (
     placements,
 )
 
-from helpers import random_graph
+from helpers import exact_generic_rank, random_graph
 
 P = DEFAULT_PRIME
 
