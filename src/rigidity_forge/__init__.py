@@ -13,7 +13,6 @@ from .constructions import (
     GpiResult,
     GpiStep,
     build_gpi,
-    gpi_edge_count,
     harary_graph,
     lovasz_yemini_family,
     one_extension,
@@ -25,7 +24,6 @@ from .global_rigidity import (
     StressCertificate,
     globally_rigid_deletions,
     is_globally_rigid,
-    lemma4_consistency,
     stress_matrix,
     stress_matrix_rank,
     wgl_sufficient,

@@ -103,12 +103,13 @@ class CombLemmaReport:
 def verify_comblemma(system: CliqueSystem, m: int) -> CombLemmaReport:
     """Check count <= C(n-1, m) for an admissible system; the inequality is a
     theorem, so this exists for fuzzing, not deciding.  Admissibility puts m
-    at d+1 or more, inside the closed form's guard, so the count is
-    sum_j C(|H_j|, m) and no subset is enumerated."""
+    at d+1 or more, inside :func:`covered_subset_count`'s closed-form guard,
+    so the count is sum_j C(|H_j|, m), taken without checking the
+    hypotheses a second time."""
     reason = system.hypothesis_violation(m)
     if reason is not None:
         return CombLemmaReport("inapplicable", reason, None, None, None)
-    count = covered_subset_count(system, m)
+    count = sum(comb(len(h), m) for h in system.sets)
     bound = comb(system.n - 1, m)
     return CombLemmaReport("checked", None, count, bound, count <= bound)
 

@@ -128,32 +128,6 @@ def build_gpi(g: Graph, d: int, ordering: Sequence[int]) -> GpiResult:
     return GpiResult(Graph(g.n, edges), tuple(steps))
 
 
-def gpi_edge_count(g: Graph, d: int, ordering: Sequence[int]) -> int:
-    """|E_pi| without building the subgraph or trace (Monte Carlo hot path)."""
-    if d < 2:
-        raise ValueError("ordered construction requires dimension >= 2")
-    placed = 0
-    total = 0
-    for v in ordering:
-        back_mask = g.neighbor_mask(v) & placed
-        k = back_mask.bit_count()
-        if k <= d:
-            total += k
-        else:
-            clique = True
-            m = back_mask
-            while m:
-                bit = m & -m
-                u = bit.bit_length() - 1
-                if back_mask & ~(g.neighbor_mask(u) | bit):
-                    clique = False
-                    break
-                m ^= bit
-            total += d if clique else d + 1
-        placed |= 1 << v
-    return total
-
-
 def harary_graph(k: int, s: int) -> Graph:
     """The circulant-style k-connected k-regular graph on s vertices."""
     if not 2 <= k < s:

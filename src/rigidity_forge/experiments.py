@@ -1,6 +1,5 @@
-"""Theorem-level harness: hypothesis checkers, Monte Carlo sampling of the
-ordered construction, and spot checks of the connectivity-implies-rigidity
-results.
+"""Theorem-level harness: hypothesis checkers and spot checks of the
+connectivity-implies-rigidity results.
 
 The spot checks treat the underlying theorems as ground truth: a failure on
 an applicable input means an implementation bug (or an astronomically
@@ -10,15 +9,14 @@ unlikely rank miss, cleared by rerunning with a fresh seed).
 from __future__ import annotations
 
 import itertools
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb
 
 from .combinatorics import m_dk
-from .constructions import build_gpi, gpi_edge_count, sharpness_example, sharpness_matching
+from .constructions import build_gpi, sharpness_example, sharpness_matching
 from .global_rigidity import globally_rigid_deletions, is_globally_rigid, wgl_sufficient
-from .graph_core import Edge, Graph, induced_subgraph, maximal_cliques, vertex_connectivity
+from .graph_core import Edge, Graph, maximal_cliques, vertex_connectivity
 from .modlinalg import DEFAULT_PRIME, make_rng
 from .rigidity import (
     Verdict,
@@ -28,40 +26,6 @@ from .rigidity import (
     is_t_redundantly_rigid,
     linked_pairs,
 )
-
-# two-sided 99% normal quantile; the t correction is negligible at the
-# trial counts used here (>= 10^3)
-Z99 = 2.5758293035489004
-
-
-@dataclass(frozen=True)
-class MonteCarloStats:
-    """Sample statistics of |E_pi| over random orderings."""
-
-    trials: int
-    mean: float
-    stdev: float
-    half_width_99: float
-    seed: int
-
-
-def monte_carlo_gpi(g: Graph, d: int, trials: int, seed: int = 0) -> MonteCarloStats:
-    """Sample |E_pi| over seeded Fisher-Yates random orderings.
-
-    With a single trial the spread fields are reported as 0.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = make_rng(seed)
-    order = list(range(g.n))
-    samples = []
-    for _ in range(trials):
-        rng.shuffle(order)
-        samples.append(gpi_edge_count(g, d, order))
-    mean = statistics.fmean(samples)
-    stdev = statistics.stdev(samples) if trials > 1 else 0.0
-    half_width = Z99 * stdev / sqrt(trials)
-    return MonteCarloStats(trials, mean, stdev, half_width, seed)
 
 
 @dataclass(frozen=True)
@@ -87,19 +51,18 @@ def check_lemma7_hypotheses(g: Graph, d: int) -> HypothesisReport:
     degree_ok = clique_ok = inter_ok = True
     witness: tuple[int, str] | None = None
     for v in range(g.n):
-        nbrs = sorted(g.neighbors(v))
+        nbrs = g.neighbors(v)
         if len(nbrs) < threshold:
             degree_ok = False
             if witness is None:
                 witness = (v, f"degree {len(nbrs)} < {threshold}")
             continue
-        sub, mapping = induced_subgraph(g, nbrs)
-        if sub.is_complete():
+        if g.is_clique(nbrs):
             clique_ok = False
             if witness is None:
                 witness = (v, "neighborhood induces a clique")
             continue
-        cliques = [frozenset(mapping[i] for i in c) for c in maximal_cliques(sub)]
+        cliques = [frozenset(c) for c in maximal_cliques(g, nbrs)]
         for a, b in itertools.combinations(cliques, 2):
             if len(a & b) > d - 2:
                 inter_ok = False

@@ -181,34 +181,3 @@ def wgl_sufficient(
     local = {old: new for new, old in enumerate(mapping)}
     linked = is_linked(sub, d, local[u], local[v], trials, seed, p)
     return Verdict(linked.value, linked.confidence)
-
-
-@dataclass(frozen=True)
-class Lemma4Report:
-    """Consistency of global rigidity of g and g+uv on a certified pair."""
-
-    status: str  # "checked" or "inapplicable"
-    base: Verdict | None
-    augmented: Verdict | None
-    passed: bool | None
-
-
-def lemma4_consistency(
-    g: Graph,
-    d: int,
-    u: int,
-    v: int,
-    v0,
-    trials: int = 2,
-    seed: int = 0,
-    p: int = DEFAULT_PRIME,
-) -> Lemma4Report:
-    """For a certified weakly globally linked non-edge {u,v}, global rigidity
-    of g and of g+uv must agree.  Skipped when the certificate fails."""
-    if g.has_edge(u, v):
-        raise ValueError("pair must be non-adjacent")
-    if not wgl_sufficient(g, d, u, v, v0, trials, seed, p).value:
-        return Lemma4Report("inapplicable", None, None, None)
-    base = is_globally_rigid(g, d, trials, seed, p)
-    augmented = is_globally_rigid(g.add_edge(u, v), d, trials, seed, p)
-    return Lemma4Report("checked", base, augmented, base.value == augmented.value)

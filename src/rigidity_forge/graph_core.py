@@ -414,17 +414,21 @@ def vertex_connectivity(g: Graph) -> int:
 # -- cliques ---------------------------------------------------------------
 
 
-def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """All inclusion-maximal cliques, each sorted, in lexicographic order.
+def maximal_cliques(g: Graph, vertices: Iterable[int] | None = None) -> list[tuple[int, ...]]:
+    """All inclusion-maximal cliques of g, or of the subgraph induced on
+    ``vertices``, each sorted, in lexicographic order, in g's own labels.
 
     Bron-Kerbosch with pivoting on bitmasks, driven by an explicit stack of
     (clique, candidates, excluded) states, so a deep clique does not recurse.
     Only states with candidates are pushed: one without is settled where it
     is made, as a maximal clique when nothing is excluded.  Isolated vertices
-    yield singleton cliques; the empty graph on 0 vertices yields no cliques.
+    yield singleton cliques; an empty vertex set yields no cliques.
     """
-    n = g.n
-    if n == 0:
+    if vertices is None:
+        start = (1 << g.n) - 1
+    else:
+        start = sum(1 << v for v in as_vertex_set(vertices, g.n))
+    if not start:
         return []
     masks = g._mask
     out: list[tuple[int, ...]] = []
@@ -437,7 +441,7 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
             mask ^= b
         return res
 
-    stack = [(0, (1 << n) - 1, 0)]
+    stack = [(0, start, 0)]
     while stack:
         r, p, x = stack.pop()
         pivot = -1

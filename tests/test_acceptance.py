@@ -26,11 +26,7 @@ from rigidity_forge.constructions import (
     sharpness_matching,
     zero_extension,
 )
-from rigidity_forge.experiments import (
-    monte_carlo_gpi,
-    theorem9_check,
-    theorem10_check,
-)
+from rigidity_forge.experiments import theorem9_check, theorem10_check
 from rigidity_forge.global_rigidity import is_globally_rigid, stress_matrix_rank
 from rigidity_forge.graph_core import (
     Graph,
@@ -48,7 +44,12 @@ from rigidity_forge.rigidity import (
     is_t_redundantly_rigid,
 )
 
-from helpers import brute_force_expected_gpi, random_clique_system, random_graph
+from helpers import (
+    brute_force_expected_gpi,
+    monte_carlo_gpi,
+    random_clique_system,
+    random_graph,
+)
 
 
 @contextmanager

@@ -1,9 +1,14 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rigidity_forge
 from rigidity_forge import experiments
 from rigidity_forge.cli import main
 from rigidity_forge.graph_core import (
@@ -275,3 +280,15 @@ def test_reruns_are_byte_identical(capsys, k4_file, c4_file, tmp_path):
         code_b, out_b = run_cli(capsys, *argv)
         assert code_a == code_b
         assert strip_runtime(out_a) == strip_runtime(out_b), argv
+
+
+def test_cli_import_leaves_test_oracle_modules_unloaded():
+    # structural start-up check in a fresh interpreter: the Monte Carlo
+    # oracle lives in the tests, so the CLI has no use for `statistics`
+    src = str(Path(rigidity_forge.__file__).resolve().parents[1])
+    code = "import sys, rigidity_forge.cli; print('statistics' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr

@@ -110,12 +110,23 @@ def test_verify_comblemma_counts_without_enumerating(monkeypatch):
     def refuse(system, m):
         raise AssertionError("enumerated the m-subsets")
 
+    checks = []
+    check = CliqueSystem.hypothesis_violation
+
+    def counted(self, m=None):
+        checks.append(m)
+        return check(self, m)
+
     monkeypatch.setattr(combinatorics, "_enumerated_covered_count", refuse)
+    monkeypatch.setattr(CliqueSystem, "hypothesis_violation", counted)
     sets = (range(40), range(38, 64), (5, 6, 45))  # pairwise intersections <= d-2 = 2
     rep = verify_comblemma(system(64, 4, *sets), 32)
     assert rep.status == "checked" and rep.holds
     assert rep.count == sum(comb(len(h), 32) for h in sets) == comb(40, 32)
     assert rep.bound == comb(63, 32)
+    assert checks == [32]  # the O(r^2) hypothesis pass runs once per call
+    assert verify_comblemma(system(64, 4, *sets), 3).status == "inapplicable"
+    assert checks == [32, 3]
 
 
 def test_covered_subset_count_matches_brute_oracle():
@@ -153,6 +164,7 @@ def test_verify_comblemma_fuzz_holds():
         m = rng.randint(d + 1, n - 1)
         rep = verify_comblemma(sys_, m)
         assert rep.status == "checked" and rep.holds
+        assert rep.count == brute_covered_count(sys_, m)
 
 
 # -- rank densities --------------------------------------------------------------

@@ -9,7 +9,6 @@ from rigidity_forge.constructions import (
     RULE_C,
     RULE_FIRST,
     build_gpi,
-    gpi_edge_count,
     harary_graph,
     lovasz_yemini_family,
     one_extension,
@@ -26,7 +25,7 @@ from rigidity_forge.graph_core import (
 )
 from rigidity_forge.rigidity import cover_rank_bound, generic_rank, is_independent
 
-from helpers import random_graph
+from helpers import gpi_edge_count, random_graph
 
 
 # -- Henneberg extensions ----------------------------------------------------

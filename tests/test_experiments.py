@@ -1,14 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from rigidity_forge import experiments
 from rigidity_forge.constructions import lovasz_yemini_family, sharpness_example
 from rigidity_forge.experiments import (
+    HypothesisReport,
     check_lemma7_hypotheses,
     lemma6_property_check,
     lemma8_property_check,
-    monte_carlo_gpi,
     theorem1_spot_check,
     theorem2_spot_check,
     theorem9_check,
@@ -20,9 +22,16 @@ from rigidity_forge.graph_core import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    induced_subgraph,
+    maximal_cliques,
 )
 
-from helpers import brute_force_expected_gpi, exact_generic_rank, random_graph
+from helpers import (
+    brute_force_expected_gpi,
+    exact_generic_rank,
+    monte_carlo_gpi,
+    random_graph,
+)
 
 
 def test_lemma7_hypotheses_examples():
@@ -54,6 +63,54 @@ def test_lemma7_intersection_condition():
     g = Graph(2 * k, edges)
     rep = check_lemma7_hypotheses(g, 2)
     assert not rep.intersection_ok
+
+
+def lemma7_by_induced_subgraphs(g, d):
+    """The per-vertex route: build N(v) as a graph, relabel, map back."""
+    threshold = d * (d + 1)
+    degree_ok = clique_ok = inter_ok = True
+    witness = None
+    for v in range(g.n):
+        nbrs = sorted(g.neighbors(v))
+        if len(nbrs) < threshold:
+            degree_ok = False
+            witness = witness or (v, f"degree {len(nbrs)} < {threshold}")
+            continue
+        sub, mapping = induced_subgraph(g, nbrs)
+        if sub.is_complete():
+            clique_ok = False
+            witness = witness or (v, "neighborhood induces a clique")
+            continue
+        cliques = [frozenset(mapping[i] for i in c) for c in maximal_cliques(sub)]
+        for a, b in itertools.combinations(cliques, 2):
+            if len(a & b) > d - 2:
+                inter_ok = False
+                witness = witness or (v, f"maximal cliques overlap in {len(a & b)} > d-2 vertices")
+                break
+    return HypothesisReport(degree_ok, clique_ok, inter_ok, witness)
+
+
+def test_lemma7_hypotheses_match_induced_subgraph_route(monkeypatch):
+    rng = random.Random(77)
+    cases = [(complete_graph(9), 2), (complete_graph(14), 3), (complete_bipartite_graph(7, 7), 2)]
+    for _ in range(120):
+        d = rng.choice((2, 3))
+        n = rng.randint(d * (d + 1), 22)
+        cases.append((random_graph(rng, n, rng.uniform(0.4, 1.0)), d))
+        k_n = complete_graph(n)
+        cases.append((k_n.remove_edges(rng.sample(sorted(k_n.edges), 2)), d))
+    expected = [lemma7_by_induced_subgraphs(g, d) for g, d in cases]
+
+    def refuse(*args):
+        raise AssertionError("built a graph per vertex")
+
+    monkeypatch.setattr(experiments, "induced_subgraph", refuse, raising=False)
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    reports = [check_lemma7_hypotheses(g, d) for g, d in cases]
+    assert reports == expected
+    kinds = {r.witness[1].split()[0] for r in reports if r.witness}
+    assert kinds == {"degree", "neighborhood", "maximal"}
+    assert any(r.all_ok for r in reports)
 
 
 def test_monte_carlo_gpi_degenerate_and_determinism():

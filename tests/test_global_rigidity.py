@@ -6,10 +6,8 @@ import pytest
 from rigidity_forge import global_rigidity
 from rigidity_forge.constructions import sharpness_example, sharpness_matching
 from rigidity_forge.global_rigidity import (
-    Lemma4Report,
     globally_rigid_deletions,
     is_globally_rigid,
-    lemma4_consistency,
     stress_matrix,
     stress_matrix_rank,
     wgl_sufficient,
@@ -202,33 +200,6 @@ def test_wgl_sufficient_validation():
         wgl_sufficient(g, 2, 0, 0, [0, 1])
     with pytest.raises(ValueError):
         wgl_sufficient(g, 2, 0, 5, [0, 1, 2])  # v outside v0
-
-
-def test_lemma4_consistency_applicable_case():
-    g = pendant_pair_gadget()
-    report = lemma4_consistency(g, 2, 0, 1, [0, 1, 2, 3, 4])
-    assert report.status == "checked"
-    assert report.passed
-    # both sides share the degree-2 vertex 5, so both are non-globally-rigid
-    assert report.base.value == report.augmented.value == False  # noqa: E712
-
-
-def test_lemma4_consistency_inapplicable_case():
-    c4 = cycle_graph(4)
-    report = lemma4_consistency(c4, 2, 0, 2, [0, 1, 2, 3])
-    assert report == Lemma4Report("inapplicable", None, None, None)
-
-
-def test_lemma4_consistency_on_globally_rigid_host():
-    # certified pair inside a globally rigid graph: both verdicts true
-    g = complete_bipartite_graph(4, 4)
-    u, v = 0, 1  # same side, non-adjacent
-    v0 = sorted(set(g.neighbors(u)) | set(g.neighbors(v)) | {u, v})
-    report = lemma4_consistency(g, 2, u, v, v0)
-    if report.status == "checked":
-        assert report.base.value and report.augmented.value and report.passed
-    with pytest.raises(ValueError):
-        lemma4_consistency(g, 2, 0, 4, [0, 4])  # adjacent pair
 
 
 def test_stress_certificate_is_seed_deterministic():

@@ -174,13 +174,25 @@ def test_maximal_cliques_known():
     ]
     assert maximal_cliques(Graph(0)) == []
     assert maximal_cliques(Graph(3)) == [(0,), (1,), (2,)]
+    assert maximal_cliques(cycle_graph(5), [4, 0, 2]) == [(0, 4), (2,)]
+    assert maximal_cliques(complete_graph(4), []) == []
+    for bad in ([0, 4], [-1, 2]):
+        with pytest.raises(ValueError):
+            maximal_cliques(complete_graph(4), bad)
 
 
 def test_maximal_cliques_fuzz_against_oracle():
     rng = random.Random(99)
+    pick = random.Random(100)
     for _ in range(150):
         g = random_graph(rng, rng.randint(1, 8), rng.random())
         assert maximal_cliques(g) == brute_maximal_cliques(g)
+        subsets = [[], [pick.randrange(g.n)], range(g.n)]
+        subsets.append(pick.sample(range(g.n), pick.randint(0, g.n)))
+        for vs in subsets:
+            sub, mapping = induced_subgraph(g, vs)
+            expected = [tuple(mapping[i] for i in c) for c in maximal_cliques(sub)]
+            assert maximal_cliques(g, vs) == expected, (g.edges, vs)
 
 
 def test_maximal_cliques_properties():
