@@ -9,17 +9,16 @@ success, 1 for a failed check-* assertion, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import sys
 import time
-from collections.abc import Callable
-from fractions import Fraction
+from collections.abc import Callable, Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
-from . import combinatorics, constructions, experiments, global_rigidity, rigidity
-from .combinatorics import CliqueSystem
 from .graph_core import Graph, parse_graph, vertex_connectivity
 from .modlinalg import DEFAULT_PRIME, MASK64, is_prime, make_rng
 
@@ -32,30 +31,13 @@ class CliError(ValueError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class CliConfig:
+class CliConfig(NamedTuple):
     dim: int
     prime: int
     seed: int
     trials: int
     input: str
     fmt: str
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise CliError("dimension must be at least 1")
-        if self.trials < 1:
-            raise CliError("trials must be at least 1")
-        if self.prime <= (1 << 32):
-            raise CliError("modulus must exceed 2^32 for negligible failure odds")
-        if self.prime >= (1 << 64):
-            raise CliError("modulus must be below 2^64, where the primality test is exact")
-        if not is_prime(self.prime):
-            raise CliError(f"modulus {self.prime} is not prime")
-        if not (0 <= self.seed <= MASK64):
-            raise CliError("seed must be a 64-bit unsigned integer")
-        if self.fmt not in ("json", "text"):
-            raise CliError(f"unknown format {self.fmt!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,6 +52,12 @@ def _env(name: str, fallback: str | None) -> str | None:
     return os.environ.get(ENV_PREFIX + name, fallback)
 
 
+def _lib(name: str):
+    """The library module `name`, imported on first use: a process imports
+    only the modules of the command it runs."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
 def _resolve_config(args: argparse.Namespace) -> CliConfig:
     def pick(flag, env_name, default, conv):
         if flag is not None:
@@ -81,7 +69,7 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
 
     fmt_default = "text" if COMMANDS[args.command].generator else "json"
     try:
-        return CliConfig(
+        cfg = CliConfig(
             dim=pick(args.dim, "DIM", 2, int),
             prime=pick(args.prime, "PRIME", DEFAULT_PRIME, int),
             seed=pick(args.seed, "SEED", 0, int),
@@ -91,13 +79,29 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    if cfg.dim < 1:
+        raise CliError("dimension must be at least 1")
+    if cfg.trials < 1:
+        raise CliError("trials must be at least 1")
+    if cfg.prime <= (1 << 32):
+        raise CliError("modulus must exceed 2^32 for negligible failure odds")
+    if cfg.prime >= (1 << 64):
+        raise CliError("modulus must be below 2^64, where the primality test is exact")
+    if not is_prime(cfg.prime):
+        raise CliError(f"modulus {cfg.prime} is not prime")
+    if not (0 <= cfg.seed <= MASK64):
+        raise CliError("seed must be a 64-bit unsigned integer")
+    if cfg.fmt not in ("json", "text"):
+        raise CliError(f"unknown format {cfg.fmt!r}")
+    return cfg
 
 
 def jsonable(obj):
     """Recursively convert results to JSON-friendly values."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, Fraction):
+    if hasattr(obj, "_fields"):  # a result NamedTuple: an object, not an array
+        return {f: jsonable(v) for f, v in zip(obj._fields, obj)}
+    # a Fraction, recognised by duck type so that the CLI need not import `fractions`
+    if hasattr(obj, "denominator") and not isinstance(obj, int):
         return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(obj.numerator)
     if isinstance(obj, Graph):
         return {"n": obj.n, "m": obj.edge_count, "edges": [list(e) for e in obj.sorted_edges()]}
@@ -133,7 +137,7 @@ def _gpi(g: Graph, cfg: CliConfig, args: argparse.Namespace) -> dict:
     else:
         order = list(range(g.n))
         make_rng(cfg.seed).shuffle(order)
-    res = constructions.build_gpi(g, cfg.dim, order)
+    res = _lib("constructions").build_gpi(g, cfg.dim, order)
     return {
         "ordering": order,
         "edge_count": res.edge_count,
@@ -142,29 +146,29 @@ def _gpi(g: Graph, cfg: CliConfig, args: argparse.Namespace) -> dict:
     }
 
 
-def _clique_system(text: str, dim: int) -> CliqueSystem:
+def _clique_system(text: str, dim: int):
     try:
         payload = json.loads(text)
-        return CliqueSystem(
+        return _lib("combinatorics").CliqueSystem(
             int(payload["n"]),
             int(payload.get("d", dim)),
-            tuple(frozenset(int(x) for x in h) for h in payload["sets"]),
+            [[int(x) for x in h] for h in payload["sets"]],
         )
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise CliError(f"bad clique-system JSON: {exc}") from None
 
 
-@dataclasses.dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """Everything the driver needs to know about one command."""
 
     help: str
     #: run(input, cfg, args): the input is a parsed Graph, the raw text or None,
-    #: as `reads` says.  Runners look library functions up at call time, so a
-    #: patched module attribute (a tracer, a test double) is the one called.
+    #: as `reads` says.  Runners import their module (`_lib`) and look library
+    #: functions up at call time, so a process loads only its command's modules
+    #: and a patched module attribute (a tracer, a test double) is the one called.
     run: Callable
     reads: str | None = "graph"  # "graph", "text" or None
-    flags: dict = dataclasses.field(default_factory=dict)  # flag -> add_argument kwargs
+    flags: Mapping[str, dict] = MappingProxyType({})  # flag -> add_argument kwargs
     #: a fixed tag, or None to take the result's own `confidence` field
     confidence: str | None = "certain"
     #: with confidence None: the report field printed as the result (None: all the rest)
@@ -178,63 +182,72 @@ _PAIR = {"--u": _INT, "--v": _INT}
 
 COMMANDS = {
     "rank": Command("generic rigidity matroid rank",
-        lambda g, c, a: rigidity.generic_rank(g, c.dim, c.trials, c.seed, c.prime),
+        lambda g, c, a: _lib("rigidity").generic_rank(g, c.dim, c.trials, c.seed, c.prime),
         confidence=None, pick="rank"),
     "rigid": Command("generic rigidity verdict",
-        lambda g, c, a: rigidity.is_rigid(g, c.dim, c.trials, c.seed, c.prime),
+        lambda g, c, a: _lib("rigidity").is_rigid(g, c.dim, c.trials, c.seed, c.prime),
         confidence=None, pick="value"),
     "globally-rigid": Command("generic global rigidity verdict",
-        lambda g, c, a: global_rigidity.is_globally_rigid(g, c.dim, c.trials, c.seed, c.prime),
+        lambda g, c, a: _lib("global_rigidity").is_globally_rigid(
+            g, c.dim, c.trials, c.seed, c.prime),
         confidence=None, pick="value"),
     "linked": Command("is the pair {u,v} linked",
-        lambda g, c, a: rigidity.is_linked(g, c.dim, a.u, a.v, c.trials, c.seed, c.prime),
+        lambda g, c, a: _lib("rigidity").is_linked(
+            g, c.dim, a.u, a.v, c.trials, c.seed, c.prime),
         flags=_PAIR, confidence=None, pick="value"),
     "redundant": Command("t-redundant rigidity verdict",
-        lambda g, c, a: rigidity.is_t_redundantly_rigid(g, c.dim, a.t, c.trials, c.seed, c.prime),
+        lambda g, c, a: _lib("rigidity").is_t_redundantly_rigid(
+            g, c.dim, a.t, c.trials, c.seed, c.prime),
         flags={"--t": _INT}, confidence=None),
     "connectivity": Command("exact vertex connectivity", lambda g, c, a: vertex_connectivity(g)),
     "gpi": Command("build the ordered subgraph", _gpi, flags={"--ordering": {
         "default": None, "help": "comma-separated permutation; default seeded shuffle"}}),
     "expected-gpi": Command("exact expected ordered-subgraph size",
-        lambda g, c, a: combinatorics.exact_expected_gpi_edges(g, c.dim, a.degree_cap),
+        lambda g, c, a: _lib("combinatorics").exact_expected_gpi_edges(g, c.dim, a.degree_cap),
         flags={"--degree-cap": {"type": int, "default": 20}}),
     "gen-ly": Command("generate the split-clique non-rigid family",
-        lambda _, c, a: constructions.lovasz_yemini_family(c.dim, a.s)[0],
+        lambda _, c, a: _lib("constructions").lovasz_yemini_family(c.dim, a.s)[0],
         reads=None, flags={"--s": _INT | {"help": "base graph size"}}, generator=True),
     "gen-sharpness": Command("generate the matched-cliques redundancy example",
-        lambda _, c, a: constructions.sharpness_example(c.dim), reads=None, generator=True),
+        lambda _, c, a: _lib("constructions").sharpness_example(c.dim),
+        reads=None, generator=True),
     "gen-harary": Command("generate the k-connected k-regular circulant",
-        lambda _, c, a: constructions.harary_graph(a.k, a.s),
+        lambda _, c, a: _lib("constructions").harary_graph(a.k, a.s),
         reads=None, flags={"--k": _INT, "--s": _INT}, generator=True),
     "comblemma": Command("verify the covered-subset bound on a clique system (JSON input)",
-        lambda text, c, a: combinatorics.verify_comblemma(_clique_system(text, c.dim), a.m),
+        lambda text, c, a: _lib("combinatorics").verify_comblemma(
+            _clique_system(text, c.dim), a.m),
         reads="text", flags={"--m": _INT}),
-    "mdk": Command("sharp rank density m_{d,k}", lambda _, c, a: combinatorics.m_dk(c.dim, a.k),
+    "mdk": Command("sharp rank density m_{d,k}",
+        lambda _, c, a: _lib("combinatorics").m_dk(c.dim, a.k),
         reads=None, flags={"--k": _INT}),
     "grn-bound": Command("lower bound on the best nontrivial globally rigid dimension",
-        lambda g, c, a: combinatorics.grn_lower_bound(g.n, g.edge_count)),
+        lambda g, c, a: _lib("combinatorics").grn_lower_bound(g.n, g.edge_count)),
     "check-theorem1": Command("assert: d(d+1)-connected implies rigid",
-        lambda g, c, a: experiments.theorem1_spot_check(g, c.dim, c.trials, c.seed, c.prime),
+        lambda g, c, a: _lib("experiments").theorem1_spot_check(
+            g, c.dim, c.trials, c.seed, c.prime),
         confidence="whp", check="passed"),
     "check-theorem2": Command("assert: d(d+1)-connected implies globally rigid",
-        lambda g, c, a: experiments.theorem2_spot_check(g, c.dim, c.trials, c.seed, c.prime),
+        lambda g, c, a: _lib("experiments").theorem2_spot_check(
+            g, c.dim, c.trials, c.seed, c.prime),
         confidence="whp", check="passed"),
     "check-theorem9": Command("assert the sharp redundancy constants",
-        lambda _, c, a: experiments.theorem9_check(
+        lambda _, c, a: _lib("experiments").theorem9_check(
             c.dim, c.trials, c.seed, c.prime, a.allow_large),
         reads=None, confidence="whp", check="passed",
         flags={"--allow-large": {"action": "store_true", "help": "permit d > 2 (slow)"}}),
     "check-theorem10": Command("assert the m_{d,k} rank lower bound",
-        lambda g, c, a: experiments.theorem10_check(g, c.dim, c.trials, c.seed, c.prime),
+        lambda g, c, a: _lib("experiments").theorem10_check(
+            g, c.dim, c.trials, c.seed, c.prime),
         confidence="whp", check="passed"),
     "check-lemma6": Command("assert ordered subgraphs are independent when no non-edge is linked",
-        lambda g, c, a: experiments.lemma6_property_check(
+        lambda g, c, a: _lib("experiments").lemma6_property_check(
             g, c.dim, a.orderings, c.trials, c.seed, c.prime),
         flags={"--orderings": {"type": int, "default": 20}}, confidence="whp", check="passed"),
     "check-lemma7-hyp": Command("check the expected-size lemma hypotheses",
-        lambda g, c, a: experiments.check_lemma7_hypotheses(g, c.dim), check="all_ok"),
+        lambda g, c, a: _lib("experiments").check_lemma7_hypotheses(g, c.dim), check="all_ok"),
     "wgl": Command("sufficient condition for weak global linkedness",
-        lambda g, c, a: global_rigidity.wgl_sufficient(
+        lambda g, c, a: _lib("global_rigidity").wgl_sufficient(
             g, c.dim, a.u, a.v, _csv_ints(a.v0), c.trials, c.seed, c.prime),
         flags=_PAIR | {"--v0": {
             "required": True, "help": "comma-separated vertex set containing u and v"}},
@@ -242,10 +255,12 @@ COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(names=COMMANDS) -> _Parser:
+    """The parser with a subparser for each named command (default: all)."""
     parser = _Parser(prog="rigidity-forge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, cmd in COMMANDS.items():
+    for name in names:
+        cmd = COMMANDS[name]
         p = sub.add_parser(name, help=cmd.help)
         p.add_argument("--dim", type=int, default=None, help="dimension d (default 2)")
         p.add_argument("--seed", type=int, default=None, help="64-bit seed (default 0)")
@@ -289,8 +304,10 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named command needs only its own subparser; --help, no arguments
+    # and an unknown command get the full parser and its listing
+    args = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS).parse_args(argv)
     cmd = COMMANDS[args.command]
     try:
         cfg = _resolve_config(args)

@@ -7,14 +7,14 @@ Everything here is exact rational or integer arithmetic; no floats.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from math import comb, isqrt
+from typing import NamedTuple
 
 from .graph_core import Graph
 
 
-@dataclass(frozen=True)
 class CliqueSystem:
     """A family H_1..H_r of subsets of [n] with a dimension parameter d.
 
@@ -24,18 +24,17 @@ class CliqueSystem:
     verifier can classify bad systems as inapplicable instead of crashing.
     """
 
-    n: int
-    d: int
-    sets: tuple[frozenset[int], ...]
+    __slots__ = ("n", "d", "sets")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, d: int, sets: Iterable[Iterable[int]]) -> None:
+        if n < 0:
             raise ValueError("ground set size must be non-negative")
-        object.__setattr__(self, "sets", tuple(frozenset(h) for h in self.sets))
+        self.n, self.d = n, d
+        self.sets: tuple[frozenset[int], ...] = tuple(frozenset(h) for h in sets)
         for h in self.sets:
             for x in h:
-                if not (0 <= x < self.n):
-                    raise ValueError(f"member {x} outside [0, {self.n})")
+                if not (0 <= x < n):
+                    raise ValueError(f"member {x} outside [0, {n})")
 
     def hypothesis_violation(self, m: int | None = None) -> str | None:
         """Reason the counting-lemma hypotheses fail, or None if they hold."""
@@ -91,8 +90,7 @@ def _enumerated_covered_count(system: CliqueSystem, m: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class CombLemmaReport:
+class CombLemmaReport(NamedTuple):
     status: str  # "checked" or "inapplicable"
     reason: str | None
     count: int | None

@@ -4,7 +4,7 @@ the clique-split families used for connectivity-versus-rigidity bounds."""
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph_core import Edge, Graph, vertex_connectivity
 from .rigidity import Cover
@@ -48,8 +48,7 @@ def one_extension(g: Graph, d: int, edge: Edge, targets: Iterable[int]) -> Graph
     return Graph(g.n + 1, kept + [(w, new) for w in anchors])
 
 
-@dataclass(frozen=True)
-class GpiStep:
+class GpiStep(NamedTuple):
     """Per-vertex trace of the ordered construction."""
 
     position: int
@@ -60,8 +59,7 @@ class GpiStep:
     nonadjacent_pair: tuple[int, int] | None
 
 
-@dataclass(frozen=True)
-class GpiResult:
+class GpiResult(NamedTuple):
     subgraph: Graph
     steps: tuple[GpiStep, ...]
 

@@ -9,9 +9,9 @@ unlikely rank miss, cleared by rerunning with a fresh seed).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .combinatorics import m_dk
 from .constructions import build_gpi, sharpness_example, sharpness_matching
@@ -28,8 +28,7 @@ from .rigidity import (
 )
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Per-vertex conditions for the expected-edge-count lower bound."""
 
     min_degree_ok: bool
@@ -72,8 +71,7 @@ def check_lemma7_hypotheses(g: Graph, d: int) -> HypothesisReport:
     return HypothesisReport(degree_ok, clique_ok, inter_ok, witness)
 
 
-@dataclass(frozen=True)
-class SpotCheckReport:
+class SpotCheckReport(NamedTuple):
     status: str  # "checked" or "inapplicable"
     connectivity: int
     threshold: int
@@ -104,8 +102,7 @@ def theorem2_spot_check(
     return _connectivity_spot_check(is_globally_rigid, g, d, trials, seed, p)
 
 
-@dataclass(frozen=True)
-class Theorem9Report:
+class Theorem9Report(NamedTuple):
     """Redundancy profile of the two-cliques-plus-matching example."""
 
     dim: int
@@ -170,8 +167,7 @@ def theorem9_check(
     )
 
 
-@dataclass(frozen=True)
-class Theorem10Report:
+class Theorem10Report(NamedTuple):
     status: str  # "checked" or "inapplicable"
     connectivity: int
     rank: int | None
@@ -192,8 +188,7 @@ def theorem10_check(
     return Theorem10Report("checked", kappa, report.rank, bound, Fraction(report.rank) >= bound)
 
 
-@dataclass(frozen=True)
-class Lemma6Report:
+class Lemma6Report(NamedTuple):
     status: str  # "checked" or "inapplicable"
     linked_nonedge: Edge | None
     orderings_checked: int
@@ -248,8 +243,7 @@ def lemma6_property_check(
     )
 
 
-@dataclass(frozen=True)
-class Lemma8Report:
+class Lemma8Report(NamedTuple):
     """Like the linked-pair variant but for weak global linkedness, whose
     hypothesis admits only a partial (sufficient-condition) filter."""
 

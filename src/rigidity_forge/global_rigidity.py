@@ -10,8 +10,8 @@ verdicts are tagged "whp".
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .graph_core import (
     Edge,
@@ -26,8 +26,7 @@ from .modlinalg import DEFAULT_PRIME, ModMatrix, left_kernel_sample, rank, rank_
 from .rigidity import CERTAIN, WHP, Verdict, _kernel_view, is_linked, is_rigid, placements
 
 
-@dataclass(frozen=True)
-class StressCertificate:
+class StressCertificate(NamedTuple):
     """A sampled equilibrium stress and the rank of its stress matrix."""
 
     graph: Graph

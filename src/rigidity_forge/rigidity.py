@@ -13,8 +13,8 @@ import functools
 import itertools
 import random
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .graph_core import Edge, Graph, normalize_edge
 from .modlinalg import (
@@ -32,8 +32,7 @@ CERTAIN = "certain"
 WHP = "whp"
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     """Computed matroid rank plus the confidence of the verdict."""
 
     rank: int
@@ -43,8 +42,7 @@ class RankReport:
     seed: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Boolean answer with its one-sided confidence tag."""
 
     value: bool
@@ -55,16 +53,14 @@ class Verdict:
         return self.value
 
 
-@dataclass(frozen=True)
-class RedundancyReport:
+class RedundancyReport(NamedTuple):
     value: bool
     confidence: str
     witness: tuple[Edge, ...] | None
     subsets_checked: int
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(NamedTuple):
     """An edge cover E_0, E_1..E_s for the clique-decomposition rank bound."""
 
     loose_edges: tuple[Edge, ...]

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import rigidity_forge
-from rigidity_forge import experiments
-from rigidity_forge.cli import main
+from rigidity_forge import experiments, rigidity
+from rigidity_forge.cli import COMMANDS, build_parser, main
 from rigidity_forge.graph_core import (
     complete_bipartite_graph,
     complete_graph,
@@ -282,13 +282,59 @@ def test_reruns_are_byte_identical(capsys, k4_file, c4_file, tmp_path):
         assert strip_runtime(out_a) == strip_runtime(out_b), argv
 
 
-def test_cli_import_leaves_test_oracle_modules_unloaded():
-    # structural start-up check in a fresh interpreter: the Monte Carlo
-    # oracle lives in the tests, so the CLI has no use for `statistics`
+def loaded_modules(code: str) -> set[str]:
+    """The modules loaded after running `code` in a fresh interpreter."""
     src = str(Path(rigidity_forge.__file__).resolve().parents[1])
-    code = "import sys, rigidity_forge.cli; print('statistics' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
+    code += "\nimport sys; print(' '.join(sys.modules))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
-    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_leaves_test_oracle_modules_unloaded():
+    # structural start-up check: the Monte Carlo oracle lives in the tests,
+    # so the CLI has no use for `statistics`; results are NamedTuples, so
+    # nothing loads `dataclasses`; and no library module loads before a
+    # command asks for it
+    lazy = {"experiments", "rigidity", "global_rigidity", "constructions", "combinatorics"}
+    unwanted = {"dataclasses", "statistics", *(f"rigidity_forge.{m}" for m in lazy)}
+    assert loaded_modules("import rigidity_forge.cli") & unwanted == set()
+
+
+def test_cli_command_loads_only_its_modules():
+    loaded = loaded_modules("from rigidity_forge.cli import main; main(['mdk', '--k', '3'])")
+    assert "rigidity_forge.combinatorics" in loaded
+    assert "rigidity_forge.rigidity" not in loaded
+
+
+def test_package_names_follow_rebound_module_attributes(monkeypatch):
+    # the lazy package stores no copy, so a tracer's or a test's rebinding
+    # of a module attribute, and its undoing, show through the package
+    original = rigidity_forge.is_rigid
+    monkeypatch.setattr(rigidity, "is_rigid", len)
+    assert rigidity_forge.is_rigid is len
+    monkeypatch.undo()
+    assert rigidity_forge.is_rigid is original is rigidity.is_rigid
+    assert "is_rigid" in dir(rigidity_forge) and "is_rigid" not in vars(rigidity_forge)
+
+
+def exit_and_output(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[name, "--help"] for name in COMMANDS]
+    + [["--help"], [], ["bogus"], ["rigid", "--bogus"], ["wgl", "--u", "1"]],
+)
+def test_help_and_usage_match_the_full_parser(capsys, argv):
+    # main builds only the named command's subparser; what it prints for
+    # help and usage errors must not tell
+    ours = exit_and_output(capsys, main, argv)
+    assert ours == exit_and_output(capsys, build_parser().parse_args, argv)
+    assert ours[1]

@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from rigidity_forge.modlinalg import (
     DEFAULT_PRIME,
     ModMatrix,

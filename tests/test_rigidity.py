@@ -1,6 +1,5 @@
 import itertools
 import random
-from math import comb
 
 import pytest
 
