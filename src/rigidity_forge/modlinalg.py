@@ -63,7 +63,9 @@ class RowBasis:
 
     ``pivots`` maps the leading (smallest) column of each basis row to the
     rest of that row, scaled so the leading entry is 1.  No two basis rows
-    share a leading column.
+    share a leading column.  Pivot rows are never mutated, so a shallow copy
+    of ``pivots`` is a separate basis.  Rows fed in increasing leading column
+    fill in every later pivot row, so callers feed such rows last-first.
     """
 
     __slots__ = ("p", "pivots")
@@ -130,10 +132,11 @@ def rank_of_rows(rows: list[Row], cols: int, p: int) -> int:
     """Rank of the span of sparse rows; the rows are not changed.
 
     cols, the row length, states the matrix shape; the sparse elimination
-    does not need it (perfbench reads it to count eliminated cells).
+    does not need it (perfbench reads it to count eliminated cells).  Fed
+    last-first (see :class:`RowBasis`); the rank does not depend on the order.
     """
     basis = RowBasis(p)
-    for row in rows:
+    for row in reversed(rows):
         basis.add(row)
     return basis.rank
 
@@ -147,14 +150,16 @@ def _column_basis(m: ModMatrix) -> RowBasis:
     """Echelon basis of the column space of m, as vectors indexed by row.
 
     Its leading positions are the rows that are not combinations of earlier
-    rows; the others are the free coordinates of the left kernel.
+    rows; the others are the free coordinates of the left kernel.  Both depend
+    on the column space alone, so columns go in last-first for less fill; the
+    row order stays, as it fixes the free rows and so every kernel vector.
     """
     columns: list[Row] = [{} for _ in range(m.cols)]
     for i, row in enumerate(m.data):
         for j, x in row.items():
             columns[j][i] = x
     basis = RowBasis(m.p)
-    for column in columns:
+    for column in reversed(columns):
         basis.add(column)
     return basis
 

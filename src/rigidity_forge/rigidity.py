@@ -198,7 +198,7 @@ def linked_pairs(
     for rows, _ in placements(placed, d, trials, seed, p):
         row_of = dict(zip(placed.sorted_edges(), rows))
         basis = RowBasis(p)
-        for e in g.sorted_edges():
+        for e in reversed(g.sorted_edges()):  # last-first: less fill (see RowBasis)
             basis.add(row_of[e])
         best_g = max(best_g, basis.rank)
         for uv in queries:
@@ -243,6 +243,30 @@ def _kernel_view(rows: list[Row], cols: int, p: int) -> tuple[int, int, list[Row
     return len(rows) - len(kernel), len(kernel), dual
 
 
+def _leaves(dual: list[Row], m: int, k: int, p: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Every k-subset of range(m) in lexicographic order, with whether its dual
+    rows are independent.  Depth-first with one basis per prefix: a leaf costs
+    one in_span, and a dependent prefix settles its extensions unreduced."""
+    def walk(prefix: tuple[int, ...], basis: RowBasis):
+        depth = len(prefix)
+        if depth == k:  # only when k == 0
+            yield prefix, True
+            return
+        for i in range(prefix[-1] + 1 if prefix else 0, m - k + depth + 1):
+            if depth == k - 1:
+                yield prefix + (i,), not basis.in_span(dual[i])
+                continue
+            child = RowBasis(p)
+            child.pivots = dict(basis.pivots)  # pivot rows are never mutated
+            if child.add(dual[i]):
+                yield from walk(prefix + (i,), child)
+            else:
+                for rest in itertools.combinations(range(i + 1, m), k - depth - 1):
+                    yield prefix + (i,) + rest, False
+
+    return walk((), RowBasis(p))
+
+
 def is_t_redundantly_rigid(
     g: Graph, d: int, t: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
 ) -> RedundancyReport:
@@ -251,7 +275,10 @@ def is_t_redundantly_rigid(
     By rank monotonicity it suffices to enumerate deletions of size exactly
     t-1.  Per trial one shared placement is evaluated; the per-subset rank
     drop is read off the left-kernel matrix (the dual representation), which
-    is exactly the rank of the remaining rows for that placement.
+    is exactly the rank of the remaining rows for that placement.  A subset
+    fails iff it is dependent in every full-rank view; the witness is the
+    first failing subset in lexicographic order, and subsets_checked counts up
+    to it.  :func:`_leaves` walks the first view; only its rejects are re-tested.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -269,21 +296,15 @@ def is_t_redundantly_rigid(
         return RedundancyReport(False, CERTAIN, edges[:k], 1)
     target = d * n - comb(d + 1, 2)
     views = [_kernel_view(rows, d * n, p) for rows, _ in placements(g, d, trials, seed, p)]
-    checked = 0
-    for subset in itertools.combinations(range(m), k):
-        checked += 1
-        ok = False
-        for full_rank, kernel_dim, dual in views:
-            if full_rank < target:
-                continue
-            # rank(G - S) = full_rank - |S| + rank of the dual rows of S
-            if rank_of_rows([dual[i] for i in subset], kernel_dim, p) == k:
-                ok = True
-                break
-        if not ok:
-            witness = tuple(edges[i] for i in subset)
-            return RedundancyReport(False, WHP, witness, checked)
-    return RedundancyReport(True, CERTAIN, None, checked)
+    # rank(G - S) = full_rank - |S| + rank of the dual rows of S
+    views = [(kernel_dim, dual) for full_rank, kernel_dim, dual in views if full_rank >= target]
+    if not views:
+        return RedundancyReport(False, WHP, edges[:k], 1)
+    for checked, (subset, ok) in enumerate(_leaves(views[0][1], m, k, p), 1):
+        if not ok and not any(rank_of_rows([dual[i] for i in subset], kernel_dim, p) == k
+                              for kernel_dim, dual in views[1:]):
+            return RedundancyReport(False, WHP, tuple(edges[i] for i in subset), checked)
+    return RedundancyReport(True, CERTAIN, None, comb(m, k))
 
 
 def cover_rank_bound(g: Graph, d: int, cover: Cover) -> int:

@@ -9,11 +9,12 @@ import statistics
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, sqrt
+from math import comb, factorial, sqrt
 
 from rigidity_forge.combinatorics import CliqueSystem
 from rigidity_forge.graph_core import Graph
-from rigidity_forge.modlinalg import make_rng
+from rigidity_forge.modlinalg import ModMatrix, RowBasis, make_rng, rank_of_rows
+from rigidity_forge.rigidity import RedundancyReport, _kernel_view, placements
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -229,3 +230,91 @@ def exact_generic_rank(g: Graph, d: int, seed: int = 11) -> int:
         rank += 1
         col += 1
     return rank
+
+
+# -- forward-order references for the elimination core ---------------------
+
+
+def forward_column_basis(m: ModMatrix) -> RowBasis:
+    """The column basis with the columns fed first-to-last (the feed order
+    `modlinalg._column_basis` used before it went last-first)."""
+    columns: list[dict[int, int]] = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.data):
+        for j, x in row.items():
+            columns[j][i] = x
+    basis = RowBasis(m.p)
+    for column in columns:
+        basis.add(column)
+    return basis
+
+
+def _back_substitute(basis: RowBasis, w: list[int]) -> list[int]:
+    for q in sorted(basis.pivots, reverse=True):
+        w[q] = -sum(x * w[j] for j, x in basis.pivots[q].items()) % basis.p
+    return w
+
+
+def forward_left_kernel_basis(m: ModMatrix) -> list[list[int]]:
+    """`left_kernel_basis` on :func:`forward_column_basis`."""
+    basis = forward_column_basis(m)
+    out = []
+    for f in range(m.rows):
+        if f not in basis.pivots:
+            w = [0] * m.rows
+            w[f] = 1
+            out.append(_back_substitute(basis, w))
+    return out
+
+
+def forward_left_kernel_sample(m: ModMatrix, seed: int) -> list[int]:
+    """`left_kernel_sample` on :func:`forward_column_basis`."""
+    basis = forward_column_basis(m)
+    free = [f for f in range(m.rows) if f not in basis.pivots]
+    w = [0] * m.rows
+    if not free:
+        return w
+    rng = make_rng(seed)
+    for _ in range(8):
+        coeffs = [rng.randrange(m.p) for _ in free]
+        if any(coeffs):
+            break
+    else:
+        coeffs = [1] + [0] * (len(free) - 1)
+    for f, c in zip(free, coeffs):
+        w[f] = c
+    return _back_substitute(basis, w)
+
+
+# -- per-subset redundancy scan ----------------------------------------------
+
+
+def per_subset_redundancy(
+    g: Graph, d: int, t: int, trials: int, seed: int, p: int
+) -> RedundancyReport:
+    """`is_t_redundantly_rigid` as one fresh rank per subset and view, in
+    lexicographic order: the loop the prefix walk replaced, kept as its
+    oracle (argument checks left out)."""
+    k = t - 1
+    edges = g.sorted_edges()
+    n = g.n
+    if n <= d + 1:
+        if not g.is_complete():
+            return RedundancyReport(False, "certain", edges[:k], 1)
+        if k == 0:
+            return RedundancyReport(True, "certain", None, 1)
+        return RedundancyReport(False, "certain", edges[:k], 1)
+    target = d * n - comb(d + 1, 2)
+    views = [_kernel_view(rows, d * n, p) for rows, _ in placements(g, d, trials, seed, p)]
+    checked = 0
+    for subset in itertools.combinations(range(g.edge_count), k):
+        checked += 1
+        ok = False
+        for full_rank, kernel_dim, dual in views:
+            if full_rank < target:
+                continue
+            if rank_of_rows([dual[i] for i in subset], kernel_dim, p) == k:
+                ok = True
+                break
+        if not ok:
+            return RedundancyReport(False, "whp", tuple(edges[i] for i in subset), checked)
+    return RedundancyReport(True, "certain", None, checked)

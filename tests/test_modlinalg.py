@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from rigidity_forge.global_rigidity import stress_matrix
 from rigidity_forge.modlinalg import (
     DEFAULT_PRIME,
     ModMatrix,
@@ -12,6 +13,9 @@ from rigidity_forge.modlinalg import (
     rank,
     rank_of_rows,
 )
+from rigidity_forge.rigidity import placements
+
+from helpers import forward_left_kernel_basis, forward_left_kernel_sample, random_graph
 
 P = DEFAULT_PRIME
 
@@ -161,3 +165,60 @@ def test_kernel_sample_is_seed_deterministic():
     assert left_kernel_sample(m, seed=9) == left_kernel_sample(m, seed=9)
     rng_a, rng_b = make_rng(123), make_rng(123)
     assert [rng_a.randrange(P) for _ in range(5)] == [rng_b.randrange(P) for _ in range(5)]
+
+
+# -- feed order ----------------------------------------------------------------
+
+
+def rank_deficient_rows(rng, r, c):
+    """Random rows of length c over Z_p whose rank is below min(r, c): one
+    row is a combination of two others, one column a multiple of another."""
+    rows = [[rng.randrange(P) if rng.random() < 0.6 else 0 for _ in range(c)] for _ in range(r)]
+    a, b, i = rng.sample(range(r), 3)
+    k = rng.randrange(P)
+    rows[i] = [(x + k * y) % P for x, y in zip(rows[a], rows[b])]
+    j = rng.randrange(c)
+    for row in rows:
+        row[j] = 2 * row[(j + 1) % c] % P
+    return rows
+
+
+def test_left_kernel_ignores_the_column_feed_order():
+    # permuting the columns keeps the left kernel; the last-first column feed
+    # must give what a first-to-last feed gives on the unpermuted matrix
+    rng = random.Random(1401)
+    for trial in range(60):
+        r, c = rng.randint(3, 9), rng.randint(2, 7)
+        rows = rank_deficient_rows(rng, r, c)
+        m = matrix(rows, c)
+        assert rank(m) < min(r, c)
+        expect_basis = forward_left_kernel_basis(m)
+        expect_sample = forward_left_kernel_sample(m, trial)
+        for _ in range(3):
+            perm = list(range(c))
+            rng.shuffle(perm)
+            shuffled = matrix([[row[j] for j in perm] for row in rows], c)
+            assert left_kernel_basis(shuffled) == expect_basis
+            assert left_kernel_sample(shuffled, trial) == expect_sample
+
+
+def test_rank_of_rows_ignores_the_row_feed_order():
+    rng = random.Random(1402)
+    cases = []
+    for _ in range(40):
+        r, c = rng.randint(3, 9), rng.randint(2, 7)
+        cases.append(([sparse(row) for row in rank_deficient_rows(rng, r, c)], c))
+    for n in (8, 12, 16):
+        g = random_graph(rng, n, 0.6)
+        rows, stream = next(placements(g, 2, 1, rng.getrandbits(32), P))
+        stress = left_kernel_sample(ModMatrix(rows, 2 * n, P), stream.getrandbits(64))
+        assert any(stress)
+        cases.append((stress_matrix(g, tuple(stress), P).data, n))
+    for rows, cols in cases:
+        forward = RowBasis(P)
+        for row in rows:
+            forward.add(row)
+        for _ in range(4):
+            shuffled = rows[:]
+            rng.shuffle(shuffled)
+            assert rank_of_rows(shuffled, cols, P) == forward.rank

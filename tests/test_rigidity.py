@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -27,7 +28,7 @@ from rigidity_forge.rigidity import (
     placements,
 )
 
-from helpers import exact_generic_rank, random_graph
+from helpers import exact_generic_rank, per_subset_redundancy, random_graph
 
 P = DEFAULT_PRIME
 
@@ -317,6 +318,88 @@ def test_sharpness_redundancy_witness():
     rep = is_t_redundantly_rigid(g, 2, 5, trials=1)
     assert not rep.value
     assert rep.witness == sharpness_matching(2)[:4]
+
+
+def full_rank_views(g, d, trials, seed, p):
+    target = d * g.n - comb(d + 1, 2)
+    views = [rigidity._kernel_view(rows, d * g.n, p) for rows, _ in placements(g, d, trials, seed, p)]
+    return [(kernel_dim, dual) for full, kernel_dim, dual in views if full >= target]
+
+
+def independent_in(view, subset, p):
+    kernel_dim, dual = view
+    return rank_of_rows([dual[i] for i in subset], kernel_dim, p) == len(subset)
+
+
+def test_prefix_walk_matches_per_subset_scan():
+    # small primes make the views disagree and prefixes dependent, so the
+    # sample must reach both the re-test on later views and the pruning
+    rng = random.Random(1414)
+    primes = (2, 3, 5, 7, 11, 13, P)
+    retested = pruned = 0
+    for _ in range(600):
+        d = rng.randint(1, 3)
+        g = random_graph(rng, rng.randint(d + 2, d + 4), rng.uniform(0.6, 1.0))
+        t = rng.randint(1, min(4, g.edge_count + 1))
+        trials, p, seed = rng.randint(1, 3), rng.choice(primes), rng.getrandbits(32)
+        rep = is_t_redundantly_rigid(g, d, t, trials, seed, p)
+        assert rep == per_subset_redundancy(g, d, t, trials, seed, p)
+        views = full_rank_views(g, d, trials, seed, p) if g.n > d + 1 else []
+        if not views:
+            continue
+        walked = itertools.combinations(range(g.edge_count), t - 1)
+        for subset in itertools.islice(walked, rep.subsets_checked):
+            if independent_in(views[0], subset, p):
+                continue
+            retested += any(independent_in(view, subset, p) for view in views[1:])
+            pruned += len(subset) >= 2 and not independent_in(views[0], subset[:-1], p)
+    assert retested and pruned
+
+
+def count_basis_calls(monkeypatch):
+    """Count RowBasis.add and RowBasis.in_span calls made after the last
+    kernel view of a scan is built."""
+    counts = {"add": 0, "in_span": 0}
+    for name in counts:
+        method = getattr(RowBasis, name)
+
+        def counted(self, row, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(self, row)
+
+        monkeypatch.setattr(RowBasis, name, counted)
+    kernel_view = rigidity._kernel_view
+
+    def view_then_reset(*args):
+        out = kernel_view(*args)
+        counts.update(add=0, in_span=0)
+        return out
+
+    monkeypatch.setattr(rigidity, "_kernel_view", view_then_reset)
+    return counts
+
+
+def test_prefix_walk_work_on_sharpness_example(monkeypatch):
+    counts = count_basis_calls(monkeypatch)
+    rep = is_t_redundantly_rigid(sharpness_example(2), 2, 4)
+    assert rep == (True, "certain", None, 7140)
+    # one in_span per leaf, one add per inner node of the walk
+    assert counts["in_span"] == comb(36, 3)
+    assert counts["add"] <= comb(36, 2) + 36
+
+
+def test_dependent_prefix_costs_no_in_span(monkeypatch):
+    # K6 in the plane mod 7: the first view has dependent 2-prefixes, whose
+    # extensions the second view accepts, so the walk goes on past them
+    g, d, t, trials, seed, p = complete_graph(6), 2, 4, 2, 13, 7
+    first = full_rank_views(g, d, trials, seed, p)[0]
+    leaves = list(itertools.combinations(range(g.edge_count), t - 1))
+    under_dependent = sum(not independent_in(first, s[:-1], p) for s in leaves)
+    assert under_dependent > 0
+    counts = count_basis_calls(monkeypatch)
+    rep = is_t_redundantly_rigid(g, d, t, trials, seed, p)
+    assert rep == (True, "certain", None, len(leaves))
+    assert counts["in_span"] == len(leaves) - under_dependent
 
 
 # -- cover bound -------------------------------------------------------------
