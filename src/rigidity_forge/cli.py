@@ -8,16 +8,24 @@ success, 1 for a failed check-* assertion, 2 for usage or input errors.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import importlib
 import json
 import os
 import sys
 import time
 from collections.abc import Callable, Mapping
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import NamedTuple
+
+# hashlib's own fallbacks: the digest is the same, but hashlib would first
+# load OpenSSL's _hashlib, the largest import of a call
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .graph_core import Graph, parse_graph, vertex_connectivity
 from .modlinalg import DEFAULT_PRIME, MASK64, is_prime, make_rng
@@ -40,14 +48,6 @@ class CliConfig(NamedTuple):
     fmt: str
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage errors as JSON on stdout, exit code 2."""
-
-    def error(self, message: str):  # noqa: D102 - argparse hook
-        print(json.dumps({"schema": SCHEMA, "error": message}, sort_keys=True))
-        raise SystemExit(2)
-
-
 def _env(name: str, fallback: str | None) -> str | None:
     return os.environ.get(ENV_PREFIX + name, fallback)
 
@@ -58,7 +58,7 @@ def _lib(name: str):
     return importlib.import_module(f"{__package__}.{name}")
 
 
-def _resolve_config(args: argparse.Namespace) -> CliConfig:
+def _resolve_config(args: SimpleNamespace) -> CliConfig:
     def pick(flag, env_name, default, conv):
         if flag is not None:
             return conv(flag)
@@ -131,7 +131,7 @@ def _csv_ints(text: str) -> list[int]:
         raise CliError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _gpi(g: Graph, cfg: CliConfig, args: argparse.Namespace) -> dict:
+def _gpi(g: Graph, cfg: CliConfig, args: SimpleNamespace) -> dict:
     if args.ordering:
         order = _csv_ints(args.ordering)
     else:
@@ -255,25 +255,74 @@ COMMANDS = {
 }
 
 
-def build_parser(names=COMMANDS) -> _Parser:
+#: flag -> add_argument kwargs of the flags every command takes
+SHARED_FLAGS = MappingProxyType({
+    "--dim": {"type": int, "default": None, "help": "dimension d (default 2)"},
+    "--seed": {"type": int, "default": None, "help": "64-bit seed (default 0)"},
+    "--trials": {"type": int, "default": None, "help": "randomized trials (default 2)"},
+    "--prime": {"type": int, "default": None, "help": "field modulus (default 2^61-1)"},
+    "--input": {"default": "-", "help": "graph file or - for stdin"},
+    "--format": {"dest": "fmt", "choices": ("json", "text"), "default": None,
+                 "help": "output format (generators default to text, the rest to json)"},
+})
+
+
+def build_parser(names=COMMANDS):
     """The parser with a subparser for each named command (default: all)."""
-    parser = _Parser(prog="rigidity-forge", description=__doc__)
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """argparse that reports usage errors as JSON on stdout, exit code 2."""
+
+        def error(self, message: str):  # noqa: D102 - argparse hook
+            print(json.dumps({"schema": SCHEMA, "error": message}, sort_keys=True))
+            raise SystemExit(2)
+
+    parser = Parser(prog="rigidity-forge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in names:
-        cmd = COMMANDS[name]
-        p = sub.add_parser(name, help=cmd.help)
-        p.add_argument("--dim", type=int, default=None, help="dimension d (default 2)")
-        p.add_argument("--seed", type=int, default=None, help="64-bit seed (default 0)")
-        p.add_argument("--trials", type=int, default=None, help="randomized trials (default 2)")
-        p.add_argument("--prime", type=int, default=None, help="field modulus (default 2^61-1)")
-        p.add_argument("--input", default="-", help="graph file or - for stdin")
-        p.add_argument(
-            "--format", dest="fmt", choices=("json", "text"), default=None,
-            help="output format (generators default to text, the rest to json)",
-        )
-        for flag, spec in cmd.flags.items():
+        p = sub.add_parser(name, help=COMMANDS[name].help)
+        for flag, spec in (SHARED_FLAGS | COMMANDS[name].flags).items():
             p.add_argument(flag, **spec)
     return parser
+
+
+def parse_direct(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse builds for `<command> --flag value ...`, without
+    argparse; None for anything else (help, abbreviated or `--x=v` flags, a
+    value other than `-` starting with `-`, a missing required flag, a bad
+    value), which argparse then parses or reports."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    specs = SHARED_FLAGS | COMMANDS[argv[0]].flags
+    dest = {flag: spec.get("dest", flag[2:].replace("-", "_")) for flag, spec in specs.items()}
+    values = {"command": argv[0]}
+    for flag, spec in specs.items():
+        switch = spec.get("action") == "store_true"
+        values[dest[flag]] = spec.get("default", False if switch else None)
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = specs.get(flag)
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            values[dest[flag]] = True
+            continue
+        value = next(tokens, None)
+        # a lone "-" is a value to argparse too; other "-..." tokens follow its rules
+        if value is None or (value.startswith("-") and value != "-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest[flag]] = value
+    if any(spec.get("required") and values[dest[flag]] is None for flag, spec in specs.items()):
+        return None
+    return SimpleNamespace(**values)
 
 
 def _load(cmd: Command, cfg: CliConfig) -> tuple[Graph | str | None, str | None]:
@@ -283,8 +332,8 @@ def _load(cmd: Command, cfg: CliConfig) -> tuple[Graph | str | None, str | None]
     text = _read_input(cfg)
     if cmd.reads == "graph":
         g = parse_graph(text)
-        return g, hashlib.sha256(g.to_edge_list().encode()).hexdigest()[:16]
-    return text, hashlib.sha256(text.encode()).hexdigest()[:16]
+        return g, sha256(g.to_edge_list().encode()).hexdigest()[:16]
+    return text, sha256(text.encode()).hexdigest()[:16]
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -305,9 +354,12 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a named command needs only its own subparser; --help, no arguments
-    # and an unknown command get the full parser and its listing
-    args = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS).parse_args(argv)
+    args = parse_direct(argv)
+    if args is None:
+        # a named command needs only its own subparser; --help, no arguments
+        # and an unknown command get the full parser and its listing
+        names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+        args = SimpleNamespace(**vars(build_parser(names).parse_args(argv)))
     cmd = COMMANDS[args.command]
     try:
         cfg = _resolve_config(args)

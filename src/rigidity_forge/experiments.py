@@ -184,8 +184,8 @@ def theorem10_check(
     if rigid.value or not 1 <= kappa < d * (d + 1):
         return Theorem10Report("inapplicable", kappa, None, None, None)
     bound = m_dk(d, kappa) * g.n
-    report = generic_rank(g, d, trials, seed, p)
-    return Theorem10Report("checked", kappa, report.rank, bound, Fraction(report.rank) >= bound)
+    rank = rigid.rank if rigid.rank is not None else generic_rank(g, d, trials, seed, p).rank
+    return Theorem10Report("checked", kappa, rank, bound, Fraction(rank) >= bound)
 
 
 class Lemma6Report(NamedTuple):

@@ -134,8 +134,12 @@ def globally_rigid_deletions(
             subset = sorted({index[normalize_edge(u, v)] for u, v in gone})
         except KeyError:
             raise ValueError("deleted edges must be edges of the graph") from None
-        best = max(full - len(subset) + rank_of_rows([dual[i] for i in subset], kernel_dim, p)
-                   for full, kernel_dim, dual in views)
+        best = 0
+        for full, kernel_dim, dual in views:
+            best = max(best, full - len(subset)
+                       + rank_of_rows([dual[i] for i in subset], kernel_dim, p))
+            if best == target:  # no placement ranks higher
+                break
         value = False
         if best == target:
             for _, kernel_dim, dual in views:
@@ -147,7 +151,8 @@ def globally_rigid_deletions(
                 c = left_kernel_sample(ModMatrix(picked, len(subset), p), rng.getrandbits(64))
                 # entry e of K.c, summed over the dual row of edge e
                 stress = tuple(sum(c[f] * x for f, x in row.items()) % p for row in dual)
-                if any(stress) and rank(stress_matrix(g, stress, p)) >= omega_target:
+                omega = stress_matrix(g, stress, p).data if any(stress) else []
+                if rank_of_rows(omega, n, p, omega_target) >= omega_target:
                     value = True
                     break
         yield Verdict(value, WHP, rank=best)

@@ -128,15 +128,19 @@ class ModMatrix:
         return f"ModMatrix({self.rows}x{self.cols} mod {self.p})"
 
 
-def rank_of_rows(rows: list[Row], cols: int, p: int) -> int:
+def rank_of_rows(rows: list[Row], cols: int, p: int, cap: int | None = None) -> int:
     """Rank of the span of sparse rows; the rows are not changed.
 
     cols, the row length, states the matrix shape; the sparse elimination
     does not need it (perfbench reads it to count eliminated cells).  Fed
     last-first (see :class:`RowBasis`); the rank does not depend on the order.
+    With a cap, elimination stops once the rank reaches it, so the result is
+    min(rank, cap); a caller whose rank cannot exceed the cap loses nothing.
     """
     basis = RowBasis(p)
     for row in reversed(rows):
+        if basis.rank == cap:
+            break
         basis.add(row)
     return basis.rank
 

@@ -117,6 +117,25 @@ def _matrix_rows(g: Graph, d: int, points: Sequence[int], p: int) -> list[Row]:
     return rows
 
 
+def _cap_first(g: Graph, d: int) -> list[int]:
+    """The indices of g's sorted edges, arranged so that :func:`rank_of_rows`,
+    which feeds rows last-first, takes each vertex's first d edges of that
+    last-first order before all other edges.  On K_n those edges are a basis,
+    K_{d+1} and then one vertex joined to d earlier ones at a time, so an
+    elimination stopped at the cap adds no dependent row.  The rank does not
+    depend on the order.
+    """
+    edges = g.sorted_edges()
+    seen = [0] * g.n
+    first, rest = [], []
+    for i in reversed(range(len(edges))):
+        u, v = edges[i]
+        (first if seen[u] < d or seen[v] < d else rest).append(i)
+        seen[u] += 1
+        seen[v] += 1
+    return rest[::-1] + first[::-1]
+
+
 def generic_rank(
     g: Graph, d: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
 ) -> RankReport:
@@ -129,9 +148,10 @@ def generic_rank(
     if d < 1:
         raise ValueError("dimension must be at least 1")
     cap = min(g.edge_count, generic_rank_cap(g.n, d))
+    order = _cap_first(g, d)
     best = 0
     for rows, _ in placements(g, d, trials, seed, p):
-        best = max(best, rank_of_rows(rows, d * g.n, p))
+        best = max(best, rank_of_rows([rows[i] for i in order], d * g.n, p, cap))
         if best == cap:
             break
     confidence = CERTAIN if best == cap else WHP
@@ -193,17 +213,21 @@ def linked_pairs(
         return [Verdict(True, CERTAIN) for _ in pairs]
     # placing G plus every queried pair draws the same coordinates as placing G
     placed = g.add_edges(queries)
+    cap = generic_rank_cap(g.n, d)
     best_g = 0
     best_uv = dict.fromkeys(queries, 0)
     for rows, _ in placements(placed, d, trials, seed, p):
         row_of = dict(zip(placed.sorted_edges(), rows))
         basis = RowBasis(p)
         for e in reversed(g.sorted_edges()):  # last-first: less fill (see RowBasis)
+            if basis.rank == cap:
+                break
             basis.add(row_of[e])
         best_g = max(best_g, basis.rank)
+        # at the cap no row raises the rank: no placement of a graph on n vertices ranks higher
+        raises = basis.rank < cap
         for uv in queries:
-            best_uv[uv] = max(best_uv[uv], basis.rank + (not basis.in_span(row_of[uv])))
-    cap = generic_rank_cap(g.n, d)
+            best_uv[uv] = max(best_uv[uv], basis.rank + (raises and not basis.in_span(row_of[uv])))
     out = []
     for u, v in pairs:
         if g.has_edge(u, v):

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import rigidity_forge
-from rigidity_forge import experiments, rigidity
-from rigidity_forge.cli import COMMANDS, build_parser, main
+from rigidity_forge import cli, experiments, rigidity
+from rigidity_forge.cli import COMMANDS, SHARED_FLAGS, build_parser, main, parse_direct
 from rigidity_forge.graph_core import (
     complete_bipartite_graph,
     complete_graph,
@@ -338,3 +340,86 @@ def test_help_and_usage_match_the_full_parser(capsys, argv):
     ours = exit_and_output(capsys, main, argv)
     assert ours == exit_and_output(capsys, build_parser().parse_args, argv)
     assert ours[1]
+
+
+# -- the direct parser -------------------------------------------------------
+
+
+def well_formed_argvs(rng, count):
+    """`<command> --flag value ...` argvs of every command: each required flag
+    and some optional ones, in random order, a few given twice."""
+    samples = {"--dim": ["1", "2", "3"], "--seed": ["0", "7", str(2**64 - 1)],
+               "--trials": ["1", "3"], "--prime": [str(2**61 - 1)],
+               "--input": ["g.txt", "", "a b", "-"], "--format": ["json", "text"]}
+    for name in list(COMMANDS) * count:
+        specs = SHARED_FLAGS | COMMANDS[name].flags
+        flags = [f for f, spec in specs.items() if spec.get("required") or rng.random() < 0.5]
+        flags += rng.sample(flags, min(len(flags), rng.randint(0, 1)))
+        rng.shuffle(flags)
+        argv = [name]
+        for flag in flags:
+            spec = specs[flag]
+            argv.append(flag)
+            if spec.get("action") == "store_true":
+                continue
+            if flag in samples:
+                argv.append(rng.choice(samples[flag]))
+            elif "type" in spec:
+                argv.append(str(rng.randint(0, 40)))
+            else:
+                argv.append("0,1,2")
+        yield argv
+
+
+def test_direct_parse_matches_argparse_on_every_command():
+    seen = set()
+    for argv in well_formed_argvs(random.Random(15), 8):
+        ours = parse_direct(argv)
+        assert ours is not None, argv
+        assert vars(ours) == vars(build_parser().parse_args(argv)), argv
+        seen.add(argv[0])
+    assert seen == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["--dim", "2", "rank"], ["rank", "--help"], ["rank", "-h"],
+    ["rank", "--di", "2"], ["rank", "--dim=2"], ["rank", "--seed", "-1"],
+    ["rank", "--input", "-x"], ["rank", "--dim", "-"], ["rank", "--dim", "x"],
+    ["rank", "--format", "xml"], ["rank", "--dim"], ["rank", "2"],
+    ["rank", "--", "--dim", "2"], ["linked", "--u", "1"], ["check-theorem9", "--allow-large", "1"],
+])
+def test_malformed_argv_falls_back_to_argparse(argv):
+    assert parse_direct(argv) is None
+
+
+def test_argparse_forms_give_the_same_output(capsys, k4_file):
+    # what only argparse parses still runs, and prints what the direct form prints
+    for odd, plain in [
+        (["rank", f"--input={k4_file}", "--d", "3"], ["rank", "--input", k4_file, "--dim", "3"]),
+        (["mdk", "--k=3"], ["mdk", "--k", "3"]),
+        (["mdk", "--k", "3", "--seed", "-1"], ["mdk", "--k", "3", "--seed", str(2**64)]),
+    ]:
+        assert parse_direct(odd) is None and parse_direct(plain) is not None
+        odd_code, odd_out = run_cli(capsys, *odd)
+        plain_code, plain_out = run_cli(capsys, *plain)
+        assert (odd_code, strip_runtime(odd_out)) == (plain_code, strip_runtime(plain_out)), odd
+
+
+def test_input_digest_is_the_sha256_prefix(capsys, k4_file):
+    for text in ["", "4 6\n", "\u00e9" * 1000]:
+        assert cli.sha256(text.encode()).hexdigest() == hashlib.sha256(text.encode()).hexdigest()
+    _, payload = run_json(capsys, "rank", "--input", k4_file)
+    canonical = parse_graph(K4_TEXT).to_edge_list().encode()
+    assert payload["input_digest"] == hashlib.sha256(canonical).hexdigest()[:16]
+
+
+def test_well_formed_call_loads_neither_argparse_nor_openssl():
+    run = ("import io, sys\nfrom rigidity_forge.cli import main\n"
+           f"sys.stdin = io.StringIO({K4_TEXT!r})\n")
+    loaded = loaded_modules(run + "main(['rigid', '--dim', '2', '--seed', '3'])")
+    assert "rigidity_forge.rigidity" in loaded
+    assert loaded & {"argparse", "hashlib", "_hashlib", "locale"} == set()
+    # help still goes through argparse
+    loaded = loaded_modules(run + "try:\n    main(['rigid', '--help'])\nexcept SystemExit as e:\n"
+                            "    assert e.code == 0")
+    assert "argparse" in loaded

@@ -200,6 +200,17 @@ def test_theorem10_checks():
     assert theorem10_check(Graph(5, [(0, 1)]), 2).status == "inapplicable"  # kappa 0
 
 
+def test_theorem10_reads_the_rank_off_the_rigidity_verdict(monkeypatch):
+    ly, _ = lovasz_yemini_family(2, 8)
+    path = Graph(3, [(0, 1), (1, 2)])  # n <= d+1: the verdict carries no rank
+    ranks = [experiments.generic_rank(g, 2, 2, 5).rank for g in (ly, path)]
+    calls = []
+    real = experiments.generic_rank
+    monkeypatch.setattr(experiments, "generic_rank", lambda *a: calls.append(a) or real(*a))
+    assert [theorem10_check(g, 2, 2, 5).rank for g in (ly, path)] == ranks
+    assert calls == [(path, 2, 2, 5, experiments.DEFAULT_PRIME)]
+
+
 def test_lemma6_property_check():
     rep = lemma6_property_check(cycle_graph(4), 2, orderings_count=12)
     assert rep.status == "checked" and rep.all_independent and rep.passed

@@ -117,6 +117,42 @@ def test_generic_rank_respects_caps():
         assert rep.rank <= min(g.edge_count, generic_rank_cap(n, d))
 
 
+def test_capped_rank_matches_the_uncapped_rank():
+    # per placement, the cap-first feed stopped at the cap ranks exactly as
+    # the full elimination, on rigid, non-rigid and independent graphs alike
+    rng = random.Random(15)
+    kinds = set()
+    for _ in range(150):
+        d = rng.randint(1, 3)
+        g = random_graph(rng, rng.randint(1, 10), rng.random())
+        cap = min(g.edge_count, generic_rank_cap(g.n, d))
+        order = rigidity._cap_first(g, d)
+        assert sorted(order) == list(range(g.edge_count))
+        seed = rng.getrandbits(64)
+        ranks = []
+        for rows, _ in placements(g, d, 2, seed, P):
+            ranks.append(rank_of_rows(rows, d * g.n, P))
+            assert rank_of_rows([rows[i] for i in order], d * g.n, P, cap) == ranks[-1]
+        best = max(ranks)
+        assert generic_rank(g, d, 2, seed).rank == best
+        if best == g.edge_count:
+            kinds.add("independent")
+        else:
+            kinds.add("rigid" if best == generic_rank_cap(g.n, d) else "flexible")
+    assert kinds == {"independent", "rigid", "flexible"}
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (7, 1), (3, 2), (9, 2), (4, 3), (11, 3)])
+def test_capped_rank_of_a_complete_graph_adds_only_basis_rows(monkeypatch, n, d):
+    # each vertex's first d edges of K_n are a basis: K_{d+1} plus one
+    # d-valent vertex at a time, so the elimination adds exactly cap rows
+    counts = count_basis_calls(monkeypatch)
+    rep = generic_rank(complete_graph(n), d)
+    cap = min(comb(n, 2), generic_rank_cap(n, d))
+    assert (rep.rank, rep.confidence) == (cap, "certain")
+    assert counts["add"] == cap
+
+
 def test_generic_rank_is_seed_reproducible():
     g = random_graph(random.Random(6), 7, 0.5)
     assert generic_rank(g, 2, seed=42) == generic_rank(g, 2, seed=42)
@@ -262,6 +298,15 @@ def test_linked_pairs_match_rank_increments_on_random_graphs():
             linked += verdict.value
             unlinked += not verdict.value
     assert linked and unlinked
+
+
+def test_linked_pairs_at_the_cap_make_no_in_span_call(monkeypatch):
+    g = complete_graph(12).remove_edges([(3, 7), (0, 11)])
+    counts = count_basis_calls(monkeypatch)
+    scan = linked_pairs(g, 2, [(3, 7), (0, 11)], seed=9)
+    assert scan == [Verdict(True, "certain", rank=21)] * 2
+    # two trials, each stopped at the cap before its last row
+    assert counts["in_span"] == 0 and counts["add"] < 2 * g.edge_count
 
 
 def test_linked_pairs_validation_and_edges():
