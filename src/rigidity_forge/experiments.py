@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 from .combinatorics import m_dk
 from .constructions import build_gpi, sharpness_example, sharpness_matching
-from .global_rigidity import globally_rigid_deletions, is_globally_rigid, wgl_sufficient
-from .graph_core import Edge, Graph, maximal_cliques, vertex_connectivity
+from .global_rigidity import globally_rigid_deletions, is_globally_rigid
+from .graph_core import Edge, Graph, is_k_edge_connected, maximal_cliques, vertex_connectivity
 from .modlinalg import DEFAULT_PRIME, make_rng
 from .rigidity import (
     Verdict,
@@ -136,7 +136,9 @@ def theorem9_check(
     Deleting any C(d+1,2) edges must keep it rigid and any C(d+1,2)-1 edges
     must keep it globally rigid; one more matching edge breaks each property.
     Larger d is gated behind ``allow_large`` (the subset enumerations grow
-    fast).
+    fast).  In the plane, global rigidity is read off 3-connectivity and
+    redundant rigidity, with no stress matrix; a stress scan of the deletions
+    runs only for d > 2.
     """
     if d < 2:
         raise ValueError("requires dimension >= 2")
@@ -148,23 +150,44 @@ def theorem9_check(
 
     red = is_t_redundantly_rigid(g, d, c + 1, trials, seed, p)
     over = is_rigid(g.remove_edges(matching[: c + 1]), d, trials, seed, p)
-
-    shown, scanned = itertools.tee(itertools.combinations(g.sorted_edges(), c - 1))
-    verdicts = globally_rigid_deletions(g, d, scanned, trials, seed, p)
-    gr_witness = next((gone for gone, v in zip(shown, verdicts) if not v.value), None)
-
+    deletions = itertools.combinations(g.sorted_edges(), c - 1)
     boundary = g.remove_edges(matching[:c])
-    boundary_rigid = is_rigid(boundary, d, trials, seed, p)
-    boundary_gr = is_globally_rigid(boundary, d, trials, seed, p)
+    if d == 2:
+        # Every G - S is globally rigid iff each is redundantly rigid, which
+        # red certifies, and 3-connected: iff no 2 vertices and 2 edges
+        # disconnect G, that is lambda(G - X) >= 3 for every |X| <= 2
+        every_gr = red.value and all(
+            is_k_edge_connected(g, 3, set(range(g.n)).difference(gone))
+            for size in range(3) for gone in itertools.combinations(range(g.n), size)
+        )
+        gr_witness = None
+        if not every_gr:
+            gr_witness = next((gone for gone in deletions if not _plane_globally_rigid(
+                g.remove_edges(gone), trials, seed, p)), None)
+        # boundary less matching[c] is the graph `over` tests: if that is not
+        # rigid, the boundary is not redundantly rigid, so not globally rigid
+        boundary_gr = over.value and _plane_globally_rigid(boundary, trials, seed, p)
+    else:
+        shown, scanned = itertools.tee(deletions)
+        verdicts = globally_rigid_deletions(g, d, scanned, trials, seed, p)
+        gr_witness = next((gone for gone, v in zip(shown, verdicts) if not v.value), None)
+        boundary_gr = is_globally_rigid(boundary, d, trials, seed, p).value
     return Theorem9Report(
         d,
         red.value,
         not over.value,
         gr_witness is None,
         gr_witness,
-        boundary_rigid.value,
-        not boundary_gr.value,
+        is_rigid(boundary, d, trials, seed, p).value,
+        not boundary_gr,
     )
+
+
+def _plane_globally_rigid(g: Graph, trials: int, seed: int, p: int) -> bool:
+    """Global rigidity in the plane of a graph on at least 4 vertices:
+    3-connected and redundantly rigid (Jackson & Jordan, *JCTB* 94, 2005).
+    A false verdict is whp, as the redundancy test's."""
+    return vertex_connectivity(g) >= 3 and is_t_redundantly_rigid(g, 2, 2, trials, seed, p).value
 
 
 class Theorem10Report(NamedTuple):
@@ -199,27 +222,6 @@ class Lemma6Report(NamedTuple):
         return None if self.status == "inapplicable" else self.all_independent
 
 
-def _nonedge_scan_then_orderings(
-    g, d, orderings_count, trials, seed, p, first_certified, report, status
-):
-    """The loop shared by the lemma 6/8 checks.  A non-edge returned by
-    `first_certified(nonedges, rng)`, given the non-edges in lexicographic
-    order, makes the check inapplicable; otherwise seeded ordered subgraphs
-    are tested for independence."""
-    rng = make_rng(seed)
-    nonedges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
-    pair = first_certified(nonedges, rng)
-    if pair is not None:
-        return report("inapplicable", pair, 0, None)
-    order = list(range(g.n))
-    for _ in range(orderings_count):
-        rng.shuffle(order)
-        result = build_gpi(g, d, order)
-        if not is_independent(result.subgraph, d, trials, rng.getrandbits(64), p).value:
-            return report(status, None, orderings_count, False)
-    return report(status, None, orderings_count, True)
-
-
 def lemma6_property_check(
     g: Graph,
     d: int,
@@ -230,58 +232,21 @@ def lemma6_property_check(
 ) -> Lemma6Report:
     """When no non-adjacent pair is linked, every ordered subgraph must be
     independent.  The hypothesis scan is exhaustive over non-edges, hence
-    the n <= 40 bound."""
+    the n <= 40 bound.  A linked non-edge, the first in lexicographic order,
+    makes the check inapplicable; otherwise seeded ordered subgraphs are
+    tested for independence."""
     if g.n > 40:
         raise ValueError("hypothesis verification is limited to n <= 40")
-
-    def first_linked(nonedges, rng):
-        verdicts = linked_pairs(g, d, nonedges, trials, rng.getrandbits(64), p)
-        return next((uv for uv, v in zip(nonedges, verdicts) if v.value), None)
-
-    return _nonedge_scan_then_orderings(
-        g, d, orderings_count, trials, seed, p, first_linked, Lemma6Report, "checked",
-    )
-
-
-class Lemma8Report(NamedTuple):
-    """Like the linked-pair variant but for weak global linkedness, whose
-    hypothesis admits only a partial (sufficient-condition) filter."""
-
-    status: str  # "inapplicable" or "hypothesis-not-verifiable"
-    certified_pair: Edge | None
-    orderings_checked: int
-    all_independent: bool | None
-
-
-def lemma8_property_check(
-    g: Graph,
-    d: int,
-    orderings_count: int = 20,
-    trials: int = 2,
-    seed: int = 0,
-    p: int = DEFAULT_PRIME,
-) -> Lemma8Report:
-    """Filter non-edges through the sufficient weak-global-linkedness test.
-
-    Candidate separators per non-edge {u,v}: the joint closed neighborhood,
-    and the whole vertex set minus one common neighbor z (the 2-path u-z-v is
-    then the outside path).  A certified pair falsifies the hypothesis;
-    otherwise the hypothesis stays unverifiable and the independence runs
-    are advisory."""
-    if g.n > 40:
-        raise ValueError("non-edge scan is limited to n <= 40")
-    everything = set(range(g.n))
-
-    def certified(u, v, rng):
-        candidates = [set(g.neighbors(u)) | set(g.neighbors(v)) | {u, v}]
-        candidates.extend(everything - {z} for z in sorted(g.neighbors(u) & g.neighbors(v)))
-        return any(
-            wgl_sufficient(g, d, u, v, v0, trials, rng.getrandbits(64), p).value
-            for v0 in candidates
-        )
-
-    return _nonedge_scan_then_orderings(
-        g, d, orderings_count, trials, seed, p,
-        lambda nonedges, rng: next((uv for uv in nonedges if certified(*uv, rng)), None),
-        Lemma8Report, "hypothesis-not-verifiable",
-    )
+    rng = make_rng(seed)
+    nonedges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    verdicts = linked_pairs(g, d, nonedges, trials, rng.getrandbits(64), p)
+    pair = next((uv for uv, v in zip(nonedges, verdicts) if v.value), None)
+    if pair is not None:
+        return Lemma6Report("inapplicable", pair, 0, None)
+    order = list(range(g.n))
+    for _ in range(orderings_count):
+        rng.shuffle(order)
+        result = build_gpi(g, d, order)
+        if not is_independent(result.subgraph, d, trials, rng.getrandbits(64), p).value:
+            return Lemma6Report("checked", None, orderings_count, False)
+    return Lemma6Report("checked", None, orderings_count, True)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 Edge = tuple[int, int]
 
@@ -411,12 +411,52 @@ def vertex_connectivity(g: Graph) -> int:
     return best
 
 
+def is_k_edge_connected(g: Graph, k: int, vertices: Iterable[int] | None = None) -> bool:
+    """True iff the edge connectivity of g, or of the subgraph induced on
+    ``vertices``, is at least k: at least two vertices, and connected after
+    deleting any k-1 edges.  Exact.
+
+    Stoer-Wagner minimum cut, stopped at the first phase whose cut is below k.
+    Each phase orders the vertices by maximum adjacency; the last one's
+    attachment is a minimum cut between it and the one before, which are
+    then merged, and the least cut over all phases is the minimum cut
+    (Stoer & Wagner, *J. ACM* 44, 1997).
+    """
+    vs = range(g.n) if vertices is None else as_vertex_set(vertices, g.n)
+    if len(vs) <= 1:
+        return k <= 0
+    keep = set(vs)
+    weight = {v: {u: 1 for u in g.neighbors(v) if u in keep} for v in vs}
+    while len(weight) > 1:
+        attach = dict.fromkeys(weight, 0)
+        prev = last = -1
+        while attach:
+            v = max(attach, key=attach.get)
+            cut = attach.pop(v)
+            for u, c in weight[v].items():
+                if u in attach:
+                    attach[u] += c
+            prev, last = last, v
+        if cut < k:
+            return False
+        for u, c in weight.pop(last).items():
+            del weight[u][last]
+            if u != prev:
+                weight[prev][u] = weight[prev].get(u, 0) + c
+                weight[u][prev] = weight[u].get(prev, 0) + c
+    return True
+
+
 # -- cliques ---------------------------------------------------------------
 
 
-def maximal_cliques(g: Graph, vertices: Iterable[int] | None = None) -> list[tuple[int, ...]]:
-    """All inclusion-maximal cliques of g, or of the subgraph induced on
-    ``vertices``, each sorted, in lexicographic order, in g's own labels.
+def iter_maximal_cliques(
+    g: Graph, vertices: Iterable[int] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """The inclusion-maximal cliques of g, or of the subgraph induced on
+    ``vertices``, each sorted and in g's own labels, one at a time in the
+    search's own order.  A caller that stops early pays only for the
+    cliques it took.
 
     Bron-Kerbosch with pivoting on bitmasks, driven by an explicit stack of
     (clique, candidates, excluded) states, so a deep clique does not recurse.
@@ -429,9 +469,8 @@ def maximal_cliques(g: Graph, vertices: Iterable[int] | None = None) -> list[tup
     else:
         start = sum(1 << v for v in as_vertex_set(vertices, g.n))
     if not start:
-        return []
+        return
     masks = g._mask
-    out: list[tuple[int, ...]] = []
 
     def bits(mask: int) -> list[int]:
         res = []
@@ -460,10 +499,14 @@ def maximal_cliques(g: Graph, vertices: Iterable[int] | None = None) -> list[tup
             if p_v:
                 stack.append((r | vb, p_v, x & masks[v]))
             elif not x & masks[v]:
-                out.append(tuple(bits(r | vb)))
+                yield tuple(bits(r | vb))
             p ^= vb
             x |= vb
-    return sorted(out)
+
+
+def maximal_cliques(g: Graph, vertices: Iterable[int] | None = None) -> list[tuple[int, ...]]:
+    """All of :func:`iter_maximal_cliques`, in lexicographic order."""
+    return sorted(iter_maximal_cliques(g, vertices))
 
 
 # -- subgraphs and paths ---------------------------------------------------

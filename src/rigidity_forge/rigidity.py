@@ -16,7 +16,7 @@ from collections.abc import Iterator, Sequence
 from math import comb
 from typing import NamedTuple
 
-from .graph_core import Edge, Graph, normalize_edge
+from .graph_core import Edge, Graph, iter_maximal_cliques, normalize_edge
 from .modlinalg import (
     DEFAULT_PRIME,
     ModMatrix,
@@ -136,6 +136,53 @@ def _cap_first(g: Graph, d: int) -> list[int]:
     return rest[::-1] + first[::-1]
 
 
+def _cover_first(g: Graph, d: int) -> tuple[list[int], int]:
+    """A feed order for :func:`rank_of_rows` and an upper bound on the
+    generic rank of g, from a greedy clique cover.
+
+    The maximal cliques on k >= d+2 vertices are taken largest first, and
+    each is kept when its rank bound d*k - C(d+1,2) is below its number of
+    still-uncovered edges.  The bound is :func:`cover_rank_bound` of the kept
+    cliques, with every other edge loose.  The feed takes first each kept
+    clique's d-tree, from its top vertex down: K_{d+1}, then each vertex
+    joined to the d fed before it.  The other edges follow in
+    :func:`_cap_first` order, the loose ones before those of kept cliques.
+    A d-tree spans its clique's rows, so an elimination stopped at the bound
+    reduces none of the clique's other rows.
+
+    The search is skipped, and the plain :func:`_cap_first` order returned
+    with the bound |E|, when no edge has d common neighbours (so there is no
+    K_{d+2}) or g has more maximal cliques than vertices.
+    """
+    order, m = _cap_first(g, d), g.edge_count
+    mask = g.neighbor_mask
+    if not any((mask(u) & mask(v)).bit_count() >= d for u, v in g.edges):
+        return order, m
+    cliques = list(itertools.islice(iter_maximal_cliques(g), g.n + 1))
+    if len(cliques) > g.n:
+        return order, m
+    covered: set[Edge] = set()
+    parts, tree = [], []
+    for c in sorted((c for c in cliques if len(c) >= d + 2), key=len, reverse=True):
+        pairs = tuple(itertools.combinations(c, 2))
+        if d * len(c) - comb(d + 1, 2) < sum(e not in covered for e in pairs):
+            covered.update(pairs)
+            parts.append(pairs)
+            top = c[::-1]
+            tree += itertools.combinations(top[: d + 1], 2)
+            tree += ((w, top[i]) for i in range(d + 1, len(top)) for w in top[i - d : i])
+    if not parts:
+        return order, m
+    bound = cover_rank_bound(g, d, Cover(tuple(g.edges - covered), tuple(parts)))
+    edges = g.sorted_edges()
+    index = {e: i for i, e in enumerate(edges)}
+    # overlapping cliques can share tree edges: each goes in once
+    fed_first = list(dict.fromkeys(index[normalize_edge(u, v)] for u, v in tree))
+    skip = set(fed_first)
+    rest = sorted((i for i in order if i not in skip), key=lambda i: edges[i] not in covered)
+    return rest + fed_first[::-1], bound
+
+
 def generic_rank(
     g: Graph, d: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
 ) -> RankReport:
@@ -143,16 +190,19 @@ def generic_rank(
 
     The result is a certain lower bound on the generic rank and equals it
     with high probability; "certain" is reported exactly when the rank hits
-    the a-priori cap min(|E|, dn - C(d+1,2)).
+    the a-priori cap min(|E|, dn - C(d+1,2)).  No placement ranks above a
+    clique-cover bound either, so eliminations and trials stop at the lower
+    of the two (see :func:`_cover_first`).
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
     cap = min(g.edge_count, generic_rank_cap(g.n, d))
-    order = _cap_first(g, d)
+    order, bound = _cover_first(g, d)
+    stop = min(cap, bound)
     best = 0
     for rows, _ in placements(g, d, trials, seed, p):
-        best = max(best, rank_of_rows([rows[i] for i in order], d * g.n, p, cap))
-        if best == cap:
+        best = max(best, rank_of_rows([rows[i] for i in order], d * g.n, p, stop))
+        if best == stop:
             break
     confidence = CERTAIN if best == cap else WHP
     return RankReport(best, d, trials, confidence, seed)

@@ -12,9 +12,17 @@ from fractions import Fraction
 from math import comb, factorial, sqrt
 
 from rigidity_forge.combinatorics import CliqueSystem
-from rigidity_forge.graph_core import Graph
+from rigidity_forge.experiments import Theorem9Report
+from rigidity_forge.global_rigidity import globally_rigid_deletions, is_globally_rigid
+from rigidity_forge.graph_core import Graph, is_connected
 from rigidity_forge.modlinalg import ModMatrix, RowBasis, make_rng, rank_of_rows
-from rigidity_forge.rigidity import RedundancyReport, _kernel_view, placements
+from rigidity_forge.rigidity import (
+    RedundancyReport,
+    _kernel_view,
+    is_rigid,
+    is_t_redundantly_rigid,
+    placements,
+)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -73,6 +81,21 @@ def brute_vertex_connectivity(g: Graph) -> int:
             if disconnected_without(set(cut)):
                 return k
     return n - 1
+
+
+def brute_edge_connectivity(g: Graph) -> int:
+    """Fewest edges whose deletion disconnects g, by exhaustive search over
+    edge sets below the minimum degree, which deleting one vertex's edges
+    reaches (tiny graphs only); 0 on at most one vertex."""
+    if g.n <= 1:
+        return 0
+    edges = g.sorted_edges()
+    min_degree = min(g.degree(v) for v in range(g.n))
+    for k in range(min_degree):
+        for gone in itertools.combinations(edges, k):
+            if not is_connected(Graph(g.n, set(edges).difference(gone))):
+                return k
+    return min_degree
 
 
 def brute_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -318,3 +341,31 @@ def per_subset_redundancy(
         if not ok:
             return RedundancyReport(False, "whp", tuple(edges[i] for i in subset), checked)
     return RedundancyReport(True, "certain", None, checked)
+
+
+# -- theorem 9 through the stress-matrix scan ----------------------------------
+
+
+def theorem9_by_scan(
+    g: Graph, matching: Sequence[tuple[int, int]], d: int, trials: int, seed: int, p: int
+) -> Theorem9Report:
+    """`theorem9_check` on (g, matching) with every (c-1)-edge deletion run
+    through `globally_rigid_deletions` and the boundary through
+    `is_globally_rigid`: the stress-matrix route, kept as the oracle of the
+    plane route."""
+    c = comb(d + 1, 2)
+    red = is_t_redundantly_rigid(g, d, c + 1, trials, seed, p)
+    over = is_rigid(g.remove_edges(matching[: c + 1]), d, trials, seed, p)
+    shown, scanned = itertools.tee(itertools.combinations(g.sorted_edges(), c - 1))
+    verdicts = globally_rigid_deletions(g, d, scanned, trials, seed, p)
+    gr_witness = next((gone for gone, v in zip(shown, verdicts) if not v.value), None)
+    boundary = g.remove_edges(matching[:c])
+    return Theorem9Report(
+        d,
+        red.value,
+        not over.value,
+        gr_witness is None,
+        gr_witness,
+        is_rigid(boundary, d, trials, seed, p).value,
+        not is_globally_rigid(boundary, d, trials, seed, p).value,
+    )

@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from rigidity_forge import experiments
-from rigidity_forge.constructions import lovasz_yemini_family, sharpness_example
+from rigidity_forge import experiments, global_rigidity
+from rigidity_forge.constructions import (
+    lovasz_yemini_family,
+    sharpness_example,
+    sharpness_matching,
+)
 from rigidity_forge.experiments import (
     HypothesisReport,
     check_lemma7_hypotheses,
     lemma6_property_check,
-    lemma8_property_check,
     theorem1_spot_check,
     theorem2_spot_check,
     theorem9_check,
@@ -25,12 +28,14 @@ from rigidity_forge.graph_core import (
     induced_subgraph,
     maximal_cliques,
 )
+from rigidity_forge.modlinalg import DEFAULT_PRIME
 
 from helpers import (
     brute_force_expected_gpi,
     exact_generic_rank,
     monte_carlo_gpi,
     random_graph,
+    theorem9_by_scan,
 )
 
 
@@ -186,6 +191,38 @@ def test_theorem9_requires_flag_for_large_d():
         theorem9_check(3)
 
 
+def _two_k7_on_two_shared_vertices():
+    # red holds, but deleting the shared vertices 5, 6 and the edges
+    # (0, 7), (1, 8) disconnects it, so it is not 3-connected after 2 deletions
+    edges = [e for block in (range(7), range(5, 12)) for e in itertools.combinations(block, 2)]
+    return Graph(12, set(edges) | {(0, 7), (1, 8)})
+
+
+@pytest.mark.parametrize("build, passes, witnessed", [
+    (lambda: sharpness_example(2), True, False),
+    (lambda: sharpness_example(2).remove_edges([(0, 6)]), False, True),
+    (lambda: sharpness_example(2).remove_edges([(5, 11)]), False, True),
+    (lambda: sharpness_example(2).add_edge(0, 7), False, False),
+    (_two_k7_on_two_shared_vertices, False, True),
+], ids=["example", "less (0,6)", "less (5,11)", "plus (0,7)", "shared pair"])
+def test_theorem9_plane_route_matches_the_stress_scan(monkeypatch, build, passes, witnessed):
+    g = build()
+    monkeypatch.setattr(experiments, "sharpness_example", lambda d: g)
+    rep = theorem9_check(2, seed=5)
+    assert rep == theorem9_by_scan(g, sharpness_matching(2), 2, 2, 5, DEFAULT_PRIME)
+    assert rep.passed is passes
+    assert (rep.gr_witness is not None) is witnessed
+
+
+def test_theorem9_in_the_plane_draws_no_stress(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("stress route called")
+
+    monkeypatch.setattr(experiments, "globally_rigid_deletions", forbidden)
+    monkeypatch.setattr(global_rigidity, "left_kernel_sample", forbidden)
+    assert theorem9_check(2, seed=3).passed
+
+
 def test_theorem10_checks():
     ly, _ = lovasz_yemini_family(2, 8)
     rep = theorem10_check(ly, 2)
@@ -252,15 +289,3 @@ def test_expected_size_bound_under_hypotheses():
         assert check_lemma7_hypotheses(g, d).all_ok
         assert exact_expected_gpi_edges(g, d) >= d * g.n
 
-
-def test_lemma8_property_check():
-    rep = lemma8_property_check(cycle_graph(4), 2, orderings_count=8)
-    assert rep.status == "hypothesis-not-verifiable"
-    assert rep.all_independent
-
-    # K5 - e plus an external 2-path certifies the removed pair, so the
-    # "every weakly globally linked pair is connected" hypothesis fails
-    body = complete_graph(5).remove_edges([(0, 1)])
-    g = Graph(6, list(body.edges) + [(0, 5), (1, 5)])
-    rep = lemma8_property_check(g, 2)
-    assert rep.status == "inapplicable" and rep.certified_pair == (0, 1)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -13,6 +14,8 @@ from rigidity_forge.graph_core import (
     cycle_graph,
     induced_subgraph,
     is_connected,
+    is_k_edge_connected,
+    iter_maximal_cliques,
     maximal_cliques,
     parse_edge_list,
     parse_graph,
@@ -21,7 +24,12 @@ from rigidity_forge.graph_core import (
     vertex_connectivity,
 )
 
-from helpers import brute_maximal_cliques, brute_vertex_connectivity, random_graph
+from helpers import (
+    brute_edge_connectivity,
+    brute_maximal_cliques,
+    brute_vertex_connectivity,
+    random_graph,
+)
 
 
 # -- Graph basics ----------------------------------------------------------
@@ -162,6 +170,46 @@ def test_connectivity_at_most_min_degree():
         assert vertex_connectivity(g) <= min(g.degree(v) for v in range(g.n))
 
 
+def test_edge_connectivity_matches_brute_force_on_small_graphs():
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(0, 7), rng.random())
+        lam = brute_edge_connectivity(g)
+        seen.add(lam)
+        assert [is_k_edge_connected(g, k) for k in range(8)] == [lam >= k for k in range(8)]
+    assert seen >= {0, 1, 2, 3, 4}
+
+
+def test_edge_connectivity_matches_networkx_with_vertices_removed():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(62)
+    seen = set()
+    for _ in range(80):
+        n = rng.randint(4, 16)
+        g = random_graph(rng, n, rng.uniform(0.3, 0.95))
+        gone = rng.sample(range(n), rng.randint(0, 2))
+        keep = [v for v in range(n) if v not in gone]
+        h = nx.Graph()
+        h.add_nodes_from(keep)
+        h.add_edges_from(e for e in g.edges if e[0] in keep and e[1] in keep)
+        lam = nx.edge_connectivity(h)
+        seen.add(lam)
+        vertices = keep if gone else None
+        for k in (lam, lam + 1):
+            assert is_k_edge_connected(g, k, vertices) == (k <= lam), (g.edges, gone, k)
+    assert len(seen) >= 6
+
+
+def test_edge_connectivity_conventions():
+    assert is_k_edge_connected(Graph(1), 0) and not is_k_edge_connected(Graph(1), 1)
+    assert not is_k_edge_connected(complete_graph(5), 1, [2])
+    assert is_k_edge_connected(cycle_graph(5), 2) and not is_k_edge_connected(cycle_graph(5), 3)
+    assert not is_k_edge_connected(cycle_graph(5), 1, [0, 2])
+    with pytest.raises(ValueError):
+        is_k_edge_connected(cycle_graph(5), 1, [0, 5])
+
+
 # -- cliques ---------------------------------------------------------------
 
 
@@ -215,6 +263,15 @@ def test_maximal_cliques_match_networkx_on_larger_graphs():
         h.add_edges_from(g.edges)
         expected = sorted(tuple(sorted(c)) for c in nx.find_cliques(h))
         assert maximal_cliques(g) == expected, (n, density)
+
+
+def test_iter_maximal_cliques_is_lazy():
+    # the complement of 15 disjoint triangles has 3**15 maximal cliques
+    n = 45
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if u // 3 != v // 3])
+    first = list(itertools.islice(iter_maximal_cliques(g), n + 1))
+    assert len(set(first)) == n + 1
+    assert all(len(c) == 15 and g.is_clique(c) and list(c) == sorted(c) for c in first)
 
 
 def test_maximal_cliques_deeper_than_recursion_limit():

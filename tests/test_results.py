@@ -26,7 +26,6 @@ def seeded_results() -> list:
         experiments.theorem9_check(seed=SEED),
         experiments.theorem10_check(c4, 2, seed=SEED),
         experiments.lemma6_property_check(c4, 2, 3, seed=SEED),
-        experiments.lemma8_property_check(c4, 2, 3, seed=SEED),
     ]
 
 

@@ -153,6 +153,58 @@ def test_capped_rank_of_a_complete_graph_adds_only_basis_rows(monkeypatch, n, d)
     assert counts["add"] == cap
 
 
+def test_generic_rank_stops_its_trials_at_the_cover_bound(monkeypatch):
+    # LY(2,8) ranks 76 below the cap 77; its clique cover bounds it by 76,
+    # so the first trial that reaches 76 is the last
+    calls = []
+    feed = rigidity.rank_of_rows
+
+    def counted(*args):
+        calls.append(args)
+        return feed(*args)
+
+    monkeypatch.setattr(rigidity, "rank_of_rows", counted)
+    ly, _ = lovasz_yemini_family(2, 8)
+    rep = generic_rank(ly, 2, trials=2)
+    assert (rep.rank, rep.confidence, rep.trials) == (76, "whp", 2)
+    assert len(calls) == 1
+
+
+def moon_moser_graph(n):
+    """The complement of n/3 disjoint triangles: 3**(n/3) maximal cliques."""
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if u // 3 != v // 3])
+
+
+def test_cover_feed_ranks_as_the_cap_first_feed():
+    # per placement, the cover bound is never below the rank, and the
+    # cover-fed elimination stopped at min(cap, bound) ranks as the full one
+    rng = random.Random(18)
+    graphs = [(lovasz_yemini_family(2, s)[0], 2) for s in (6, 10)]
+    graphs += [(lovasz_yemini_family(3, s)[0], 3) for s in (12, 14)]
+    gated = []
+    for d in (2, 3):
+        matching = sharpness_matching(d)
+        graphs.append((sharpness_example(d).remove_edges(matching[: comb(d + 1, 2) + 1]), d))
+    for d in (1, 2, 3):
+        graphs += [(random_graph(rng, rng.randint(4, 12), rng.random()), d) for _ in range(12)]
+        gated += [(moon_moser_graph(15), d), (cycle_graph(9), d)]
+    kinds = set()
+    for g, d in graphs + gated:
+        order, bound = rigidity._cover_first(g, d)
+        assert sorted(order) == list(range(g.edge_count))
+        cap = min(g.edge_count, generic_rank_cap(g.n, d))
+        if (g, d) in gated:
+            assert (order, bound) == (rigidity._cap_first(g, d), g.edge_count)
+        kinds.add("below cap" if bound < cap else "gated" if bound == g.edge_count else "at cap")
+        if d * g.n <= 36:
+            assert bound >= exact_generic_rank(g, d)
+        for rows, _ in placements(g, d, 1, rng.getrandbits(64), P):
+            full = rank_of_rows(rows, d * g.n, P)
+            assert full <= bound
+            assert rank_of_rows([rows[i] for i in order], d * g.n, P, min(cap, bound)) == full
+    assert kinds == {"below cap", "gated", "at cap"}
+
+
 def test_generic_rank_is_seed_reproducible():
     g = random_graph(random.Random(6), 7, 0.5)
     assert generic_rank(g, 2, seed=42) == generic_rank(g, 2, seed=42)
