@@ -162,11 +162,11 @@ def theorem9_check(
         )
         gr_witness = None
         if not every_gr:
-            gr_witness = next((gone for gone in deletions if not _plane_globally_rigid(
-                g.remove_edges(gone), trials, seed, p)), None)
+            gr_witness = next((gone for gone in deletions if not is_globally_rigid(
+                g.remove_edges(gone), 2, trials, seed, p).value), None)
         # boundary less matching[c] is the graph `over` tests: if that is not
         # rigid, the boundary is not redundantly rigid, so not globally rigid
-        boundary_gr = over.value and _plane_globally_rigid(boundary, trials, seed, p)
+        boundary_gr = over.value and is_globally_rigid(boundary, 2, trials, seed, p).value
     else:
         shown, scanned = itertools.tee(deletions)
         verdicts = globally_rigid_deletions(g, d, scanned, trials, seed, p)
@@ -181,13 +181,6 @@ def theorem9_check(
         is_rigid(boundary, d, trials, seed, p).value,
         not boundary_gr,
     )
-
-
-def _plane_globally_rigid(g: Graph, trials: int, seed: int, p: int) -> bool:
-    """Global rigidity in the plane of a graph on at least 4 vertices:
-    3-connected and redundantly rigid (Jackson & Jordan, *JCTB* 94, 2005).
-    A false verdict is whp, as the redundancy test's."""
-    return vertex_connectivity(g) >= 3 and is_t_redundantly_rigid(g, 2, 2, trials, seed, p).value
 
 
 class Theorem10Report(NamedTuple):

@@ -4,7 +4,8 @@ A graph on n >= d+2 vertices is generically globally rigid exactly when it
 is rigid and a generic placement carries an equilibrium stress whose stress
 matrix has rank n-d-1.  Random field placements plus a random kernel stress
 evaluate that condition with one-sided error in each direction, so both
-verdicts are tagged "whp".
+verdicts are tagged "whp".  In the plane the verdict is instead rigid,
+3-connected and redundantly rigid (Jackson & Jordan, *JCTB* 94, 2005).
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ def is_globally_rigid(
     Complete graphs are globally rigid; on n <= d+1 vertices completeness is
     also necessary.  Dimension 1 reduces to 2-connectivity, which is decided
     exactly.  Otherwise the verdict combines the rigidity rank test with the
-    stress-matrix certificate.
+    stress-matrix certificate, or in the plane with 3-connectivity and
+    :func:`_plane_redundant`.
     """
     n = g.n
     if n <= d + 1:
@@ -94,12 +96,29 @@ def is_globally_rigid(
     if g.is_complete():
         return Verdict(True, CERTAIN)
     if d == 1:
-        return Verdict(vertex_connectivity(g) >= 2, CERTAIN)
+        return Verdict(vertex_connectivity(g, 2) >= 2, CERTAIN)
     rigid = is_rigid(g, d, trials, seed, p)
     if not rigid.value:
         return Verdict(False, WHP, rank=rigid.rank)
+    if d == 2:
+        value = vertex_connectivity(g, 3) >= 3 and _plane_redundant(g, trials, seed, p)
+        return Verdict(value, WHP, rank=rigid.rank)
     cert = stress_matrix_rank(g, d, trials, seed, p)
     return Verdict(cert.omega_rank == cert.target, WHP, rank=rigid.rank)
+
+
+def _plane_redundant(g: Graph, trials: int, seed: int, p: int) -> bool:
+    """Redundant rigidity of a rigid graph in the plane.  True is certain:
+    every edge lies in a K4, a circuit of the plane rigidity matroid, or a
+    stress drawn as :func:`stress_matrix_rank` draws it is nonzero on every
+    edge of a placement of rank 2n-3, so every edge lies in a circuit."""
+    mask = g.neighbor_mask
+    if all(any(mask(w) & mask(u) & mask(v) for w in g.neighbors(u) & g.neighbors(v))
+           for u, v in g.edges):
+        return True
+    return any(all(left_kernel_sample(ModMatrix(rows, 2 * g.n, p), rng.getrandbits(64)))
+               and rank_of_rows(rows, 2 * g.n, p) == 2 * g.n - 3
+               for rows, rng in placements(g, 2, trials, seed, p))
 
 
 def globally_rigid_deletions(

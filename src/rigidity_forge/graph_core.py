@@ -9,6 +9,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from collections.abc import Iterable, Iterator
+from itertools import combinations
 
 Edge = tuple[int, int]
 
@@ -317,48 +318,75 @@ def _split_digraph(g: Graph) -> tuple[list[int], list[int], list[list[int]], dic
     return head, cap, leaving, arc_of
 
 
-def _local_vertex_connectivity(g: Graph, digraph, s: int, t: int, limit: int) -> int:
-    """min(limit, max number of internally disjoint s-t paths), s and t
-    non-adjacent, by max-flow on the split digraph of g.
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, lowest first."""
+    res = []
+    while mask:
+        b = mask & -mask
+        res.append(b.bit_length() - 1)
+        mask ^= b
+    return res
 
-    Before the first augmenting-path search, each common neighbour w carries
-    the path s-w-t, then each other neighbour a of s carries a path s-a-b-t
-    through a free neighbour b of t; the search stops once the flow reaches
-    limit.
-    """
-    head, base_cap, leaving, arc_of = digraph
+
+def _matching(g: Graph, left: int, right: int, want: int) -> dict[int, int]:
+    """A matching of g between the disjoint vertex bitmasks left and right,
+    maximum or of size want, as each matched right vertex's partner: Kuhn's
+    algorithm, one augmenting-path search from each left vertex in turn."""
+    mate: dict[int, int] = {}
+    taken = 0  # the matched right vertices
+    for a in _bits(left):
+        if len(mate) >= want:
+            break
+        back, todo, seen, end = {}, [a], 0, -1  # back: each reached vertex -> the one before
+        while todo and end < 0:
+            x = todo.pop()
+            new = g._mask[x] & right & ~seen
+            seen |= new
+            end = (new & ~taken).bit_length() - 1  # a free right vertex ends the path
+            if end < 0:
+                for b in _bits(new):
+                    back[b], back[mate[b]] = x, b
+                    todo.append(mate[b])
+        if end >= 0:
+            back[end] = x
+            taken |= 1 << end
+        while end >= 0:  # flip the path back to a
+            mate[end] = back[end]
+            end = back.get(mate[end], -1)
+    return mate
+
+
+def _local_vertex_connectivity(g: Graph, digraph: list, s: int, t: int, limit: int) -> int:
+    """min(limit, max number of internally disjoint s-t paths), s and t
+    non-adjacent.
+
+    Each common neighbour w carries the path s-w-t, and a maximum matching
+    between the other neighbours of s and of t carries paths s-a-b-t.  Only
+    when these fall short of limit does a max-flow run: augmenting paths
+    from the flow along the matched paths, on the split digraph of g (built
+    into the empty list ``digraph`` on first use) with the common
+    neighbours cut out, since some maximum set of paths takes every s-w-t."""
+    common = g._mask[s] & g._mask[t]
+    want = limit - common.bit_count()  # at most 0: the common neighbours suffice
+    mate = _matching(g, g._mask[s] & ~common, g._mask[t] & ~common, want)
+    if len(mate) >= want:
+        return limit
+    if not digraph:
+        digraph.append(_split_digraph(g))
+    head, base_cap, leaving, arc_of = digraph[0]
     cap = base_cap.copy()
-    cap[2 * s] = cap[2 * t] = g.n + 1
 
     def push(arc: int) -> None:
         cap[arc] -= 1
         cap[arc ^ 1] += 1
 
-    def route(*path: int) -> None:
-        for a, b in zip(path, path[1:]):
-            push(arc_of[a, b])
-            if b != t:
-                push(2 * b)
+    for w in _bits(common):
+        cap[2 * w] = 0
+    for b, a in mate.items():
+        for arc in (arc_of[s, a], 2 * a, arc_of[a, b], 2 * b, arc_of[b, t]):
+            push(arc)
 
-    near_s, near_t = g.neighbors(s), g.neighbors(t)
-    common = near_s & near_t
-    free_t = set(near_t - common)
-    flow = 0
-    for w in sorted(common):
-        if flow >= limit:
-            return flow
-        route(s, w, t)
-        flow += 1
-    for a in sorted(near_s - common):
-        if flow >= limit:
-            return flow
-        ends = g.neighbors(a) & free_t
-        if ends:
-            b = min(ends)
-            free_t.discard(b)
-            route(s, a, b, t)
-            flow += 1
-
+    flow = common.bit_count() + len(mate)
     source, sink = 2 * s + 1, 2 * t
     while flow < limit:
         parent = [-1] * (2 * g.n)  # the arc that reached each node
@@ -382,32 +410,25 @@ def _local_vertex_connectivity(g: Graph, digraph, s: int, t: int, limit: int) ->
     return flow
 
 
-def vertex_connectivity(g: Graph) -> int:
-    """Exact vertex connectivity.
+def vertex_connectivity(g: Graph, limit: int | None = None) -> int:
+    """Exact vertex connectivity, or min(connectivity, limit) with a limit.
 
     Convention: complete graphs have connectivity n-1, disconnected graphs 0.
     Uses the standard candidate-pair scheme around a minimum-degree vertex,
-    so only O(n + deg^2) max-flow calls are needed, all on one split
-    digraph; each stops once it reaches the smallest value found so far.
+    so only O(n + deg^2) local connectivities are needed; each stops once it
+    reaches the smallest value found so far, which starts at the minimum
+    degree (or the limit, when lower).
     """
     n = g.n
-    if n <= 1:
+    if n <= 1 or not is_connected(g):
         return 0
-    if g.is_complete():
-        return n - 1
-    if not is_connected(g):
-        return 0
-    digraph = _split_digraph(g)
     v = min(range(n), key=g.degree)
-    best = n - 1
-    non_neighbors = [w for w in range(n) if w != v and not g.has_edge(v, w)]
-    for w in non_neighbors:
-        best = _local_vertex_connectivity(g, digraph, v, w, best)
-    nbrs = sorted(g.neighbors(v))
-    for i, x in enumerate(nbrs):
-        for y in nbrs[i + 1 :]:
-            if not g.has_edge(x, y):
-                best = _local_vertex_connectivity(g, digraph, x, y, best)
+    best = g.degree(v) if limit is None else min(g.degree(v), limit)
+    pairs = [(v, w) for w in range(n) if w != v and not g.has_edge(v, w)]
+    pairs += [(x, y) for x, y in combinations(sorted(g.neighbors(v)), 2) if not g.has_edge(x, y)]
+    digraph: list = []
+    for s, t in pairs:
+        best = _local_vertex_connectivity(g, digraph, s, t, best)
     return best
 
 
@@ -416,6 +437,8 @@ def is_k_edge_connected(g: Graph, k: int, vertices: Iterable[int] | None = None)
     ``vertices``, is at least k: at least two vertices, and connected after
     deleting any k-1 edges.  Exact.
 
+    Adjacent vertices with k-1 common neighbours, which the edge and k-1
+    2-paths join, are merged first: no cut below k separates them.  Then
     Stoer-Wagner minimum cut, stopped at the first phase whose cut is below k.
     Each phase orders the vertices by maximum adjacency; the last one's
     attachment is a minimum cut between it and the one before, which are
@@ -425,8 +448,17 @@ def is_k_edge_connected(g: Graph, k: int, vertices: Iterable[int] | None = None)
     vs = range(g.n) if vertices is None else as_vertex_set(vertices, g.n)
     if len(vs) <= 1:
         return k <= 0
-    keep = set(vs)
-    weight = {v: {u: 1 for u in g.neighbors(v) if u in keep} for v in vs}
+    keep = sum(1 << v for v in vs)
+    inside = [(u, v) for u, v in g.edges if keep >> u & keep >> v & 1]
+    rep = {v: v for v in vs}  # merged vertices share a representative
+    for u, v in inside:
+        a, b = rep[u], rep[v]
+        if a != b and (g._mask[u] & g._mask[v] & keep).bit_count() >= k - 1:
+            rep = {w: a if r == b else r for w, r in rep.items()}
+    weight: dict[int, dict[int, int]] = {rep[v]: {} for v in vs}
+    for a, b in ((rep[u], rep[v]) for u, v in inside):
+        if a != b:
+            weight[a][b] = weight[b][a] = weight[a].get(b, 0) + 1
     while len(weight) > 1:
         attach = dict.fromkeys(weight, 0)
         prev = last = -1
@@ -471,15 +503,6 @@ def iter_maximal_cliques(
     if not start:
         return
     masks = g._mask
-
-    def bits(mask: int) -> list[int]:
-        res = []
-        while mask:
-            b = mask & -mask
-            res.append(b.bit_length() - 1)
-            mask ^= b
-        return res
-
     stack = [(0, start, 0)]
     while stack:
         r, p, x = stack.pop()
@@ -493,13 +516,13 @@ def iter_maximal_cliques(
             c = (p & masks[u]).bit_count()
             if c > best:
                 best, pivot = c, u
-        for v in bits(p & ~masks[pivot]):
+        for v in _bits(p & ~masks[pivot]):
             vb = 1 << v
             p_v = p & masks[v]
             if p_v:
                 stack.append((r | vb, p_v, x & masks[v]))
             elif not x & masks[v]:
-                yield tuple(bits(r | vb))
+                yield tuple(_bits(r | vb))
             p ^= vb
             x |= vb
 

@@ -13,11 +13,12 @@ from math import comb, factorial, sqrt
 
 from rigidity_forge.combinatorics import CliqueSystem
 from rigidity_forge.experiments import Theorem9Report
-from rigidity_forge.global_rigidity import globally_rigid_deletions, is_globally_rigid
+from rigidity_forge.global_rigidity import globally_rigid_deletions, stress_matrix_rank
 from rigidity_forge.graph_core import Graph, is_connected
-from rigidity_forge.modlinalg import ModMatrix, RowBasis, make_rng, rank_of_rows
+from rigidity_forge.modlinalg import DEFAULT_PRIME, ModMatrix, RowBasis, make_rng, rank_of_rows
 from rigidity_forge.rigidity import (
     RedundancyReport,
+    Verdict,
     _kernel_view,
     is_rigid,
     is_t_redundantly_rigid,
@@ -343,6 +344,38 @@ def per_subset_redundancy(
     return RedundancyReport(True, "certain", None, checked)
 
 
+# -- global rigidity through stress matrices ----------------------------------
+
+
+def stress_globally_rigid(
+    g: Graph, d: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
+) -> Verdict:
+    """`is_globally_rigid` of a graph on n >= d+2 vertices by the stress route
+    in every dimension: rigid, then a sampled stress matrix of rank n-d-1.
+    The oracle of the plane route (3-connected and redundantly rigid)."""
+    rigid = is_rigid(g, d, trials, seed, p)
+    if not rigid.value:
+        return Verdict(False, "whp", rank=rigid.rank)
+    cert = stress_matrix_rank(g, d, trials, seed, p)
+    return Verdict(cert.omega_rank == cert.target, "whp", rank=rigid.rank)
+
+
+def random_regular_graph(rng: random.Random, n: int, k: int) -> Graph:
+    """A k-regular graph on n vertices (k even): the circulant with offsets
+    1..k/2, mixed by random double-edge swaps."""
+    edges = sorted({tuple(sorted((i, (i + j) % n))) for i in range(n) for j in range(1, k // 2 + 1)})
+    present = set(edges)
+    for _ in range(10 * len(edges)):
+        i, j = rng.randrange(len(edges)), rng.randrange(len(edges))
+        (a, b), (c, d) = edges[i], edges[j]
+        e, f = tuple(sorted((a, c))), tuple(sorted((b, d)))
+        if len({a, b, c, d}) == 4 and e not in present and f not in present:
+            present -= {edges[i], edges[j]}
+            present |= {e, f}
+            edges[i], edges[j] = e, f
+    return Graph(n, edges)
+
+
 # -- theorem 9 through the stress-matrix scan ----------------------------------
 
 
@@ -351,8 +384,8 @@ def theorem9_by_scan(
 ) -> Theorem9Report:
     """`theorem9_check` on (g, matching) with every (c-1)-edge deletion run
     through `globally_rigid_deletions` and the boundary through
-    `is_globally_rigid`: the stress-matrix route, kept as the oracle of the
-    plane route."""
+    :func:`stress_globally_rigid`: the stress-matrix route, kept as the
+    oracle of the plane route."""
     c = comb(d + 1, 2)
     red = is_t_redundantly_rigid(g, d, c + 1, trials, seed, p)
     over = is_rigid(g.remove_edges(matching[: c + 1]), d, trials, seed, p)
@@ -367,5 +400,5 @@ def theorem9_by_scan(
         gr_witness is None,
         gr_witness,
         is_rigid(boundary, d, trials, seed, p).value,
-        not is_globally_rigid(boundary, d, trials, seed, p).value,
+        not stress_globally_rigid(boundary, d, trials, seed, p).value,
     )

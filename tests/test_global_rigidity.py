@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,7 @@ from rigidity_forge.graph_core import (
 from rigidity_forge.modlinalg import DEFAULT_PRIME
 from rigidity_forge.rigidity import generic_rank, generic_rank_cap, is_rigid
 
-from helpers import random_graph
+from helpers import brute_vertex_connectivity, random_graph, stress_globally_rigid
 
 P = DEFAULT_PRIME
 
@@ -119,6 +120,94 @@ def test_globally_rigid_monotone_under_edge_addition():
     assert is_globally_rigid(g, 2).value
     assert is_globally_rigid(g.add_edge(0, 1), 2).value
     assert is_globally_rigid(g.add_edge(0, 1).add_edge(4, 5), 2).value
+
+
+def _k4_covered(g):
+    return all(any(g.has_edge(w, x) for w, x in itertools.combinations(
+        sorted(g.neighbors(u) & g.neighbors(v)), 2)) for u, v in g.edges)
+
+
+def _plane_cases(rng):
+    """Small non-complete graphs on at least 4 vertices of five kinds: dense
+    random graphs, which are mostly K4-covered; subgraphs of K_{a,b} plus a
+    few edges, with few or no K4s; two dense blocks sharing two vertices,
+    at most 2-connected; two dense blocks joined by three disjoint edges,
+    which lie in no K4 (nor, between rigid blocks, in a circuit); and sparse
+    random graphs, mostly not rigid."""
+    for i in range(300):
+        kind = i % 5
+        if kind == 0:
+            g = random_graph(rng, rng.randint(5, 9), rng.uniform(0.7, 0.95))
+        elif kind == 1:
+            a, b = rng.randint(3, 4), rng.randint(3, 5)
+            body = [e for e in complete_bipartite_graph(a, b).edges if rng.random() < 0.95]
+            extra = [tuple(rng.sample(range(a + b), 2)) for _ in range(rng.randint(0, 2))]
+            g = Graph(a + b, body + extra)
+        elif kind == 2:
+            a, b = rng.randint(4, 6), rng.randint(4, 6)
+            blocks = (range(a), range(a - 2, a + b - 2))
+            g = Graph(a + b - 2, [e for block in blocks for e in itertools.combinations(block, 2)
+                                  if rng.random() < 0.9])
+        elif kind == 3:
+            a, b = rng.randint(4, 5), rng.randint(4, 5)
+            blocks = (range(a), range(a, a + b))
+            g = Graph(a + b, [e for block in blocks for e in itertools.combinations(block, 2)
+                              if rng.random() < 0.9] + [(0, a), (1, a + 1), (2, a + 2)])
+        else:
+            g = random_graph(rng, rng.randint(4, 9), rng.uniform(0.3, 0.5))
+        if not g.is_complete():
+            yield g
+
+
+def test_plane_route_matches_the_stress_oracle():
+    rng = random.Random(2005)
+    seen = Counter()
+    for g in _plane_cases(rng):
+        seed = rng.getrandbits(64)
+        verdict = is_globally_rigid(g, 2, seed=seed)
+        assert verdict == stress_globally_rigid(g, 2, seed=seed), g.edges
+        if not is_rigid(g, 2, seed=seed):
+            kind = "not rigid"
+        elif brute_vertex_connectivity(g) < 3:
+            kind = "rigid, not 3-connected"
+        else:
+            kind = "K4-covered" if _k4_covered(g) else "stress fallback"
+        seen[kind, verdict.value] += 1
+    assert set(seen) == {("not rigid", False), ("rigid, not 3-connected", False),
+                         ("K4-covered", True), ("stress fallback", True),
+                         ("stress fallback", False)}
+    assert seen.total() >= 200 and min(seen.values()) >= 10
+    assert all(seen[kind, True] + seen[kind, False] >= 25 for kind, _ in seen)
+
+
+def test_plane_route_on_a_k4_covered_graph_draws_no_stress(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("stress route called")
+
+    for name in ("stress_matrix", "stress_matrix_rank", "left_kernel_sample"):
+        monkeypatch.setattr(global_rigidity, name, forbidden)
+    g = complete_graph(6).remove_edges([(0, 1), (2, 3)])
+    assert _k4_covered(g) and is_globally_rigid(g, 2).value
+    blocks = (range(5), range(3, 8))  # two K5s sharing two vertices
+    two_connected = Graph(8, [e for block in blocks for e in itertools.combinations(block, 2)])
+    assert not is_globally_rigid(two_connected, 2).value
+
+
+def test_plane_route_without_a_k4_cover_samples_one_stress_per_trial(monkeypatch):
+    calls = []
+    sample = global_rigidity.left_kernel_sample
+
+    def spy(m, seed):
+        calls.append(seed)
+        return sample(m, seed)
+
+    monkeypatch.setattr(global_rigidity, "left_kernel_sample", spy)
+    assert is_globally_rigid(complete_bipartite_graph(4, 4), 2, trials=3).value
+    assert len(calls) == 1  # a full-support stress on the first placement settles it
+    calls.clear()
+    # K_{3,3} is minimally rigid: no placement carries a nonzero stress
+    assert not is_globally_rigid(complete_bipartite_graph(3, 3), 2, trials=3).value
+    assert len(calls) == 3
 
 
 # -- deletion scans ------------------------------------------------------------

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from rigidity_forge import graph_core
 from rigidity_forge.graph_core import (
     Graph,
     GraphFormatWarning,
@@ -29,6 +30,7 @@ from helpers import (
     brute_maximal_cliques,
     brute_vertex_connectivity,
     random_graph,
+    random_regular_graph,
 )
 
 
@@ -168,6 +170,59 @@ def test_connectivity_at_most_min_degree():
         if g.is_complete():
             continue
         assert vertex_connectivity(g) <= min(g.degree(v) for v in range(g.n))
+
+
+def test_vertex_connectivity_with_a_limit_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(43)
+    seen = set()
+    for i in range(150):
+        n = rng.randint(2, 16)
+        g = random_graph(rng, n, rng.uniform(0.15, 0.95))
+        if i % 2 and n >= 6:  # two dense halves sharing a few vertices: kappa below delta
+            shared = rng.randint(1, 3)
+            halves = (range(n // 2 + shared), range(n // 2, n))
+            g = Graph(n, [(u, v) for half in halves for u, v in itertools.combinations(half, 2)
+                          if rng.random() < 0.8])
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges)
+        kappa = nx.node_connectivity(h)
+        seen.add(kappa)
+        delta = min(g.degree(v) for v in range(n))
+        for limit in (None, 1, 2, 3, delta):
+            want = kappa if limit is None else min(kappa, limit)
+            assert vertex_connectivity(g, limit) == want, (g.edges, limit)
+    assert seen >= set(range(7))
+    assert vertex_connectivity(complete_graph(6), 3) == 3
+    assert vertex_connectivity(complete_graph(6), 9) == 5
+    assert vertex_connectivity(Graph(4, [(0, 1), (2, 3)]), 3) == 0
+
+
+def test_dense_graph_settles_its_pairs_without_the_split_digraph(monkeypatch):
+    built, settled = [], []
+    split, matching = graph_core._split_digraph, graph_core._matching
+
+    def spy_split(g):
+        built.append(g)
+        return split(g)
+
+    def spy_matching(g, left, right, want):
+        mate = matching(g, left, right, want)
+        settled.append(len(mate) >= want)
+        return mate
+
+    monkeypatch.setattr(graph_core, "_split_digraph", spy_split)
+    monkeypatch.setattr(graph_core, "_matching", spy_matching)
+    g = random_regular_graph(random.Random(48), 48, 24)
+    assert vertex_connectivity(g) == 24
+    assert len(settled) >= 150 and settled.count(False) <= len(settled) // 50
+    # pairs that need the search share one split digraph, built on first use
+    assert len(built) == (False in settled)
+    built.clear()
+    settled.clear()
+    assert vertex_connectivity(cycle_graph(12)) == 2
+    assert settled.count(False) > 1 and len(built) == 1
 
 
 def test_edge_connectivity_matches_brute_force_on_small_graphs():
