@@ -16,8 +16,8 @@ _EXPORTS = {
                         "stress_matrix", "stress_matrix_rank", "wgl_sufficient"),
     "graph_core": ("Graph", "GraphParseError", "as_vertex_set", "complete_bipartite_graph",
                    "complete_graph", "cycle_graph", "induced_subgraph", "is_connected",
-                   "is_k_edge_connected", "iter_maximal_cliques", "maximal_cliques",
-                   "parse_graph", "path_avoiding", "vertex_connectivity"),
+                   "iter_maximal_cliques", "maximal_cliques", "parse_graph",
+                   "path_avoiding", "vertex_connectivity"),
     "modlinalg": ("DEFAULT_PRIME", "ModMatrix", "RowBasis", "left_kernel_basis",
                   "left_kernel_sample", "make_rng", "rank"),
     "rigidity": ("Cover", "RankReport", "Verdict", "cover_rank_bound", "generic_rank",

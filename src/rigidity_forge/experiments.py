@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .combinatorics import m_dk
 from .constructions import build_gpi, sharpness_example, sharpness_matching
 from .global_rigidity import globally_rigid_deletions, is_globally_rigid
-from .graph_core import Edge, Graph, is_k_edge_connected, maximal_cliques, vertex_connectivity
+from .graph_core import Edge, Graph, maximal_cliques, vertex_connectivity
 from .modlinalg import DEFAULT_PRIME, make_rng
 from .rigidity import (
     Verdict,
@@ -137,8 +137,9 @@ def theorem9_check(
     must keep it globally rigid; one more matching edge breaks each property.
     Larger d is gated behind ``allow_large`` (the subset enumerations grow
     fast).  In the plane, global rigidity is read off 3-connectivity and
-    redundant rigidity, with no stress matrix; a stress scan of the deletions
-    runs only for d > 2.
+    redundant rigidity, with no stress matrix: redundancy plus kappa >= 5
+    certifies every deletion, and only when either fails are the deletions
+    scanned for a witness.  A stress scan of the deletions runs for d > 2.
     """
     if d < 2:
         raise ValueError("requires dimension >= 2")
@@ -153,13 +154,10 @@ def theorem9_check(
     deletions = itertools.combinations(g.sorted_edges(), c - 1)
     boundary = g.remove_edges(matching[:c])
     if d == 2:
-        # Every G - S is globally rigid iff each is redundantly rigid, which
-        # red certifies, and 3-connected: iff no 2 vertices and 2 edges
-        # disconnect G, that is lambda(G - X) >= 3 for every |X| <= 2
-        every_gr = red.value and all(
-            is_k_edge_connected(g, 3, set(range(g.n)).difference(gone))
-            for size in range(3) for gone in itertools.combinations(range(g.n), size)
-        )
+        # Every G - S is globally rigid if each is redundantly rigid, which
+        # red certifies, and 3-connected, which kappa(G) >= 5 certifies: an
+        # edge deletion lowers kappa by at most 1; otherwise the scan decides
+        every_gr = red.value and vertex_connectivity(g, c + 2) >= c + 2
         gr_witness = None
         if not every_gr:
             gr_witness = next((gone for gone in deletions if not is_globally_rigid(

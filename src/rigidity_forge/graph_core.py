@@ -7,7 +7,6 @@ construction, so every query here is safe to share across threads.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from collections.abc import Iterable, Iterator
 from itertools import combinations
 
@@ -107,9 +106,6 @@ class Graph:
         return True
 
     # -- derived graphs --------------------------------------------------
-
-    def add_edge(self, u: int, v: int) -> "Graph":
-        return Graph(self.n, list(self.edges) + [(u, v)])
 
     def add_edges(self, new_edges: Iterable[Edge]) -> "Graph":
         return Graph(self.n, list(self.edges) + list(new_edges))
@@ -273,51 +269,6 @@ def parse_graph(text: str) -> Graph:
 # -- connectivity ----------------------------------------------------------
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
-
-
-def _split_digraph(g: Graph) -> tuple[list[int], list[int], list[list[int]], dict[Edge, int]]:
-    """The split digraph of g, as flat arc arrays for unit-capacity max-flow.
-
-    Vertex v becomes nodes in(v) = 2v and out(v) = 2v + 1, joined by arc 2v
-    of capacity 1; each edge uv becomes arcs out(u) -> in(v) and
-    out(v) -> in(u) of capacity n + 1.  Arc a ^ 1 is the reverse of arc a,
-    with capacity 0.  Returns the head and capacity of each arc, the arcs
-    leaving each node, and the arc out(a) -> in(b) of each ordered edge ab.
-    """
-    head: list[int] = []
-    cap: list[int] = []
-    leaving: list[list[int]] = [[] for _ in range(2 * g.n)]
-    arc_of: dict[Edge, int] = {}
-
-    def add_arc(a: int, b: int, c: int) -> None:
-        leaving[a].append(len(head))
-        head.append(b)
-        cap.append(c)
-        leaving[b].append(len(head))
-        head.append(a)
-        cap.append(0)
-
-    for v in range(g.n):
-        add_arc(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges:
-        for a, b in ((u, v), (v, u)):
-            arc_of[a, b] = len(head)
-            add_arc(2 * a + 1, 2 * b, g.n + 1)
-    return head, cap, leaving, arc_of
-
-
 def _bits(mask: int) -> list[int]:
     """The set bits of mask, lowest first."""
     res = []
@@ -326,6 +277,24 @@ def _bits(mask: int) -> list[int]:
         res.append(b.bit_length() - 1)
         mask ^= b
     return res
+
+
+def _reach(g: Graph, v: int, allowed: int) -> int:
+    """The bitmask of vertices that paths from v through the vertex bitmask
+    allowed reach, v included."""
+    seen = frontier = 1 << v
+    while frontier:
+        step = 0
+        for w in _bits(frontier):
+            step |= g._mask[w]
+        frontier = step & allowed & ~seen
+        seen |= frontier
+    return seen
+
+
+def is_connected(g: Graph) -> bool:
+    full = (1 << g.n) - 1
+    return g.n <= 1 or _reach(g, 0, full) == full
 
 
 def _matching(g: Graph, left: int, right: int, want: int) -> dict[int, int]:
@@ -356,58 +325,71 @@ def _matching(g: Graph, left: int, right: int, want: int) -> dict[int, int]:
     return mate
 
 
-def _local_vertex_connectivity(g: Graph, digraph: list, s: int, t: int, limit: int) -> int:
+def _local_vertex_connectivity(g: Graph, s: int, t: int, limit: int) -> int:
     """min(limit, max number of internally disjoint s-t paths), s and t
     non-adjacent.
 
     Each common neighbour w carries the path s-w-t, and a maximum matching
     between the other neighbours of s and of t carries paths s-a-b-t.  Only
-    when these fall short of limit does a max-flow run: augmenting paths
-    from the flow along the matched paths, on the split digraph of g (built
-    into the empty list ``digraph`` on first use) with the common
-    neighbours cut out, since some maximum set of paths takes every s-w-t."""
-    common = g._mask[s] & g._mask[t]
+    when these fall short of limit do augmenting paths follow, each found by
+    a breadth-first search of the split residual graph held on g itself
+    (Even, *SIAM J. Comput.* 4, 1975).  Vertex v has an in-side, entered by
+    the edges into v, and an out-side, left by the edges out of v; ``pred``
+    maps each vertex that carries a path to the vertex before it.  An
+    out-side leads to the in-side of every neighbour, and back to its own
+    in-side when its vertex carries a path; an in-side leads to its own
+    out-side when its vertex is free, else to its predecessor's out-side.
+    An edge run against a path's own use of it is not cancelled: ``pred``
+    then holds a cycle, still a flow of the split digraph.  The common
+    neighbours are cut out, since some maximum set of paths takes every
+    s-w-t.
+    """
+    mask = g._mask
+    common = mask[s] & mask[t]
     want = limit - common.bit_count()  # at most 0: the common neighbours suffice
-    mate = _matching(g, g._mask[s] & ~common, g._mask[t] & ~common, want)
+    mate = _matching(g, mask[s] & ~common, mask[t] & ~common, want)
     if len(mate) >= want:
         return limit
-    if not digraph:
-        digraph.append(_split_digraph(g))
-    head, base_cap, leaving, arc_of = digraph[0]
-    cap = base_cap.copy()
-
-    def push(arc: int) -> None:
-        cap[arc] -= 1
-        cap[arc ^ 1] += 1
-
-    for w in _bits(common):
-        cap[2 * w] = 0
+    pred: dict[int, int] = {}
     for b, a in mate.items():
-        for arc in (arc_of[s, a], 2 * a, arc_of[a, b], 2 * b, arc_of[b, t]):
-            push(arc)
-
-    flow = common.bit_count() + len(mate)
-    source, sink = 2 * s + 1, 2 * t
-    while flow < limit:
-        parent = [-1] * (2 * g.n)  # the arc that reached each node
-        parent[source] = -2
-        queue = deque([source])
-        while queue and parent[sink] == -1:
-            a = queue.popleft()
-            for arc in leaving[a]:
-                b = head[arc]
-                if cap[arc] > 0 and parent[b] == -1:
-                    parent[b] = arc
-                    queue.append(b)
-        if parent[sink] == -1:
-            return flow
-        b = sink
-        while b != source:
-            arc = parent[b]
-            push(arc)
-            b = head[arc ^ 1]
-        flow += 1
-    return flow
+        pred[a], pred[b] = s, a
+    on_path = sum(1 << v for v in pred)
+    for flow in range(limit - want + len(mate), limit):
+        succ = {}  # each path vertex whose out-side is reached -> the vertex after it
+        outs, ins = [1 << s], []  # the out-sides and in-sides each step reaches first
+        seen_out, seen_in = 1 << s, common | 1 << s
+        while not seen_in & 1 << t:
+            frontier = outs[-1]
+            new = frontier & on_path  # back against a path: out(x) -> in(x)
+            while frontier:
+                x = frontier.bit_length() - 1
+                new |= mask[x]
+                frontier ^= 1 << x
+            new &= ~seen_in
+            if not new:
+                return flow
+            seen_in |= new
+            ins.append(new)
+            nxt = new & ~on_path  # a free vertex passes to its own out-side
+            if new & on_path:
+                for y in _bits(new & on_path):  # a path's in-side leads back to its predecessor
+                    x = pred[y]
+                    succ[x] = y
+                    nxt |= 1 << x
+            outs.append(nxt & ~seen_out)
+            seen_out |= nxt
+        y = t
+        for i in range(len(ins) - 1, -1, -1):  # the augmenting path, from t back to s
+            x = (outs[i] & mask[y]).bit_length() - 1
+            if x < 0:
+                x = y  # y was reached against its own path, which now bypasses it
+                del pred[y]
+                on_path ^= 1 << y
+            elif y != t:
+                pred[y] = x
+                on_path |= 1 << y
+            y = succ.get(x, x)
+    return limit
 
 
 def vertex_connectivity(g: Graph, limit: int | None = None) -> int:
@@ -426,57 +408,9 @@ def vertex_connectivity(g: Graph, limit: int | None = None) -> int:
     best = g.degree(v) if limit is None else min(g.degree(v), limit)
     pairs = [(v, w) for w in range(n) if w != v and not g.has_edge(v, w)]
     pairs += [(x, y) for x, y in combinations(sorted(g.neighbors(v)), 2) if not g.has_edge(x, y)]
-    digraph: list = []
     for s, t in pairs:
-        best = _local_vertex_connectivity(g, digraph, s, t, best)
+        best = _local_vertex_connectivity(g, s, t, best)
     return best
-
-
-def is_k_edge_connected(g: Graph, k: int, vertices: Iterable[int] | None = None) -> bool:
-    """True iff the edge connectivity of g, or of the subgraph induced on
-    ``vertices``, is at least k: at least two vertices, and connected after
-    deleting any k-1 edges.  Exact.
-
-    Adjacent vertices with k-1 common neighbours, which the edge and k-1
-    2-paths join, are merged first: no cut below k separates them.  Then
-    Stoer-Wagner minimum cut, stopped at the first phase whose cut is below k.
-    Each phase orders the vertices by maximum adjacency; the last one's
-    attachment is a minimum cut between it and the one before, which are
-    then merged, and the least cut over all phases is the minimum cut
-    (Stoer & Wagner, *J. ACM* 44, 1997).
-    """
-    vs = range(g.n) if vertices is None else as_vertex_set(vertices, g.n)
-    if len(vs) <= 1:
-        return k <= 0
-    keep = sum(1 << v for v in vs)
-    inside = [(u, v) for u, v in g.edges if keep >> u & keep >> v & 1]
-    rep = {v: v for v in vs}  # merged vertices share a representative
-    for u, v in inside:
-        a, b = rep[u], rep[v]
-        if a != b and (g._mask[u] & g._mask[v] & keep).bit_count() >= k - 1:
-            rep = {w: a if r == b else r for w, r in rep.items()}
-    weight: dict[int, dict[int, int]] = {rep[v]: {} for v in vs}
-    for a, b in ((rep[u], rep[v]) for u, v in inside):
-        if a != b:
-            weight[a][b] = weight[b][a] = weight[a].get(b, 0) + 1
-    while len(weight) > 1:
-        attach = dict.fromkeys(weight, 0)
-        prev = last = -1
-        while attach:
-            v = max(attach, key=attach.get)
-            cut = attach.pop(v)
-            for u, c in weight[v].items():
-                if u in attach:
-                    attach[u] += c
-            prev, last = last, v
-        if cut < k:
-            return False
-        for u, c in weight.pop(last).items():
-            del weight[u][last]
-            if u != prev:
-                weight[prev][u] = weight[prev].get(u, 0) + c
-                weight[u][prev] = weight[u].get(prev, 0) + c
-    return True
 
 
 # -- cliques ---------------------------------------------------------------
@@ -558,15 +492,5 @@ def path_avoiding(g: Graph, u: int, v: int, v0: Iterable[int]) -> bool:
         raise ValueError("endpoints must differ")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError("endpoint out of range")
-    blocked = set(as_vertex_set(v0, g.n)) - {u, v}
-    seen = {u}
-    queue = deque([u])
-    while queue:
-        a = queue.popleft()
-        for b in g.neighbors(a):
-            if b == v:
-                return True
-            if b not in seen and b not in blocked:
-                seen.add(b)
-                queue.append(b)
-    return False
+    blocked = sum(1 << w for w in as_vertex_set(v0, g.n)) & ~(1 << u | 1 << v)
+    return bool(_reach(g, u, (1 << g.n) - 1 & ~blocked) >> v & 1)

@@ -363,11 +363,8 @@ def is_t_redundantly_rigid(
     edges = g.sorted_edges()
     n = g.n
     if n <= d + 1:
-        if not g.is_complete():
-            return RedundancyReport(False, CERTAIN, edges[:k], 1)
-        if k == 0:
-            return RedundancyReport(True, CERTAIN, None, 1)
-        return RedundancyReport(False, CERTAIN, edges[:k], 1)
+        ok = g.is_complete() and k == 0
+        return RedundancyReport(ok, CERTAIN, None if ok else edges[:k], 1)
     target = d * n - comb(d + 1, 2)
     views = [_kernel_view(rows, d * n, p) for rows, _ in placements(g, d, trials, seed, p)]
     # rank(G - S) = full_rank - |S| + rank of the dual rows of S

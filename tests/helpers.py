@@ -14,7 +14,7 @@ from math import comb, factorial, sqrt
 from rigidity_forge.combinatorics import CliqueSystem
 from rigidity_forge.experiments import Theorem9Report
 from rigidity_forge.global_rigidity import globally_rigid_deletions, stress_matrix_rank
-from rigidity_forge.graph_core import Graph, is_connected
+from rigidity_forge.graph_core import Graph
 from rigidity_forge.modlinalg import DEFAULT_PRIME, ModMatrix, RowBasis, make_rng, rank_of_rows
 from rigidity_forge.rigidity import (
     RedundancyReport,
@@ -82,21 +82,6 @@ def brute_vertex_connectivity(g: Graph) -> int:
             if disconnected_without(set(cut)):
                 return k
     return n - 1
-
-
-def brute_edge_connectivity(g: Graph) -> int:
-    """Fewest edges whose deletion disconnects g, by exhaustive search over
-    edge sets below the minimum degree, which deleting one vertex's edges
-    reaches (tiny graphs only); 0 on at most one vertex."""
-    if g.n <= 1:
-        return 0
-    edges = g.sorted_edges()
-    min_degree = min(g.degree(v) for v in range(g.n))
-    for k in range(min_degree):
-        for gone in itertools.combinations(edges, k):
-            if not is_connected(Graph(g.n, set(edges).difference(gone))):
-                return k
-    return min_degree
 
 
 def brute_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:

@@ -202,7 +202,7 @@ def _two_k7_on_two_shared_vertices():
     (lambda: sharpness_example(2), True, False),
     (lambda: sharpness_example(2).remove_edges([(0, 6)]), False, True),
     (lambda: sharpness_example(2).remove_edges([(5, 11)]), False, True),
-    (lambda: sharpness_example(2).add_edge(0, 7), False, False),
+    (lambda: sharpness_example(2).add_edges([(0, 7)]), False, False),
     (_two_k7_on_two_shared_vertices, False, True),
 ], ids=["example", "less (0,6)", "less (5,11)", "plus (0,7)", "shared pair"])
 def test_theorem9_plane_route_matches_the_stress_scan(monkeypatch, build, passes, witnessed):
@@ -221,6 +221,26 @@ def test_theorem9_in_the_plane_draws_no_stress(monkeypatch):
     monkeypatch.setattr(experiments, "globally_rigid_deletions", forbidden)
     monkeypatch.setattr(global_rigidity, "left_kernel_sample", forbidden)
     assert theorem9_check(2, seed=3).passed
+
+
+def test_theorem9_in_the_plane_certifies_deletions_by_connectivity(monkeypatch):
+    limits, verdicts = [], []
+    kappa, globally_rigid = experiments.vertex_connectivity, experiments.is_globally_rigid
+
+    def spy_kappa(g, limit=None):
+        limits.append(limit)
+        return kappa(g, limit)
+
+    def spy_globally_rigid(g, *args):
+        verdicts.append(g)
+        return globally_rigid(g, *args)
+
+    monkeypatch.setattr(experiments, "vertex_connectivity", spy_kappa)
+    monkeypatch.setattr(experiments, "is_globally_rigid", spy_globally_rigid)
+    assert theorem9_check(2, seed=3).passed
+    assert limits == [5]
+    # no deletion is scanned: at most the boundary graph gets a verdict
+    assert set(verdicts) <= {sharpness_example(2).remove_edges(sharpness_matching(2)[:3])}
 
 
 def test_theorem10_checks():

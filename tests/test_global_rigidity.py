@@ -118,8 +118,8 @@ def test_globally_rigid_implies_rigid_and_connectivity():
 def test_globally_rigid_monotone_under_edge_addition():
     g = complete_bipartite_graph(4, 4)
     assert is_globally_rigid(g, 2).value
-    assert is_globally_rigid(g.add_edge(0, 1), 2).value
-    assert is_globally_rigid(g.add_edge(0, 1).add_edge(4, 5), 2).value
+    assert is_globally_rigid(g.add_edges([(0, 1)]), 2).value
+    assert is_globally_rigid(g.add_edges([(0, 1), (4, 5)]), 2).value
 
 
 def _k4_covered(g):

@@ -15,7 +15,6 @@ from rigidity_forge.graph_core import (
     cycle_graph,
     induced_subgraph,
     is_connected,
-    is_k_edge_connected,
     iter_maximal_cliques,
     maximal_cliques,
     parse_edge_list,
@@ -26,7 +25,6 @@ from rigidity_forge.graph_core import (
 )
 
 from helpers import (
-    brute_edge_connectivity,
     brute_maximal_cliques,
     brute_vertex_connectivity,
     random_graph,
@@ -199,70 +197,75 @@ def test_vertex_connectivity_with_a_limit_matches_networkx():
     assert vertex_connectivity(Graph(4, [(0, 1), (2, 3)]), 3) == 0
 
 
-def test_dense_graph_settles_its_pairs_without_the_split_digraph(monkeypatch):
-    built, settled = [], []
-    split, matching = graph_core._split_digraph, graph_core._matching
-
-    def spy_split(g):
-        built.append(g)
-        return split(g)
+def test_dense_graph_settles_its_pairs_by_matching(monkeypatch):
+    settled = []
+    matching = graph_core._matching
 
     def spy_matching(g, left, right, want):
         mate = matching(g, left, right, want)
         settled.append(len(mate) >= want)
         return mate
 
-    monkeypatch.setattr(graph_core, "_split_digraph", spy_split)
     monkeypatch.setattr(graph_core, "_matching", spy_matching)
     g = random_regular_graph(random.Random(48), 48, 24)
     assert vertex_connectivity(g) == 24
     assert len(settled) >= 150 and settled.count(False) <= len(settled) // 50
-    # pairs that need the search share one split digraph, built on first use
-    assert len(built) == (False in settled)
-    built.clear()
     settled.clear()
     assert vertex_connectivity(cycle_graph(12)) == 2
-    assert settled.count(False) > 1 and len(built) == 1
+    assert settled.count(False) > 1  # these pairs need the augmenting-path search
 
 
-def test_edge_connectivity_matches_brute_force_on_small_graphs():
-    rng = random.Random(61)
+def _sparse_graphs(nx, rng):
+    """Sparse families, where the augmenting-path search does most of the work."""
+    for i in range(160):
+        seed = rng.randrange(1 << 30)
+        kind = i % 4
+        if kind == 0:
+            h = nx.gnp_random_graph(rng.randint(8, 24), rng.uniform(0.08, 0.3), seed=seed)
+        elif kind == 1:
+            h = nx.random_regular_graph(rng.choice((3, 4)), 2 * rng.randint(4, 11), seed=seed)
+        elif kind == 2:
+            a, b = rng.randint(3, 5), rng.randint(3, 5)
+            h = nx.convert_node_labels_to_integers(nx.grid_2d_graph(a, b))
+            h.add_edges_from(rng.sample(range(a * b), 2) for _ in range(rng.randint(0, 5)))
+        else:
+            h = nx.watts_strogatz_graph(rng.randint(8, 24), rng.choice((2, 4)),
+                                        rng.uniform(0.1, 0.5), seed=seed)
+        yield h
+
+
+def test_local_connectivity_matches_networkx_on_sparse_graphs():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import local_node_connectivity
+
+    rng = random.Random(24)
     seen = set()
-    for _ in range(80):
-        g = random_graph(rng, rng.randint(0, 7), rng.random())
-        lam = brute_edge_connectivity(g)
-        seen.add(lam)
-        assert [is_k_edge_connected(g, k) for k in range(8)] == [lam >= k for k in range(8)]
+    for h in _sparse_graphs(nx, rng):
+        n = h.number_of_nodes()
+        g = Graph(n, h.edges)
+        apart = [(u, v) for u, v in itertools.combinations(range(n), 2) if not h.has_edge(u, v)]
+        for s, t in rng.sample(apart, min(4, len(apart))):
+            want = local_node_connectivity(h, s, t)
+            seen.add(want)
+            assert graph_core._local_vertex_connectivity(g, s, t, n) == want, (h.edges, s, t)
+        assert vertex_connectivity(g) == nx.node_connectivity(h), h.edges
     assert seen >= {0, 1, 2, 3, 4}
 
 
-def test_edge_connectivity_matches_networkx_with_vertices_removed():
-    nx = pytest.importorskip("networkx")
-    rng = random.Random(62)
-    seen = set()
-    for _ in range(80):
-        n = rng.randint(4, 16)
-        g = random_graph(rng, n, rng.uniform(0.3, 0.95))
-        gone = rng.sample(range(n), rng.randint(0, 2))
-        keep = [v for v in range(n) if v not in gone]
-        h = nx.Graph()
-        h.add_nodes_from(keep)
-        h.add_edges_from(e for e in g.edges if e[0] in keep and e[1] in keep)
-        lam = nx.edge_connectivity(h)
-        seen.add(lam)
-        vertices = keep if gone else None
-        for k in (lam, lam + 1):
-            assert is_k_edge_connected(g, k, vertices) == (k <= lam), (g.edges, gone, k)
-    assert len(seen) >= 6
+def test_local_connectivity_cuts_out_the_common_neighbours():
+    # s = 1 and t = 2 share their one neighbour 0, whose path s-0-t is taken:
+    # a search that may enter 0 again routes a second path through it
+    g = Graph(3, [(0, 1), (0, 2)])
+    assert graph_core._local_vertex_connectivity(g, 1, 2, 3) == 1
 
 
-def test_edge_connectivity_conventions():
-    assert is_k_edge_connected(Graph(1), 0) and not is_k_edge_connected(Graph(1), 1)
-    assert not is_k_edge_connected(complete_graph(5), 1, [2])
-    assert is_k_edge_connected(cycle_graph(5), 2) and not is_k_edge_connected(cycle_graph(5), 3)
-    assert not is_k_edge_connected(cycle_graph(5), 1, [0, 2])
-    with pytest.raises(ValueError):
-        is_k_edge_connected(cycle_graph(5), 1, [0, 5])
+def test_local_connectivity_backs_up_along_a_path():
+    # the first search takes the one shortest path 1-2-5-9-10; the second
+    # reaches 9 by 1-0-4-7-8 and goes on only by undoing 2-5-9: from out(5)
+    # back through in(5) to out(2), then by 3-11-6 to 10
+    g = Graph(12, [(0, 1), (0, 4), (1, 2), (2, 3), (2, 5), (3, 11), (6, 11), (6, 10), (4, 7),
+                   (7, 8), (8, 9), (5, 9), (9, 10)])
+    assert graph_core._local_vertex_connectivity(g, 1, 10, 12) == 2
 
 
 # -- cliques ---------------------------------------------------------------

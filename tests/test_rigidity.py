@@ -284,7 +284,7 @@ def test_rank_monotone_per_shared_framework():
         if not non_edges:
             continue
         e = rng.choice(non_edges)
-        g2 = g.add_edge(*e)
+        g2 = g.add_edges([e])
         rows = first_placement(g2, 2, seed=rng.randrange(2**32))
         uv_row = rows.pop(g2.sorted_edges().index(e))
         basis = RowBasis(P)
@@ -340,7 +340,7 @@ def test_linked_pairs_match_rank_increments_on_random_graphs():
             if g.has_edge(u, v):
                 assert verdict.value and verdict.confidence == "certain"
                 continue
-            g2 = g.add_edge(u, v)
+            g2 = g.add_edges([(u, v)])
             uv = g2.sorted_edges().index((min(u, v), max(u, v)))
             best_g = best_g2 = 0
             for rows, _ in placements(g2, d, 2, seed, P):
