@@ -10,14 +10,12 @@ _EXPORTS = {
     "combinatorics": ("CliqueSystem", "covered_subset_count", "exact_expected_gpi_edges",
                       "grn_lower_bound", "m_dk", "verify_comblemma"),
     "constructions": ("GpiResult", "GpiStep", "build_gpi", "harary_graph", "lovasz_yemini_family",
-                      "one_extension", "sharpness_example", "sharpness_matching",
-                      "zero_extension"),
+                      "sharpness_example", "sharpness_matching"),
     "global_rigidity": ("StressCertificate", "globally_rigid_deletions", "is_globally_rigid",
                         "stress_matrix", "stress_matrix_rank", "wgl_sufficient"),
     "graph_core": ("Graph", "GraphParseError", "as_vertex_set", "complete_bipartite_graph",
-                   "complete_graph", "cycle_graph", "induced_subgraph", "is_connected",
-                   "iter_maximal_cliques", "maximal_cliques", "parse_graph",
-                   "path_avoiding", "vertex_connectivity"),
+                   "complete_graph", "cycle_graph", "induced_subgraph", "iter_maximal_cliques",
+                   "maximal_cliques", "parse_graph", "path_avoiding", "vertex_connectivity"),
     "modlinalg": ("DEFAULT_PRIME", "ModMatrix", "RowBasis", "left_kernel_basis",
                   "left_kernel_sample", "make_rng", "rank"),
     "rigidity": ("Cover", "RankReport", "Verdict", "cover_rank_bound", "generic_rank",

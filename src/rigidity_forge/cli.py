@@ -149,11 +149,11 @@ def _gpi(g: Graph, cfg: CliConfig, args: SimpleNamespace) -> dict:
 def _clique_system(text: str, dim: int):
     try:
         payload = json.loads(text)
-        return _lib("combinatorics").CliqueSystem(
-            int(payload["n"]),
-            int(payload.get("d", dim)),
-            [[int(x) for x in h] for h in payload["sets"]],
-        )
+        n, d, sets = payload["n"], payload.get("d", dim), [list(h) for h in payload["sets"]]
+        # type(x) is int: JSON integers only, so no float, bool or string is truncated
+        if not all(type(x) is int for x in (n, d, *(x for h in sets for x in h))):
+            raise TypeError("n, d and set members must be integers")
+        return _lib("combinatorics").CliqueSystem(n, d, sets)
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise CliError(f"bad clique-system JSON: {exc}") from None
 

@@ -1,51 +1,18 @@
-"""Graph constructions: vertex extensions, the ordered-subgraph builder, and
-the clique-split families used for connectivity-versus-rigidity bounds."""
+"""Graph constructions: the ordered-subgraph builder and the clique-split
+families used for connectivity-versus-rigidity bounds."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import NamedTuple
 
-from .graph_core import Edge, Graph, vertex_connectivity
+from .graph_core import Edge, Graph
 from .rigidity import Cover
 
 RULE_FIRST = "first-d-vertices"
 RULE_A = "a"
 RULE_B = "b"
 RULE_C = "c"
-
-
-def zero_extension(g: Graph, d: int, targets: Iterable[int]) -> Graph:
-    """Add a new vertex joined to d distinct existing vertices."""
-    ts = list(targets)
-    if len(ts) != d:
-        raise ValueError(f"need exactly {d} target vertices, got {len(ts)}")
-    if len(set(ts)) != len(ts):
-        raise ValueError("target vertices must be distinct")
-    for t in ts:
-        if not (0 <= t < g.n):
-            raise ValueError(f"target {t} out of range")
-    new = g.n
-    return Graph(g.n + 1, list(g.edges) + [(t, new) for t in ts])
-
-
-def one_extension(g: Graph, d: int, edge: Edge, targets: Iterable[int]) -> Graph:
-    """Delete edge ab, add a new vertex joined to a, b and d-1 further vertices."""
-    a, b = edge
-    if not g.has_edge(a, b):
-        raise ValueError(f"({a},{b}) is not an edge")
-    ts = list(targets)
-    if len(ts) != d - 1:
-        raise ValueError(f"need exactly {d - 1} further targets, got {len(ts)}")
-    anchors = [a, b, *ts]
-    if len(set(anchors)) != d + 1:
-        raise ValueError("new neighbors must be d+1 distinct vertices")
-    for t in ts:
-        if not (0 <= t < g.n):
-            raise ValueError(f"target {t} out of range")
-    new = g.n
-    kept = [e for e in g.edges if e != (min(a, b), max(a, b))]
-    return Graph(g.n + 1, kept + [(w, new) for w in anchors])
 
 
 class GpiStep(NamedTuple):
@@ -143,14 +110,14 @@ def harary_graph(k: int, s: int) -> Graph:
     return Graph(s, edges)
 
 
-def lovasz_yemini_family(d: int, s: int, base: Graph | None = None) -> tuple[Graph, Cover]:
+def lovasz_yemini_family(d: int, s: int) -> tuple[Graph, Cover]:
     """Split-vertex family: highly connected but rank-deficient for large s.
 
-    Every vertex of a k-regular k-connected base graph (k = d(d+1)-1) blows
-    up into a k-clique; each base edge becomes a single "split" edge using
-    one fresh clique vertex per endpoint.  Returns the graph together with
-    its natural cover (split edges loose, one part per clique) for the
-    clique-decomposition rank bound.
+    Every vertex of the k-regular k-connected :func:`harary_graph` on s
+    vertices (k = d(d+1)-1) blows up into a k-clique; each of its edges
+    becomes a single "split" edge using one fresh clique vertex per endpoint.
+    Returns the graph together with its natural cover (split edges loose, one
+    part per clique) for the clique-decomposition rank bound.
     """
     if d < 2:
         raise ValueError("family needs dimension >= 2")
@@ -159,18 +126,9 @@ def lovasz_yemini_family(d: int, s: int, base: Graph | None = None) -> tuple[Gra
         raise ValueError(f"need s >= {k + 1}")
     if (k * s) % 2:
         raise ValueError("k*s must be even")
-    if base is None:
-        base = harary_graph(k, s)
-    else:
-        if base.n != s:
-            raise ValueError("base graph must have s vertices")
-        if any(base.degree(v) != k for v in range(s)):
-            raise ValueError(f"base graph must be {k}-regular")
-        if vertex_connectivity(base) != k:
-            raise ValueError(f"base graph must be exactly {k}-connected")
     next_free = [v * k for v in range(s)]
     split: list[Edge] = []
-    for a, b in sorted(base.edges):
+    for a, b in sorted(harary_graph(k, s).edges):
         split.append((next_free[a], next_free[b]))
         next_free[a] += 1
         next_free[b] += 1

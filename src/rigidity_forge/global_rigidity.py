@@ -24,7 +24,7 @@ from .graph_core import (
     vertex_connectivity,
 )
 from .modlinalg import DEFAULT_PRIME, ModMatrix, left_kernel_sample, rank, rank_of_rows
-from .rigidity import CERTAIN, WHP, Verdict, _kernel_view, is_linked, is_rigid, placements
+from .rigidity import CERTAIN, WHP, Verdict, is_linked, is_rigid, kernel_view, placements
 
 
 class StressCertificate(NamedTuple):
@@ -91,10 +91,8 @@ def is_globally_rigid(
     :func:`_plane_redundant`.
     """
     n = g.n
-    if n <= d + 1:
+    if n <= d + 1 or g.is_complete():
         return Verdict(g.is_complete(), CERTAIN)
-    if g.is_complete():
-        return Verdict(True, CERTAIN)
     if d == 1:
         return Verdict(vertex_connectivity(g, 2) >= 2, CERTAIN)
     rigid = is_rigid(g, d, trials, seed, p)
@@ -147,7 +145,7 @@ def globally_rigid_deletions(
     index = {e: i for i, e in enumerate(g.sorted_edges())}
     views = []
     for rows, rng in placements(g, d, trials, seed, p):  # rng then draws the stresses
-        views.append(_kernel_view(rows, d * n, p))
+        views.append(kernel_view(rows, d * n, p))
     for gone in deletions:
         try:
             subset = sorted({index[normalize_edge(u, v)] for u, v in gone})

@@ -292,11 +292,6 @@ def _reach(g: Graph, v: int, allowed: int) -> int:
     return seen
 
 
-def is_connected(g: Graph) -> bool:
-    full = (1 << g.n) - 1
-    return g.n <= 1 or _reach(g, 0, full) == full
-
-
 def _matching(g: Graph, left: int, right: int, want: int) -> dict[int, int]:
     """A matching of g between the disjoint vertex bitmasks left and right,
     maximum or of size want, as each matched right vertex's partner: Kuhn's
@@ -399,10 +394,12 @@ def vertex_connectivity(g: Graph, limit: int | None = None) -> int:
     Uses the standard candidate-pair scheme around a minimum-degree vertex,
     so only O(n + deg^2) local connectivities are needed; each stops once it
     reaches the smallest value found so far, which starts at the minimum
-    degree (or the limit, when lower).
+    degree (or the limit, when lower).  A disconnected graph needs no test of
+    its own: some non-neighbour of the minimum-degree vertex lies in another
+    component, and that pair settles at 0.
     """
     n = g.n
-    if n <= 1 or not is_connected(g):
+    if n <= 1:
         return 0
     v = min(range(n), key=g.degree)
     best = g.degree(v) if limit is None else min(g.degree(v), limit)

@@ -223,12 +223,10 @@ def is_rigid(
     """Generic rigidity via the rank characterization.
 
     For n <= d+1 the rank condition degenerates; there rigidity is defined
-    as completeness (simplices and sub-simplices).  Graphs on 0 or 1
+    as completeness (simplices and sub-simplices), so graphs on 0 or 1
     vertices are rigid.
     """
     n = g.n
-    if n <= 1:
-        return Verdict(True, CERTAIN)
     if n <= d + 1:
         return Verdict(g.is_complete(), CERTAIN)
     target = d * n - comb(d + 1, 2)
@@ -303,7 +301,7 @@ def is_linked(
     return linked_pairs(g, d, [(u, v)], trials, seed, p)[0]
 
 
-def _kernel_view(rows: list[Row], cols: int, p: int) -> tuple[int, int, list[Row]]:
+def kernel_view(rows: list[Row], cols: int, p: int) -> tuple[int, int, list[Row]]:
     """What edge deletions need from one placement: the rank of R(G,p), the
     dimension of its left kernel, and the canonical left-kernel basis K held
     as one dual row per edge (the edge's column of K, keyed by basis index).
@@ -366,7 +364,7 @@ def is_t_redundantly_rigid(
         ok = g.is_complete() and k == 0
         return RedundancyReport(ok, CERTAIN, None if ok else edges[:k], 1)
     target = d * n - comb(d + 1, 2)
-    views = [_kernel_view(rows, d * n, p) for rows, _ in placements(g, d, trials, seed, p)]
+    views = [kernel_view(rows, d * n, p) for rows, _ in placements(g, d, trials, seed, p)]
     # rank(G - S) = full_rank - |S| + rank of the dual rows of S
     views = [(kernel_dim, dual) for full_rank, kernel_dim, dual in views if full_rank >= target]
     if not views:

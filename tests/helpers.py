@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 import statistics
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, sqrt
@@ -14,14 +14,14 @@ from math import comb, factorial, sqrt
 from rigidity_forge.combinatorics import CliqueSystem
 from rigidity_forge.experiments import Theorem9Report
 from rigidity_forge.global_rigidity import globally_rigid_deletions, stress_matrix_rank
-from rigidity_forge.graph_core import Graph
+from rigidity_forge.graph_core import Edge, Graph
 from rigidity_forge.modlinalg import DEFAULT_PRIME, ModMatrix, RowBasis, make_rng, rank_of_rows
 from rigidity_forge.rigidity import (
     RedundancyReport,
     Verdict,
-    _kernel_view,
     is_rigid,
     is_t_redundantly_rigid,
+    kernel_view,
     placements,
 )
 
@@ -50,6 +50,19 @@ def random_clique_system(
             continue
         sets.append(h)
     return CliqueSystem(n, d, tuple(sets))
+
+
+def zero_extension(g: Graph, d: int, targets: Iterable[int]) -> Graph:
+    """Henneberg 0-extension: a new vertex joined to the d distinct vertices
+    ``targets`` (unchecked)."""
+    return Graph(g.n + 1, [*g.edges, *((t, g.n) for t in targets)])
+
+
+def one_extension(g: Graph, d: int, edge: Edge, targets: Iterable[int]) -> Graph:
+    """Henneberg 1-extension: delete the edge ab and join a new vertex to a, b
+    and the d-1 further vertices ``targets`` (unchecked)."""
+    kept = g.remove_edges([edge]).edges
+    return Graph(g.n + 1, [*kept, *((w, g.n) for w in (*edge, *targets))])
 
 
 # -- oracles ---------------------------------------------------------------
@@ -313,7 +326,7 @@ def per_subset_redundancy(
             return RedundancyReport(True, "certain", None, 1)
         return RedundancyReport(False, "certain", edges[:k], 1)
     target = d * n - comb(d + 1, 2)
-    views = [_kernel_view(rows, d * n, p) for rows, _ in placements(g, d, trials, seed, p)]
+    views = [kernel_view(rows, d * n, p) for rows, _ in placements(g, d, trials, seed, p)]
     checked = 0
     for subset in itertools.combinations(range(g.edge_count), k):
         checked += 1

@@ -21,10 +21,8 @@ from rigidity_forge.combinatorics import (
 from rigidity_forge.constructions import (
     build_gpi,
     lovasz_yemini_family,
-    one_extension,
     sharpness_example,
     sharpness_matching,
-    zero_extension,
 )
 from rigidity_forge.experiments import theorem9_check, theorem10_check
 from rigidity_forge.global_rigidity import is_globally_rigid, stress_matrix_rank
@@ -47,8 +45,10 @@ from rigidity_forge.rigidity import (
 from helpers import (
     brute_force_expected_gpi,
     monte_carlo_gpi,
+    one_extension,
     random_clique_system,
     random_graph,
+    zero_extension,
 )
 
 

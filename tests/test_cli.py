@@ -154,6 +154,20 @@ def test_comblemma_command(capsys, tmp_path):
     assert payload["result"]["holds"] is True and payload["result"]["count"] == 2
 
 
+# int() would truncate each of these values into a system that checks cleanly
+@pytest.mark.parametrize("change", [
+    {"n": 6.9}, {"n": True, "sets": [[0]]}, {"n": "6"},
+    {"d": 2.5}, {"d": True}, {"d": "2"},
+    {"sets": [[0.5, 1, 2], [3, 4, 5]]}, {"sets": [[False, 1, 2], [3, 4, 5]]},
+    {"sets": [["0", 1, 2], [3, 4, 5]]},
+])
+def test_comblemma_refuses_non_integer_json(capsys, tmp_path, change):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"n": 6, "d": 2, "sets": [[0, 1, 2], [3, 4, 5]], **change}))
+    code, payload = run_json(capsys, "comblemma", "--m", "3", "--input", str(path))
+    assert code == 2 and payload["error"].startswith("bad clique-system JSON")
+
+
 def test_check_commands_exit_codes(capsys, k4_file, tmp_path):
     # K4 is only 3-connected: theorem-1 check is inapplicable, exit 0
     code, payload = run_json(capsys, "check-theorem1", "--input", k4_file)

@@ -14,7 +14,6 @@ from rigidity_forge.graph_core import (
     complete_graph,
     cycle_graph,
     induced_subgraph,
-    is_connected,
     iter_maximal_cliques,
     maximal_cliques,
     parse_edge_list,
@@ -429,7 +428,11 @@ def test_as_vertex_set():
         as_vertex_set([-1])
 
 
-def test_is_connected():
-    assert is_connected(complete_graph(3))
-    assert is_connected(Graph(1))
-    assert not is_connected(Graph(3, [(0, 1)]))
+def test_disconnected_graphs_have_connectivity_zero():
+    # no separate connectivity test: a non-neighbour of the minimum-degree
+    # vertex in another component settles its pair, and with it κ, at 0
+    k5 = complete_graph(5).sorted_edges()
+    graphs = [Graph(3, [(0, 1)]), Graph(2), Graph(10, [*k5, *((u + 5, v + 5) for u, v in k5)])]
+    for g in graphs:
+        for limit in (None, 1, 3):
+            assert vertex_connectivity(g, limit) == 0

@@ -419,7 +419,7 @@ def test_sharpness_redundancy_witness():
 
 def full_rank_views(g, d, trials, seed, p):
     target = d * g.n - comb(d + 1, 2)
-    views = [rigidity._kernel_view(rows, d * g.n, p) for rows, _ in placements(g, d, trials, seed, p)]
+    views = [rigidity.kernel_view(rows, d * g.n, p) for rows, _ in placements(g, d, trials, seed, p)]
     return [(kernel_dim, dual) for full, kernel_dim, dual in views if full >= target]
 
 
@@ -465,14 +465,14 @@ def count_basis_calls(monkeypatch):
             return _method(self, row)
 
         monkeypatch.setattr(RowBasis, name, counted)
-    kernel_view = rigidity._kernel_view
+    kernel_view = rigidity.kernel_view
 
     def view_then_reset(*args):
         out = kernel_view(*args)
         counts.update(add=0, in_span=0)
         return out
 
-    monkeypatch.setattr(rigidity, "_kernel_view", view_then_reset)
+    monkeypatch.setattr(rigidity, "kernel_view", view_then_reset)
     return counts
 
 
