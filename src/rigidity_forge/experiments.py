@@ -43,7 +43,8 @@ class HypothesisReport(NamedTuple):
 
 def check_lemma7_hypotheses(g: Graph, d: int) -> HypothesisReport:
     """Every vertex needs degree >= d(d+1), a non-clique neighborhood, and
-    pairwise intersections of maximal neighborhood cliques of size <= d-2."""
+    pairwise intersections of maximal neighborhood cliques of size <= d-2
+    (tested until one vertex fails it)."""
     if d < 2:
         raise ValueError("requires dimension >= 2")
     threshold = d * (d + 1)
@@ -61,6 +62,8 @@ def check_lemma7_hypotheses(g: Graph, d: int) -> HypothesisReport:
             if witness is None:
                 witness = (v, "neighborhood induces a clique")
             continue
+        if not inter_ok:
+            continue  # settled: no later vertex changes the report
         cliques = [frozenset(c) for c in maximal_cliques(g, nbrs)]
         for a, b in itertools.combinations(cliques, 2):
             if len(a & b) > d - 2:
@@ -226,6 +229,8 @@ def lemma6_property_check(
     the n <= 40 bound.  A linked non-edge, the first in lexicographic order,
     makes the check inapplicable; otherwise seeded ordered subgraphs are
     tested for independence."""
+    if orderings_count < 1:
+        raise ValueError("orderings must be at least 1")
     if g.n > 40:
         raise ValueError("hypothesis verification is limited to n <= 40")
     rng = make_rng(seed)

@@ -188,6 +188,12 @@ def test_check_commands_exit_codes(capsys, k4_file, tmp_path):
     assert code == 0 and payload["result"]["passed"] is True
 
 
+@pytest.mark.parametrize("orderings", ["0", "-3"])
+def test_check_lemma6_refuses_fewer_than_one_ordering(capsys, c4_file, orderings):
+    code, payload = run_json(capsys, "check-lemma6", "--orderings", orderings, "--input", c4_file)
+    assert code == 2 and payload["error"] == "orderings must be at least 1"
+
+
 def test_usage_errors_exit_two(capsys, tmp_path, monkeypatch):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 1\n0 9\n")

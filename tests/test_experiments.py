@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rigidity_forge import experiments, global_rigidity
+from rigidity_forge import experiments, global_rigidity, graph_core
 from rigidity_forge.constructions import (
     lovasz_yemini_family,
     sharpness_example,
@@ -35,6 +35,7 @@ from helpers import (
     exact_generic_rank,
     monte_carlo_gpi,
     random_graph,
+    random_regular_graph,
     theorem9_by_scan,
 )
 
@@ -95,6 +96,29 @@ def lemma7_by_induced_subgraphs(g, d):
     return HypothesisReport(degree_ok, clique_ok, inter_ok, witness)
 
 
+def rook_graph(q):
+    """K_q x K_q: its rows and columns are cliques that meet in one vertex, and
+    each neighbourhood is two disjoint K_{q-1}."""
+    return Graph(q * q, [(a, b) for a in range(q * q) for b in range(a + 1, q * q)
+                         if a // q == b // q or a % q == b % q])
+
+
+def book_graph(core, pages, page, core_last):
+    """Cliques on a shared core of `core` vertices plus one of `pages` disjoint
+    pages of `page` vertices each, the core labelled first or last.  A core
+    vertex sees maximal cliques meeting in core-1 vertices; a page vertex sees
+    one clique."""
+    n = core + pages * page
+    labels = list(range(n))
+    if core_last:
+        labels = labels[-core:] + labels[:-core]
+    edges = []
+    for i in range(pages):
+        block = labels[:core] + labels[core + i * page:core + (i + 1) * page]
+        edges.extend(itertools.combinations(block, 2))
+    return Graph(n, edges)
+
+
 def test_lemma7_hypotheses_match_induced_subgraph_route(monkeypatch):
     rng = random.Random(77)
     cases = [(complete_graph(9), 2), (complete_graph(14), 3), (complete_bipartite_graph(7, 7), 2)]
@@ -104,6 +128,28 @@ def test_lemma7_hypotheses_match_induced_subgraph_route(monkeypatch):
         cases.append((random_graph(rng, n, rng.uniform(0.4, 1.0)), d))
         k_n = complete_graph(n)
         cases.append((k_n.remove_edges(rng.sample(sorted(k_n.edges), 2)), d))
+    for _ in range(16):
+        d = rng.choice((4, 5))
+        n = rng.randint(d * (d + 1), d * (d + 1) + 6)
+        cases.append((random_graph(rng, n, rng.uniform(0.4, 1.0)), d))
+    # hypothesis-passing: sparse random regular, triangle-free, and cliques
+    # glued in at most d-2 vertices (a rook graph's rows and columns meet in one)
+    cases.append((rook_graph(11), 4))
+    for d in (2, 3, 4, 5):
+        t = d * (d + 1)
+        cases += [
+            (random_regular_graph(rng, 6 * t, t), d),
+            (complete_bipartite_graph(t, t + 1), d),
+            (random_graph(rng, 2 * t + 4, 0.9).remove_edges(
+                itertools.combinations(range(t + 2), 2)).remove_edges(
+                itertools.combinations(range(t + 2, 2 * t + 4), 2)), d),
+            (book_graph(d - 1, 2, t, core_last=False), d),
+            # overlaps of d-1 at the core: the witness names the core vertex
+            # when it comes first, else the page vertex's degree or clique
+            (book_graph(d, 2, t, core_last=False), d),
+            (book_graph(d, 2, t, core_last=True), d),
+            (book_graph(d, 2, t // 2, core_last=True), d),
+        ]
     expected = [lemma7_by_induced_subgraphs(g, d) for g, d in cases]
 
     def refuse(*args):
@@ -115,7 +161,33 @@ def test_lemma7_hypotheses_match_induced_subgraph_route(monkeypatch):
     assert reports == expected
     kinds = {r.witness[1].split()[0] for r in reports if r.witness}
     assert kinds == {"degree", "neighborhood", "maximal"}
-    assert any(r.all_ok for r in reports)
+    for d in (2, 3, 4, 5):
+        assert any(r.all_ok for r, (_, e) in zip(reports, cases) if e == d)
+    late = {r.witness[1].split()[0] for r in reports
+            if not r.intersection_ok and not r.witness[1].startswith("maximal")}
+    assert late == {"degree", "neighborhood"}
+
+
+def test_lemma7_stops_listing_cliques_once_the_hypothesis_fails(monkeypatch):
+    calls = []
+    listing = graph_core.iter_maximal_cliques
+    monkeypatch.setattr(graph_core, "iter_maximal_cliques",
+                        lambda *a: calls.append(a[1]) or listing(*a))
+    # passing: every neighbourhood is listed
+    assert check_lemma7_hypotheses(complete_bipartite_graph(6, 7), 2).all_ok
+    assert len(calls) == 13
+    calls.clear()
+    # dense: the intersection condition fails at vertex 0 and is then settled
+    dense = random_regular_graph(random.Random(3), 48, 24)
+    rep = check_lemma7_hypotheses(dense, 2)
+    assert rep.witness[0] == 0 and rep.witness[1].startswith("maximal")
+    assert calls == [dense.neighbors(0)]
+    calls.clear()
+    # a page vertex words the witness; the first core vertex (36) still breaks
+    # the condition, and the other two core vertices are not listed
+    rep = check_lemma7_hypotheses(book_graph(3, 3, 12, core_last=True), 3)
+    assert not rep.intersection_ok and rep.witness == (0, "neighborhood induces a clique")
+    assert calls == [frozenset(range(39)) - {36}]
 
 
 def test_monte_carlo_gpi_degenerate_and_determinism():
@@ -281,6 +353,8 @@ def test_lemma6_property_check():
 
     with pytest.raises(ValueError):
         lemma6_property_check(Graph(41), 2)
+    with pytest.raises(ValueError, match="orderings must be at least 1"):
+        lemma6_property_check(cycle_graph(4), 2, orderings_count=0)
 
 
 def test_lemma6_fuzz_on_random_graphs():

@@ -4,9 +4,9 @@
 counts off the arguments of a few of them (its hooks).  When such a
 function is renamed or deleted, or a hooked argument stops binding, the
 traced benchmark run reports the metric as absent.  This guard runs one
-in-process CLI call per hooked function under the tracer (and calls the
-one hooked function no command reaches directly), and fails on any absent
-metric.
+in-process CLI call per hooked function and per command of the ``counting``
+workload under the tracer (and calls the one hooked function no command
+reaches directly), and fails on any absent metric.
 """
 
 import io
@@ -20,6 +20,7 @@ import tracing  # noqa: E402
 from rigidity_forge import cli, combinatorics  # noqa: E402
 
 K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+K77 = "14 49\n" + "".join(f"{u} {v}\n" for u in range(7) for v in range(7, 14))
 K5_LESS_AN_EDGE = "5 9\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
 K6_LESS_AN_EDGE = "6 14\n" + "".join(
     f"{u} {v}\n" for u in range(6) for v in range(u + 1, 6) if (u, v) != (0, 1))
@@ -30,6 +31,10 @@ INVOCATIONS = [
     (["linked", "--u", "0", "--v", "1"], K5_LESS_AN_EDGE),
     (["globally-rigid", "--dim", "3"], K6_LESS_AN_EDGE),
     (["connectivity"], K5_LESS_AN_EDGE),
+    (["check-lemma7-hyp"], K77),
+    (["expected-gpi"], K4),
+    (["comblemma", "--m", "3"], '{"n": 6, "d": 2, "sets": [[0, 1, 2], [3, 4, 5]]}'),
+    (["gpi", "--seed", "7"], K4),
 ]
 
 
