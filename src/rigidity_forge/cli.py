@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import importlib
 import json
-import os
 import sys
 import time
 from collections.abc import Callable, Mapping
@@ -32,24 +31,9 @@ from .modlinalg import DEFAULT_PRIME, MASK64, is_prime, make_rng
 
 SCHEMA = "rigidity-forge/1"
 
-ENV_PREFIX = "RIGIDITY_FORGE_"
-
 
 class CliError(ValueError):
     pass
-
-
-class CliConfig(NamedTuple):
-    dim: int
-    prime: int
-    seed: int
-    trials: int
-    input: str
-    fmt: str
-
-
-def _env(name: str, fallback: str | None) -> str | None:
-    return os.environ.get(ENV_PREFIX + name, fallback)
 
 
 def _lib(name: str):
@@ -58,42 +42,20 @@ def _lib(name: str):
     return importlib.import_module(f"{__package__}.{name}")
 
 
-def _resolve_config(args: SimpleNamespace) -> CliConfig:
-    def pick(flag, env_name, default, conv):
-        if flag is not None:
-            return conv(flag)
-        env_val = _env(env_name, None)
-        if env_val is not None:
-            return conv(env_val)
-        return default
-
-    fmt_default = "text" if COMMANDS[args.command].generator else "json"
-    try:
-        cfg = CliConfig(
-            dim=pick(args.dim, "DIM", 2, int),
-            prime=pick(args.prime, "PRIME", DEFAULT_PRIME, int),
-            seed=pick(args.seed, "SEED", 0, int),
-            trials=pick(args.trials, "TRIALS", 2, int),
-            input=getattr(args, "input", "-") or "-",
-            fmt=pick(args.fmt, "FORMAT", fmt_default, str),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    if cfg.dim < 1:
+def _check_settings(args: SimpleNamespace) -> None:
+    """Refuse shared settings that no command can run with."""
+    if args.dim < 1:
         raise CliError("dimension must be at least 1")
-    if cfg.trials < 1:
+    if args.trials < 1:
         raise CliError("trials must be at least 1")
-    if cfg.prime <= (1 << 32):
+    if args.prime <= (1 << 32):
         raise CliError("modulus must exceed 2^32 for negligible failure odds")
-    if cfg.prime >= (1 << 64):
+    if args.prime >= (1 << 64):
         raise CliError("modulus must be below 2^64, where the primality test is exact")
-    if not is_prime(cfg.prime):
-        raise CliError(f"modulus {cfg.prime} is not prime")
-    if not (0 <= cfg.seed <= MASK64):
+    if not is_prime(args.prime):
+        raise CliError(f"modulus {args.prime} is not prime")
+    if not (0 <= args.seed <= MASK64):
         raise CliError("seed must be a 64-bit unsigned integer")
-    if cfg.fmt not in ("json", "text"):
-        raise CliError(f"unknown format {cfg.fmt!r}")
-    return cfg
 
 
 def jsonable(obj):
@@ -114,11 +76,11 @@ def jsonable(obj):
     return obj
 
 
-def _read_input(cfg: CliConfig) -> str:
-    if cfg.input == "-":
+def _read_input(path: str) -> str:
+    if path == "-":
         return sys.stdin.read()
     try:
-        with open(cfg.input, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read input: {exc}") from None
@@ -131,13 +93,13 @@ def _csv_ints(text: str) -> list[int]:
         raise CliError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _gpi(g: Graph, cfg: CliConfig, args: SimpleNamespace) -> dict:
-    if args.ordering:
+def _gpi(g: Graph, args: SimpleNamespace) -> dict:
+    if args.ordering is not None:
         order = _csv_ints(args.ordering)
     else:
         order = list(range(g.n))
-        make_rng(cfg.seed).shuffle(order)
-    res = _lib("constructions").build_gpi(g, cfg.dim, order)
+        make_rng(args.seed).shuffle(order)
+    res = _lib("constructions").build_gpi(g, args.dim, order)
     return {
         "ordering": order,
         "edge_count": res.edge_count,
@@ -162,7 +124,7 @@ class Command(NamedTuple):
     """Everything the driver needs to know about one command."""
 
     help: str
-    #: run(input, cfg, args): the input is a parsed Graph, the raw text or None,
+    #: run(input, args): the input is a parsed Graph, the raw text or None,
     #: as `reads` says.  Runners import their module (`_lib`) and look library
     #: functions up at call time, so a process loads only its command's modules
     #: and a patched module attribute (a tracer, a test double) is the one called.
@@ -182,73 +144,68 @@ _PAIR = {"--u": _INT, "--v": _INT}
 
 COMMANDS = {
     "rank": Command("generic rigidity matroid rank",
-        lambda g, c, a: _lib("rigidity").generic_rank(g, c.dim, c.trials, c.seed, c.prime),
+        lambda g, a: _lib("rigidity").generic_rank(g, a.dim, a.trials, a.seed, a.prime),
         confidence=None, pick="rank"),
     "rigid": Command("generic rigidity verdict",
-        lambda g, c, a: _lib("rigidity").is_rigid(g, c.dim, c.trials, c.seed, c.prime),
+        lambda g, a: _lib("rigidity").is_rigid(g, a.dim, a.trials, a.seed, a.prime),
         confidence=None, pick="value"),
     "globally-rigid": Command("generic global rigidity verdict",
-        lambda g, c, a: _lib("global_rigidity").is_globally_rigid(
-            g, c.dim, c.trials, c.seed, c.prime),
+        lambda g, a: _lib("global_rigidity").is_globally_rigid(
+            g, a.dim, a.trials, a.seed, a.prime),
         confidence=None, pick="value"),
     "linked": Command("is the pair {u,v} linked",
-        lambda g, c, a: _lib("rigidity").is_linked(
-            g, c.dim, a.u, a.v, c.trials, c.seed, c.prime),
+        lambda g, a: _lib("rigidity").is_linked(g, a.dim, a.u, a.v, a.trials, a.seed, a.prime),
         flags=_PAIR, confidence=None, pick="value"),
     "redundant": Command("t-redundant rigidity verdict",
-        lambda g, c, a: _lib("rigidity").is_t_redundantly_rigid(
-            g, c.dim, a.t, c.trials, c.seed, c.prime),
+        lambda g, a: _lib("rigidity").is_t_redundantly_rigid(
+            g, a.dim, a.t, a.trials, a.seed, a.prime),
         flags={"--t": _INT}, confidence=None),
-    "connectivity": Command("exact vertex connectivity", lambda g, c, a: vertex_connectivity(g)),
+    "connectivity": Command("exact vertex connectivity", lambda g, a: vertex_connectivity(g)),
     "gpi": Command("build the ordered subgraph", _gpi, flags={"--ordering": {
         "default": None, "help": "comma-separated permutation; default seeded shuffle"}}),
     "expected-gpi": Command("exact expected ordered-subgraph size",
-        lambda g, c, a: _lib("combinatorics").exact_expected_gpi_edges(g, c.dim, a.degree_cap),
+        lambda g, a: _lib("combinatorics").exact_expected_gpi_edges(g, a.dim, a.degree_cap),
         flags={"--degree-cap": {"type": int, "default": 20}}),
     "gen-ly": Command("generate the split-clique non-rigid family",
-        lambda _, c, a: _lib("constructions").lovasz_yemini_family(c.dim, a.s)[0],
+        lambda _, a: _lib("constructions").lovasz_yemini_family(a.dim, a.s)[0],
         reads=None, flags={"--s": _INT | {"help": "base graph size"}}, generator=True),
     "gen-sharpness": Command("generate the matched-cliques redundancy example",
-        lambda _, c, a: _lib("constructions").sharpness_example(c.dim),
+        lambda _, a: _lib("constructions").sharpness_example(a.dim),
         reads=None, generator=True),
     "gen-harary": Command("generate the k-connected k-regular circulant",
-        lambda _, c, a: _lib("constructions").harary_graph(a.k, a.s),
+        lambda _, a: _lib("constructions").harary_graph(a.k, a.s),
         reads=None, flags={"--k": _INT, "--s": _INT}, generator=True),
     "comblemma": Command("verify the covered-subset bound on a clique system (JSON input)",
-        lambda text, c, a: _lib("combinatorics").verify_comblemma(
-            _clique_system(text, c.dim), a.m),
+        lambda text, a: _lib("combinatorics").verify_comblemma(_clique_system(text, a.dim), a.m),
         reads="text", flags={"--m": _INT}),
     "mdk": Command("sharp rank density m_{d,k}",
-        lambda _, c, a: _lib("combinatorics").m_dk(c.dim, a.k),
+        lambda _, a: _lib("combinatorics").m_dk(a.dim, a.k),
         reads=None, flags={"--k": _INT}),
     "grn-bound": Command("lower bound on the best nontrivial globally rigid dimension",
-        lambda g, c, a: _lib("combinatorics").grn_lower_bound(g.n, g.edge_count)),
+        lambda g, a: _lib("combinatorics").grn_lower_bound(g.n, g.edge_count)),
     "check-theorem1": Command("assert: d(d+1)-connected implies rigid",
-        lambda g, c, a: _lib("experiments").theorem1_spot_check(
-            g, c.dim, c.trials, c.seed, c.prime),
+        lambda g, a: _lib("experiments").theorem1_spot_check(g, a.dim, a.trials, a.seed, a.prime),
         confidence="whp", check="passed"),
     "check-theorem2": Command("assert: d(d+1)-connected implies globally rigid",
-        lambda g, c, a: _lib("experiments").theorem2_spot_check(
-            g, c.dim, c.trials, c.seed, c.prime),
+        lambda g, a: _lib("experiments").theorem2_spot_check(g, a.dim, a.trials, a.seed, a.prime),
         confidence="whp", check="passed"),
     "check-theorem9": Command("assert the sharp redundancy constants",
-        lambda _, c, a: _lib("experiments").theorem9_check(
-            c.dim, c.trials, c.seed, c.prime, a.allow_large),
+        lambda _, a: _lib("experiments").theorem9_check(
+            a.dim, a.trials, a.seed, a.prime, a.allow_large),
         reads=None, confidence="whp", check="passed",
         flags={"--allow-large": {"action": "store_true", "help": "permit d > 2 (slow)"}}),
     "check-theorem10": Command("assert the m_{d,k} rank lower bound",
-        lambda g, c, a: _lib("experiments").theorem10_check(
-            g, c.dim, c.trials, c.seed, c.prime),
+        lambda g, a: _lib("experiments").theorem10_check(g, a.dim, a.trials, a.seed, a.prime),
         confidence="whp", check="passed"),
     "check-lemma6": Command("assert ordered subgraphs are independent when no non-edge is linked",
-        lambda g, c, a: _lib("experiments").lemma6_property_check(
-            g, c.dim, a.orderings, c.trials, c.seed, c.prime),
+        lambda g, a: _lib("experiments").lemma6_property_check(
+            g, a.dim, a.orderings, a.trials, a.seed, a.prime),
         flags={"--orderings": {"type": int, "default": 20}}, confidence="whp", check="passed"),
     "check-lemma7-hyp": Command("check the expected-size lemma hypotheses",
-        lambda g, c, a: _lib("experiments").check_lemma7_hypotheses(g, c.dim), check="all_ok"),
+        lambda g, a: _lib("experiments").check_lemma7_hypotheses(g, a.dim), check="all_ok"),
     "wgl": Command("sufficient condition for weak global linkedness",
-        lambda g, c, a: _lib("global_rigidity").wgl_sufficient(
-            g, c.dim, a.u, a.v, _csv_ints(a.v0), c.trials, c.seed, c.prime),
+        lambda g, a: _lib("global_rigidity").wgl_sufficient(
+            g, a.dim, a.u, a.v, _csv_ints(a.v0), a.trials, a.seed, a.prime),
         flags=_PAIR | {"--v0": {
             "required": True, "help": "comma-separated vertex set containing u and v"}},
         confidence=None, pick="value"),
@@ -257,10 +214,10 @@ COMMANDS = {
 
 #: flag -> add_argument kwargs of the flags every command takes
 SHARED_FLAGS = MappingProxyType({
-    "--dim": {"type": int, "default": None, "help": "dimension d (default 2)"},
-    "--seed": {"type": int, "default": None, "help": "64-bit seed (default 0)"},
-    "--trials": {"type": int, "default": None, "help": "randomized trials (default 2)"},
-    "--prime": {"type": int, "default": None, "help": "field modulus (default 2^61-1)"},
+    "--dim": {"type": int, "default": 2, "help": "dimension d (default 2)"},
+    "--seed": {"type": int, "default": 0, "help": "64-bit seed (default 0)"},
+    "--trials": {"type": int, "default": 2, "help": "randomized trials (default 2)"},
+    "--prime": {"type": int, "default": DEFAULT_PRIME, "help": "field modulus (default 2^61-1)"},
     "--input": {"default": "-", "help": "graph file or - for stdin"},
     "--format": {"dest": "fmt", "choices": ("json", "text"), "default": None,
                  "help": "output format (generators default to text, the rest to json)"},
@@ -325,11 +282,11 @@ def parse_direct(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _load(cmd: Command, cfg: CliConfig) -> tuple[Graph | str | None, str | None]:
+def _load(cmd: Command, path: str) -> tuple[Graph | str | None, str | None]:
     """The command's input and its digest (a graph's is of its canonical edge list)."""
     if cmd.reads is None:
         return None, None
-    text = _read_input(cfg)
+    text = _read_input(path)
     if cmd.reads == "graph":
         g = parse_graph(text)
         return g, sha256(g.to_edge_list().encode()).hexdigest()[:16]
@@ -362,10 +319,10 @@ def main(argv: list[str] | None = None) -> int:
         args = SimpleNamespace(**vars(build_parser(names).parse_args(argv)))
     cmd = COMMANDS[args.command]
     try:
-        cfg = _resolve_config(args)
+        _check_settings(args)
         started = time.perf_counter()
-        source, digest = _load(cmd, cfg)
-        report = cmd.run(source, cfg, args)
+        source, digest = _load(cmd, args.input)
+        report = cmd.run(source, args)
         if cmd.generator:
             report = {"n": report.n, "m": report.edge_count, "edge_list": report.to_edge_list()}
         result = jsonable(report)
@@ -381,17 +338,13 @@ def main(argv: list[str] | None = None) -> int:
             "schema": SCHEMA,
             "command": args.command,
             "input_digest": digest,
-            "params": {
-                "dim": cfg.dim,
-                "trials": cfg.trials,
-                "prime": cfg.prime,
-            },
+            "params": {"dim": args.dim, "trials": args.trials, "prime": args.prime},
             "result": result,
             "confidence": confidence,
-            "seed": cfg.seed,
+            "seed": args.seed,
             "runtime_ms": runtime_ms,
         }
-        _emit(payload, cfg.fmt)
+        _emit(payload, args.fmt or ("text" if cmd.generator else "json"))
         return code
     # deep inputs overflow the recursion limit and infinite JSON numbers
     # overflow int(): both are input errors, not failed checks

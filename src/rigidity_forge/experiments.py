@@ -138,14 +138,18 @@ def theorem9_check(
 
     Deleting any C(d+1,2) edges must keep it rigid and any C(d+1,2)-1 edges
     must keep it globally rigid; one more matching edge breaks each property.
-    Larger d is gated behind ``allow_large`` (the subset enumerations grow
-    fast).  In the plane, global rigidity is read off 3-connectivity and
-    redundant rigidity, with no stress matrix: redundancy plus kappa >= 5
-    certifies every deletion, and only when either fails are the deletions
-    scanned for a witness.  A stress scan of the deletions runs for d > 2.
+    d = 3 is gated behind ``allow_large`` (the subset enumerations grow
+    fast), and d >= 4 is refused.  In the plane, global rigidity is read off
+    3-connectivity and redundant rigidity, with no stress matrix: redundancy
+    plus kappa >= 5 certifies every deletion, and only when either fails are
+    the deletions scanned for a witness.  A stress scan of the deletions runs
+    for d > 2.
     """
     if d < 2:
         raise ValueError("requires dimension >= 2")
+    if d >= 4:  # the example has (d(d+1))^2 edges
+        raise ValueError(f"d = {d} cannot finish: the redundancy test alone would check "
+                         f"C({(d * (d + 1)) ** 2}, {comb(d + 1, 2)}) edge subsets")
     if d != 2 and not allow_large:
         raise ValueError("d > 2 runs long: pass --allow-large (allow_large=True in Python)")
     g = sharpness_example(d)

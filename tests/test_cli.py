@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import rigidity_forge
 from rigidity_forge import cli, experiments, rigidity
 from rigidity_forge.cli import COMMANDS, SHARED_FLAGS, build_parser, main, parse_direct
+from rigidity_forge.constructions import sharpness_example
 from rigidity_forge.graph_core import (
     complete_bipartite_graph,
     complete_graph,
@@ -63,11 +65,9 @@ def test_rigid_command(capsys, k4_file):
     assert isinstance(payload["runtime_ms"], int)
 
 
-def test_text_format_from_flag_and_env(capsys, k4_file, monkeypatch):
+def test_text_format_from_flag(capsys, k4_file):
     expected = "command: rank\nresult: 5\nconfidence: certain\nseed: 0\n"
     assert run_cli(capsys, "rank", "--format", "text", "--input", k4_file) == (0, expected)
-    monkeypatch.setenv("RIGIDITY_FORGE_FORMAT", "text")
-    assert run_cli(capsys, "rank", "--input", k4_file) == (0, expected)
 
 
 def test_rigid_false_still_exits_zero(capsys, c4_file):
@@ -137,6 +137,12 @@ def test_gpi_command(capsys, k4_file):
     assert code == 0
     assert payload["result"]["edge_count"] == 5
     assert len(payload["result"]["trace"]) == 4
+
+
+def test_gpi_refuses_an_empty_ordering(capsys, k4_file):
+    # an empty --ordering is an ordering of no vertices, not a request for a shuffle
+    code, payload = run_json(capsys, "gpi", "--ordering", "", "--input", k4_file)
+    assert code == 2 and "ordering must be a permutation" in payload["error"]
 
 
 def test_expected_gpi_command(capsys, tmp_path):
@@ -225,6 +231,14 @@ def test_theorem9_above_dimension_two_names_the_flag(capsys):
     assert code == 2 and "--allow-large" in payload["error"]
 
 
+@pytest.mark.parametrize("d", [4, 5])
+def test_theorem9_from_dimension_four_refuses_even_when_allowed(capsys, d):
+    # it names the count of C(d+1,2)-edge subsets of the example it would check
+    subsets = f"C({sharpness_example(d).edge_count}, {comb(d + 1, 2)})"
+    code, payload = run_json(capsys, "check-theorem9", "--dim", str(d), "--allow-large")
+    assert code == 2 and subsets in payload["error"]
+
+
 def test_redundant_counts_every_deleted_triple(capsys, tmp_path):
     code, out = run_cli(capsys, "gen-sharpness", "--dim", "2")
     path = tmp_path / "sharpness.txt"
@@ -265,12 +279,24 @@ def test_missing_input_file(capsys):
     assert code == 2 and "cannot read input" in payload["error"]
 
 
-def test_env_override_with_flag_precedence(capsys, k4_file, monkeypatch):
-    monkeypatch.setenv("RIGIDITY_FORGE_DIM", "3")
-    _, payload = run_json(capsys, "rank", "--input", k4_file)
-    assert payload["params"]["dim"] == 3
-    _, payload = run_json(capsys, "rank", "--dim", "2", "--input", k4_file)
-    assert payload["params"]["dim"] == 2
+def test_empty_input_path_is_not_stdin(capsys, monkeypatch):
+    # only "-" reads stdin: an empty path (an unset shell variable) is a file that is not there
+    monkeypatch.setattr("sys.stdin", io.StringIO(K4_TEXT))
+    code, payload = run_json(capsys, "rank", "--input", "")
+    assert code == 2 and "cannot read input" in payload["error"]
+
+
+def test_environment_does_not_configure_the_cli(capsys, k4_file, monkeypatch):
+    def outputs():
+        return [(code, strip_runtime(out)) for code, out in (
+            run_cli(capsys, "rank", "--input", k4_file),
+            run_cli(capsys, "gen-harary", "--k", "4", "--s", "7"))]
+
+    plain = outputs()
+    for name, value in [("DIM", "3"), ("TRIALS", "x"), ("FORMAT", "text"), ("SEED", "5"),
+                        ("PRIME", "15")]:
+        monkeypatch.setenv(f"RIGIDITY_FORGE_{name}", value)
+    assert outputs() == plain
 
 
 def test_reruns_are_byte_identical(capsys, k4_file, c4_file, tmp_path):
