@@ -8,6 +8,7 @@ success, 1 for a failed check-* assertion, 2 for usage or input errors.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import sys
@@ -138,6 +139,12 @@ class Command(NamedTuple):
     check: str | None = None  # report field added to the result; False exits 1
     generator: bool = False  # returns a Graph, printed as edge-list text by default
 
+    @property
+    def all_flags(self) -> dict[str, dict]:
+        """flag -> add_argument kwargs of every flag the command takes, in help order."""
+        flags = SHARED_FLAGS | self.flags
+        return {f: spec for f, spec in flags.items() if self.reads or f != "--input"}
+
 
 _INT = {"type": int, "required": True}
 _PAIR = {"--u": _INT, "--v": _INT}
@@ -202,7 +209,7 @@ COMMANDS = {
             g, a.dim, a.orderings, a.trials, a.seed, a.prime),
         flags={"--orderings": {"type": int, "default": 20}}, confidence="whp", check="passed"),
     "check-lemma7-hyp": Command("check the expected-size lemma hypotheses",
-        lambda g, a: _lib("experiments").check_lemma7_hypotheses(g, a.dim), check="all_ok"),
+        lambda g, a: _lib("combinatorics").check_lemma7_hypotheses(g, a.dim), check="all_ok"),
     "wgl": Command("sufficient condition for weak global linkedness",
         lambda g, a: _lib("global_rigidity").wgl_sufficient(
             g, a.dim, a.u, a.v, _csv_ints(a.v0), a.trials, a.seed, a.prime),
@@ -212,7 +219,7 @@ COMMANDS = {
 }
 
 
-#: flag -> add_argument kwargs of the flags every command takes
+#: flag -> add_argument kwargs of the shared flags (`--input`: commands that read one)
 SHARED_FLAGS = MappingProxyType({
     "--dim": {"type": int, "default": 2, "help": "dimension d (default 2)"},
     "--seed": {"type": int, "default": 0, "help": "64-bit seed (default 0)"},
@@ -239,7 +246,7 @@ def build_parser(names=COMMANDS):
     sub = parser.add_subparsers(dest="command", required=True)
     for name in names:
         p = sub.add_parser(name, help=COMMANDS[name].help)
-        for flag, spec in (SHARED_FLAGS | COMMANDS[name].flags).items():
+        for flag, spec in COMMANDS[name].all_flags.items():
             p.add_argument(flag, **spec)
     return parser
 
@@ -251,7 +258,7 @@ def parse_direct(argv: list[str]) -> SimpleNamespace | None:
     value), which argparse then parses or reports."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    specs = SHARED_FLAGS | COMMANDS[argv[0]].flags
+    specs = COMMANDS[argv[0]].all_flags
     dest = {flag: spec.get("dest", flag[2:].replace("-", "_")) for flag, spec in specs.items()}
     values = {"command": argv[0]}
     for flag, spec in specs.items():
@@ -282,11 +289,11 @@ def parse_direct(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _load(cmd: Command, path: str) -> tuple[Graph | str | None, str | None]:
+def _load(cmd: Command, args: SimpleNamespace) -> tuple[Graph | str | None, str | None]:
     """The command's input and its digest (a graph's is of its canonical edge list)."""
     if cmd.reads is None:
         return None, None
-    text = _read_input(path)
+    text = _read_input(args.input)
     if cmd.reads == "graph":
         g = parse_graph(text)
         return g, sha256(g.to_edge_list().encode()).hexdigest()[:16]
@@ -321,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_settings(args)
         started = time.perf_counter()
-        source, digest = _load(cmd, args.input)
+        source, digest = _load(cmd, args)
         report = cmd.run(source, args)
         if cmd.generator:
             report = {"n": report.n, "m": report.edge_count, "edge_list": report.to_edge_list()}
@@ -354,7 +361,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    code = main()
+    gc.freeze()  # shutdown's collections skip a frozen heap: the OS frees it whole
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

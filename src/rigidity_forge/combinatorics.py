@@ -1,5 +1,5 @@
 """Exact counting layer: covered-subset bounds, the sharp per-vertex rank
-densities, and the exact expected size of the ordered subgraph.
+densities, and lemma 7's exact expected ordered-subgraph size and hypotheses.
 
 Everything here is exact rational or integer arithmetic; no floats.
 """
@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from fractions import Fraction
 from math import comb, isqrt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .graph_core import Graph
+from .graph_core import Graph, maximal_cliques
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class CliqueSystem:
@@ -114,6 +116,7 @@ def verify_comblemma(system: CliqueSystem, m: int) -> CombLemmaReport:
 
 def m_dk(d: int, k: int) -> Fraction:
     """Sharp per-vertex rank density for k-connected non-rigid graphs."""
+    from fractions import Fraction  # on use: a call that builds none skips `fractions`
     if d < 1:
         raise ValueError("dimension must be at least 1")
     if not 1 <= k < d * (d + 1):
@@ -189,6 +192,7 @@ def exact_expected_gpi_edges(g: Graph, d: int, degree_cap: int = 20) -> Fraction
     min(i, d) edges, plus one more exactly when i >= d+1 and the backward
     set is not a clique.
     """
+    from fractions import Fraction
     if d < 2:
         raise ValueError("ordered construction requires dimension >= 2")
     total = Fraction(0)
@@ -206,3 +210,49 @@ def exact_expected_gpi_edges(g: Graph, d: int, degree_cap: int = 20) -> Fraction
                 rule_c_prob += Fraction(comb(k, i) - counts[i], (k + 1) * comb(k, i))
         total += expected_min + rule_c_prob
     return total
+
+
+class HypothesisReport(NamedTuple):
+    """Per-vertex conditions for the expected-edge-count lower bound."""
+
+    min_degree_ok: bool
+    no_clique_neighborhood: bool
+    intersection_ok: bool
+    witness: tuple[int, str] | None
+
+    @property
+    def all_ok(self) -> bool:
+        return self.min_degree_ok and self.no_clique_neighborhood and self.intersection_ok
+
+
+def check_lemma7_hypotheses(g: Graph, d: int) -> HypothesisReport:
+    """Every vertex needs degree >= d(d+1), a non-clique neighborhood, and
+    pairwise intersections of maximal neighborhood cliques of size <= d-2
+    (tested until one vertex fails it)."""
+    if d < 2:
+        raise ValueError("requires dimension >= 2")
+    threshold = d * (d + 1)
+    degree_ok = clique_ok = inter_ok = True
+    witness: tuple[int, str] | None = None
+    for v in range(g.n):
+        nbrs = g.neighbors(v)
+        if len(nbrs) < threshold:
+            degree_ok = False
+            if witness is None:
+                witness = (v, f"degree {len(nbrs)} < {threshold}")
+            continue
+        if g.is_clique(nbrs):
+            clique_ok = False
+            if witness is None:
+                witness = (v, "neighborhood induces a clique")
+            continue
+        if not inter_ok:
+            continue  # settled: no later vertex changes the report
+        cliques = [frozenset(c) for c in maximal_cliques(g, nbrs)]
+        for a, b in itertools.combinations(cliques, 2):
+            if len(a & b) > d - 2:
+                inter_ok = False
+                if witness is None:
+                    witness = (v, f"maximal cliques overlap in {len(a & b)} > d-2 vertices")
+                break
+    return HypothesisReport(degree_ok, clique_ok, inter_ok, witness)

@@ -1,5 +1,5 @@
-"""Theorem-level harness: hypothesis checkers and spot checks of the
-connectivity-implies-rigidity results.
+"""Theorem-level harness: spot checks of the connectivity-implies-rigidity
+results.
 
 The spot checks treat the underlying theorems as ground truth: a failure on
 an applicable input means an implementation bug (or an astronomically
@@ -9,14 +9,13 @@ unlikely rank miss, cleared by rerunning with a fresh seed).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .combinatorics import m_dk
 from .constructions import build_gpi, sharpness_example, sharpness_matching
 from .global_rigidity import globally_rigid_deletions, is_globally_rigid
-from .graph_core import Edge, Graph, maximal_cliques, vertex_connectivity
+from .graph_core import Edge, Graph, vertex_connectivity
 from .modlinalg import DEFAULT_PRIME, make_rng
 from .rigidity import (
     Verdict,
@@ -27,51 +26,8 @@ from .rigidity import (
     linked_pairs,
 )
 
-
-class HypothesisReport(NamedTuple):
-    """Per-vertex conditions for the expected-edge-count lower bound."""
-
-    min_degree_ok: bool
-    no_clique_neighborhood: bool
-    intersection_ok: bool
-    witness: tuple[int, str] | None
-
-    @property
-    def all_ok(self) -> bool:
-        return self.min_degree_ok and self.no_clique_neighborhood and self.intersection_ok
-
-
-def check_lemma7_hypotheses(g: Graph, d: int) -> HypothesisReport:
-    """Every vertex needs degree >= d(d+1), a non-clique neighborhood, and
-    pairwise intersections of maximal neighborhood cliques of size <= d-2
-    (tested until one vertex fails it)."""
-    if d < 2:
-        raise ValueError("requires dimension >= 2")
-    threshold = d * (d + 1)
-    degree_ok = clique_ok = inter_ok = True
-    witness: tuple[int, str] | None = None
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
-        if len(nbrs) < threshold:
-            degree_ok = False
-            if witness is None:
-                witness = (v, f"degree {len(nbrs)} < {threshold}")
-            continue
-        if g.is_clique(nbrs):
-            clique_ok = False
-            if witness is None:
-                witness = (v, "neighborhood induces a clique")
-            continue
-        if not inter_ok:
-            continue  # settled: no later vertex changes the report
-        cliques = [frozenset(c) for c in maximal_cliques(g, nbrs)]
-        for a, b in itertools.combinations(cliques, 2):
-            if len(a & b) > d - 2:
-                inter_ok = False
-                if witness is None:
-                    witness = (v, f"maximal cliques overlap in {len(a & b)} > d-2 vertices")
-                break
-    return HypothesisReport(degree_ok, clique_ok, inter_ok, witness)
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class SpotCheckReport(NamedTuple):
@@ -206,7 +162,7 @@ def theorem10_check(
         return Theorem10Report("inapplicable", kappa, None, None, None)
     bound = m_dk(d, kappa) * g.n
     rank = rigid.rank if rigid.rank is not None else generic_rank(g, d, trials, seed, p).rank
-    return Theorem10Report("checked", kappa, rank, bound, Fraction(rank) >= bound)
+    return Theorem10Report("checked", kappa, rank, bound, rank >= bound)
 
 
 class Lemma6Report(NamedTuple):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -12,9 +13,9 @@ from pathlib import Path
 import pytest
 
 import rigidity_forge
-from rigidity_forge import cli, experiments, rigidity
-from rigidity_forge.cli import COMMANDS, SHARED_FLAGS, build_parser, main, parse_direct
-from rigidity_forge.constructions import sharpness_example
+from rigidity_forge import cli, combinatorics, rigidity
+from rigidity_forge.cli import COMMANDS, build_parser, main, parse_direct
+from rigidity_forge.constructions import lovasz_yemini_family, sharpness_example
 from rigidity_forge.graph_core import (
     complete_bipartite_graph,
     complete_graph,
@@ -254,7 +255,7 @@ def test_recursion_limit_exits_two(capsys, k4_file, monkeypatch):
     def too_deep(g, d):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(experiments, "check_lemma7_hypotheses", too_deep)
+    monkeypatch.setattr(combinatorics, "check_lemma7_hypotheses", too_deep)
     code, payload = run_json(capsys, "check-lemma7-hyp", "--input", k4_file)
     assert code == 2 and "recursion" in payload["error"]
 
@@ -272,6 +273,26 @@ def test_field_errors_exit_two(capsys, k4_file):
     ]:
         code, payload = run_json(capsys, "rank", "--input", k4_file, *flags)
         assert code == 2 and "error" in payload, flags
+
+
+# every command that reads no input, with its required flags
+NO_INPUT_ARGVS = [
+    ["gen-ly", "--s", "8"], ["gen-sharpness"], ["gen-harary", "--k", "3", "--s", "6"],
+    ["mdk", "--k", "3"], ["check-theorem9"],
+]
+
+
+@pytest.mark.parametrize("argv", NO_INPUT_ARGVS, ids=lambda argv: argv[0])
+def test_commands_that_read_nothing_refuse_input(capsys, argv):
+    # a pipeline that meant to feed a file to another command gets a usage error
+    code, out = exit_and_output(capsys, main, [*argv, "--input", "/nonexistent/x.txt"])
+    assert code == 2 and "unrecognized arguments: --input" in json.loads(out)["error"]
+    assert "--input" not in exit_and_output(capsys, main, [argv[0], "--help"])[1]
+
+
+def test_no_input_argvs_name_every_command_that_reads_nothing():
+    assert {argv[0] for argv in NO_INPUT_ARGVS} == {
+        name for name, cmd in COMMANDS.items() if cmd.reads is None}
 
 
 def test_missing_input_file(capsys):
@@ -330,16 +351,27 @@ def test_reruns_are_byte_identical(capsys, k4_file, c4_file, tmp_path):
         assert strip_runtime(out_a) == strip_runtime(out_b), argv
 
 
-def loaded_modules(code: str) -> set[str]:
-    """The modules loaded after running `code` in a fresh interpreter."""
+def run_child(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(rigidity_forge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code += "\nimport sys; print(' '.join(sys.modules))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def child_output(code: str) -> tuple[list[str], set[str]]:
+    """The lines printed by running `code` in a fresh interpreter, and the
+    modules loaded after it."""
+    out = run_child("-c", code + "\nimport sys; print(' '.join(sys.modules))")
     assert out.returncode == 0, out.stderr
-    return set(out.stdout.splitlines()[-1].split())
+    *printed, modules = out.stdout.splitlines()
+    return printed, set(modules.split())
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The modules loaded after running `code` in a fresh interpreter."""
+    return child_output(code)[1]
 
 
 def test_cli_import_leaves_test_oracle_modules_unloaded():
@@ -353,9 +385,63 @@ def test_cli_import_leaves_test_oracle_modules_unloaded():
 
 
 def test_cli_command_loads_only_its_modules():
-    loaded = loaded_modules("from rigidity_forge.cli import main; main(['mdk', '--k', '3'])")
-    assert "rigidity_forge.combinatorics" in loaded
+    printed, loaded = child_output(
+        "from rigidity_forge.cli import main; main(['mdk', '--k', '5'])")
+    assert json.loads(printed[0])["result"] == "19/10"
+    assert {"rigidity_forge.combinatorics", "fractions"} <= loaded
     assert "rigidity_forge.rigidity" not in loaded
+    # the counting commands build no Fraction and run no rigidity code
+    unused = {"fractions", "decimal", *(f"rigidity_forge.{m}" for m in (
+        "rigidity", "global_rigidity", "constructions", "experiments"))}
+    system = json.dumps({"n": 6, "d": 2, "sets": [[0, 1, 2], [3, 4, 5]]})
+    for argv, text in [(["comblemma", "--m", "3"], system),
+                       (["check-lemma7-hyp"], complete_bipartite_graph(7, 7).to_edge_list())]:
+        printed, loaded = child_output(f"import io, sys\nsys.stdin = io.StringIO({text!r})\n"
+                                       f"from rigidity_forge.cli import main; main({argv!r})")
+        assert json.loads(printed[0])["command"] == argv[0]
+        assert "rigidity_forge.combinatorics" in loaded and loaded & unused == set(), argv
+
+
+@pytest.mark.parametrize("argv, expected_code", [
+    (["rank"], 0),
+    (["check-lemma7-hyp"], 1),
+    (["rank", "--prime", str(2**61 - 3)], 2),  # composite
+    (["rank", "--bogus"], 2),  # argparse usage error
+])
+def test_process_entry_point_prints_what_main_prints(capsys, k4_file, argv, expected_code):
+    argv = [*argv, "--input", k4_file]
+    child = run_child("-m", "rigidity_forge.cli", *argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert (child.returncode, strip_runtime(child.stdout)) == (
+        expected_code, strip_runtime(capsys.readouterr().out))
+    assert child.stderr == ""
+
+
+def test_process_entry_point_writes_output_larger_than_a_pipe_buffer(capsys):
+    child = run_child("-m", "rigidity_forge.cli", "gen-ly", "--dim", "2", "--s", "1000")
+    assert child.returncode == 0 and len(child.stdout) > 65536
+    assert parse_graph(child.stdout) == lovasz_yemini_family(2, 1000)[0]
+
+
+def test_process_entry_point_freezes_the_heap_before_shutdown():
+    # the probe runs at exit, after console_main, and still prints: the freeze
+    # keeps atexit and stream flushing
+    child = run_child("-c", "import atexit, gc, sys\n"
+                      "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                      "sys.argv = ['rigidity-forge', 'mdk', '--k', '5']\n"
+                      "from rigidity_forge.cli import console_main; console_main()")
+    assert child.returncode == 0, child.stderr
+    result, probe = child.stdout.splitlines()
+    assert json.loads(result)["result"] == "19/10" and probe == "frozen True"
+
+
+def test_main_leaves_the_host_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "mdk", "--k", "5")[0] == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_package_names_follow_rebound_module_attributes(monkeypatch):
@@ -398,7 +484,7 @@ def well_formed_argvs(rng, count):
                "--trials": ["1", "3"], "--prime": [str(2**61 - 1)],
                "--input": ["g.txt", "", "a b", "-"], "--format": ["json", "text"]}
     for name in list(COMMANDS) * count:
-        specs = SHARED_FLAGS | COMMANDS[name].flags
+        specs = COMMANDS[name].all_flags
         flags = [f for f, spec in specs.items() if spec.get("required") or rng.random() < 0.5]
         flags += rng.sample(flags, min(len(flags), rng.randint(0, 1)))
         rng.shuffle(flags)

@@ -11,15 +11,17 @@ from rigidity_forge.constructions import (
     sharpness_matching,
 )
 from rigidity_forge.experiments import (
-    HypothesisReport,
-    check_lemma7_hypotheses,
     lemma6_property_check,
     theorem1_spot_check,
     theorem2_spot_check,
     theorem9_check,
     theorem10_check,
 )
-from rigidity_forge.combinatorics import exact_expected_gpi_edges
+from rigidity_forge.combinatorics import (
+    HypothesisReport,
+    check_lemma7_hypotheses,
+    exact_expected_gpi_edges,
+)
 from rigidity_forge.graph_core import (
     Graph,
     complete_bipartite_graph,

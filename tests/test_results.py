@@ -21,7 +21,7 @@ def seeded_results() -> list:
         global_rigidity.stress_matrix_rank(k4, 2, seed=SEED),
         constructions.build_gpi(k4, 2, [2, 0, 3, 1]),
         combinatorics.verify_comblemma(CliqueSystem(6, 2, [{0, 1, 2}]), 3),
-        experiments.check_lemma7_hypotheses(k4, 2),
+        combinatorics.check_lemma7_hypotheses(k4, 2),
         experiments.theorem1_spot_check(k7, 2, seed=SEED),
         experiments.theorem9_check(seed=SEED),
         experiments.theorem10_check(c4, 2, seed=SEED),
@@ -55,8 +55,8 @@ def test_jsonable_renders_every_result_type_as_an_object():
 def test_result_properties():
     assert bool(Verdict(False, "certain")) is False
     assert bool(rigidity.is_rigid(complete_graph(4), 2, seed=SEED)) is True
-    assert experiments.check_lemma7_hypotheses(complete_bipartite_graph(7, 7), 2).all_ok is True
-    assert experiments.check_lemma7_hypotheses(complete_graph(4), 2).all_ok is False
+    assert combinatorics.check_lemma7_hypotheses(complete_bipartite_graph(7, 7), 2).all_ok is True
+    assert combinatorics.check_lemma7_hypotheses(complete_graph(4), 2).all_ok is False
     assert experiments.theorem9_check(seed=SEED).passed is True
     assert experiments.lemma6_property_check(cycle_graph(4), 2, 3, seed=SEED).passed is True
     res = constructions.build_gpi(complete_graph(5), 2, [4, 3, 2, 1, 0])
