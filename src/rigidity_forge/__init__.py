@@ -11,8 +11,8 @@ _EXPORTS = {
                       "grn_lower_bound", "m_dk", "verify_comblemma"),
     "constructions": ("GpiResult", "GpiStep", "build_gpi", "harary_graph", "lovasz_yemini_family",
                       "sharpness_example", "sharpness_matching"),
-    "global_rigidity": ("StressCertificate", "globally_rigid_deletions", "is_globally_rigid",
-                        "stress_matrix", "stress_matrix_rank", "wgl_sufficient"),
+    "global_rigidity": ("StressCertificate", "is_globally_rigid", "stress_matrix",
+                        "stress_matrix_rank", "wgl_sufficient"),
     "graph_core": ("Graph", "GraphParseError", "as_vertex_set", "complete_bipartite_graph",
                    "complete_graph", "cycle_graph", "induced_subgraph", "iter_maximal_cliques",
                    "maximal_cliques", "parse_graph", "path_avoiding", "vertex_connectivity"),

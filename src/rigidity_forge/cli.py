@@ -171,8 +171,7 @@ COMMANDS = {
     "gpi": Command("build the ordered subgraph", _gpi, flags={"--ordering": {
         "default": None, "help": "comma-separated permutation; default seeded shuffle"}}),
     "expected-gpi": Command("exact expected ordered-subgraph size",
-        lambda g, a: _lib("combinatorics").exact_expected_gpi_edges(g, a.dim, a.degree_cap),
-        flags={"--degree-cap": {"type": int, "default": 20}}),
+        lambda g, a: _lib("combinatorics").exact_expected_gpi_edges(g, a.dim)),
     "gen-ly": Command("generate the split-clique non-rigid family",
         lambda _, a: _lib("constructions").lovasz_yemini_family(a.dim, a.s)[0],
         reads=None, flags={"--s": _INT | {"help": "base graph size"}}, generator=True),
@@ -197,10 +196,8 @@ COMMANDS = {
         lambda g, a: _lib("experiments").theorem2_spot_check(g, a.dim, a.trials, a.seed, a.prime),
         confidence="whp", check="passed"),
     "check-theorem9": Command("assert the sharp redundancy constants",
-        lambda _, a: _lib("experiments").theorem9_check(
-            a.dim, a.trials, a.seed, a.prime, a.allow_large),
-        reads=None, confidence="whp", check="passed",
-        flags={"--allow-large": {"action": "store_true", "help": "permit d > 2 (slow)"}}),
+        lambda _, a: _lib("experiments").theorem9_check(a.dim, a.trials, a.seed, a.prime),
+        reads=None, confidence="whp", check="passed"),
     "check-theorem10": Command("assert the m_{d,k} rank lower bound",
         lambda g, a: _lib("experiments").theorem10_check(g, a.dim, a.trials, a.seed, a.prime),
         confidence="whp", check="passed"),
@@ -262,16 +259,12 @@ def parse_direct(argv: list[str]) -> SimpleNamespace | None:
     dest = {flag: spec.get("dest", flag[2:].replace("-", "_")) for flag, spec in specs.items()}
     values = {"command": argv[0]}
     for flag, spec in specs.items():
-        switch = spec.get("action") == "store_true"
-        values[dest[flag]] = spec.get("default", False if switch else None)
+        values[dest[flag]] = spec.get("default")
     tokens = iter(argv[1:])
     for flag in tokens:
         spec = specs.get(flag)
         if spec is None:
             return None
-        if spec.get("action") == "store_true":
-            values[dest[flag]] = True
-            continue
         value = next(tokens, None)
         # a lone "-" is a value to argparse too; other "-..." tokens follow its rules
         if value is None or (value.startswith("-") and value != "-"):

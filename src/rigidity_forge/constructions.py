@@ -3,6 +3,7 @@ families used for connectivity-versus-rigidity bounds."""
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -99,14 +100,10 @@ def harary_graph(k: int, s: int) -> Graph:
         raise ValueError("need 2 <= k < s")
     if (k * s) % 2:
         raise ValueError("k*s must be even")
-    edges = []
-    half = k // 2
-    for i in range(s):
-        for j in range(1, half + 1):
-            edges.append((i, (i + j) % s))
+    # lazy, so that Graph refuses an oversized s before any edge is built
+    edges = ((i, (i + j) % s) for i in range(s) for j in range(1, k // 2 + 1))
     if k % 2:
-        for i in range(s // 2):
-            edges.append((i, i + s // 2))
+        edges = itertools.chain(edges, ((i, i + s // 2) for i in range(s // 2)))
     return Graph(s, edges)
 
 
@@ -126,9 +123,10 @@ def lovasz_yemini_family(d: int, s: int) -> tuple[Graph, Cover]:
         raise ValueError(f"need s >= {k + 1}")
     if (k * s) % 2:
         raise ValueError("k*s must be even")
+    base = harary_graph(k, s)  # refuses an oversized s before next_free is built
     next_free = [v * k for v in range(s)]
     split: list[Edge] = []
-    for a, b in sorted(harary_graph(k, s).edges):
+    for a, b in sorted(base.edges):
         split.append((next_free[a], next_free[b]))
         next_free[a] += 1
         next_free[b] += 1
@@ -149,13 +147,10 @@ def sharpness_example(d: int) -> Graph:
     if d < 2:
         raise ValueError("needs dimension >= 2")
     dd = d * (d + 1)
-    edges = []
-    for block in (0, dd):
-        edges.extend(
-            (block + i, block + j) for i in range(dd) for j in range(i + 1, dd)
-        )
-    edges.extend((i, i + dd) for i in range(dd))
-    return Graph(2 * dd, edges)
+    # lazy, so that Graph refuses an oversized d before any edge is built
+    cliques = ((block + i, block + j)
+               for block in (0, dd) for i in range(dd) for j in range(i + 1, dd))
+    return Graph(2 * dd, itertools.chain(cliques, ((i, i + dd) for i in range(dd))))
 
 
 def sharpness_matching(d: int) -> tuple[Edge, ...]:

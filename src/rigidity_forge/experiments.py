@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .combinatorics import m_dk
 from .constructions import build_gpi, sharpness_example, sharpness_matching
-from .global_rigidity import globally_rigid_deletions, is_globally_rigid
+from .global_rigidity import is_globally_rigid
 from .graph_core import Edge, Graph, vertex_connectivity
 from .modlinalg import DEFAULT_PRIME, make_rng
 from .rigidity import (
@@ -84,30 +84,23 @@ class Theorem9Report(NamedTuple):
 
 
 def theorem9_check(
-    d: int = 2,
-    trials: int = 2,
-    seed: int = 0,
-    p: int = DEFAULT_PRIME,
-    allow_large: bool = False,
+    d: int = 2, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
 ) -> Theorem9Report:
     """Exercise the sharp redundancy constants on the matched-cliques example.
 
     Deleting any C(d+1,2) edges must keep it rigid and any C(d+1,2)-1 edges
     must keep it globally rigid; one more matching edge breaks each property.
-    d = 3 is gated behind ``allow_large`` (the subset enumerations grow
-    fast), and d >= 4 is refused.  In the plane, global rigidity is read off
-    3-connectivity and redundant rigidity, with no stress matrix: redundancy
-    plus kappa >= 5 certifies every deletion, and only when either fails are
-    the deletions scanned for a witness.  A stress scan of the deletions runs
-    for d > 2.
+    Only the plane is checked: above it the subset enumerations cannot
+    finish, so d > 2 is refused with their count.  Global rigidity is read
+    off 3-connectivity and redundant rigidity, with no stress matrix:
+    redundancy plus kappa >= 5 certifies every deletion, and only when
+    either fails are the deletions scanned for a witness.
     """
     if d < 2:
         raise ValueError("requires dimension >= 2")
-    if d >= 4:  # the example has (d(d+1))^2 edges
+    if d > 2:  # the example has (d(d+1))^2 edges
         raise ValueError(f"d = {d} cannot finish: the redundancy test alone would check "
                          f"C({(d * (d + 1)) ** 2}, {comb(d + 1, 2)}) edge subsets")
-    if d != 2 and not allow_large:
-        raise ValueError("d > 2 runs long: pass --allow-large (allow_large=True in Python)")
     g = sharpness_example(d)
     matching = sharpness_matching(d)
     c = comb(d + 1, 2)
@@ -116,23 +109,17 @@ def theorem9_check(
     over = is_rigid(g.remove_edges(matching[: c + 1]), d, trials, seed, p)
     deletions = itertools.combinations(g.sorted_edges(), c - 1)
     boundary = g.remove_edges(matching[:c])
-    if d == 2:
-        # Every G - S is globally rigid if each is redundantly rigid, which
-        # red certifies, and 3-connected, which kappa(G) >= 5 certifies: an
-        # edge deletion lowers kappa by at most 1; otherwise the scan decides
-        every_gr = red.value and vertex_connectivity(g, c + 2) >= c + 2
-        gr_witness = None
-        if not every_gr:
-            gr_witness = next((gone for gone in deletions if not is_globally_rigid(
-                g.remove_edges(gone), 2, trials, seed, p).value), None)
-        # boundary less matching[c] is the graph `over` tests: if that is not
-        # rigid, the boundary is not redundantly rigid, so not globally rigid
-        boundary_gr = over.value and is_globally_rigid(boundary, 2, trials, seed, p).value
-    else:
-        shown, scanned = itertools.tee(deletions)
-        verdicts = globally_rigid_deletions(g, d, scanned, trials, seed, p)
-        gr_witness = next((gone for gone, v in zip(shown, verdicts) if not v.value), None)
-        boundary_gr = is_globally_rigid(boundary, d, trials, seed, p).value
+    # Every G - S is globally rigid if each is redundantly rigid, which red
+    # certifies, and 3-connected, which kappa(G) >= 5 certifies: an edge
+    # deletion lowers kappa by at most 1; otherwise the scan decides
+    every_gr = red.value and vertex_connectivity(g, c + 2) >= c + 2
+    gr_witness = None
+    if not every_gr:
+        gr_witness = next((gone for gone in deletions if not is_globally_rigid(
+            g.remove_edges(gone), 2, trials, seed, p).value), None)
+    # boundary less matching[c] is the graph `over` tests: if that is not
+    # rigid, the boundary is not redundantly rigid, so not globally rigid
+    boundary_gr = over.value and is_globally_rigid(boundary, 2, trials, seed, p).value
     return Theorem9Report(
         d,
         red.value,

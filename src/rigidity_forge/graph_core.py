@@ -14,6 +14,10 @@ Edge = tuple[int, int]
 
 GRAPH6_HEADER = ">>graph6<<"
 
+#: The most vertices a Graph takes: its neighbour bitmasks grow quadratically
+#: (26-34 MB for a 20,000-vertex path), so a short header cannot claim gigabytes.
+MAX_VERTICES = 20_000
+
 
 class GraphParseError(ValueError):
     """Raised when graph input text cannot be parsed."""
@@ -50,6 +54,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        if n > MAX_VERTICES:
+            raise ValueError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
         seen: set[Edge] = set()
         for u, v in edges:
             u, v = int(u), int(v)

@@ -6,17 +6,25 @@ from __future__ import annotations
 import itertools
 import random
 import statistics
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, sqrt
 
 from rigidity_forge.combinatorics import CliqueSystem
 from rigidity_forge.experiments import Theorem9Report
-from rigidity_forge.global_rigidity import globally_rigid_deletions, stress_matrix_rank
-from rigidity_forge.graph_core import Edge, Graph
-from rigidity_forge.modlinalg import DEFAULT_PRIME, ModMatrix, RowBasis, make_rng, rank_of_rows
+from rigidity_forge.global_rigidity import stress_matrix, stress_matrix_rank
+from rigidity_forge.graph_core import Edge, Graph, normalize_edge
+from rigidity_forge.modlinalg import (
+    DEFAULT_PRIME,
+    ModMatrix,
+    RowBasis,
+    left_kernel_sample,
+    make_rng,
+    rank_of_rows,
+)
 from rigidity_forge.rigidity import (
+    WHP,
     RedundancyReport,
     Verdict,
     is_rigid,
@@ -356,6 +364,62 @@ def stress_globally_rigid(
         return Verdict(False, "whp", rank=rigid.rank)
     cert = stress_matrix_rank(g, d, trials, seed, p)
     return Verdict(cert.omega_rank == cert.target, "whp", rank=rigid.rank)
+
+
+def globally_rigid_deletions(
+    g: Graph,
+    d: int,
+    deletions: Iterable[Iterable[Edge]],
+    trials: int = 2,
+    seed: int = 0,
+    p: int = DEFAULT_PRIME,
+) -> Iterator[Verdict]:
+    """Yield the global-rigidity verdict of G - S for each edge set S of G.
+
+    Every verdict is read off the same `trials` placements of G, each
+    eliminated once.  Per placement, the rank of G - S is the rank of G
+    minus |S| plus the rank of the dual rows of S, and a stress of G - S is
+    w = K.c with K the left-kernel basis of G and c a uniform left-kernel
+    element of the |S|-column matrix of the dual entries of S, so w
+    vanishes on S.  As in :func:`is_globally_rigid`, G - S needs a rigid
+    placement and then a stress matrix of rank n-d-1; both verdicts are
+    whp.  Requires d >= 2 and n >= d+2.
+    """
+    n = g.n
+    if d < 2 or n < d + 2:
+        raise ValueError("deletion scans need d >= 2 and at least d+2 vertices")
+    target, omega_target = d * n - comb(d + 1, 2), n - d - 1
+    index = {e: i for i, e in enumerate(g.sorted_edges())}
+    views = []
+    for rows, rng in placements(g, d, trials, seed, p):  # rng then draws the stresses
+        views.append(kernel_view(rows, d * n, p))
+    for gone in deletions:
+        try:
+            subset = sorted({index[normalize_edge(u, v)] for u, v in gone})
+        except KeyError:
+            raise ValueError("deleted edges must be edges of the graph") from None
+        best = 0
+        for full, kernel_dim, dual in views:
+            best = max(best, full - len(subset)
+                       + rank_of_rows([dual[i] for i in subset], kernel_dim, p))
+            if best == target:  # no placement ranks higher
+                break
+        value = False
+        if best == target:
+            for _, kernel_dim, dual in views:
+                # row f, column j: entry S_j of kernel basis vector f
+                picked: list[dict[int, int]] = [{} for _ in range(kernel_dim)]
+                for j, i in enumerate(subset):
+                    for f, x in dual[i].items():
+                        picked[f][j] = x
+                c = left_kernel_sample(ModMatrix(picked, len(subset), p), rng.getrandbits(64))
+                # entry e of K.c, summed over the dual row of edge e
+                stress = tuple(sum(c[f] * x for f, x in row.items()) % p for row in dual)
+                omega = stress_matrix(g, stress, p).data if any(stress) else []
+                if rank_of_rows(omega, n, p, omega_target) >= omega_target:
+                    value = True
+                    break
+        yield Verdict(value, WHP, rank=best)
 
 
 def random_regular_graph(rng: random.Random, n: int, k: int) -> Graph:

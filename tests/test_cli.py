@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 from math import comb
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import rigidity_forge
-from rigidity_forge import cli, combinatorics, rigidity
+from rigidity_forge import cli, combinatorics, experiments, rigidity
 from rigidity_forge.cli import COMMANDS, build_parser, main, parse_direct
 from rigidity_forge.constructions import lovasz_yemini_family, sharpness_example
 from rigidity_forge.graph_core import (
@@ -227,17 +228,61 @@ def test_usage_errors_exit_two(capsys, tmp_path, monkeypatch):
     assert "error" in json.loads(capsys.readouterr().out)
 
 
-def test_theorem9_above_dimension_two_names_the_flag(capsys):
-    code, payload = run_json(capsys, "check-theorem9", "--dim", "3")
-    assert code == 2 and "--allow-large" in payload["error"]
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_theorem9_above_dimension_two_names_the_subset_count(capsys, monkeypatch, d):
+    # it names the count of C(d+1,2)-edge subsets of the example it would
+    # check, and refuses before building the example
+    subsets = f"C({sharpness_example(d).edge_count}, {comb(d + 1, 2)})"
+
+    def forbidden(d):
+        raise AssertionError("example built")
+
+    monkeypatch.setattr(experiments, "sharpness_example", forbidden)
+    code, payload = run_json(capsys, "check-theorem9", "--dim", str(d))
+    assert code == 2 and subsets in payload["error"]
+    if d == 3:
+        assert "C(144, 6)" in payload["error"]
+
+
+def usage_error(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return json.loads(capsys.readouterr().out)["error"]
 
 
 @pytest.mark.parametrize("d", [4, 5])
 def test_theorem9_from_dimension_four_refuses_even_when_allowed(capsys, d):
-    # it names the count of C(d+1,2)-edge subsets of the example it would check
-    subsets = f"C({sharpness_example(d).edge_count}, {comb(d + 1, 2)})"
-    code, payload = run_json(capsys, "check-theorem9", "--dim", str(d), "--allow-large")
-    assert code == 2 and subsets in payload["error"]
+    # --allow-large is no flag of the command: passing it is a usage error
+    error = usage_error(capsys, "check-theorem9", "--dim", str(d), "--allow-large")
+    assert error == "unrecognized arguments: --allow-large"
+
+
+def test_expected_gpi_refuses_the_degree_cap_flag(capsys, k4_file):
+    error = usage_error(capsys, "expected-gpi", "--degree-cap", "20", "--input", k4_file)
+    assert error == "unrecognized arguments: --degree-cap 20"
+
+
+def test_expected_gpi_over_the_state_budget_exits_two(capsys, monkeypatch, tmp_path):
+    # K_8 less a perfect matching: every clique polynomial needs 2^4 - 1 states
+    path = tmp_path / "k8pm.txt"
+    path.write_text(complete_graph(8).remove_edges([(i, i + 4) for i in range(4)]).to_edge_list())
+    monkeypatch.setattr(combinatorics, "CLIQUE_STATE_BUDGET", 14)
+    code, payload = run_json(capsys, "expected-gpi", "--input", str(path))
+    assert code == 2 and "vertex 0" in payload["error"] and "14 states" in payload["error"]
+    monkeypatch.setattr(combinatorics, "CLIQUE_STATE_BUDGET", 15)
+    code, payload = run_json(capsys, "expected-gpi", "--input", str(path))
+    assert code == 0
+
+
+def test_expected_gpi_past_the_recursion_limit_exits_two(capsys, tmp_path):
+    # the centre's neighbourhood of a star is 1,500 independent vertices,
+    # deeper than the recursion limit
+    path = tmp_path / "star.txt"
+    path.write_text("1501 1500\n" + "".join(f"0 {i}\n" for i in range(1, 1501)))
+    code, out = run_cli(capsys, "expected-gpi", "--input", str(path))
+    assert code == 2 and "recursion" in json.loads(out)["error"]
+    assert capsys.readouterr().err == ""
 
 
 def test_redundant_counts_every_deleted_triple(capsys, tmp_path):
@@ -351,12 +396,13 @@ def test_reruns_are_byte_identical(capsys, k4_file, c4_file, tmp_path):
         assert strip_runtime(out_a) == strip_runtime(out_b), argv
 
 
-def run_child(*args: str) -> subprocess.CompletedProcess:
-    """`python *args` in a fresh interpreter that imports this checkout's package."""
+def run_child(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter that imports this checkout's
+    package; `kwargs` go to `subprocess.run`."""
     src = str(Path(rigidity_forge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60, **kwargs
     )
 
 
@@ -418,6 +464,25 @@ def test_process_entry_point_prints_what_main_prints(capsys, k4_file, argv, expe
     assert (child.returncode, strip_runtime(child.stdout)) == (
         expected_code, strip_runtime(capsys.readouterr().out))
     assert child.stderr == ""
+
+
+def _cap_address_space():
+    # 1 GB: an input that allocates per claimed vertex dies with a MemoryError
+    # here instead of taking the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["connectivity"], "100000000 0\n"),  # 12 bytes claiming 10^8 vertices
+    (["gen-harary", "--k", "2", "--s", "100000000"], ""),
+    (["gen-ly", "--s", "100000000"], ""),
+    (["gen-sharpness", "--dim", "1000"], ""),
+], ids=["edge-list header", "gen-harary", "gen-ly", "gen-sharpness"])
+def test_oversized_graphs_are_refused_before_they_are_built(argv, stdin):
+    child = run_child("-m", "rigidity_forge.cli", *argv, input=stdin,
+                      preexec_fn=_cap_address_space)
+    assert (child.returncode, child.stderr) == (2, "")
+    assert "exceed the limit of 20000" in json.loads(child.stdout)["error"]
 
 
 def test_process_entry_point_writes_output_larger_than_a_pipe_buffer(capsys):
@@ -492,8 +557,6 @@ def well_formed_argvs(rng, count):
         for flag in flags:
             spec = specs[flag]
             argv.append(flag)
-            if spec.get("action") == "store_true":
-                continue
             if flag in samples:
                 argv.append(rng.choice(samples[flag]))
             elif "type" in spec:
@@ -535,6 +598,15 @@ def test_argparse_forms_give_the_same_output(capsys, k4_file):
         odd_code, odd_out = run_cli(capsys, *odd)
         plain_code, plain_out = run_cli(capsys, *plain)
         assert (odd_code, strip_runtime(odd_out)) == (plain_code, strip_runtime(plain_out)), odd
+
+
+def test_readme_cli_section_names_only_real_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    real = {"--help"}.union(*(cmd.all_flags for cmd in COMMANDS.values()))
+    assert "--dim" in named and "--ordering" in named
+    assert sorted(named - real) == []
 
 
 def test_input_digest_is_the_sha256_prefix(capsys, k4_file):

@@ -217,9 +217,15 @@ def test_expected_gpi_examples():
     assert exact_expected_gpi_edges(complete_graph(10), 2) == 17
 
 
-def test_expected_gpi_degree_cap():
-    with pytest.raises(ValueError):
-        exact_expected_gpi_edges(complete_graph(10), 2, degree_cap=5)
+def test_expected_gpi_state_budget(monkeypatch):
+    # K_22 less a perfect matching: degree 20, and 2^11 - 1 states at each vertex
+    k22pm = complete_graph(22).remove_edges([(i, i + 11) for i in range(11)])
+    assert exact_expected_gpi_edges(k22pm, 2) == Fraction(263870, 4641)
+    monkeypatch.setattr(combinatorics, "CLIQUE_STATE_BUDGET", 2046)
+    with pytest.raises(ValueError, match="vertex 0's neighbourhood needs more than 2046 states"):
+        exact_expected_gpi_edges(k22pm, 2)
+    monkeypatch.setattr(combinatorics, "CLIQUE_STATE_BUDGET", 2047)
+    assert exact_expected_gpi_edges(k22pm, 2) == Fraction(263870, 4641)
     with pytest.raises(ValueError):
         exact_expected_gpi_edges(cycle_graph(4), 1)
 

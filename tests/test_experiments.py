@@ -260,9 +260,10 @@ def test_theorem2_spot_checks():
     assert rep.status == "checked" and rep.passed and rep.connectivity == 6
 
 
-def test_theorem9_requires_flag_for_large_d():
-    with pytest.raises(ValueError):
-        theorem9_check(3)
+def test_theorem9_refuses_above_the_plane():
+    for d in (3, 4):
+        with pytest.raises(ValueError, match=rf"C\({(d * (d + 1)) ** 2}, {d * (d + 1) // 2}\)"):
+            theorem9_check(d)
 
 
 def _two_k7_on_two_shared_vertices():
@@ -292,7 +293,6 @@ def test_theorem9_in_the_plane_draws_no_stress(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("stress route called")
 
-    monkeypatch.setattr(experiments, "globally_rigid_deletions", forbidden)
     monkeypatch.setattr(global_rigidity, "left_kernel_sample", forbidden)
     assert theorem9_check(2, seed=3).passed
 
@@ -385,3 +385,10 @@ def test_expected_size_bound_under_hypotheses():
         assert check_lemma7_hypotheses(g, d).all_ok
         assert exact_expected_gpi_edges(g, d) >= d * g.n
 
+
+@pytest.mark.parametrize("d, n, seed", [(4, 100, 2), (5, 150, 1), (6, 250, 1)])
+def test_expected_size_bound_at_the_papers_scale(d, n, seed):
+    # seeded random regular graphs of the lemma's least degree, d(d+1)
+    g = random_regular_graph(random.Random(seed), n, d * (d + 1))
+    assert check_lemma7_hypotheses(g, d).all_ok
+    assert exact_expected_gpi_edges(g, d) >= d * g.n

@@ -7,7 +7,6 @@ import pytest
 from rigidity_forge import global_rigidity
 from rigidity_forge.constructions import sharpness_example, sharpness_matching
 from rigidity_forge.global_rigidity import (
-    globally_rigid_deletions,
     is_globally_rigid,
     stress_matrix,
     stress_matrix_rank,
@@ -23,7 +22,12 @@ from rigidity_forge.graph_core import (
 from rigidity_forge.modlinalg import DEFAULT_PRIME
 from rigidity_forge.rigidity import generic_rank, generic_rank_cap, is_rigid
 
-from helpers import brute_vertex_connectivity, random_graph, stress_globally_rigid
+from helpers import (
+    brute_vertex_connectivity,
+    globally_rigid_deletions,
+    random_graph,
+    stress_globally_rigid,
+)
 
 P = DEFAULT_PRIME
 

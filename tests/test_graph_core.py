@@ -43,6 +43,16 @@ def test_graph_rejects_self_loops_and_out_of_range():
         Graph(-1)
 
 
+def test_graph_refuses_more_vertices_than_its_limit():
+    # just past the limit, so that a build without the check stays small;
+    # tests/test_cli.py sends 10^8 to a child with a capped address space
+    assert Graph(graph_core.MAX_VERTICES).n == graph_core.MAX_VERTICES
+    with pytest.raises(ValueError, match="20001 vertices exceed the limit of 20000"):
+        Graph(graph_core.MAX_VERTICES + 1)
+    with pytest.raises(ValueError, match="20001 vertices exceed"):
+        parse_graph("20001 0\n")
+
+
 def test_graph_dedups_and_normalizes():
     g = Graph(3, [(1, 0), (0, 1), (1, 2)])
     assert g.edge_count == 2
