@@ -7,10 +7,12 @@ importing one submodule, such as the CLI, does not import the others."""
 import importlib
 
 _EXPORTS = {
-    "combinatorics": ("CliqueSystem", "covered_subset_count", "exact_expected_gpi_edges",
-                      "grn_lower_bound", "m_dk", "verify_comblemma"),
+    "combinatorics": ("CliqueSystem", "check_lemma7_hypotheses", "covered_subset_count",
+                      "exact_expected_gpi_edges", "grn_lower_bound", "m_dk", "verify_comblemma"),
     "constructions": ("GpiResult", "GpiStep", "build_gpi", "harary_graph", "lovasz_yemini_family",
                       "sharpness_example", "sharpness_matching"),
+    "experiments": ("lemma6_property_check", "theorem10_check", "theorem1_spot_check",
+                    "theorem2_spot_check", "theorem9_check"),
     "global_rigidity": ("StressCertificate", "is_globally_rigid", "stress_matrix",
                         "stress_matrix_rank", "wgl_sufficient"),
     "graph_core": ("Graph", "GraphParseError", "as_vertex_set", "complete_bipartite_graph",

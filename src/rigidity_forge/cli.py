@@ -9,7 +9,6 @@ success, 1 for a failed check-* assertion, 2 for usage or input errors.
 from __future__ import annotations
 
 import gc
-import importlib
 import json
 import sys
 import time
@@ -27,7 +26,9 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .graph_core import Graph, parse_graph, vertex_connectivity
+import rigidity_forge as rf
+
+from .graph_core import Graph, parse_graph
 from .modlinalg import DEFAULT_PRIME, MASK64, is_prime, make_rng
 
 SCHEMA = "rigidity-forge/1"
@@ -35,12 +36,6 @@ SCHEMA = "rigidity-forge/1"
 
 class CliError(ValueError):
     pass
-
-
-def _lib(name: str):
-    """The library module `name`, imported on first use: a process imports
-    only the modules of the command it runs."""
-    return importlib.import_module(f"{__package__}.{name}")
 
 
 def _check_settings(args: SimpleNamespace) -> None:
@@ -100,7 +95,7 @@ def _gpi(g: Graph, args: SimpleNamespace) -> dict:
     else:
         order = list(range(g.n))
         make_rng(args.seed).shuffle(order)
-    res = _lib("constructions").build_gpi(g, args.dim, order)
+    res = rf.build_gpi(g, args.dim, order)
     return {
         "ordering": order,
         "edge_count": res.edge_count,
@@ -116,7 +111,7 @@ def _clique_system(text: str, dim: int):
         # type(x) is int: JSON integers only, so no float, bool or string is truncated
         if not all(type(x) is int for x in (n, d, *(x for h in sets for x in h))):
             raise TypeError("n, d and set members must be integers")
-        return _lib("combinatorics").CliqueSystem(n, d, sets)
+        return rf.CliqueSystem(n, d, sets)
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise CliError(f"bad clique-system JSON: {exc}") from None
 
@@ -126,9 +121,10 @@ class Command(NamedTuple):
 
     help: str
     #: run(input, args): the input is a parsed Graph, the raw text or None,
-    #: as `reads` says.  Runners import their module (`_lib`) and look library
-    #: functions up at call time, so a process loads only its command's modules
-    #: and a patched module attribute (a tracer, a test double) is the one called.
+    #: as `reads` says.  Runners look library names up on the package (`rf`)
+    #: at call time, which imports a name's module on first access, so a process
+    #: loads only its command's modules and a patched module attribute (a
+    #: tracer, a test double) is the one called.
     run: Callable
     reads: str | None = "graph"  # "graph", "text" or None
     flags: Mapping[str, dict] = MappingProxyType({})  # flag -> add_argument kwargs
@@ -151,64 +147,61 @@ _PAIR = {"--u": _INT, "--v": _INT}
 
 COMMANDS = {
     "rank": Command("generic rigidity matroid rank",
-        lambda g, a: _lib("rigidity").generic_rank(g, a.dim, a.trials, a.seed, a.prime),
+        lambda g, a: rf.generic_rank(g, a.dim, a.trials, a.seed, a.prime),
         confidence=None, pick="rank"),
     "rigid": Command("generic rigidity verdict",
-        lambda g, a: _lib("rigidity").is_rigid(g, a.dim, a.trials, a.seed, a.prime),
+        lambda g, a: rf.is_rigid(g, a.dim, a.trials, a.seed, a.prime),
         confidence=None, pick="value"),
     "globally-rigid": Command("generic global rigidity verdict",
-        lambda g, a: _lib("global_rigidity").is_globally_rigid(
-            g, a.dim, a.trials, a.seed, a.prime),
+        lambda g, a: rf.is_globally_rigid(g, a.dim, a.trials, a.seed, a.prime),
         confidence=None, pick="value"),
     "linked": Command("is the pair {u,v} linked",
-        lambda g, a: _lib("rigidity").is_linked(g, a.dim, a.u, a.v, a.trials, a.seed, a.prime),
+        lambda g, a: rf.is_linked(g, a.dim, a.u, a.v, a.trials, a.seed, a.prime),
         flags=_PAIR, confidence=None, pick="value"),
     "redundant": Command("t-redundant rigidity verdict",
-        lambda g, a: _lib("rigidity").is_t_redundantly_rigid(
-            g, a.dim, a.t, a.trials, a.seed, a.prime),
+        lambda g, a: rf.is_t_redundantly_rigid(g, a.dim, a.t, a.trials, a.seed, a.prime),
         flags={"--t": _INT}, confidence=None),
-    "connectivity": Command("exact vertex connectivity", lambda g, a: vertex_connectivity(g)),
+    "connectivity": Command("exact vertex connectivity", lambda g, a: rf.vertex_connectivity(g)),
     "gpi": Command("build the ordered subgraph", _gpi, flags={"--ordering": {
         "default": None, "help": "comma-separated permutation; default seeded shuffle"}}),
     "expected-gpi": Command("exact expected ordered-subgraph size",
-        lambda g, a: _lib("combinatorics").exact_expected_gpi_edges(g, a.dim)),
+        lambda g, a: rf.exact_expected_gpi_edges(g, a.dim)),
     "gen-ly": Command("generate the split-clique non-rigid family",
-        lambda _, a: _lib("constructions").lovasz_yemini_family(a.dim, a.s)[0],
+        lambda _, a: rf.lovasz_yemini_family(a.dim, a.s)[0],
         reads=None, flags={"--s": _INT | {"help": "base graph size"}}, generator=True),
     "gen-sharpness": Command("generate the matched-cliques redundancy example",
-        lambda _, a: _lib("constructions").sharpness_example(a.dim),
+        lambda _, a: rf.sharpness_example(a.dim),
         reads=None, generator=True),
     "gen-harary": Command("generate the k-connected k-regular circulant",
-        lambda _, a: _lib("constructions").harary_graph(a.k, a.s),
+        lambda _, a: rf.harary_graph(a.k, a.s),
         reads=None, flags={"--k": _INT, "--s": _INT}, generator=True),
     "comblemma": Command("verify the covered-subset bound on a clique system (JSON input)",
-        lambda text, a: _lib("combinatorics").verify_comblemma(_clique_system(text, a.dim), a.m),
+        lambda text, a: rf.verify_comblemma(_clique_system(text, a.dim), a.m),
         reads="text", flags={"--m": _INT}),
     "mdk": Command("sharp rank density m_{d,k}",
-        lambda _, a: _lib("combinatorics").m_dk(a.dim, a.k),
+        lambda _, a: rf.m_dk(a.dim, a.k),
         reads=None, flags={"--k": _INT}),
     "grn-bound": Command("lower bound on the best nontrivial globally rigid dimension",
-        lambda g, a: _lib("combinatorics").grn_lower_bound(g.n, g.edge_count)),
+        lambda g, a: rf.grn_lower_bound(g.n, g.edge_count)),
     "check-theorem1": Command("assert: d(d+1)-connected implies rigid",
-        lambda g, a: _lib("experiments").theorem1_spot_check(g, a.dim, a.trials, a.seed, a.prime),
+        lambda g, a: rf.theorem1_spot_check(g, a.dim, a.trials, a.seed, a.prime),
         confidence="whp", check="passed"),
     "check-theorem2": Command("assert: d(d+1)-connected implies globally rigid",
-        lambda g, a: _lib("experiments").theorem2_spot_check(g, a.dim, a.trials, a.seed, a.prime),
+        lambda g, a: rf.theorem2_spot_check(g, a.dim, a.trials, a.seed, a.prime),
         confidence="whp", check="passed"),
     "check-theorem9": Command("assert the sharp redundancy constants",
-        lambda _, a: _lib("experiments").theorem9_check(a.dim, a.trials, a.seed, a.prime),
+        lambda _, a: rf.theorem9_check(a.dim, a.trials, a.seed, a.prime),
         reads=None, confidence="whp", check="passed"),
     "check-theorem10": Command("assert the m_{d,k} rank lower bound",
-        lambda g, a: _lib("experiments").theorem10_check(g, a.dim, a.trials, a.seed, a.prime),
+        lambda g, a: rf.theorem10_check(g, a.dim, a.trials, a.seed, a.prime),
         confidence="whp", check="passed"),
     "check-lemma6": Command("assert ordered subgraphs are independent when no non-edge is linked",
-        lambda g, a: _lib("experiments").lemma6_property_check(
-            g, a.dim, a.orderings, a.trials, a.seed, a.prime),
+        lambda g, a: rf.lemma6_property_check(g, a.dim, a.orderings, a.trials, a.seed, a.prime),
         flags={"--orderings": {"type": int, "default": 20}}, confidence="whp", check="passed"),
     "check-lemma7-hyp": Command("check the expected-size lemma hypotheses",
-        lambda g, a: _lib("combinatorics").check_lemma7_hypotheses(g, a.dim), check="all_ok"),
+        lambda g, a: rf.check_lemma7_hypotheses(g, a.dim), check="all_ok"),
     "wgl": Command("sufficient condition for weak global linkedness",
-        lambda g, a: _lib("global_rigidity").wgl_sufficient(
+        lambda g, a: rf.wgl_sufficient(
             g, a.dim, a.u, a.v, _csv_ints(a.v0), a.trials, a.seed, a.prime),
         flags=_PAIR | {"--v0": {
             "required": True, "help": "comma-separated vertex set containing u and v"}},

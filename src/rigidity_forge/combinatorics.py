@@ -147,9 +147,10 @@ def _clique_size_counts(g: Graph, v: int) -> list[int]:
     independence polynomial of its complement (Hoede & Li 1994).  For a
     vertex i of a mask with a non-neighbour in the mask,
     P(mask) = P(mask - i) + x P(mask & N(i)); a mask that is a clique of c
-    vertices has P = (1 + x)^c.  P is memoised on the mask, and each branch
-    drops at least one vertex, so the recursion is at most deg(v) deep.
-    Raises ValueError once the memo would exceed CLIQUE_STATE_BUDGET masks.
+    vertices has P = (1 + x)^c.  P is memoised on the mask and evaluated
+    from an explicit stack, not by recursion, so a neighbourhood of any depth
+    is limited only by the memo: ValueError once it would exceed
+    CLIQUE_STATE_BUDGET masks.
     """
     nbrs = sorted(g.neighbors(v))
     k = len(nbrs)
@@ -163,32 +164,36 @@ def _clique_size_counts(g: Graph, v: int) -> list[int]:
                 mask |= 1 << j
         local[i] = mask
     memo: dict[int, list[int]] = {}
-
-    def poly(mask: int) -> list[int]:
-        row = memo.get(mask)
-        if row is not None:
-            return row
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            i = bit.bit_length() - 1
-            if mask & ~local[i] != bit:  # i has a non-neighbour in mask
-                without, within = poly(mask ^ bit), poly(mask & local[i])
-                row = without + [0] * (len(within) + 1 - len(without))
-                for s, c in enumerate(within, start=1):
-                    row[s] += c
-                break
-            rest ^= bit
-        else:
+    # (mask, -1) asks for P(mask); (mask, i) combines its two terms, which the
+    # entries above it compute first
+    stack = [((1 << k) - 1, -1)]
+    while stack:
+        mask, i = stack.pop()
+        if i < 0:
+            if mask in memo:
+                continue
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                i = bit.bit_length() - 1
+                if mask & ~local[i] != bit:  # i has a non-neighbour in mask
+                    break
+                rest ^= bit
+            if rest:
+                stack += ((mask, i), (mask ^ bit, -1), (mask & local[i], -1))
+                continue
             c = mask.bit_count()
             row = [comb(c, s) for s in range(c + 1)]
+        else:
+            without, within = memo[mask ^ 1 << i], memo[mask & local[i]]
+            row = without + [0] * (len(within) + 1 - len(without))
+            for s, c in enumerate(within, start=1):
+                row[s] += c
         if len(memo) >= CLIQUE_STATE_BUDGET:
             raise ValueError(f"the clique polynomial of vertex {v}'s neighbourhood needs "
                              f"more than {CLIQUE_STATE_BUDGET} states")
         memo[mask] = row
-        return row
-
-    counts = poly((1 << k) - 1)
+    counts = memo[(1 << k) - 1]
     return counts + [0] * (k + 1 - len(counts))
 
 

@@ -7,7 +7,7 @@ import itertools
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .graph_core import Edge, Graph
+from .graph_core import Edge, Graph, check_size
 from .rigidity import Cover
 
 RULE_FIRST = "first-d-vertices"
@@ -100,7 +100,7 @@ def harary_graph(k: int, s: int) -> Graph:
         raise ValueError("need 2 <= k < s")
     if (k * s) % 2:
         raise ValueError("k*s must be even")
-    # lazy, so that Graph refuses an oversized s before any edge is built
+    check_size(s, k * s // 2)
     edges = ((i, (i + j) % s) for i in range(s) for j in range(1, k // 2 + 1))
     if k % 2:
         edges = itertools.chain(edges, ((i, i + s // 2) for i in range(s // 2)))
@@ -123,7 +123,8 @@ def lovasz_yemini_family(d: int, s: int) -> tuple[Graph, Cover]:
         raise ValueError(f"need s >= {k + 1}")
     if (k * s) % 2:
         raise ValueError("k*s must be even")
-    base = harary_graph(k, s)  # refuses an oversized s before next_free is built
+    check_size(k * s, k * s // 2 + s * (k * (k - 1) // 2))
+    base = harary_graph(k, s)
     next_free = [v * k for v in range(s)]
     split: list[Edge] = []
     for a, b in sorted(base.edges):
@@ -147,7 +148,7 @@ def sharpness_example(d: int) -> Graph:
     if d < 2:
         raise ValueError("needs dimension >= 2")
     dd = d * (d + 1)
-    # lazy, so that Graph refuses an oversized d before any edge is built
+    check_size(2 * dd, dd * dd)
     cliques = ((block + i, block + j)
                for block in (0, dd) for i in range(dd) for j in range(i + 1, dd))
     return Graph(2 * dd, itertools.chain(cliques, ((i, i + dd) for i in range(dd))))

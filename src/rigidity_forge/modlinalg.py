@@ -65,7 +65,7 @@ class RowBasis:
     rest of that row, scaled so the leading entry is 1.  No two basis rows
     share a leading column.  Pivot rows are never mutated, so a shallow copy
     of ``pivots`` is a separate basis.  Rows fed in increasing leading column
-    fill in every later pivot row, so callers feed such rows last-first.
+    fill in every later pivot row, so :meth:`extend` feeds them last-first.
     """
 
     __slots__ = ("p", "pivots")
@@ -112,6 +112,15 @@ class RowBasis:
         """True iff row is a combination of the basis rows; the basis is unchanged."""
         return not self._reduce(row)
 
+    def extend(self, rows: list[Row], cap: int | None = None) -> RowBasis:
+        """Add rows last-first, stopping once the rank reaches cap; returns self.
+        The span reached does not depend on the order, only the fill does."""
+        for row in reversed(rows):
+            if len(self.pivots) == cap:
+                break
+            self.add(row)
+        return self
+
 
 class ModMatrix:
     """A rows x cols matrix over Z_p held as sparse rows (see module doc)."""
@@ -132,17 +141,11 @@ def rank_of_rows(rows: list[Row], cols: int, p: int, cap: int | None = None) -> 
     """Rank of the span of sparse rows; the rows are not changed.
 
     cols, the row length, states the matrix shape; the sparse elimination
-    does not need it (perfbench reads it to count eliminated cells).  Fed
-    last-first (see :class:`RowBasis`); the rank does not depend on the order.
-    With a cap, elimination stops once the rank reaches it, so the result is
+    does not need it (perfbench reads it to count eliminated cells).  With a
+    cap, elimination stops once the rank reaches it, so the result is
     min(rank, cap); a caller whose rank cannot exceed the cap loses nothing.
     """
-    basis = RowBasis(p)
-    for row in reversed(rows):
-        if basis.rank == cap:
-            break
-        basis.add(row)
-    return basis.rank
+    return RowBasis(p).extend(rows, cap).rank
 
 
 def rank(m: ModMatrix) -> int:
@@ -162,10 +165,7 @@ def _column_basis(m: ModMatrix) -> RowBasis:
     for i, row in enumerate(m.data):
         for j, x in row.items():
             columns[j][i] = x
-    basis = RowBasis(m.p)
-    for column in reversed(columns):
-        basis.add(column)
-    return basis
+    return RowBasis(m.p).extend(columns)
 
 
 def _kernel_vector(basis: RowBasis, w: list[int]) -> list[int]:

@@ -118,7 +118,7 @@ def _matrix_rows(g: Graph, d: int, points: Sequence[int], p: int) -> list[Row]:
 
 
 def _cap_first(g: Graph, d: int) -> list[int]:
-    """The indices of g's sorted edges, arranged so that :func:`rank_of_rows`,
+    """The indices of g's sorted edges, arranged so that :meth:`RowBasis.extend`,
     which feeds rows last-first, takes each vertex's first d edges of that
     last-first order before all other edges.  On K_n those edges are a basis,
     K_{d+1} and then one vertex joined to d earlier ones at a time, so an
@@ -165,7 +165,7 @@ def _cover_first(g: Graph, d: int) -> tuple[list[int], int]:
     parts, tree = [], []
     for c in sorted((c for c in cliques if len(c) >= d + 2), key=len, reverse=True):
         pairs = tuple(itertools.combinations(c, 2))
-        if d * len(c) - comb(d + 1, 2) < sum(e not in covered for e in pairs):
+        if generic_rank_cap(len(c), d) < sum(e not in covered for e in pairs):
             covered.update(pairs)
             parts.append(pairs)
             top = c[::-1]
@@ -229,7 +229,7 @@ def is_rigid(
     n = g.n
     if n <= d + 1:
         return Verdict(g.is_complete(), CERTAIN)
-    target = d * n - comb(d + 1, 2)
+    target = generic_rank_cap(n, d)
     rep = generic_rank(g, d, trials, seed, p)
     value = rep.rank == target
     return Verdict(value, CERTAIN if value else WHP, rank=rep.rank)
@@ -266,11 +266,7 @@ def linked_pairs(
     best_uv = dict.fromkeys(queries, 0)
     for rows, _ in placements(placed, d, trials, seed, p):
         row_of = dict(zip(placed.sorted_edges(), rows))
-        basis = RowBasis(p)
-        for e in reversed(g.sorted_edges()):  # last-first: less fill (see RowBasis)
-            if basis.rank == cap:
-                break
-            basis.add(row_of[e])
+        basis = RowBasis(p).extend([row_of[e] for e in g.sorted_edges()], cap)
         best_g = max(best_g, basis.rank)
         # at the cap no row raises the rank: no placement of a graph on n vertices ranks higher
         raises = basis.rank < cap
@@ -363,7 +359,7 @@ def is_t_redundantly_rigid(
     if n <= d + 1:
         ok = g.is_complete() and k == 0
         return RedundancyReport(ok, CERTAIN, None if ok else edges[:k], 1)
-    target = d * n - comb(d + 1, 2)
+    target = generic_rank_cap(n, d)
     views = [kernel_view(rows, d * n, p) for rows, _ in placements(g, d, trials, seed, p)]
     # rank(G - S) = full_rank - |S| + rank of the dual rows of S
     views = [(kernel_dim, dual) for full_rank, kernel_dim, dual in views if full_rank >= target]
@@ -394,5 +390,5 @@ def cover_rank_bound(g: Graph, d: int, cover: Cover) -> int:
         span = {w for e in part for w in e}
         if len(span) < d + 1:
             raise ValueError(f"part spans {len(span)} vertices, need at least {d + 1}")
-        bound += d * len(span) - comb(d + 1, 2)
+        bound += generic_rank_cap(len(span), d)
     return bound

@@ -18,6 +18,7 @@ from rigidity_forge import cli, combinatorics, experiments, rigidity
 from rigidity_forge.cli import COMMANDS, build_parser, main, parse_direct
 from rigidity_forge.constructions import lovasz_yemini_family, sharpness_example
 from rigidity_forge.graph_core import (
+    MAX_EDGES,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -275,14 +276,14 @@ def test_expected_gpi_over_the_state_budget_exits_two(capsys, monkeypatch, tmp_p
     assert code == 0
 
 
-def test_expected_gpi_past_the_recursion_limit_exits_two(capsys, tmp_path):
+def test_expected_gpi_past_the_recursion_limit_answers(capsys, tmp_path):
     # the centre's neighbourhood of a star is 1,500 independent vertices,
-    # deeper than the recursion limit
+    # deeper than the recursion limit: 1,500 leaves keep 1/2 edge each, and
+    # the centre min(i, 2) plus one more for each backward degree i >= 3
     path = tmp_path / "star.txt"
     path.write_text("1501 1500\n" + "".join(f"0 {i}\n" for i in range(1, 1501)))
-    code, out = run_cli(capsys, "expected-gpi", "--input", str(path))
-    assert code == 2 and "recursion" in json.loads(out)["error"]
-    assert capsys.readouterr().err == ""
+    code, payload = run_json(capsys, "expected-gpi", "--input", str(path))
+    assert (code, payload["result"]) == (0, "1130247/1501")
 
 
 def test_redundant_counts_every_deleted_triple(capsys, tmp_path):
@@ -472,17 +473,24 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("argv, stdin", [
-    (["connectivity"], "100000000 0\n"),  # 12 bytes claiming 10^8 vertices
-    (["gen-harary", "--k", "2", "--s", "100000000"], ""),
-    (["gen-ly", "--s", "100000000"], ""),
-    (["gen-sharpness", "--dim", "1000"], ""),
-], ids=["edge-list header", "gen-harary", "gen-ly", "gen-sharpness"])
-def test_oversized_graphs_are_refused_before_they_are_built(argv, stdin):
+@pytest.mark.parametrize("argv, stdin, refusal", [
+    (["connectivity"], "100000000 0\n", "vertices"),  # 12 bytes claiming 10^8 vertices
+    (["gen-harary", "--k", "2", "--s", "100000000"], "", "vertices"),
+    (["gen-ly", "--s", "100000000"], "", "vertices"),
+    (["gen-sharpness", "--dim", "1000"], "", "vertices"),
+    # under the vertex limit, but with 2*10^8 and 9.8*10^7 edges
+    (["gen-harary", "--k", "19998", "--s", "20000"], "", "edges"),
+    (["gen-sharpness", "--dim", "99"], "", "edges"),
+    # 1.78*10^6 vertices, refused before the base graph and the clique lists
+    (["gen-ly", "--dim", "9", "--s", "20000"], "", "vertices"),
+], ids=["edge-list header", "gen-harary", "gen-ly", "gen-sharpness",
+        "gen-harary dense", "gen-sharpness dense", "gen-ly dense"])
+def test_oversized_graphs_are_refused_before_they_are_built(argv, stdin, refusal):
     child = run_child("-m", "rigidity_forge.cli", *argv, input=stdin,
                       preexec_fn=_cap_address_space)
     assert (child.returncode, child.stderr) == (2, "")
-    assert "exceed the limit of 20000" in json.loads(child.stdout)["error"]
+    limit = 20000 if refusal == "vertices" else MAX_EDGES
+    assert f"{refusal} exceed the limit of {limit}" in json.loads(child.stdout)["error"]
 
 
 def test_process_entry_point_writes_output_larger_than_a_pipe_buffer(capsys):

@@ -21,7 +21,7 @@ ALLOWED = {
 
 def referenced_names(source: str) -> set[str]:
     """The identifiers a module refers to, as a bare name or as an attribute
-    (`_lib("x").f(...)` refers to f).  Strings, docstrings included, do not count."""
+    (`rf.f(...)` refers to f).  Strings, docstrings included, do not count."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -32,8 +32,8 @@ def referenced_names(source: str) -> set[str]:
 
 
 def test_guard_sees_names_and_attributes_but_not_strings():
-    source = '"""f, g and h."""\nimport m\n\n\ndef g():\n    return m.f(x) + _lib("m").h()\n'
-    assert referenced_names(source) == {"m", "x", "f", "_lib", "h"}
+    source = '"""f, g and h."""\nimport m\n\n\ndef g():\n    return m.f(x) + rf.h()\n'
+    assert referenced_names(source) == {"m", "x", "f", "rf", "h"}
 
 
 def test_every_exported_name_resolves_and_has_a_caller_in_src():
@@ -44,3 +44,19 @@ def test_every_exported_name_resolves_and_has_a_caller_in_src():
                          for path in SRC.glob("*.py") if path.name != "__init__.py"))
     assert ALLOWED <= set(exported)
     assert sorted(set(exported) - used - ALLOWED) == []
+
+
+def package_reads(source: str) -> set[str]:
+    """The attributes a module reads from the name `rf`, the CLI's name for
+    the package."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "rf"}
+
+
+def test_every_name_the_cli_reads_from_the_package_is_exported():
+    # a name missing from _EXPORTS would fail only when its command first runs
+    assert package_reads("rf.f(m.g, rf.h)") == {"f", "h"}
+    reads = package_reads((SRC / "cli.py").read_text(encoding="utf-8"))
+    exported = {name for names in rigidity_forge._EXPORTS.values() for name in names}
+    assert reads and sorted(reads - exported) == []

@@ -53,6 +53,16 @@ def test_graph_refuses_more_vertices_than_its_limit():
         parse_graph("20001 0\n")
 
 
+def test_graph_refuses_edges_past_its_budget_as_they_arrive(monkeypatch):
+    monkeypatch.setattr(graph_core, "MAX_EDGES", 10)
+    assert Graph(5, itertools.combinations(range(5), 2)).edge_count == 10
+    assert Graph(5, [(0, 1)] * 20).edge_count == 1  # a repeated edge is one edge
+    pairs = itertools.combinations(range(100), 2)
+    with pytest.raises(ValueError, match="11 edges exceed the limit of 10"):
+        Graph(100, pairs)
+    assert next(pairs) == (0, 12)  # the rest of the 4,950 pairs was never drawn
+
+
 def test_graph_dedups_and_normalizes():
     g = Graph(3, [(1, 0), (0, 1), (1, 2)])
     assert g.edge_count == 2
