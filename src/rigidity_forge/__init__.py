@@ -17,7 +17,7 @@ _EXPORTS = {
                         "stress_matrix_rank", "wgl_sufficient"),
     "graph_core": ("Graph", "GraphParseError", "as_vertex_set", "complete_bipartite_graph",
                    "complete_graph", "cycle_graph", "induced_subgraph", "iter_maximal_cliques",
-                   "maximal_cliques", "parse_graph", "path_avoiding", "vertex_connectivity"),
+                   "parse_graph", "path_avoiding", "vertex_connectivity"),
     "modlinalg": ("DEFAULT_PRIME", "ModMatrix", "RowBasis", "left_kernel_basis",
                   "left_kernel_sample", "make_rng", "rank"),
     "rigidity": ("Cover", "RankReport", "Verdict", "cover_rank_bound", "generic_rank",

@@ -11,7 +11,7 @@ from collections.abc import Iterable
 from math import comb, isqrt
 from typing import TYPE_CHECKING, NamedTuple
 
-from .graph_core import Graph, maximal_cliques
+from .graph_core import Graph, _bits
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -239,7 +239,7 @@ class HypothesisReport(NamedTuple):
 def check_lemma7_hypotheses(g: Graph, d: int) -> HypothesisReport:
     """Every vertex needs degree >= d(d+1), a non-clique neighborhood, and
     pairwise intersections of maximal neighborhood cliques of size <= d-2
-    (tested until one vertex fails it)."""
+    (tested by :func:`_overlapping_cliques` until one vertex fails it)."""
     if d < 2:
         raise ValueError("requires dimension >= 2")
     threshold = d * (d + 1)
@@ -259,11 +259,47 @@ def check_lemma7_hypotheses(g: Graph, d: int) -> HypothesisReport:
             continue
         if not inter_ok:
             continue  # settled: no later vertex changes the report
-        cliques = [frozenset(c) for c in maximal_cliques(g, nbrs)]
-        for a, b in itertools.combinations(cliques, 2):
-            if len(a & b) > d - 2:
-                inter_ok = False
-                if witness is None:
-                    witness = (v, f"maximal cliques overlap in {len(a & b)} > d-2 vertices")
-                break
+        found = _overlapping_cliques(g, g.neighbor_mask(v), d - 1)
+        if found is not None:
+            inter_ok = False
+            if witness is None:
+                k, a, b = found
+                witness = (v, f"maximal cliques overlap in > d-2 vertices: clique {k} "
+                              f"has non-adjacent common neighbours {a} and {b}")
     return HypothesisReport(degree_ok, clique_ok, inter_ok, witness)
+
+
+def _non_adjacent_pair(g: Graph, vertices: int) -> tuple[int, int] | None:
+    """The least a in the vertex bitmask with a non-neighbour in it, and its
+    least such b (so a < b), or None when the vertices form a clique."""
+    for a in _bits(vertices):
+        others = vertices & ~g.neighbor_mask(a) & ~(1 << a)
+        if others:
+            return a, (others & -others).bit_length() - 1
+    return None
+
+
+def _overlapping_cliques(g: Graph, within: int, size: int) -> tuple[list[int], int, int] | None:
+    """A clique K of ``size`` vertices and two non-adjacent common neighbours
+    a < b of K, all in the vertex bitmask ``within``: the first such K in
+    lexicographic order with its first pair, or None.
+
+    They exist exactly when two maximal cliques of the graph induced on
+    ``within`` meet in ``size`` or more vertices: K lies in the meet, a in one
+    clique only and b, not adjacent to a, in the other; conversely K + a and
+    K + b extend to two distinct maximal cliques.  A depth-first search grows
+    K in increasing vertex order and drops a K whose common neighbours are
+    pairwise adjacent, since growing K only shrinks them; so it visits at
+    most the cliques of up to ``size`` vertices, polynomially many.
+    """
+    stack = [((), within)]  # (K, the common neighbours of K in `within`)
+    while stack:
+        clique, common = stack.pop()
+        pair = _non_adjacent_pair(g, common)
+        if pair and len(clique) == size:
+            return list(clique), *pair
+        if pair:
+            larger = common & -(2 << clique[-1]) if clique else common
+            stack += [(clique + (w,), common & g.neighbor_mask(w))
+                      for w in reversed(_bits(larger))]  # the least w is searched first
+    return None

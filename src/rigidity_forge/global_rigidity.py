@@ -5,7 +5,9 @@ is rigid and a generic placement carries an equilibrium stress whose stress
 matrix has rank n-d-1.  Random field placements plus a random kernel stress
 evaluate that condition with one-sided error in each direction, so both
 verdicts are tagged "whp".  In the plane the verdict is instead rigid,
-3-connected and redundantly rigid (Jackson & Jordan, *JCTB* 94, 2005).
+3-connected and redundantly rigid (Jackson & Jordan, *JCTB* 94, 2005); a
+True verdict there is certain, since rigidity at the rank cap, exact
+3-connectivity and :func:`_plane_redundant`'s True are each certain.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def is_globally_rigid(
         return Verdict(False, WHP, rank=rigid.rank)
     if d == 2:
         value = vertex_connectivity(g, 3) >= 3 and _plane_redundant(g, trials, seed, p)
-        return Verdict(value, WHP, rank=rigid.rank)
+        return Verdict(value, CERTAIN if value else WHP, rank=rigid.rank)
     cert = stress_matrix_rank(g, d, trials, seed, p)
     return Verdict(cert.omega_rank == cert.target, WHP, rank=rigid.rank)
 

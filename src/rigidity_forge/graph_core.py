@@ -9,6 +9,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterable, Iterator
 from itertools import combinations
+from math import isqrt
 
 Edge = tuple[int, int]
 
@@ -18,7 +19,7 @@ GRAPH6_HEADER = ">>graph6<<"
 #: (26-34 MB for a 20,000-vertex path), so a short header cannot claim gigabytes.
 MAX_VERTICES = 20_000
 #: The most edges a Graph takes.  A CLI call that parses a 20,000-vertex edge
-#: list of this many edges peaks at 308 MB (about 600 bytes per edge, CPython
+#: list of this many edges peaks at 261 MB (about 500 bytes per edge, CPython
 #: 3.11 on x86-64), well inside a 1 GB address space.
 MAX_EDGES = 500_000
 
@@ -70,11 +71,10 @@ class Graph:
         seen: set[Edge] = set()
         for u, v in edges:
             u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            seen.add(normalize_edge(u, v))
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"self-loop at vertex {u}" if u == v
+                                 else f"edge ({u},{v}) out of range for n={n}")
+            seen.add((u, v) if u < v else (v, u))
             if len(seen) > MAX_EDGES:  # refused as the edges arrive, before they fill memory
                 check_size(n, len(seen))
         self.n = n
@@ -178,97 +178,101 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
 def parse_edge_list(text: str) -> Graph:
     """Parse "n m" header plus one "u v" line per edge.
 
-    Duplicate edges are dropped with a warning; a mismatch between the
-    declared and final edge count is also only a warning.  Malformed lines,
-    out-of-range endpoints and self-loops raise ``GraphParseError`` carrying
-    the offending line number.
+    The header meets :func:`check_size` before any edge line is read; the
+    edges then stream into :class:`Graph`, the one place they are checked,
+    deduplicated and budgeted.  A malformed line or a refusal of Graph's
+    raises ``GraphParseError`` naming its line; dropped duplicates and a
+    header count other than the final one are only warnings.
     """
     lines = text.splitlines()
-    header_no = None
-    for idx, raw in enumerate(lines):
-        if raw.strip():
-            header_no = idx
-            break
-    if header_no is None:
+    no = next((i + 1 for i, raw in enumerate(lines) if raw.strip()), None)
+    if no is None:
         raise GraphParseError("line 1: empty input")
-    parts = lines[header_no].split()
+    parts = lines[no - 1].split()
     if len(parts) != 2:
-        raise GraphParseError(f"line {header_no + 1}: expected header 'n m'")
+        raise GraphParseError(f"line {no}: expected header 'n m'")
     try:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
-        raise GraphParseError(f"line {header_no + 1}: non-integer header") from None
+        raise GraphParseError(f"line {no}: non-integer header") from None
     if n < 0 or m < 0:
-        raise GraphParseError(f"line {header_no + 1}: negative count in header")
+        raise GraphParseError(f"line {no}: negative count in header")
+    read = 0  # edge lines handed to Graph; `no` is the line being read
 
-    edges: set[Edge] = set()
-    for idx in range(header_no + 1, len(lines)):
-        raw = lines[idx].strip()
-        if not raw:
-            continue
-        no = idx + 1
-        parts = raw.split()
-        if len(parts) != 2:
-            raise GraphParseError(f"line {no}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError(f"line {no}: non-integer endpoint") from None
-        if u == v:
-            raise GraphParseError(f"line {no}: self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(f"line {no}: endpoint out of range [0, {n})")
-        e = normalize_edge(u, v)
-        if e in edges:
-            warnings.warn(
-                f"line {no}: duplicate edge ({u},{v}) dropped", GraphFormatWarning
-            )
-        edges.add(e)
-    if len(edges) != m:
-        warnings.warn(
-            f"edge count mismatch: header says {m}, got {len(edges)} after dedup",
-            GraphFormatWarning,
-        )
-    return Graph(n, edges)
+    def edges() -> Iterator[Edge]:
+        nonlocal no, read
+        for no in range(no + 1, len(lines) + 1):
+            parts = lines[no - 1].split()
+            if parts:
+                if len(parts) != 2:
+                    raise GraphParseError(f"line {no}: expected 'u v'")
+                try:
+                    u, v = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise GraphParseError(f"line {no}: non-integer endpoint") from None
+                read += 1
+                yield u, v
+
+    try:
+        check_size(n, m)
+        g = Graph(n, edges())
+    except GraphParseError:
+        raise
+    except ValueError as exc:
+        raise GraphParseError(f"line {no}: {exc}") from None
+    if read > g.edge_count:
+        warnings.warn(f"duplicate edges dropped: {read - g.edge_count}", GraphFormatWarning)
+    if g.edge_count != m:
+        warnings.warn(f"edge count mismatch: header says {m}, got {g.edge_count} after dedup",
+                      GraphFormatWarning)
+    return g
+
+
+GRAPH6_BYTES = bytes(range(63, 127))  # "?" to "~", each carrying six bits
+_SET_BITS = bytes(64) + bytes([1]) * 192  # 1 for a graph6 byte other than "?"
 
 
 def parse_graph6(text: str) -> Graph:
-    """Parse a single graph in graph6 format (optional ">>graph6<<" header)."""
-    s = text.strip()
-    if s.startswith(GRAPH6_HEADER):
-        s = s[len(GRAPH6_HEADER):]
-    s = s.strip()
-    if not s:
+    """Parse a single graph in graph6 format (optional ">>graph6<<" header).
+
+    The set bits stream into :class:`Graph` once it has accepted n, with a
+    memchr-speed skip over the bytes that carry none; bit k is the edge
+    (u, v), u < v, with k = v(v-1)/2 + u, and padding bits are ignored.
+    """
+    data = text.strip().encode(errors="surrogatepass")  # a lone surrogate is then invalid too
+    if data.startswith(GRAPH6_HEADER.encode()):
+        data = data[len(GRAPH6_HEADER):].lstrip()
+    if not data:
         raise GraphParseError("empty graph6 payload")
-    data = [ord(c) - 63 for c in s]
-    if any(b < 0 or b > 63 for b in data):
+    if data.translate(None, GRAPH6_BYTES):  # what is left lies outside the alphabet
         raise GraphParseError("invalid graph6 byte")
-    if data[0] <= 62:
-        n, pos = data[0], 1
-    elif len(data) >= 4 and data[1] <= 62:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        pos = 4
-    elif len(data) >= 8:
-        n = 0
-        for b in data[2:8]:
-            n = (n << 6) | b
-        pos = 8
-    else:
+    pos = 1 if data[0] < 126 else 4 if data[1:2] < b"~" else 8  # where the edge bits start
+    if len(data) < pos:
         raise GraphParseError("truncated graph6 size field")
-    need = (n * (n - 1) // 2 + 5) // 6
-    if len(data) - pos < need:
+    n = 0
+    for c in data[pos // 4:pos]:  # the size in base 64, after any "~" markers
+        n = n << 6 | c - 63
+    total = n * (n - 1) // 2
+    end = pos + (total + 5) // 6
+    if len(data) < end:
         raise GraphParseError("truncated graph6 edge bits")
-    bits = []
-    for b in data[pos : pos + need]:
-        bits.extend((b >> shift) & 1 for shift in range(5, -1, -1))
-    edges = []
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                edges.append((u, v))
-            k += 1
-    return Graph(n, edges)
+
+    def edges() -> Iterator[Edge]:
+        mask = data.translate(_SET_BITS)
+        i = mask.find(1, pos, end)
+        while i >= 0:
+            b, k = data[i] - 63, 6 * (i - pos)
+            v = (isqrt(8 * k + 1) + 1) // 2
+            u = k - v * (v - 1) // 2
+            for shift in range(5, -1, -1):  # bits k..k+5, stepping (u, v) along
+                if b >> shift & 1 and k < total:
+                    yield u, v
+                k, u = k + 1, u + 1
+                if u == v:
+                    u, v = 0, v + 1
+            i = mask.find(1, i + 1, end)
+
+    return Graph(n, edges())
 
 
 def parse_graph(text: str) -> Graph:
@@ -475,11 +479,6 @@ def iter_maximal_cliques(
                 yield tuple(_bits(r | vb))
             p ^= vb
             x |= vb
-
-
-def maximal_cliques(g: Graph, vertices: Iterable[int] | None = None) -> list[tuple[int, ...]]:
-    """All of :func:`iter_maximal_cliques`, in lexicographic order."""
-    return sorted(iter_maximal_cliques(g, vertices))
 
 
 # -- subgraphs and paths ---------------------------------------------------

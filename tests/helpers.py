@@ -14,7 +14,7 @@ from math import comb, factorial, sqrt
 from rigidity_forge.combinatorics import CliqueSystem
 from rigidity_forge.experiments import Theorem9Report
 from rigidity_forge.global_rigidity import stress_matrix, stress_matrix_rank
-from rigidity_forge.graph_core import Edge, Graph, normalize_edge
+from rigidity_forge.graph_core import Edge, Graph, iter_maximal_cliques, normalize_edge
 from rigidity_forge.modlinalg import (
     DEFAULT_PRIME,
     ModMatrix,
@@ -103,6 +103,27 @@ def brute_vertex_connectivity(g: Graph) -> int:
             if disconnected_without(set(cut)):
                 return k
     return n - 1
+
+
+def maximal_cliques(g: Graph, vertices: Iterable[int] | None = None) -> list[tuple[int, ...]]:
+    """All of :func:`iter_maximal_cliques`, in lexicographic order: the lemma 7
+    hypothesis check's oracle."""
+    return sorted(iter_maximal_cliques(g, vertices))
+
+
+def graph6(n: int, edges: Iterable[Edge], padding: int = 0) -> str:
+    """The graph on n vertices with these edges (u < v) in graph6, with one or
+    four size bytes and the padding bits of the last byte set to the low bits
+    of ``padding`` (0 is the standard encoding)."""
+    total = n * (n - 1) // 2
+    data = bytearray(-(-total // 6))  # six bits a byte, the first bit highest
+    for u, v in edges:
+        k = v * (v - 1) // 2 + u
+        data[k // 6] |= 32 >> k % 6
+    if data:
+        data[-1] |= padding & (1 << (-total % 6)) - 1
+    size = [n] if n < 63 else [63, n >> 12, n >> 6 & 63, n & 63]
+    return (bytes(size) + data).translate(bytes(range(63, 256)) + bytes(63)).decode() + "\n"
 
 
 def brute_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:

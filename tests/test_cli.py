@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -8,22 +9,29 @@ import re
 import resource
 import subprocess
 import sys
+import warnings
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rigidity_forge
 from rigidity_forge import cli, combinatorics, experiments, rigidity
 from rigidity_forge.cli import COMMANDS, build_parser, main, parse_direct
 from rigidity_forge.constructions import lovasz_yemini_family, sharpness_example
 from rigidity_forge.graph_core import (
+    GRAPH6_BYTES,
     MAX_EDGES,
+    GraphFormatWarning,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     parse_graph,
 )
+
+from helpers import graph6
 
 K4_TEXT = complete_graph(4).to_edge_list()
 C4_TEXT = cycle_graph(4).to_edge_list()
@@ -483,14 +491,49 @@ def _cap_address_space():
     (["gen-sharpness", "--dim", "99"], "", "edges"),
     # 1.78*10^6 vertices, refused before the base graph and the clique lists
     (["gen-ly", "--dim", "9", "--s", "20000"], "", "vertices"),
+    # the header's edge count is refused before the one edge line is read
+    (["connectivity"], "3 500001\n0 1\n", "edges"),
+    # 500,500 edges: Graph refuses the 500,001st bit as it streams in
+    (["connectivity"], graph6(1001, itertools.combinations(range(1001), 2)), "edges"),
 ], ids=["edge-list header", "gen-harary", "gen-ly", "gen-sharpness",
-        "gen-harary dense", "gen-sharpness dense", "gen-ly dense"])
+        "gen-harary dense", "gen-sharpness dense", "gen-ly dense",
+        "edge-list header over the edge budget", "graph6 K1001"])
 def test_oversized_graphs_are_refused_before_they_are_built(argv, stdin, refusal):
     child = run_child("-m", "rigidity_forge.cli", *argv, input=stdin,
                       preexec_fn=_cap_address_space)
     assert (child.returncode, child.stderr) == (2, "")
     limit = 20000 if refusal == "vertices" else MAX_EDGES
     assert f"{refusal} exceed the limit of {limit}" in json.loads(child.stdout)["error"]
+
+
+_EDGE_LIST_TEXT = st.text(alphabet="0123456789+- \t\n", max_size=40)
+_GRAPH6_CHAR = st.sampled_from(GRAPH6_BYTES.decode())
+# a one-byte size field (n <= 62), or "~" then 3 bytes, or "~~" then 6 bytes,
+# each possibly cut short
+_GRAPH6_SIZE = st.one_of(st.text(_GRAPH6_CHAR, min_size=1, max_size=1),
+                         st.text(_GRAPH6_CHAR, max_size=3).map("~".__add__),
+                         st.text(_GRAPH6_CHAR, max_size=6).map("~~".__add__))
+_GRAPH6_TEXT = st.tuples(st.sampled_from(["", ">>graph6<<"]), _GRAPH6_SIZE,
+                         st.text(_GRAPH6_CHAR, max_size=40)).map("".join)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_EDGE_LIST_TEXT, _GRAPH6_TEXT))
+def test_any_graph_text_gets_one_json_answer_or_refusal(text):
+    # an exception that escapes a parser's own mapping fails here, not at a user
+    out = io.StringIO()
+    saved = sys.stdin, sys.stdout
+    sys.stdin, sys.stdout = io.StringIO(text), out
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GraphFormatWarning)
+            code = main(["connectivity"])
+    finally:
+        sys.stdin, sys.stdout = saved
+    assert code in (0, 2)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+    assert ("error" in json.loads(lines[0])) == (code == 2)
 
 
 def test_process_entry_point_writes_output_larger_than_a_pipe_buffer(capsys):

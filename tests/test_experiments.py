@@ -1,10 +1,11 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from rigidity_forge import experiments, global_rigidity, graph_core
+from rigidity_forge import combinatorics, experiments, global_rigidity
 from rigidity_forge.constructions import (
     lovasz_yemini_family,
     sharpness_example,
@@ -28,13 +29,13 @@ from rigidity_forge.graph_core import (
     complete_graph,
     cycle_graph,
     induced_subgraph,
-    maximal_cliques,
 )
 from rigidity_forge.modlinalg import DEFAULT_PRIME
 
 from helpers import (
     brute_force_expected_gpi,
     exact_generic_rank,
+    maximal_cliques,
     monte_carlo_gpi,
     random_graph,
     random_regular_graph,
@@ -90,12 +91,41 @@ def lemma7_by_induced_subgraphs(g, d):
             witness = witness or (v, "neighborhood induces a clique")
             continue
         cliques = [frozenset(mapping[i] for i in c) for c in maximal_cliques(sub)]
-        for a, b in itertools.combinations(cliques, 2):
-            if len(a & b) > d - 2:
-                inter_ok = False
-                witness = witness or (v, f"maximal cliques overlap in {len(a & b)} > d-2 vertices")
-                break
+        if any(len(a & b) > d - 2 for a, b in itertools.combinations(cliques, 2)):
+            inter_ok = False
+            if witness is None:
+                k, a, b = first_overlap_by_cliques(g, cliques, d - 1)
+                witness = (v, f"maximal cliques overlap in > d-2 vertices: clique {k} "
+                              f"has non-adjacent common neighbours {a} and {b}")
     return HypothesisReport(degree_ok, clique_ok, inter_ok, witness)
+
+
+def first_overlap_by_cliques(g, cliques, size):
+    """From the maximal cliques of a vertex set: the lexicographically first
+    (K, a, b) with K a clique of `size` in two of them and a < b non-adjacent
+    common neighbours of K in the set, or None.  K lies in two maximal
+    cliques exactly when it has such a pair, so the first K is the least
+    `size`-prefix of a meet of two cliques."""
+    meets = [sorted(a & b)[:size] for a, b in itertools.combinations(cliques, 2)
+             if len(a & b) >= size]
+    if not meets:
+        return None
+    k = min(meets)
+    common = sorted(w for w in set().union(*cliques) if all(g.has_edge(w, x) for x in k))
+    a, b = next((a, b) for a, b in itertools.combinations(common, 2) if not g.has_edge(a, b))
+    return k, a, b
+
+
+def first_overlap_by_subsets(g, vertices, size):
+    """The lexicographically first (K, a, b): K a clique of `size` of the
+    sorted vertices, a < b two non-adjacent common neighbours of K among them."""
+    for k in itertools.combinations(sorted(vertices), size):
+        if g.is_clique(k):
+            common = [w for w in sorted(vertices) if all(g.has_edge(w, x) for x in k)]
+            for a, b in itertools.combinations(common, 2):
+                if not g.has_edge(a, b):
+                    return list(k), a, b
+    return None
 
 
 def rook_graph(q):
@@ -170,12 +200,12 @@ def test_lemma7_hypotheses_match_induced_subgraph_route(monkeypatch):
     assert late == {"degree", "neighborhood"}
 
 
-def test_lemma7_stops_listing_cliques_once_the_hypothesis_fails(monkeypatch):
+def test_lemma7_stops_searching_once_the_hypothesis_fails(monkeypatch):
     calls = []
-    listing = graph_core.iter_maximal_cliques
-    monkeypatch.setattr(graph_core, "iter_maximal_cliques",
-                        lambda *a: calls.append(a[1]) or listing(*a))
-    # passing: every neighbourhood is listed
+    search = combinatorics._overlapping_cliques
+    monkeypatch.setattr(combinatorics, "_overlapping_cliques",
+                        lambda g, within, size: calls.append(within) or search(g, within, size))
+    # passing: every neighbourhood is searched
     assert check_lemma7_hypotheses(complete_bipartite_graph(6, 7), 2).all_ok
     assert len(calls) == 13
     calls.clear()
@@ -183,13 +213,47 @@ def test_lemma7_stops_listing_cliques_once_the_hypothesis_fails(monkeypatch):
     dense = random_regular_graph(random.Random(3), 48, 24)
     rep = check_lemma7_hypotheses(dense, 2)
     assert rep.witness[0] == 0 and rep.witness[1].startswith("maximal")
-    assert calls == [dense.neighbors(0)]
+    assert calls == [dense.neighbor_mask(0)]
     calls.clear()
     # a page vertex words the witness; the first core vertex (36) still breaks
-    # the condition, and the other two core vertices are not listed
+    # the condition, and the other two core vertices are not searched
     rep = check_lemma7_hypotheses(book_graph(3, 3, 12, core_last=True), 3)
     assert not rep.intersection_ok and rep.witness == (0, "neighborhood induces a clique")
-    assert calls == [frozenset(range(39)) - {36}]
+    assert calls == [sum(1 << w for w in range(39) if w != 36)]
+
+
+def hub_graph(k):
+    """K_{2k} less a perfect matching, plus a hub joined to all of it: the
+    hub's neighbourhood has 2^k maximal cliques, any two meeting."""
+    return Graph(2 * k + 1, [(u, v) for u, v in itertools.combinations(range(2 * k + 1), 2)
+                             if not (v < 2 * k and u % 2 == 0 and v == u + 1)])
+
+
+def test_lemma7_hypotheses_on_the_hub_family_are_polynomial():
+    # listing the hub's maximal cliques would take minutes at n = 49
+    g = hub_graph(24)
+    hub = g.n - 1
+    started = time.perf_counter()
+    rep = check_lemma7_hypotheses(g, 2)
+    assert time.perf_counter() - started < 1.0
+    assert not rep.all_ok and not rep.intersection_ok
+    # vertex 0 sees the hub and 46 others; [1] in its neighbourhood sees 2 and 3
+    assert rep.witness == (0, "maximal cliques overlap in > d-2 vertices: clique [2] "
+                              "has non-adjacent common neighbours 4 and 5")
+    assert combinatorics._overlapping_cliques(g, g.neighbor_mask(hub), 1) == ([0], 2, 3)
+    assert combinatorics._overlapping_cliques(g, g.neighbor_mask(hub), 23)[1:] == (46, 47)
+
+
+def test_overlapping_cliques_match_the_maximal_clique_listing():
+    rng = random.Random(2024)
+    for _ in range(600):
+        g = random_graph(rng, rng.randint(1, 14), rng.uniform(0.3, 0.95))
+        within = rng.sample(range(g.n), rng.randint(0, g.n))
+        size = rng.randint(1, 5)
+        found = combinatorics._overlapping_cliques(g, sum(1 << w for w in within), size)
+        cliques = [set(c) for c in maximal_cliques(g, within)]
+        assert found == first_overlap_by_cliques(g, cliques, size), (g.edges, within, size)
+        assert found == first_overlap_by_subsets(g, within, size)
 
 
 def test_monte_carlo_gpi_degenerate_and_determinism():

@@ -1,6 +1,8 @@
 import itertools
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from rigidity_forge.graph_core import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    parse_graph,
     vertex_connectivity,
 )
 from rigidity_forge.modlinalg import DEFAULT_PRIME
@@ -28,6 +31,10 @@ from helpers import (
     random_graph,
     stress_globally_rigid,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 
 P = DEFAULT_PRIME
 
@@ -169,7 +176,9 @@ def test_plane_route_matches_the_stress_oracle():
     for g in _plane_cases(rng):
         seed = rng.getrandbits(64)
         verdict = is_globally_rigid(g, 2, seed=seed)
-        assert verdict == stress_globally_rigid(g, 2, seed=seed), g.edges
+        oracle = stress_globally_rigid(g, 2, seed=seed)
+        assert (verdict.value, verdict.rank) == (oracle.value, oracle.rank), g.edges
+        assert verdict.confidence == ("certain" if verdict.value else "whp")
         if not is_rigid(g, 2, seed=seed):
             kind = "not rigid"
         elif brute_vertex_connectivity(g) < 3:
@@ -191,7 +200,7 @@ def test_plane_route_on_a_k4_covered_graph_draws_no_stress(monkeypatch):
     for name in ("stress_matrix", "stress_matrix_rank", "left_kernel_sample"):
         monkeypatch.setattr(global_rigidity, name, forbidden)
     g = complete_graph(6).remove_edges([(0, 1), (2, 3)])
-    assert _k4_covered(g) and is_globally_rigid(g, 2).value
+    assert _k4_covered(g) and is_globally_rigid(g, 2) == (True, "certain", 9)
     blocks = (range(5), range(3, 8))  # two K5s sharing two vertices
     two_connected = Graph(8, [e for block in blocks for e in itertools.combinations(block, 2)])
     assert not is_globally_rigid(two_connected, 2).value
@@ -206,11 +215,17 @@ def test_plane_route_without_a_k4_cover_samples_one_stress_per_trial(monkeypatch
         return sample(m, seed)
 
     monkeypatch.setattr(global_rigidity, "left_kernel_sample", spy)
-    assert is_globally_rigid(complete_bipartite_graph(4, 4), 2, trials=3).value
+    assert is_globally_rigid(complete_bipartite_graph(4, 4), 2, trials=3) == (True, "certain", 13)
     assert len(calls) == 1  # a full-support stress on the first placement settles it
     calls.clear()
+    # the benchmark's seed-1 30-vertex graph has two edges in no K4
+    inv = next(i for i in workloads.verdicts_and_checks(1) if i.command == "globally-rigid")
+    g = parse_graph(inv.stdin)
+    assert g.n == 30 and not _k4_covered(g)
+    assert is_globally_rigid(g, 2) == (True, "certain", 57) and len(calls) == 1
+    calls.clear()
     # K_{3,3} is minimally rigid: no placement carries a nonzero stress
-    assert not is_globally_rigid(complete_bipartite_graph(3, 3), 2, trials=3).value
+    assert is_globally_rigid(complete_bipartite_graph(3, 3), 2, trials=3) == (False, "whp", 9)
     assert len(calls) == 3
 
 

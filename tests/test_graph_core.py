@@ -1,6 +1,8 @@
 import itertools
 import random
 import sys
+import tracemalloc
+import warnings
 
 import pytest
 
@@ -15,7 +17,6 @@ from rigidity_forge.graph_core import (
     cycle_graph,
     induced_subgraph,
     iter_maximal_cliques,
-    maximal_cliques,
     parse_edge_list,
     parse_graph,
     parse_graph6,
@@ -26,6 +27,8 @@ from rigidity_forge.graph_core import (
 from helpers import (
     brute_maximal_cliques,
     brute_vertex_connectivity,
+    graph6,
+    maximal_cliques,
     random_graph,
     random_regular_graph,
 )
@@ -104,6 +107,11 @@ def test_parse_duplicate_edge_warns_and_dedups():
     with pytest.warns(GraphFormatWarning):
         g = parse_edge_list("3 2\n0 1\n0 1")
     assert g.n == 3 and g.edges == frozenset({(0, 1)})
+    with warnings.catch_warnings(record=True) as caught:  # one warning counts them all
+        warnings.simplefilter("always")
+        g = parse_edge_list("3 2\n0 1\n1 0\n\n0 1\n1 2\n2 1")
+    assert g.edges == frozenset({(0, 1), (1, 2)})
+    assert [str(w.message) for w in caught] == ["duplicate edges dropped: 3"]
 
 
 def test_parse_errors_name_line_numbers():
@@ -117,6 +125,49 @@ def test_parse_errors_name_line_numbers():
         parse_edge_list("nonsense")
     with pytest.raises(GraphParseError):
         parse_edge_list("")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 1\n\n1 1", "line 3: self-loop at vertex 1"),
+    ("3 2\n0 1\n2 7", "line 3: edge (2,7) out of range for n=3"),
+    ("3 1\n-1 2\n0 1", "line 2: edge (-1,2) out of range for n=3"),
+    ("4 2\n0 1\n1 0\n0 2\n0 3", "line 5: 3 edges exceed the limit of 2"),
+    # the header is refused before the malformed line after it is read
+    ("\n3 3\n0 1\nnot an edge", "line 2: 3 edges exceed the limit of 2"),
+    ("20001 0\n0 0", "line 1: 20001 vertices exceed the limit of 20000"),
+], ids=["self-loop", "out of range", "negative endpoint", "edge budget",
+        "header over the edge budget", "header over the vertex limit"])
+def test_refusals_name_their_input_line(monkeypatch, text, message):
+    monkeypatch.setattr(graph_core, "MAX_EDGES", 2)
+    with pytest.raises(GraphParseError) as refused:
+        parse_edge_list(text)
+    assert str(refused.value) == message
+
+
+def test_graph6_padding_bits_are_ignored():
+    rng = random.Random(6)
+    for n in (2, 3, 4, 5, 7, 11, 64, 70):
+        g = random_graph(rng, n, 0.5)
+        text = graph6(n, g.edges)
+        assert parse_graph6(text) == g
+        spare = -(n * (n - 1) // 2) % 6  # padding bits in the last byte
+        for padding in range(1, 1 << spare):
+            padded = graph6(n, g.edges, padding)
+            assert padded != text and parse_graph6(padded) == g
+
+
+def test_graph6_streams_its_bits_into_the_graph():
+    # the empty 5,000-vertex graph is 2.1 MB of graph6; a bit list of its
+    # 12.5 million pairs would take about 100 MB
+    text = graph6(5000, [])
+    tracemalloc.start()
+    try:
+        g = parse_graph6(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.edge_count) == (5000, 0)
+    assert peak < 16 * 2**20, peak
 
 
 def test_parse_graph6_known_encodings():
