@@ -133,7 +133,6 @@ class Command(NamedTuple):
     #: with confidence None: the report field printed as the result (None: all the rest)
     pick: str | None = None
     check: str | None = None  # report field added to the result; False exits 1
-    generator: bool = False  # returns a Graph, printed as edge-list text by default
 
     @property
     def all_flags(self) -> dict[str, dict]:
@@ -168,13 +167,12 @@ COMMANDS = {
         lambda g, a: rf.exact_expected_gpi_edges(g, a.dim)),
     "gen-ly": Command("generate the split-clique non-rigid family",
         lambda _, a: rf.lovasz_yemini_family(a.dim, a.s)[0],
-        reads=None, flags={"--s": _INT | {"help": "base graph size"}}, generator=True),
+        reads=None, flags={"--s": _INT | {"help": "base graph size"}}),
     "gen-sharpness": Command("generate the matched-cliques redundancy example",
-        lambda _, a: rf.sharpness_example(a.dim),
-        reads=None, generator=True),
+        lambda _, a: rf.sharpness_example(a.dim), reads=None),
     "gen-harary": Command("generate the k-connected k-regular circulant",
         lambda _, a: rf.harary_graph(a.k, a.s),
-        reads=None, flags={"--k": _INT, "--s": _INT}, generator=True),
+        reads=None, flags={"--k": _INT, "--s": _INT}),
     "comblemma": Command("verify the covered-subset bound on a clique system (JSON input)",
         lambda text, a: rf.verify_comblemma(_clique_system(text, a.dim), a.m),
         reads="text", flags={"--m": _INT}),
@@ -316,7 +314,8 @@ def main(argv: list[str] | None = None) -> int:
         started = time.perf_counter()
         source, digest = _load(cmd, args)
         report = cmd.run(source, args)
-        if cmd.generator:
+        generator = isinstance(report, Graph)  # printed as edge-list text by default
+        if generator:
             report = {"n": report.n, "m": report.edge_count, "edge_list": report.to_edge_list()}
         result = jsonable(report)
         confidence = cmd.confidence or result.pop("confidence")
@@ -337,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
             "seed": args.seed,
             "runtime_ms": runtime_ms,
         }
-        _emit(payload, args.fmt or ("text" if cmd.generator else "json"))
+        _emit(payload, args.fmt or ("text" if generator else "json"))
         return code
     # deep inputs overflow the recursion limit and infinite JSON numbers
     # overflow int(): both are input errors, not failed checks

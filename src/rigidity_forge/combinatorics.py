@@ -11,7 +11,7 @@ from collections.abc import Iterable
 from math import comb, isqrt
 from typing import TYPE_CHECKING, NamedTuple
 
-from .graph_core import Graph, _bits
+from .graph_core import Graph, _bits, _non_adjacent_pair
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -246,20 +246,20 @@ def check_lemma7_hypotheses(g: Graph, d: int) -> HypothesisReport:
     degree_ok = clique_ok = inter_ok = True
     witness: tuple[int, str] | None = None
     for v in range(g.n):
-        nbrs = g.neighbors(v)
-        if len(nbrs) < threshold:
+        nbrs = g.neighbor_mask(v)
+        if g.degree(v) < threshold:
             degree_ok = False
             if witness is None:
-                witness = (v, f"degree {len(nbrs)} < {threshold}")
+                witness = (v, f"degree {g.degree(v)} < {threshold}")
             continue
-        if g.is_clique(nbrs):
+        if _non_adjacent_pair(g, nbrs) is None:
             clique_ok = False
             if witness is None:
                 witness = (v, "neighborhood induces a clique")
             continue
         if not inter_ok:
             continue  # settled: no later vertex changes the report
-        found = _overlapping_cliques(g, g.neighbor_mask(v), d - 1)
+        found = _overlapping_cliques(g, nbrs, d - 1)
         if found is not None:
             inter_ok = False
             if witness is None:
@@ -267,16 +267,6 @@ def check_lemma7_hypotheses(g: Graph, d: int) -> HypothesisReport:
                 witness = (v, f"maximal cliques overlap in > d-2 vertices: clique {k} "
                               f"has non-adjacent common neighbours {a} and {b}")
     return HypothesisReport(degree_ok, clique_ok, inter_ok, witness)
-
-
-def _non_adjacent_pair(g: Graph, vertices: int) -> tuple[int, int] | None:
-    """The least a in the vertex bitmask with a non-neighbour in it, and its
-    least such b (so a < b), or None when the vertices form a clique."""
-    for a in _bits(vertices):
-        others = vertices & ~g.neighbor_mask(a) & ~(1 << a)
-        if others:
-            return a, (others & -others).bit_length() - 1
-    return None
 
 
 def _overlapping_cliques(g: Graph, within: int, size: int) -> tuple[list[int], int, int] | None:

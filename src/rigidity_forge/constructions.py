@@ -7,7 +7,7 @@ import itertools
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .graph_core import Edge, Graph, check_size
+from .graph_core import Edge, Graph, _bits, _non_adjacent_pair, check_size
 from .rigidity import Cover
 
 RULE_FIRST = "first-d-vertices"
@@ -43,15 +43,6 @@ def validate_ordering(n: int, ordering: Sequence[int]) -> list[int]:
     return order
 
 
-def _first_nonadjacent_pair(g: Graph, back: list[int], back_mask: int) -> tuple[int, int]:
-    for x in back:
-        higher = back_mask & ~g.neighbor_mask(x) & ~((1 << (x + 1)) - 1)
-        if higher:
-            y = (higher & -higher).bit_length() - 1
-            return x, y
-    raise AssertionError("no non-adjacent pair in a non-clique set")
-
-
 def build_gpi(g: Graph, d: int, ordering: Sequence[int]) -> GpiResult:
     """Process vertices in order, keeping a bounded set of backward edges.
 
@@ -68,24 +59,18 @@ def build_gpi(g: Graph, d: int, ordering: Sequence[int]) -> GpiResult:
     steps: list[GpiStep] = []
     for i, v in enumerate(order):
         back_mask = g.neighbor_mask(v) & placed
-        back = []
-        m = back_mask
-        while m:
-            bit = m & -m
-            back.append(bit.bit_length() - 1)
-            m ^= bit
+        back = _bits(back_mask)
         k = len(back)
         pair = None
         if k <= d:
             rule = RULE_FIRST if i < d else RULE_A
             chosen = tuple(back)
-        elif g.is_clique(back):
+        elif (pair := _non_adjacent_pair(g, back_mask)) is None:
             rule = RULE_B
             chosen = tuple(back[:d])
         else:
             rule = RULE_C
-            x, y = _first_nonadjacent_pair(g, back, back_mask)
-            pair = (x, y)
+            x, y = pair
             rest = [w for w in back if w != x and w != y]
             chosen = tuple(sorted([x, y, *rest[: d - 1]]))
         edges.extend((v, w) for w in chosen)

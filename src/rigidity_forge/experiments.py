@@ -175,11 +175,13 @@ def lemma6_property_check(
     independent.  The hypothesis scan is exhaustive over non-edges, hence
     the n <= 40 bound.  A linked non-edge, the first in lexicographic order,
     makes the check inapplicable; otherwise seeded ordered subgraphs are
-    tested for independence."""
+    tested for independence.  Requires d >= 2, as the ordered subgraph does."""
     if orderings_count < 1:
         raise ValueError("orderings must be at least 1")
     if g.n > 40:
         raise ValueError("hypothesis verification is limited to n <= 40")
+    if d < 2:
+        raise ValueError("ordered construction requires dimension >= 2")
     rng = make_rng(seed)
     nonedges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
     verdicts = linked_pairs(g, d, nonedges, trials, rng.getrandbits(64), p)

@@ -113,17 +113,6 @@ class Graph:
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2
 
-    def is_clique(self, vertices: Iterable[int]) -> bool:
-        """True iff the given vertices are pairwise adjacent."""
-        vs = list(vertices)
-        mask = 0
-        for v in vs:
-            mask |= 1 << v
-        for v in vs:
-            if mask & ~(self._mask[v] | (1 << v)):
-                return False
-        return True
-
     # -- derived graphs --------------------------------------------------
 
     def add_edges(self, new_edges: Iterable[Edge]) -> "Graph":
@@ -302,6 +291,22 @@ def _bits(mask: int) -> list[int]:
     return res
 
 
+def _non_adjacent_pair(g: Graph, vertices: int) -> tuple[int, int] | None:
+    """The least a in the vertex bitmask with a non-neighbour in it, and its
+    least such b, or None when the vertices form a clique.  No vertex below a
+    has a non-neighbour in the mask, so a < b and the pair is the least
+    non-adjacent one in lexicographic order.  Vertices are taken as the
+    search reaches them, not listed first: it often stops at the first."""
+    rest = vertices
+    while rest:
+        a = (rest & -rest).bit_length() - 1
+        others = vertices & ~(g._mask[a] | 1 << a)
+        if others:
+            return a, (others & -others).bit_length() - 1
+        rest ^= 1 << a
+    return None
+
+
 def _reach(g: Graph, v: int, allowed: int) -> int:
     """The bitmask of vertices that paths from v through the vertex bitmask
     allowed reach, v included."""
@@ -436,11 +441,8 @@ def vertex_connectivity(g: Graph, limit: int | None = None) -> int:
 # -- cliques ---------------------------------------------------------------
 
 
-def iter_maximal_cliques(
-    g: Graph, vertices: Iterable[int] | None = None
-) -> Iterator[tuple[int, ...]]:
-    """The inclusion-maximal cliques of g, or of the subgraph induced on
-    ``vertices``, each sorted and in g's own labels, one at a time in the
+def iter_maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
+    """The inclusion-maximal cliques of g, each sorted, one at a time in the
     search's own order.  A caller that stops early pays only for the
     cliques it took.
 
@@ -448,16 +450,12 @@ def iter_maximal_cliques(
     (clique, candidates, excluded) states, so a deep clique does not recurse.
     Only states with candidates are pushed: one without is settled where it
     is made, as a maximal clique when nothing is excluded.  Isolated vertices
-    yield singleton cliques; an empty vertex set yields no cliques.
+    yield singleton cliques; a graph with no vertices yields no cliques.
     """
-    if vertices is None:
-        start = (1 << g.n) - 1
-    else:
-        start = sum(1 << v for v in as_vertex_set(vertices, g.n))
-    if not start:
+    if not g.n:
         return
     masks = g._mask
-    stack = [(0, start, 0)]
+    stack = [(0, (1 << g.n) - 1, 0)]
     while stack:
         r, p, x = stack.pop()
         pivot = -1

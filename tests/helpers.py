@@ -14,7 +14,13 @@ from math import comb, factorial, sqrt
 from rigidity_forge.combinatorics import CliqueSystem
 from rigidity_forge.experiments import Theorem9Report
 from rigidity_forge.global_rigidity import stress_matrix, stress_matrix_rank
-from rigidity_forge.graph_core import Edge, Graph, iter_maximal_cliques, normalize_edge
+from rigidity_forge.graph_core import (
+    Edge,
+    Graph,
+    induced_subgraph,
+    iter_maximal_cliques,
+    normalize_edge,
+)
 from rigidity_forge.modlinalg import (
     DEFAULT_PRIME,
     ModMatrix,
@@ -105,10 +111,19 @@ def brute_vertex_connectivity(g: Graph) -> int:
     return n - 1
 
 
+def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
+    """True iff the vertices are pairwise adjacent, asked of g pair by pair."""
+    return all(g.has_edge(u, v) for u, v in itertools.combinations(vertices, 2))
+
+
 def maximal_cliques(g: Graph, vertices: Iterable[int] | None = None) -> list[tuple[int, ...]]:
-    """All of :func:`iter_maximal_cliques`, in lexicographic order: the lemma 7
+    """All of :func:`iter_maximal_cliques` of g, or of the subgraph induced on
+    ``vertices`` in g's own labels, in lexicographic order: the lemma 7
     hypothesis check's oracle."""
-    return sorted(iter_maximal_cliques(g, vertices))
+    if vertices is None:
+        return sorted(iter_maximal_cliques(g))
+    sub, labels = induced_subgraph(g, vertices)
+    return sorted(tuple(labels[i] for i in c) for c in iter_maximal_cliques(sub))
 
 
 def graph6(n: int, edges: Iterable[Edge], padding: int = 0) -> str:
@@ -132,7 +147,7 @@ def brute_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
         set(sub)
         for size in range(1, g.n + 1)
         for sub in itertools.combinations(range(g.n), size)
-        if g.is_clique(sub)
+        if is_clique(g, sub)
     ]
     maximal = [
         c for c in cliques if not any(c < other for other in cliques)

@@ -211,6 +211,15 @@ def test_check_lemma6_refuses_fewer_than_one_ordering(capsys, c4_file, orderings
     assert code == 2 and payload["error"] == "orderings must be at least 1"
 
 
+@pytest.mark.parametrize("text", ["4 3\n0 1\n1 2\n2 3\n", K4_TEXT], ids=["P4", "K4"])
+def test_check_lemma6_refuses_dimension_one_whatever_the_graph(capsys, tmp_path, text):
+    # P4 has a non-edge linked in the line; K4 has none: both are refused alike
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, payload = run_json(capsys, "check-lemma6", "--dim", "1", "--input", str(path))
+    assert code == 2 and payload["error"] == "ordered construction requires dimension >= 2"
+
+
 def test_usage_errors_exit_two(capsys, tmp_path, monkeypatch):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 1\n0 9\n")

@@ -35,6 +35,7 @@ from rigidity_forge.modlinalg import DEFAULT_PRIME
 from helpers import (
     brute_force_expected_gpi,
     exact_generic_rank,
+    is_clique,
     maximal_cliques,
     monte_carlo_gpi,
     random_graph,
@@ -120,7 +121,7 @@ def first_overlap_by_subsets(g, vertices, size):
     """The lexicographically first (K, a, b): K a clique of `size` of the
     sorted vertices, a < b two non-adjacent common neighbours of K among them."""
     for k in itertools.combinations(sorted(vertices), size):
-        if g.is_clique(k):
+        if is_clique(g, k):
             common = [w for w in sorted(vertices) if all(g.has_edge(w, x) for x in k)]
             for a, b in itertools.combinations(common, 2):
                 if not g.has_edge(a, b):

@@ -1,10 +1,12 @@
-"""Tooling guard: every name the package exports is one that the package
-itself calls.  Public API that only tests use belongs in `tests/helpers.py`."""
+"""Tooling guard: every name the package exports, and every public method of
+`Graph`, is one that the package itself calls.  Public API that only tests
+use belongs in `tests/helpers.py`."""
 
 import ast
 from pathlib import Path
 
 import rigidity_forge
+from rigidity_forge.graph_core import Graph
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rigidity_forge"
 
@@ -44,6 +46,15 @@ def test_every_exported_name_resolves_and_has_a_caller_in_src():
                          for path in SRC.glob("*.py") if path.name != "__init__.py"))
     assert ALLOWED <= set(exported)
     assert sorted(set(exported) - used - ALLOWED) == []
+
+
+def test_every_public_graph_method_has_a_caller_outside_graph_core():
+    public = sorted(name for name, attr in vars(Graph).items()
+                    if not name.startswith("_") and (callable(attr) or isinstance(attr, property)))
+    used = set().union(*(referenced_names(path.read_text(encoding="utf-8"))
+                         for path in SRC.glob("*.py") if path.name != "graph_core.py"))
+    assert "sorted_edges" in public and "edge_count" in public
+    assert [name for name in public if name not in used] == []
 
 
 def package_reads(source: str) -> set[str]:
