@@ -20,9 +20,8 @@ _EXPORTS = {
                    "parse_graph", "path_avoiding", "vertex_connectivity"),
     "modlinalg": ("DEFAULT_PRIME", "ModMatrix", "RowBasis", "left_kernel_basis",
                   "left_kernel_sample", "make_rng", "rank"),
-    "rigidity": ("Cover", "RankReport", "Verdict", "cover_rank_bound", "generic_rank",
-                 "generic_rank_cap", "is_independent", "is_linked", "is_rigid",
-                 "is_t_redundantly_rigid", "linked_pairs"),
+    "rigidity": ("RankReport", "Verdict", "generic_rank", "generic_rank_cap", "is_independent",
+                 "is_linked", "is_rigid", "is_t_redundantly_rigid", "linked_pairs"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -166,7 +166,7 @@ COMMANDS = {
     "expected-gpi": Command("exact expected ordered-subgraph size",
         lambda g, a: rf.exact_expected_gpi_edges(g, a.dim)),
     "gen-ly": Command("generate the split-clique non-rigid family",
-        lambda _, a: rf.lovasz_yemini_family(a.dim, a.s)[0],
+        lambda _, a: rf.lovasz_yemini_family(a.dim, a.s),
         reads=None, flags={"--s": _INT | {"help": "base graph size"}}),
     "gen-sharpness": Command("generate the matched-cliques redundancy example",
         lambda _, a: rf.sharpness_example(a.dim), reads=None),

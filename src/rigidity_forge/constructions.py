@@ -8,7 +8,6 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .graph_core import Edge, Graph, _bits, _non_adjacent_pair, check_size
-from .rigidity import Cover
 
 RULE_FIRST = "first-d-vertices"
 RULE_A = "a"
@@ -47,9 +46,10 @@ def build_gpi(g: Graph, d: int, ordering: Sequence[int]) -> GpiResult:
     """Process vertices in order, keeping a bounded set of backward edges.
 
     A vertex with at most d earlier neighbors keeps them all; with more, it
-    keeps d of them when the earlier neighborhood is a clique, and otherwise
-    d+1 of them including a non-adjacent pair.  Choices are deterministic:
-    lexicographically smallest admissible sets.  Requires d >= 2.
+    keeps its d least earlier neighbors when the earlier neighborhood is a
+    clique, and otherwise d+1 of them: the lexicographically least
+    non-adjacent pair plus the d-1 least other earlier neighbors.  Requires
+    d >= 2.
     """
     if d < 2:
         raise ValueError("ordered construction requires dimension >= 2")
@@ -92,14 +92,12 @@ def harary_graph(k: int, s: int) -> Graph:
     return Graph(s, edges)
 
 
-def lovasz_yemini_family(d: int, s: int) -> tuple[Graph, Cover]:
+def lovasz_yemini_family(d: int, s: int) -> Graph:
     """Split-vertex family: highly connected but rank-deficient for large s.
 
     Every vertex of the k-regular k-connected :func:`harary_graph` on s
     vertices (k = d(d+1)-1) blows up into a k-clique; each of its edges
     becomes a single "split" edge using one fresh clique vertex per endpoint.
-    Returns the graph together with its natural cover (split edges loose, one
-    part per clique) for the clique-decomposition rank bound.
     """
     if d < 2:
         raise ValueError("family needs dimension >= 2")
@@ -109,23 +107,15 @@ def lovasz_yemini_family(d: int, s: int) -> tuple[Graph, Cover]:
     if (k * s) % 2:
         raise ValueError("k*s must be even")
     check_size(k * s, k * s // 2 + s * (k * (k - 1) // 2))
-    base = harary_graph(k, s)
     next_free = [v * k for v in range(s)]
-    split: list[Edge] = []
-    for a, b in sorted(base.edges):
-        split.append((next_free[a], next_free[b]))
+    edges: list[Edge] = []
+    for a, b in sorted(harary_graph(k, s).edges):
+        edges.append((next_free[a], next_free[b]))
         next_free[a] += 1
         next_free[b] += 1
-    parts = []
-    edges: list[Edge] = list(split)
     for v in range(s):
-        lo = v * k
-        part = tuple(
-            (lo + i, lo + j) for i in range(k) for j in range(i + 1, k)
-        )
-        parts.append(part)
-        edges.extend(part)
-    return Graph(k * s, edges), Cover(tuple(split), tuple(parts))
+        edges.extend(itertools.combinations(range(v * k, v * k + k), 2))
+    return Graph(k * s, edges)
 
 
 def sharpness_example(d: int) -> Graph:

@@ -142,10 +142,13 @@ class Theorem10Report(NamedTuple):
 def theorem10_check(
     g: Graph, d: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
 ) -> Theorem10Report:
-    """k-connected non-rigid graphs have rank at least m_{d,k} |V|."""
+    """k-connected non-rigid graphs have rank at least m_{d,k} |V|.  The
+    rigidity verdict is computed only for 1 <= k < d(d+1), where the bound
+    applies."""
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
     kappa = vertex_connectivity(g)
-    rigid = is_rigid(g, d, trials, seed, p)
-    if rigid.value or not 1 <= kappa < d * (d + 1):
+    if not 1 <= kappa < d * (d + 1) or (rigid := is_rigid(g, d, trials, seed, p)).value:
         return Theorem10Report("inapplicable", kappa, None, None, None)
     bound = m_dk(d, kappa) * g.n
     rank = rigid.rank if rigid.rank is not None else generic_rank(g, d, trials, seed, p).rank

@@ -60,13 +60,6 @@ class RedundancyReport(NamedTuple):
     subsets_checked: int
 
 
-class Cover(NamedTuple):
-    """An edge cover E_0, E_1..E_s for the clique-decomposition rank bound."""
-
-    loose_edges: tuple[Edge, ...]
-    parts: tuple[tuple[Edge, ...], ...]
-
-
 def generic_rank_cap(n: int, d: int) -> int:
     """A-priori cap on the generic rank: the dn - C(d+1,2) bound for
     n >= d+1, and C(n,2) (every graph independent) below that."""
@@ -142,13 +135,14 @@ def _cover_first(g: Graph, d: int) -> tuple[list[int], int]:
 
     The maximal cliques on k >= d+2 vertices are taken largest first, and
     each is kept when its rank bound d*k - C(d+1,2) is below its number of
-    still-uncovered edges.  The bound is :func:`cover_rank_bound` of the kept
-    cliques, with every other edge loose.  The feed takes first each kept
-    clique's d-tree, from its top vertex down: K_{d+1}, then each vertex
-    joined to the d fed before it.  The other edges follow in
-    :func:`_cap_first` order, the loose ones before those of kept cliques.
-    A d-tree spans its clique's rows, so an elimination stopped at the bound
-    reduces none of the clique's other rows.
+    still-uncovered edges.  The bound is the clique-decomposition bound of
+    Lovasz and Yemini: the kept cliques' rank bounds plus one for each edge
+    that no kept clique covers.  The feed takes first each kept clique's
+    d-tree, from its top vertex down: K_{d+1}, then each vertex joined to
+    the d fed before it.  The other edges follow in :func:`_cap_first`
+    order, the uncovered ones before those of kept cliques.  A d-tree spans
+    its clique's rows, so an elimination stopped at the bound reduces none
+    of the clique's other rows.
 
     The search is skipped, and the plain :func:`_cap_first` order returned
     with the bound |E|, when no edge has d common neighbours (so there is no
@@ -162,25 +156,26 @@ def _cover_first(g: Graph, d: int) -> tuple[list[int], int]:
     if len(cliques) > g.n:
         return order, m
     covered: set[Edge] = set()
-    parts, tree = [], []
+    bound, tree = 0, []
     for c in sorted((c for c in cliques if len(c) >= d + 2), key=len, reverse=True):
         pairs = tuple(itertools.combinations(c, 2))
-        if generic_rank_cap(len(c), d) < sum(e not in covered for e in pairs):
+        cap = generic_rank_cap(len(c), d)
+        if cap < sum(e not in covered for e in pairs):
             covered.update(pairs)
-            parts.append(pairs)
+            bound += cap
             top = c[::-1]
             tree += itertools.combinations(top[: d + 1], 2)
             tree += ((w, top[i]) for i in range(d + 1, len(top)) for w in top[i - d : i])
-    if not parts:
+    if not covered:
         return order, m
-    bound = cover_rank_bound(g, d, Cover(tuple(g.edges - covered), tuple(parts)))
     edges = g.sorted_edges()
     index = {e: i for i, e in enumerate(edges)}
+    # a clique is sorted, so each tree pair runs from the larger vertex down;
     # overlapping cliques can share tree edges: each goes in once
-    fed_first = list(dict.fromkeys(index[normalize_edge(u, v)] for u, v in tree))
+    fed_first = list(dict.fromkeys(index[v, u] for u, v in tree))
     skip = set(fed_first)
     rest = sorted((i for i in order if i not in skip), key=lambda i: edges[i] not in covered)
-    return rest + fed_first[::-1], bound
+    return rest + fed_first[::-1], bound + m - len(covered)
 
 
 def generic_rank(
@@ -370,25 +365,3 @@ def is_t_redundantly_rigid(
                               for kernel_dim, dual in views[1:]):
             return RedundancyReport(False, WHP, tuple(edges[i] for i in subset), checked)
     return RedundancyReport(True, CERTAIN, None, comb(m, k))
-
-
-def cover_rank_bound(g: Graph, d: int, cover: Cover) -> int:
-    """Upper bound |E_0| + sum(d |V(E_i)| - C(d+1,2)) over the cover parts.
-
-    The parts must jointly cover E exactly, and every part must span at
-    least d+1 vertices.
-    """
-    loose = {normalize_edge(u, v) for u, v in cover.loose_edges}
-    parts = [tuple(normalize_edge(u, v) for u, v in part) for part in cover.parts]
-    union = set(loose)
-    for part in parts:
-        union.update(part)
-    if union != g.edges:
-        raise ValueError("cover does not union to the edge set")
-    bound = len(loose)
-    for part in parts:
-        span = {w for e in part for w in e}
-        if len(span) < d + 1:
-            raise ValueError(f"part spans {len(span)} vertices, need at least {d + 1}")
-        bound += generic_rank_cap(len(span), d)
-    return bound

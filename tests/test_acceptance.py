@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
+from rigidity_forge import rigidity
 from rigidity_forge.cli import main as cli_main
 from rigidity_forge.combinatorics import (
     exact_expected_gpi_edges,
@@ -34,7 +35,6 @@ from rigidity_forge.graph_core import (
     vertex_connectivity,
 )
 from rigidity_forge.rigidity import (
-    cover_rank_bound,
     generic_rank,
     generic_rank_cap,
     is_independent,
@@ -77,10 +77,10 @@ def test_criterion_01_rank_values():
 
 def test_criterion_02_split_clique_family():
     with criterion("2 (split-clique family, s=8)", budget_s=10.0):
-        g, cover = lovasz_yemini_family(2, 8)
+        g = lovasz_yemini_family(2, 8)
         assert g.n == 40
         assert vertex_connectivity(g) == 5
-        assert cover_rank_bound(g, 2, cover) == 76
+        assert rigidity._cover_first(g, 2)[1] == 76
         assert Fraction(76) == Fraction(19, 10) * 40
         assert generic_rank(g, 2).rank == 76
         assert not is_rigid(g, 2).value
@@ -88,8 +88,8 @@ def test_criterion_02_split_clique_family():
 
 def test_criterion_03_boundary_case():
     with criterion("3 (boundary s=6 certifies nothing)"):
-        g, cover = lovasz_yemini_family(2, 6)
-        bound = cover_rank_bound(g, 2, cover)
+        g = lovasz_yemini_family(2, 6)
+        bound = rigidity._cover_first(g, 2)[1]
         assert bound == 57 == 2 * 30 - 3
         assert m_dk(2, 5) * g.n == Fraction(57)  # exact rational equality
         assert bound == generic_rank_cap(g.n, 2)  # not strictly below the cap
@@ -219,7 +219,7 @@ def test_criterion_10_rank_density_equality_family():
     with criterion("10 (sharp rank density)"):
         density = m_dk(2, 5)
         for s in (8, 10, 12):
-            g, _ = lovasz_yemini_family(2, s)
+            g = lovasz_yemini_family(2, s)
             assert vertex_connectivity(g) == 5
             rank = generic_rank(g, 2).rank
             assert rank == math.ceil(density * g.n)

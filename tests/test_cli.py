@@ -464,6 +464,13 @@ def test_cli_command_loads_only_its_modules():
                                        f"from rigidity_forge.cli import main; main({argv!r})")
         assert json.loads(printed[0])["command"] == argv[0]
         assert "rigidity_forge.combinatorics" in loaded and loaded & unused == set(), argv
+    # the constructions run no rigidity code either
+    for argv, text in [(["gen-ly", "--s", "6"], ""), (["gpi"], K4_TEXT)]:
+        printed, loaded = child_output(f"import io, sys\nsys.stdin = io.StringIO({text!r})\n"
+                                       f"from rigidity_forge.cli import main; main({argv!r})")
+        assert printed, argv
+        assert "rigidity_forge.constructions" in loaded, argv
+        assert "rigidity_forge.rigidity" not in loaded, argv
 
 
 @pytest.mark.parametrize("argv, expected_code", [
@@ -548,7 +555,7 @@ def test_any_graph_text_gets_one_json_answer_or_refusal(text):
 def test_process_entry_point_writes_output_larger_than_a_pipe_buffer(capsys):
     child = run_child("-m", "rigidity_forge.cli", "gen-ly", "--dim", "2", "--s", "1000")
     assert child.returncode == 0 and len(child.stdout) > 65536
-    assert parse_graph(child.stdout) == lovasz_yemini_family(2, 1000)[0]
+    assert parse_graph(child.stdout) == lovasz_yemini_family(2, 1000)
 
 
 def test_process_entry_point_freezes_the_heap_before_shutdown():

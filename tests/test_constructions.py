@@ -20,7 +20,7 @@ from rigidity_forge.graph_core import (
     cycle_graph,
     vertex_connectivity,
 )
-from rigidity_forge.rigidity import cover_rank_bound, is_independent
+from rigidity_forge.rigidity import _cover_first, is_independent
 
 from helpers import gpi_edge_count, one_extension, random_graph, zero_extension
 
@@ -140,14 +140,18 @@ def test_harary_graphs():
 
 
 def test_lovasz_yemini_family_structure():
-    g, cover = lovasz_yemini_family(2, 8)
+    g = lovasz_yemini_family(2, 8)
     assert g.n == 40 and g.edge_count == 100
     assert all(g.degree(v) == 5 for v in range(g.n))  # d(d+1) - 1
-    assert len(cover.loose_edges) == 20 and len(cover.parts) == 8
+    # eight blocks of 5 are cliques; the split edges join different blocks
+    assert all(g.has_edge(b + i, b + j) for b in range(0, 40, 5)
+               for i in range(5) for j in range(i + 1, 5))
+    split = [(u, v) for u, v in g.edges if u // 5 != v // 5]
+    assert len(split) == 20
     # every clique vertex is the endpoint of exactly one split edge
-    endpoints = [w for e in cover.loose_edges for w in e]
+    endpoints = [w for e in split for w in e]
     assert sorted(endpoints) == list(range(40))
-    assert cover_rank_bound(g, 2, cover) == 76
+    assert _cover_first(g, 2)[1] == 76
 
 
 def test_lovasz_yemini_rejects_bad_parameters():

@@ -309,7 +309,7 @@ def test_theorem1_spot_checks():
     rep = theorem1_spot_check(complete_graph(7), 2)
     assert rep.status == "checked" and rep.passed
 
-    ly, _ = lovasz_yemini_family(2, 8)
+    ly = lovasz_yemini_family(2, 8)
     rep = theorem1_spot_check(ly, 2)
     assert rep.status == "inapplicable" and rep.connectivity == 5
 
@@ -383,7 +383,7 @@ def test_theorem9_in_the_plane_certifies_deletions_by_connectivity(monkeypatch):
 
 
 def test_theorem10_checks():
-    ly, _ = lovasz_yemini_family(2, 8)
+    ly = lovasz_yemini_family(2, 8)
     rep = theorem10_check(ly, 2)
     assert rep.status == "checked"
     assert rep.connectivity == 5 and rep.rank == 76 and rep.bound == Fraction(76)
@@ -396,8 +396,24 @@ def test_theorem10_checks():
     assert theorem10_check(Graph(5, [(0, 1)]), 2).status == "inapplicable"  # kappa 0
 
 
+def test_theorem10_tests_rigidity_only_where_the_bound_applies(monkeypatch):
+    ly = lovasz_yemini_family(2, 8)
+    expected = theorem10_check(ly, 2)
+    calls = []
+    real = experiments.is_rigid
+    monkeypatch.setattr(experiments, "is_rigid", lambda *a: calls.append(a) or real(*a))
+    # kappa 6 = d(d+1) and kappa 0: inapplicable before any elimination
+    for g in (complete_graph(7), Graph(5, [(0, 1)])):
+        assert theorem10_check(g, 2).status == "inapplicable"
+    assert calls == []
+    assert theorem10_check(ly, 2) == expected
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        theorem10_check(Graph(1), 0)
+
+
 def test_theorem10_reads_the_rank_off_the_rigidity_verdict(monkeypatch):
-    ly, _ = lovasz_yemini_family(2, 8)
+    ly = lovasz_yemini_family(2, 8)
     path = Graph(3, [(0, 1), (1, 2)])  # n <= d+1: the verdict carries no rank
     ranks = [experiments.generic_rank(g, 2, 2, 5).rank for g in (ly, path)]
     calls = []

@@ -25,7 +25,7 @@ def digest(value) -> str:
 
 
 def test_left_kernel_basis_of_ly_2_16():
-    g = lovasz_yemini_family(2, 16)[0]
+    g = lovasz_yemini_family(2, 16)
     rows, _ = next(placements(g, 2, 1, 1, P))
     basis = left_kernel_basis(ModMatrix(rows, 2 * g.n, P))
     assert (g.n, g.edge_count, len(basis)) == (80, 200, 48)

@@ -17,7 +17,6 @@ def seeded_results() -> list:
     return [
         rigidity.generic_rank(k4, 2, seed=SEED),
         rigidity.is_t_redundantly_rigid(k4, 2, 1, seed=SEED),
-        constructions.lovasz_yemini_family(2, 6)[1],
         global_rigidity.stress_matrix_rank(k4, 2, seed=SEED),
         constructions.build_gpi(k4, 2, [2, 0, 3, 1]),
         combinatorics.verify_comblemma(CliqueSystem(6, 2, [{0, 1, 2}]), 3),

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from rigidity_forge import rigidity
+from rigidity_forge.combinatorics import m_dk
 from rigidity_forge.constructions import (
     harary_graph,
     lovasz_yemini_family,
@@ -15,9 +16,7 @@ from rigidity_forge.global_rigidity import stress_matrix_rank
 from rigidity_forge.graph_core import Graph, complete_graph, cycle_graph, vertex_connectivity
 from rigidity_forge.modlinalg import DEFAULT_PRIME, RowBasis, make_rng, rank_of_rows
 from rigidity_forge.rigidity import (
-    Cover,
     Verdict,
-    cover_rank_bound,
     generic_rank,
     generic_rank_cap,
     is_independent,
@@ -164,7 +163,7 @@ def test_generic_rank_stops_its_trials_at_the_cover_bound(monkeypatch):
         return feed(*args)
 
     monkeypatch.setattr(rigidity, "rank_of_rows", counted)
-    ly, _ = lovasz_yemini_family(2, 8)
+    ly = lovasz_yemini_family(2, 8)
     rep = generic_rank(ly, 2, trials=2)
     assert (rep.rank, rep.confidence, rep.trials) == (76, "whp", 2)
     assert len(calls) == 1
@@ -179,8 +178,8 @@ def test_cover_feed_ranks_as_the_cap_first_feed():
     # per placement, the cover bound is never below the rank, and the
     # cover-fed elimination stopped at min(cap, bound) ranks as the full one
     rng = random.Random(18)
-    graphs = [(lovasz_yemini_family(2, s)[0], 2) for s in (6, 10)]
-    graphs += [(lovasz_yemini_family(3, s)[0], 3) for s in (12, 14)]
+    graphs = [(lovasz_yemini_family(2, s), 2) for s in (6, 10)]
+    graphs += [(lovasz_yemini_family(3, s), 3) for s in (12, 14)]
     gated = []
     for d in (2, 3):
         matching = sharpness_matching(d)
@@ -234,7 +233,7 @@ def test_is_independent():
 def test_is_rigid_examples():
     assert is_rigid(complete_graph(4), 2).value
     assert not is_rigid(cycle_graph(4), 2).value
-    ly, _ = lovasz_yemini_family(2, 8)
+    ly = lovasz_yemini_family(2, 8)
     assert not is_rigid(ly, 2).value
 
 
@@ -311,7 +310,7 @@ def nonedges(g):
         (cycle_graph(40), 1),
         (harary_graph(4, 30), 1),
         # every 5th of 680 pairs: a one-pair call costs two eliminations here
-        (lovasz_yemini_family(2, 8)[0], 5),
+        (lovasz_yemini_family(2, 8), 5),
     ],
     ids=["C20", "C40", "harary(4,30)", "LY(2,8)"],
 )
@@ -503,24 +502,23 @@ def test_dependent_prefix_costs_no_in_span(monkeypatch):
 
 
 def test_cover_rank_bound_examples():
-    ly, cover = lovasz_yemini_family(2, 8)
-    assert cover_rank_bound(ly, 2, cover) == 76
-
-    k6 = complete_graph(6)
-    trivial = Cover(tuple(k6.sorted_edges()), ())
-    assert cover_rank_bound(k6, 2, trivial) == k6.edge_count
-
-    one_part = Cover((), (tuple(k6.sorted_edges()),))
-    assert cover_rank_bound(k6, 2, one_part) == 9
+    assert rigidity._cover_first(lovasz_yemini_family(2, 8), 2)[1] == 76
+    assert rigidity._cover_first(complete_graph(6), 2)[1] == 9
+    # no triangle: the search is skipped, and every edge counts
+    c6 = cycle_graph(6)
+    assert rigidity._cover_first(c6, 2) == (rigidity._cap_first(c6, 2), 6)
 
 
-def test_cover_rank_bound_validation():
-    k4 = complete_graph(4)
-    with pytest.raises(ValueError, match="union"):
-        cover_rank_bound(k4, 2, Cover(((0, 1),), ()))
-    with pytest.raises(ValueError, match="part spans"):
-        bad = Cover(tuple(e for e in k4.sorted_edges() if e != (0, 1)), (((0, 1),),))
-        cover_rank_bound(k4, 2, bad)
+@pytest.mark.parametrize("d, s, bound", [
+    (2, 6, 57), (2, 8, 76), (2, 16, 152), (3, 12, 390), (3, 14, 455),
+])
+def test_lovasz_yemini_cover_bound_is_the_sharp_density(d, s, bound):
+    # the cover found is one clique per base vertex with the split edges
+    # loose; it meets the cap on the boundary case s = d(d+1) alone
+    g = lovasz_yemini_family(d, s)
+    assert rigidity._cover_first(g, d)[1] == bound == m_dk(d, d * (d + 1) - 1) * g.n
+    cap = generic_rank_cap(g.n, d)
+    assert bound == cap if s == d * (d + 1) else bound < cap
 
 
 def test_cover_bound_dominates_rank_on_random_covers():
@@ -539,5 +537,6 @@ def test_cover_bound_dominates_rank_on_random_covers():
                 parts.append(tuple(part))
                 covered.update(part)
         loose = tuple(e for e in edges if e not in covered or rng.random() < 0.3)
-        cover = Cover(loose, tuple(parts))
-        assert cover_rank_bound(g, 2, cover) >= generic_rank(g, 2).rank
+        bound = len(loose) + sum(generic_rank_cap(len({w for e in part for w in e}), 2)
+                                 for part in parts)
+        assert bound >= generic_rank(g, 2).rank
