@@ -144,25 +144,27 @@ def _clique_size_counts(g: Graph, v: int) -> list[int]:
     """counts[i] = number of i-subsets of N(v) inducing a clique in g.
 
     These are the coefficients of the clique polynomial of N(v), the
-    independence polynomial of its complement (Hoede & Li 1994).  For a
-    vertex i of a mask with a non-neighbour in the mask,
-    P(mask) = P(mask - i) + x P(mask & N(i)); a mask that is a clique of c
-    vertices has P = (1 + x)^c.  P is memoised on the mask and evaluated
-    from an explicit stack, not by recursion, so a neighbourhood of any depth
-    is limited only by the memo: ValueError once it would exceed
-    CLIQUE_STATE_BUDGET masks.
+    independence polynomial of its complement (Hoede & Li 1994), over N(v)
+    relabelled 0..k-1.  For a vertex i of a mask with a non-neighbour in the
+    mask, P(mask) = P(mask - i) + x P(mask & N(i)); a mask that is a clique of
+    c vertices has P = (1 + x)^c.  P is memoised on the mask and evaluated
+    from an explicit stack, so a neighbourhood of any depth is limited only by
+    the memo: ValueError once it would exceed CLIQUE_STATE_BUDGET masks.
     """
-    nbrs = sorted(g.neighbors(v))
+    within = g.neighbor_mask(v)
+    nbrs = _bits(within)
     k = len(nbrs)
-    index = {w: i for i, w in enumerate(nbrs)}
     local = [0] * k
-    for i, w in enumerate(nbrs):
-        mask = 0
-        for x in g.neighbors(w):
-            j = index.get(x)
-            if j is not None:
-                mask |= 1 << j
-        local[i] = mask
+    if k <= 32:  # at most 496 pairs, each looked up in the edge set
+        for (i, a), (j, b) in itertools.combinations(enumerate(nbrs), 2):
+            if (a, b) in g.edges:
+                local[i] |= 1 << j
+                local[j] |= 1 << i
+    else:  # rows off the bitmasks, linear in k; the shift keeps their bits in a short int
+        lo = nbrs[0]
+        index = {w - lo: i for i, w in enumerate(nbrs)}
+        for i, w in enumerate(nbrs):
+            local[i] = sum(1 << index[x] for x in _bits((g.neighbor_mask(w) & within) >> lo))
     memo: dict[int, list[int]] = {}
     # (mask, -1) asks for P(mask); (mask, i) combines its two terms, which the
     # entries above it compute first

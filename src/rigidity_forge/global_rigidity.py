@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph_core import Graph, as_vertex_set, induced_subgraph, path_avoiding, vertex_connectivity
+from .graph_core import Graph, _bits, as_vertex_set, induced_subgraph, path_avoiding, vertex_connectivity
 from .modlinalg import DEFAULT_PRIME, ModMatrix, left_kernel_sample, rank, rank_of_rows
 from .rigidity import CERTAIN, WHP, Verdict, generic_rank_cap, is_linked, is_rigid, placements
 
@@ -103,8 +103,8 @@ def _plane_redundant(g: Graph, trials: int, seed: int, p: int) -> bool:
     stress drawn as :func:`stress_matrix_rank` draws it is nonzero on every
     edge of a placement of rank 2n-3, so every edge lies in a circuit."""
     mask = g.neighbor_mask
-    if all(any(mask(w) & mask(u) & mask(v) for w in g.neighbors(u) & g.neighbors(v))
-           for u, v in g.edges):
+    common = (mask(u) & mask(v) for u, v in g.edges)
+    if all(any(mask(w) & c for w in _bits(c)) for c in common):
         return True
     return any(all(left_kernel_sample(ModMatrix(rows, 2 * g.n, p), rng.getrandbits(64)))
                and rank_of_rows(rows, 2 * g.n, p) == generic_rank_cap(g.n, 2)

@@ -82,6 +82,11 @@ def one_extension(g: Graph, d: int, edge: Edge, targets: Iterable[int]) -> Graph
 # -- oracles ---------------------------------------------------------------
 
 
+def neighbors(g: Graph, v: int) -> frozenset[int]:
+    """The neighbours of v, read off the edge set (never off the bitmasks)."""
+    return frozenset(a if b == v else b for a, b in g.edges if v in (a, b))
+
+
 def brute_vertex_connectivity(g: Graph) -> int:
     """Minimum vertex-cut size by exhaustive subset search (tiny n only)."""
     n = g.n
@@ -98,7 +103,7 @@ def brute_vertex_connectivity(g: Graph) -> int:
         stack = [remaining[0]]
         while stack:
             a = stack.pop()
-            for b in g.neighbors(a):
+            for b in neighbors(g, a):
                 if b not in gone and b not in seen:
                     seen.add(b)
                     stack.append(b)
@@ -167,13 +172,13 @@ def brute_covered_count(system: CliqueSystem, m: int) -> int:
 def enumerated_clique_size_counts(g: Graph, v: int) -> list[int]:
     """counts[i] = number of i-subsets of N(v) inducing a clique in g, by
     listing every clique of N(v) (degree 20 at most, in practice)."""
-    nbrs = sorted(g.neighbors(v))
+    nbrs = sorted(neighbors(g, v))
     k = len(nbrs)
     index = {w: i for i, w in enumerate(nbrs)}
     local = [0] * k
     for i, w in enumerate(nbrs):
         mask = 0
-        for x in g.neighbors(w):
+        for x in neighbors(g, w):
             j = index.get(x)
             if j is not None:
                 mask |= 1 << j

@@ -38,6 +38,7 @@ from helpers import (
     is_clique,
     maximal_cliques,
     monte_carlo_gpi,
+    neighbors,
     random_graph,
     random_regular_graph,
     theorem9_by_scan,
@@ -81,7 +82,7 @@ def lemma7_by_induced_subgraphs(g, d):
     degree_ok = clique_ok = inter_ok = True
     witness = None
     for v in range(g.n):
-        nbrs = sorted(g.neighbors(v))
+        nbrs = sorted(neighbors(g, v))
         if len(nbrs) < threshold:
             degree_ok = False
             witness = witness or (v, f"degree {len(nbrs)} < {threshold}")

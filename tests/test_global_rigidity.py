@@ -28,6 +28,7 @@ from rigidity_forge.rigidity import generic_rank, generic_rank_cap, is_rigid
 from helpers import (
     brute_vertex_connectivity,
     globally_rigid_deletions,
+    neighbors,
     random_graph,
     stress_globally_rigid,
 )
@@ -135,7 +136,7 @@ def test_globally_rigid_monotone_under_edge_addition():
 
 def _k4_covered(g):
     return all(any(g.has_edge(w, x) for w, x in itertools.combinations(
-        sorted(g.neighbors(u) & g.neighbors(v)), 2)) for u, v in g.edges)
+        sorted(neighbors(g, u) & neighbors(g, v)), 2)) for u, v in g.edges)
 
 
 def _plane_cases(rng):

@@ -5,13 +5,16 @@ import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidity_forge import graph_core
-from rigidity_forge.constructions import RULE_B, RULE_C, build_gpi
+from rigidity_forge.constructions import RULE_B, RULE_C, build_gpi, harary_graph
 from rigidity_forge.graph_core import (
     Graph,
     GraphFormatWarning,
     GraphParseError,
+    _bits,
     _non_adjacent_pair,
     as_vertex_set,
     complete_bipartite_graph,
@@ -32,6 +35,7 @@ from helpers import (
     graph6,
     is_clique,
     maximal_cliques,
+    neighbors,
     random_graph,
     random_regular_graph,
 )
@@ -73,8 +77,32 @@ def test_graph_dedups_and_normalizes():
     g = Graph(3, [(1, 0), (0, 1), (1, 2)])
     assert g.edge_count == 2
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert g.neighbors(1) == frozenset({0, 2})
-    assert g.degree(1) == 2
+    assert [g.neighbor_mask(v) for v in range(3)] == [0b010, 0b101, 0b010]
+    assert [g.degree(v) for v in range(3)] == [1, 2, 1]
+
+
+def test_neighbor_masks_and_degrees_match_the_edge_set():
+    rng = random.Random(35)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 40), rng.uniform(0.0, 1.0))
+        for v in range(g.n):
+            assert _bits(g.neighbor_mask(v)) == sorted(neighbors(g, v))
+            assert g.degree(v) == len(neighbors(g, v))
+
+
+def test_graph_keeps_one_adjacency():
+    # the 6,000 edges of Harary(6, 2000): the edge set and one neighbour
+    # bitmask per vertex retain 0.9 MB; a frozenset of neighbours per vertex
+    # besides them took it to 1.8 MB
+    edges = list(harary_graph(6, 2000).edges)
+    tracemalloc.start()
+    try:
+        g = Graph(2000, edges)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 6000
+    assert retained <= 1.2 * 2**20, retained
 
 
 def test_sorted_edges_is_one_cached_tuple():
@@ -106,7 +134,7 @@ def test_non_adjacent_pair_is_the_least_and_is_gpis_rule_c_witness():
         assert _non_adjacent_pair(g, sum(1 << v for v in vs)) == least_non_adjacent_pair(g, vs)
         order = rng.sample(range(g.n), g.n)
         for step in build_gpi(g, 2, order).steps:
-            back = g.neighbors(step.vertex) & set(order[:step.position])
+            back = neighbors(g, step.vertex) & set(order[:step.position])
             if step.rule == RULE_C:
                 assert step.nonadjacent_pair == least_non_adjacent_pair(g, back)
             elif step.rule == RULE_B:
@@ -165,6 +193,42 @@ def test_refusals_name_their_input_line(monkeypatch, text, message):
     with pytest.raises(GraphParseError) as refused:
         parse_edge_list(text)
     assert str(refused.value) == message
+
+
+def test_header_refusal_reads_no_further_line():
+    # 100,000 edge lines (1.2 MB of text) after a header over the edge
+    # budget: a list of the lines would take 6.5 MB
+    text = "20000 500001\n" + "".join(f"{i} {i + 1}\n" for i in range(100_000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphParseError, match="line 1: 500001 edges exceed"):
+            parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def parse_outcome(text: str):
+    """The graph and warnings parse_edge_list gives for text, or its message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = parse_edge_list(text)
+        except GraphParseError as exc:
+            return str(exc)
+    return g, [str(w.message) for w in caught]
+
+
+LINE_PIECES = ["0", "1", "2", "3", "9", " ", "\t", "-", "x", "\x1f", "\xa0",  # not breaks
+               "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["", "3 2", "4 3 ", " 4 6", "3 x"]), st.lists(st.sampled_from(LINE_PIECES)))
+def test_edge_list_lines_break_where_splitlines_breaks(header, pieces):
+    text = header + "".join(pieces)
+    assert parse_outcome(text) == parse_outcome("\n".join(text.splitlines()))
 
 
 def test_graph6_padding_bits_are_ignored():
