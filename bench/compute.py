@@ -1,0 +1,103 @@
+"""In-process compute time of the benchmark workloads (`compute_s`).
+
+Usage, from the root of a checkout:
+
+    PYTHONPATH=src python bench/compute.py
+
+A pass runs every seed-1 invocation of each workload in
+``perfbench/workloads.py`` (imported, never changed) through
+``rigidity_forge.cli.main`` in this process, timing each call.  One untimed
+pass first loads and compiles the command modules.  The JSON printed gives,
+per workload, the median over PASSES passes of the summed call times
+(``compute_s``) and of each command's share.  Unlike perfbench's wall times
+it leaves out interpreter start and import, so it is the figure an
+algorithmic change moves.  Every output is checked against the digests in
+``tests/golden/bench_seed1.json``; the exit code is 1 when any differs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import re
+import statistics
+import sys
+import time
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+from rigidity_forge import cli  # noqa: E402
+
+GOLDEN = ROOT / "tests" / "golden" / "bench_seed1.json"
+PASSES = 3
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run(name: str, inv: workloads.Invocation) -> tuple[dict, float]:
+    """One invocation through ``cli.main``: its golden-file record (exit code
+    and the digest of stdout less ``runtime_ms``) and its seconds."""
+    saved = sys.stdin, sys.stdout
+    sys.stdin, sys.stdout = io.StringIO(inv.stdin), io.StringIO()
+    try:
+        started = time.perf_counter()
+        code = cli.main(list(inv.args))
+        seconds = time.perf_counter() - started
+        stdout = sys.stdout.getvalue()
+    finally:
+        sys.stdin, sys.stdout = saved
+    return {"workload": name, "argv": list(inv.args), "stdin_sha256": sha256(inv.stdin),
+            "code": code,
+            "stdout_sha256": sha256(re.sub(r'"runtime_ms": \d+', "", stdout))}, seconds
+
+
+def seed1_invocations() -> list[tuple[str, workloads.Invocation]]:
+    return [(name, inv) for name, w in workloads.WORKLOADS.items() for inv in w.build(1)]
+
+
+def measure(invocations: list[tuple[str, workloads.Invocation]], golden: list[dict],
+            passes: int) -> dict:
+    """Medians over ``passes`` timed passes, after one untimed one, and the
+    argv of every invocation whose output differs from its golden record."""
+    expected = {(g["workload"], tuple(g["argv"]), g["stdin_sha256"]): g for g in golden}
+    totals: dict[str, list[float]] = defaultdict(list)
+    by_command: dict[tuple[str, str], list[float]] = defaultdict(list)
+    mismatches = set()
+    for i in range(passes + 1):
+        pass_s: dict[str, float] = defaultdict(float)
+        command_s: dict[tuple[str, str], float] = defaultdict(float)
+        for name, inv in invocations:
+            record, seconds = run(name, inv)
+            if expected.get((name, inv.args, record["stdin_sha256"])) != record:
+                mismatches.add((name, " ".join(inv.args)))
+            pass_s[name] += seconds
+            command_s[name, inv.command] += seconds
+        if i:  # pass 0 warms up
+            for name, s in pass_s.items():
+                totals[name].append(s)
+            for key, s in command_s.items():
+                by_command[key].append(s)
+    report = {name: {"compute_s": round(statistics.median(s), 4), "commands": {}}
+              for name, s in totals.items()}
+    for (name, command), s in sorted(by_command.items()):
+        report[name]["commands"][command] = round(statistics.median(s), 4)
+    return {"passes": passes, "workloads": report,
+            "mismatches": [f"{name}: {argv}" for name, argv in sorted(mismatches)]}
+
+
+def main() -> int:
+    result = measure(seed1_invocations(), json.loads(GOLDEN.read_text()), PASSES)
+    print(json.dumps(result, indent=1))
+    return 1 if result["mismatches"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -154,17 +154,11 @@ def _clique_size_counts(g: Graph, v: int) -> list[int]:
     within = g.neighbor_mask(v)
     nbrs = _bits(within)
     k = len(nbrs)
-    local = [0] * k
-    if k <= 32:  # at most 496 pairs, each looked up in the edge set
-        for (i, a), (j, b) in itertools.combinations(enumerate(nbrs), 2):
-            if (a, b) in g.edges:
-                local[i] |= 1 << j
-                local[j] |= 1 << i
-    else:  # rows off the bitmasks, linear in k; the shift keeps their bits in a short int
-        lo = nbrs[0]
-        index = {w - lo: i for i, w in enumerate(nbrs)}
-        for i, w in enumerate(nbrs):
-            local[i] = sum(1 << index[x] for x in _bits((g.neighbor_mask(w) & within) >> lo))
+    # each neighbour's row read off its bitmask, linear in k; the shift keeps
+    # the row's bits in a short int
+    lo = nbrs[0] if nbrs else 0
+    bit = {w - lo: 1 << i for i, w in enumerate(nbrs)}
+    local = [sum(map(bit.__getitem__, _bits((g.neighbor_mask(w) & within) >> lo))) for w in nbrs]
     memo: dict[int, list[int]] = {}
     # (mask, -1) asks for P(mask); (mask, i) combines its two terms, which the
     # entries above it compute first
@@ -215,13 +209,13 @@ def exact_expected_gpi_edges(g: Graph, d: int) -> Fraction:
     total = Fraction(0)
     for v in range(g.n):
         k = g.degree(v)
-        expected_min = Fraction(sum(min(i, d) for i in range(k + 1)), k + 1)
-        rule_c_prob = Fraction(0)
-        if k >= d + 1:
+        if k <= d:  # the sum of min(i, d) over the backward degrees i = 0..k
+            kept = comb(k + 1, 2)
+        else:  # that sum plus P(rule c | i) = 1 - counts[i]/C(k, i) over i = d+1..k
             counts = _clique_size_counts(g, v)
-            for i in range(d + 1, k + 1):
-                rule_c_prob += Fraction(comb(k, i) - counts[i], (k + 1) * comb(k, i))
-        total += expected_min + rule_c_prob
+            kept = comb(d + 1, 2) + d * (k - d) + (k - d) - sum(
+                Fraction(c, comb(k, i)) for i, c in enumerate(counts) if i > d and c)
+        total += Fraction(kept, k + 1)
     return total
 
 

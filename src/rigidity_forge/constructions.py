@@ -109,7 +109,7 @@ def lovasz_yemini_family(d: int, s: int) -> Graph:
     check_size(k * s, k * s // 2 + s * (k * (k - 1) // 2))
     next_free = [v * k for v in range(s)]
     edges: list[Edge] = []
-    for a, b in sorted(harary_graph(k, s).edges):
+    for a, b in harary_graph(k, s).sorted_edges():
         edges.append((next_free[a], next_free[b]))
         next_free[a] += 1
         next_free[b] += 1

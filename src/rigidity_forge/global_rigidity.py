@@ -103,7 +103,7 @@ def _plane_redundant(g: Graph, trials: int, seed: int, p: int) -> bool:
     stress drawn as :func:`stress_matrix_rank` draws it is nonzero on every
     edge of a placement of rank 2n-3, so every edge lies in a circuit."""
     mask = g.neighbor_mask
-    common = (mask(u) & mask(v) for u, v in g.edges)
+    common = (mask(u) & mask(v) for u, v in g.sorted_edges())
     if all(any(mask(w) & c for w in _bits(c)) for c in common):
         return True
     return any(all(left_kernel_sample(ModMatrix(rows, 2 * g.n, p), rng.getrandbits(64)))

@@ -20,7 +20,7 @@ GRAPH6_HEADER = ">>graph6<<"
 #: (25 MB for a 20,000-vertex path), so a short header cannot claim gigabytes.
 MAX_VERTICES = 20_000
 #: The most edges a Graph takes.  A CLI call that parses a 20,000-vertex edge
-#: list of this many edges peaks at 176 MB (about 350 bytes per edge, CPython
+#: list of this many edges peaks at 128 MB (about 270 bytes per edge, CPython
 #: 3.11 on x86-64), well inside a 1 GB address space.
 MAX_EDGES = 500_000
 
@@ -59,46 +59,46 @@ class Graph:
     """Immutable simple graph: no self-loops, no parallel edges.
 
     Its one adjacency, read by every structural query, is a neighbour bitmask
-    per vertex built once; the sorted edge tuple is computed on first use.
+    per vertex; the sorted edge tuple is read off the masks once, when the
+    graph is built.
     """
 
-    __slots__ = ("n", "edges", "_mask", "_sorted")
+    __slots__ = ("n", "_mask", "_edges")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         check_size(n, 0)
-        seen: set[Edge] = set()
+        mask = [0] * n
+        m = 0  # distinct edges so far
         for u, v in edges:
             u, v = int(u), int(v)
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"self-loop at vertex {u}" if u == v
                                  else f"edge ({u},{v}) out of range for n={n}")
-            seen.add((u, v) if u < v else (v, u))
-            if len(seen) > MAX_EDGES:  # refused as the edges arrive, before they fill memory
-                check_size(n, len(seen))
+            bit = 1 << v
+            if not mask[u] & bit:
+                m += 1
+                if m > MAX_EDGES:  # refused as the edges arrive, before they fill memory
+                    check_size(n, m)
+                mask[u] |= bit
+                mask[v] |= 1 << u
         self.n = n
-        self.edges = frozenset(seen)
-        mask = [0] * n
-        for u, v in seen:
-            mask[u] |= 1 << v
-            mask[v] |= 1 << u
         self._mask = tuple(mask)
-        self._sorted: tuple[Edge, ...] | None = None
+        label = list(range(n))  # one int object per vertex, shared by its edges
+        self._edges = tuple((u, label[v]) for u in label for v in _bits(mask[u] & -(2 << u)))
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._edges)
 
     def sorted_edges(self) -> tuple[Edge, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.edges))
-        return self._sorted
+        return self._edges
 
     def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edges
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self._mask[u] >> v & 1)
 
     def neighbor_mask(self, v: int) -> int:
         return self._mask[v]
@@ -112,21 +112,21 @@ class Graph:
     # -- derived graphs --------------------------------------------------
 
     def add_edges(self, new_edges: Iterable[Edge]) -> "Graph":
-        return Graph(self.n, list(self.edges) + list(new_edges))
+        return Graph(self.n, chain(self._edges, new_edges))
 
     def remove_edges(self, gone: Iterable[Edge]) -> "Graph":
         drop = {normalize_edge(u, v) for u, v in gone}
-        return Graph(self.n, [e for e in self.edges if e not in drop])
+        return Graph(self.n, [e for e in self._edges if e not in drop])
 
     # -- dunder ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+            isinstance(other, Graph) and self.n == other.n and self._mask == other._mask
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._mask))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -169,9 +169,10 @@ def parse_edge_list(text: str) -> Graph:
     raises ``GraphParseError`` naming its line; dropped duplicates and a
     header count other than the final one are only warnings.
     """
-    # a "\n"-ended piece of the text at a time, split where str.splitlines splits
-    pieces = (m.group().splitlines() for m in re.finditer(".*\n?", text))
-    lines = ((no, line.split()) for no, line in enumerate(chain.from_iterable(pieces), start=1))
+    # one line and its break at a time, breaking where str.splitlines breaks;
+    # every break is whitespace to str.split
+    found = re.finditer("[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*(?:\r\n|.)?", text, re.S)
+    lines = ((no, m.group().split()) for no, m in enumerate(found, start=1))
     no, parts = next(((no, parts) for no, parts in lines if parts), (1, []))
     if not parts:
         raise GraphParseError("line 1: empty input")
@@ -242,8 +243,11 @@ def parse_graph6(text: str) -> Graph:
     if len(data) < end:
         raise GraphParseError("truncated graph6 edge bits")
 
+    # made before Graph's mask list: made after it, the 32 MB table of the empty
+    # 20,000-vertex graph raised `connectivity`'s peak RSS by 32 MB
+    mask = data.translate(_SET_BITS)
+
     def edges() -> Iterator[Edge]:
-        mask = data.translate(_SET_BITS)
         i = mask.find(1, pos, end)
         while i >= 0:
             b, k = data[i] - 63, 6 * (i - pos)
@@ -488,7 +492,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     vs = as_vertex_set(vertices, g.n)
     index = {old: new for new, old in enumerate(vs)}
     edges = [
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
+        (index[u], index[v]) for u, v in g._edges if u in index and v in index
     ]
     return Graph(len(vs), edges), vs
 

@@ -148,9 +148,9 @@ def _cover_first(g: Graph, d: int) -> tuple[list[int], int]:
     with the bound |E|, when no edge has d common neighbours (so there is no
     K_{d+2}) or g has more maximal cliques than vertices.
     """
-    order, m = _cap_first(g, d), g.edge_count
+    order, m, edges = _cap_first(g, d), g.edge_count, g.sorted_edges()
     mask = g.neighbor_mask
-    if not any((mask(u) & mask(v)).bit_count() >= d for u, v in g.edges):
+    if not any((mask(u) & mask(v)).bit_count() >= d for u, v in edges):
         return order, m
     cliques = list(itertools.islice(iter_maximal_cliques(g), g.n + 1))
     if len(cliques) > g.n:
@@ -168,7 +168,6 @@ def _cover_first(g: Graph, d: int) -> tuple[list[int], int]:
             tree += ((w, top[i]) for i in range(d + 1, len(top)) for w in top[i - d : i])
     if not covered:
         return order, m
-    edges = g.sorted_edges()
     index = {e: i for i, e in enumerate(edges)}
     # a clique is sorted, so each tree pair runs from the larger vertex down;
     # overlapping cliques can share tree edges: each goes in once
@@ -251,7 +250,7 @@ def linked_pairs(
             raise ValueError("endpoints must differ")
         if not (0 <= u < g.n and 0 <= v < g.n):
             raise ValueError("endpoint out of range")
-    queries = {normalize_edge(u, v) for u, v in pairs} - g.edges
+    queries = {normalize_edge(u, v) for u, v in pairs if not g.has_edge(u, v)}
     if not queries:
         return [Verdict(True, CERTAIN) for _ in pairs]
     # placing G plus every queried pair draws the same coordinates as placing G

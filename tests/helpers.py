@@ -69,13 +69,13 @@ def random_clique_system(
 def zero_extension(g: Graph, d: int, targets: Iterable[int]) -> Graph:
     """Henneberg 0-extension: a new vertex joined to the d distinct vertices
     ``targets`` (unchecked)."""
-    return Graph(g.n + 1, [*g.edges, *((t, g.n) for t in targets)])
+    return Graph(g.n + 1, [*g.sorted_edges(), *((t, g.n) for t in targets)])
 
 
 def one_extension(g: Graph, d: int, edge: Edge, targets: Iterable[int]) -> Graph:
     """Henneberg 1-extension: delete the edge ab and join a new vertex to a, b
     and the d-1 further vertices ``targets`` (unchecked)."""
-    kept = g.remove_edges([edge]).edges
+    kept = g.remove_edges([edge]).sorted_edges()
     return Graph(g.n + 1, [*kept, *((w, g.n) for w in (*edge, *targets))])
 
 
@@ -83,8 +83,8 @@ def one_extension(g: Graph, d: int, edge: Edge, targets: Iterable[int]) -> Graph
 
 
 def neighbors(g: Graph, v: int) -> frozenset[int]:
-    """The neighbours of v, read off the edge set (never off the bitmasks)."""
-    return frozenset(a if b == v else b for a, b in g.edges if v in (a, b))
+    """The neighbours of v, read off the sorted edges (never off a bitmask)."""
+    return frozenset(a if b == v else b for a, b in g.sorted_edges() if v in (a, b))
 
 
 def brute_vertex_connectivity(g: Graph) -> int:
@@ -267,6 +267,21 @@ def brute_force_expected_gpi(g: Graph, d: int) -> Fraction:
     for order in itertools.permutations(range(g.n)):
         total += gpi_edge_count(g, d, order)
     return Fraction(total, factorial(g.n))
+
+
+def expected_gpi_by_backward_degree(g: Graph, d: int) -> Fraction:
+    """Exact E|E_pi| summed term by term over each vertex's backward degree
+    i = 0..k: min(i, d), plus P(rule c | i) = 1 - counts[i]/C(k, i) for
+    i > d, each term over k + 1 (the sum before its closed form)."""
+    total = Fraction(0)
+    for v in range(g.n):
+        k = g.degree(v)
+        counts = enumerated_clique_size_counts(g, v)
+        for i in range(k + 1):
+            total += Fraction(min(i, d), k + 1)
+            if i > d:
+                total += Fraction(comb(k, i) - counts[i], (k + 1) * comb(k, i))
+    return total
 
 
 def exact_generic_rank(g: Graph, d: int, seed: int = 11) -> int:

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidity_forge import combinatorics
 from rigidity_forge.combinatorics import (
@@ -26,6 +28,7 @@ from helpers import (
     brute_covered_count,
     brute_force_expected_gpi,
     enumerated_clique_size_counts,
+    expected_gpi_by_backward_degree,
     random_clique_system,
     random_graph,
 )
@@ -247,17 +250,25 @@ def test_expected_gpi_matches_brute_force_oracle():
         assert exact_expected_gpi_edges(g, d) == brute_force_expected_gpi(g, d)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 14), st.floats(0.0, 1.0),
+       st.sampled_from([2, 3, 4]))
+def test_expected_gpi_closed_form_matches_the_term_by_term_sum(rng, n, density, d):
+    g = random_graph(rng, n, density)
+    assert exact_expected_gpi_edges(g, d) == expected_gpi_by_backward_degree(g, d)
+
+
 def hub_over(rim: Graph) -> Graph:
     """rim on vertices 1..n plus a hub 0 joined to all of them."""
     return Graph(rim.n + 1, [(0, i) for i in range(1, rim.n + 1)]
-                 + [(u + 1, v + 1) for u, v in rim.edges])
+                 + [(u + 1, v + 1) for u, v in rim.sorted_edges()])
 
 
 def test_clique_size_counts_match_enumeration():
     rng = random.Random(304)
     graphs = [complete_graph(n) for n in (1, 2, 9, 13)] + [Graph(5), cycle_graph(4)]
     graphs += [random_graph(rng, rng.randint(1, 14), rng.uniform(0.1, 0.97)) for _ in range(300)]
-    # hubs of degree 33-48 over a cycle plus chords: rows read off the bitmasks
+    # hubs of degree 33-48 over a cycle plus chords
     for m in (rng.randint(33, 48) for _ in range(20)):
         rim = random_graph(rng, m, rng.uniform(0.02, 0.3))
         graphs.append(hub_over(rim.add_edges([(i, (i + 1) % m) for i in range(m)])))
@@ -268,7 +279,7 @@ def test_clique_size_counts_match_enumeration():
 
 def test_clique_size_counts_of_a_wheel_hub_read_no_pair_of_its_neighbours():
     # the hub of an 8,000-vertex wheel: about 0.3 s, where looking up all
-    # 3.2 * 10^7 pairs of its neighbours in the edge set takes about 3.5 s
+    # 3.2 * 10^7 pairs of its neighbours one by one takes about 3.5 s
     m = 7_999
     wheel = hub_over(cycle_graph(m))
     started = time.perf_counter()

@@ -67,6 +67,12 @@ def test_graph_refuses_edges_past_its_budget_as_they_arrive(monkeypatch):
     monkeypatch.setattr(graph_core, "MAX_EDGES", 10)
     assert Graph(5, itertools.combinations(range(5), 2)).edge_count == 10
     assert Graph(5, [(0, 1)] * 20).edge_count == 1  # a repeated edge is one edge
+    # duplicates interleaved with 10 distinct edges, either way round
+    pairs = list(itertools.combinations(range(5), 2))
+    mixed = [e for u, v in pairs for e in ((u, v), (v, u), pairs[0])]
+    assert Graph(5, mixed).edge_count == 10
+    with pytest.raises(ValueError, match="11 edges exceed the limit of 10"):
+        Graph(6, mixed + [(0, 1), (5, 0)])
     pairs = itertools.combinations(range(100), 2)
     with pytest.raises(ValueError, match="11 edges exceed the limit of 10"):
         Graph(100, pairs)
@@ -79,22 +85,32 @@ def test_graph_dedups_and_normalizes():
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert [g.neighbor_mask(v) for v in range(3)] == [0b010, 0b101, 0b010]
     assert [g.degree(v) for v in range(3)] == [1, 2, 1]
+    # a mask read without a range check would take -1 as the last vertex or
+    # shift by a negative count
+    assert not any(g.has_edge(u, v) for u, v in [(1, 1), (-1, 1), (1, -2), (1, 3), (3, 1), (0, 2)])
+    shuffled = Graph(3, [(2, 1), (1, 2), (0, 1), (1, 2)])
+    assert shuffled == g and hash(shuffled) == hash(g)
+    assert g != Graph(3, [(0, 1)]) and g != Graph(4, [(0, 1), (1, 2)])
 
 
 def test_neighbor_masks_and_degrees_match_the_edge_set():
     rng = random.Random(35)
     for _ in range(200):
-        g = random_graph(rng, rng.randint(0, 40), rng.uniform(0.0, 1.0))
+        n, density = rng.randint(0, 40), rng.uniform(0.0, 1.0)
+        edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < density]
+        g = Graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges])
+        assert g.sorted_edges() == tuple(edges)
         for v in range(g.n):
-            assert _bits(g.neighbor_mask(v)) == sorted(neighbors(g, v))
-            assert g.degree(v) == len(neighbors(g, v))
+            want = sorted({*(a for a, b in edges if b == v), *(b for a, b in edges if a == v)})
+            assert _bits(g.neighbor_mask(v)) == want
+            assert g.degree(v) == len(want)
 
 
 def test_graph_keeps_one_adjacency():
-    # the 6,000 edges of Harary(6, 2000): the edge set and one neighbour
-    # bitmask per vertex retain 0.9 MB; a frozenset of neighbours per vertex
-    # besides them took it to 1.8 MB
-    edges = list(harary_graph(6, 2000).edges)
+    # the 6,000 edges of Harary(6, 2000): one neighbour bitmask per vertex
+    # and the sorted edge tuple retain 0.7 MB; a frozenset of neighbours per
+    # vertex besides an edge set and the bitmasks took it to 1.8 MB
+    edges = list(harary_graph(6, 2000).sorted_edges())
     tracemalloc.start()
     try:
         g = Graph(2000, edges)
@@ -157,11 +173,11 @@ def test_parse_empty_graph():
 def test_parse_duplicate_edge_warns_and_dedups():
     with pytest.warns(GraphFormatWarning):
         g = parse_edge_list("3 2\n0 1\n0 1")
-    assert g.n == 3 and g.edges == frozenset({(0, 1)})
+    assert g.n == 3 and g.sorted_edges() == ((0, 1),)
     with warnings.catch_warnings(record=True) as caught:  # one warning counts them all
         warnings.simplefilter("always")
         g = parse_edge_list("3 2\n0 1\n1 0\n\n0 1\n1 2\n2 1")
-    assert g.edges == frozenset({(0, 1), (1, 2)})
+    assert g.sorted_edges() == ((0, 1), (1, 2))
     assert [str(w.message) for w in caught] == ["duplicate edges dropped: 3"]
 
 
@@ -195,18 +211,22 @@ def test_refusals_name_their_input_line(monkeypatch, text, message):
     assert str(refused.value) == message
 
 
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 def test_header_refusal_reads_no_further_line():
     # 100,000 edge lines (1.2 MB of text) after a header over the edge
-    # budget: a list of the lines would take 6.5 MB
-    text = "20000 500001\n" + "".join(f"{i} {i + 1}\n" for i in range(100_000))
-    tracemalloc.start()
-    try:
-        with pytest.raises(GraphParseError, match="line 1: 500001 edges exceed"):
-            parse_edge_list(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20, peak
+    # budget: a list of the lines would take 6.5 MB, whatever breaks them
+    for eol in LINE_BREAKS:
+        text = f"20000 500001{eol}" + "".join(f"{i} {i + 1}{eol}" for i in range(100_000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphParseError, match="line 1: 500001 edges exceed"):
+                parse_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (eol, peak)
 
 
 def parse_outcome(text: str):
@@ -220,8 +240,7 @@ def parse_outcome(text: str):
     return g, [str(w.message) for w in caught]
 
 
-LINE_PIECES = ["0", "1", "2", "3", "9", " ", "\t", "-", "x", "\x1f", "\xa0",  # not breaks
-               "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+LINE_PIECES = ["0", "1", "2", "3", "9", " ", "\t", "-", "x", "\x1f", "\xa0", *LINE_BREAKS]
 
 
 @settings(max_examples=400, deadline=None)
@@ -235,11 +254,11 @@ def test_graph6_padding_bits_are_ignored():
     rng = random.Random(6)
     for n in (2, 3, 4, 5, 7, 11, 64, 70):
         g = random_graph(rng, n, 0.5)
-        text = graph6(n, g.edges)
+        text = graph6(n, g.sorted_edges())
         assert parse_graph6(text) == g
         spare = -(n * (n - 1) // 2) % 6  # padding bits in the last byte
         for padding in range(1, 1 << spare):
-            padded = graph6(n, g.edges, padding)
+            padded = graph6(n, g.sorted_edges(), padding)
             assert padded != text and parse_graph6(padded) == g
 
 
@@ -314,7 +333,7 @@ def test_vertex_connectivity_matches_networkx_on_larger_graphs():
             g = random_graph(rng, n, density)
             h = nx.Graph()
             h.add_nodes_from(range(n))
-            h.add_edges_from(g.edges)
+            h.add_edges_from(g.sorted_edges())
             assert vertex_connectivity(g) == nx.node_connectivity(h), (n, density)
 
 
@@ -341,13 +360,13 @@ def test_vertex_connectivity_with_a_limit_matches_networkx():
                           if rng.random() < 0.8])
         h = nx.Graph()
         h.add_nodes_from(range(n))
-        h.add_edges_from(g.edges)
+        h.add_edges_from(g.sorted_edges())
         kappa = nx.node_connectivity(h)
         seen.add(kappa)
         delta = min(g.degree(v) for v in range(n))
         for limit in (None, 1, 2, 3, delta):
             want = kappa if limit is None else min(kappa, limit)
-            assert vertex_connectivity(g, limit) == want, (g.edges, limit)
+            assert vertex_connectivity(g, limit) == want, (g.sorted_edges(), limit)
     assert seen >= set(range(7))
     assert vertex_connectivity(complete_graph(6), 3) == 3
     assert vertex_connectivity(complete_graph(6), 9) == 5
@@ -465,7 +484,7 @@ def test_maximal_cliques_match_networkx_on_larger_graphs():
         g = random_graph(rng, n, density)
         h = nx.Graph()
         h.add_nodes_from(range(n))
-        h.add_edges_from(g.edges)
+        h.add_edges_from(g.sorted_edges())
         expected = sorted(tuple(sorted(c)) for c in nx.find_cliques(h))
         assert maximal_cliques(g) == expected, (n, density)
 
@@ -506,7 +525,7 @@ def test_induced_subgraph_examples():
 
     sub, mapping = induced_subgraph(cycle_graph(5), [0, 2, 4])
     assert mapping == (0, 2, 4)
-    assert sub.edges == frozenset({(0, 2)})  # the original edge {4,0} relabeled
+    assert sub.sorted_edges() == ((0, 2),)  # the original edge {4,0} relabeled
 
     sub, mapping = induced_subgraph(complete_graph(4), [])
     assert sub.n == 0 and mapping == ()
@@ -536,8 +555,8 @@ def test_path_avoiding_examples():
     k5 = complete_graph(5)
     g = Graph(
         11,
-        list(k5.edges)
-        + [(5 + u, 5 + v) for u, v in k5.edges]
+        list(k5.sorted_edges())
+        + [(5 + u, 5 + v) for u, v in k5.sorted_edges()]
         + [(0, 10), (1, 10)],
     )
     assert path_avoiding(g, 0, 1, [0, 1, 2, 3, 4])

@@ -331,7 +331,7 @@ def test_linked_pairs_match_rank_increments_on_random_graphs():
         g = random_graph(rng, rng.randint(4, 10), rng.random())
         d = rng.choice((2, 3))
         pairs = nonedges(g)
-        pairs += [(v, u) for u, v in pairs[:2]] + sorted(g.edges)[:2]
+        pairs += [(v, u) for u, v in pairs[:2]] + list(g.sorted_edges()[:2])
         seed = rng.getrandbits(64)
         scan = linked_pairs(g, d, pairs, seed=seed)
         assert scan == [is_linked(g, d, u, v, seed=seed) for u, v in pairs]
