@@ -9,7 +9,10 @@ A pass runs every seed-1 invocation of each workload in
 ``rigidity_forge.cli.main`` in this process, timing each call.  One untimed
 pass first loads and compiles the command modules.  The JSON printed gives,
 per workload, the median over PASSES passes of the summed call times
-(``compute_s``) and of each command's share.  Unlike perfbench's wall times
+(``compute_s``) and of each command's share, and beside them each pass's
+total (``pass_s``) and, per pass, perfbench's host-drift reading
+(``host.ref_loop_ms``, taken before the pass), so that a slow run shows
+whether the host or the program slowed.  Unlike perfbench's wall times
 it leaves out interpreter start and import, so it is the figure an
 algorithmic change moves.  Every output is checked against the digests in
 ``tests/golden/bench_seed1.json``; the exit code is 1 when any differs.
@@ -31,6 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
+from run import ref_loop_ms  # noqa: E402
 
 from rigidity_forge import cli  # noqa: E402
 
@@ -70,8 +74,10 @@ def measure(invocations: list[tuple[str, workloads.Invocation]], golden: list[di
     expected = {(g["workload"], tuple(g["argv"]), g["stdin_sha256"]): g for g in golden}
     totals: dict[str, list[float]] = defaultdict(list)
     by_command: dict[tuple[str, str], list[float]] = defaultdict(list)
+    ref_ms: list[float] = []
     mismatches = set()
     for i in range(passes + 1):
+        ref = ref_loop_ms()
         pass_s: dict[str, float] = defaultdict(float)
         command_s: dict[tuple[str, str], float] = defaultdict(float)
         for name, inv in invocations:
@@ -81,15 +87,17 @@ def measure(invocations: list[tuple[str, workloads.Invocation]], golden: list[di
             pass_s[name] += seconds
             command_s[name, inv.command] += seconds
         if i:  # pass 0 warms up
+            ref_ms.append(round(ref, 3))
             for name, s in pass_s.items():
                 totals[name].append(s)
             for key, s in command_s.items():
                 by_command[key].append(s)
-    report = {name: {"compute_s": round(statistics.median(s), 4), "commands": {}}
+    report = {name: {"compute_s": round(statistics.median(s), 4),
+                     "pass_s": [round(x, 4) for x in s], "commands": {}}
               for name, s in totals.items()}
     for (name, command), s in sorted(by_command.items()):
         report[name]["commands"][command] = round(statistics.median(s), 4)
-    return {"passes": passes, "workloads": report,
+    return {"passes": passes, "host.ref_loop_ms": ref_ms, "workloads": report,
             "mismatches": [f"{name}: {argv}" for name, argv in sorted(mismatches)]}
 
 

@@ -67,8 +67,6 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(x) for x in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(jsonable(x) for x in obj)
     return obj
 
 

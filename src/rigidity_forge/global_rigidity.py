@@ -16,18 +16,15 @@ from typing import NamedTuple
 
 from .graph_core import Graph, _bits, as_vertex_set, induced_subgraph, path_avoiding, vertex_connectivity
 from .modlinalg import DEFAULT_PRIME, ModMatrix, left_kernel_sample, rank, rank_of_rows
-from .rigidity import CERTAIN, WHP, Verdict, generic_rank_cap, is_linked, is_rigid, placements
+from .rigidity import CERTAIN, WHP, Verdict, _cap_first, generic_rank_cap, is_linked, is_rigid, placements
 
 
 class StressCertificate(NamedTuple):
     """A sampled equilibrium stress and the rank of its stress matrix."""
 
-    graph: Graph
-    dim: int
     stress: tuple[int, ...]
     omega_rank: int
     target: int
-    seed: int
 
 
 def stress_matrix(g: Graph, stress: tuple[int, ...], p: int = DEFAULT_PRIME) -> ModMatrix:
@@ -64,7 +61,7 @@ def stress_matrix_rank(
         stress = tuple(left_kernel_sample(ModMatrix(rows, d * n, p), rng.getrandbits(64)))
         omega_rank = rank(stress_matrix(g, stress, p)) if any(stress) else 0
         if best is None or omega_rank > best.omega_rank:
-            best = StressCertificate(g, d, stress, omega_rank, target, seed)
+            best = StressCertificate(stress, omega_rank, target)
         if best.omega_rank >= target:
             break
     assert best is not None
@@ -106,8 +103,9 @@ def _plane_redundant(g: Graph, trials: int, seed: int, p: int) -> bool:
     common = (mask(u) & mask(v) for u, v in g.sorted_edges())
     if all(any(mask(w) & c for w in _bits(c)) for c in common):
         return True
+    cap, order = generic_rank_cap(g.n, 2), _cap_first(g, 2)
     return any(all(left_kernel_sample(ModMatrix(rows, 2 * g.n, p), rng.getrandbits(64)))
-               and rank_of_rows(rows, 2 * g.n, p) == generic_rank_cap(g.n, 2)
+               and rank_of_rows([rows[i] for i in order], 2 * g.n, p, cap) == cap
                for rows, rng in placements(g, 2, trials, seed, p))
 
 

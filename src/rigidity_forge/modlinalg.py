@@ -14,6 +14,7 @@ bit-reproducible from (seed, trials, p).
 
 from __future__ import annotations
 
+import functools
 import random
 
 #: Default modulus: the Mersenne prime 2^61 - 1.  Large enough that a single
@@ -28,6 +29,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 Row = dict[int, int]
 
 
+@functools.lru_cache(maxsize=64)  # the flag check and every placement stream ask again
 def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin, exact for all 64-bit integers."""
     if m < 2:

@@ -9,7 +9,6 @@ a-priori cap, "whp" otherwise.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from collections.abc import Iterator, Sequence
@@ -36,10 +35,7 @@ class RankReport(NamedTuple):
     """Computed matroid rank plus the confidence of the verdict."""
 
     rank: int
-    dim: int
-    trials: int
     confidence: str
-    seed: int
 
 
 class Verdict(NamedTuple):
@@ -82,19 +78,12 @@ def placements(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    _require_prime(p)
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
     rng = make_rng(seed)
     for _ in range(trials):
         points = [rng.randrange(1, p) for _ in range(g.n * d)]
         yield _matrix_rows(g, d, points, p), rng
-
-
-@functools.lru_cache(maxsize=64)
-def _require_prime(p: int) -> None:
-    # cached: theorem-level checks open thousands of streams on one modulus,
-    # and a Miller-Rabin run costs far more than the lookup
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
 
 
 def _matrix_rows(g: Graph, d: int, points: Sequence[int], p: int) -> list[Row]:
@@ -199,7 +188,7 @@ def generic_rank(
         if best == stop:
             break
     confidence = CERTAIN if best == cap else WHP
-    return RankReport(best, d, trials, confidence, seed)
+    return RankReport(best, confidence)
 
 
 def is_independent(
@@ -243,7 +232,8 @@ def linked_pairs(
     the same placement lies in its row space, which makes
     rank(G) <= rank(G+uv) <= rank(G)+1 hold exactly per trial.  A pair is
     linked when its best rank over the trials equals the best rank of G.
-    Edges of G are linked with certainty and cost nothing.
+    Edges of G are linked with certainty and cost nothing.  A pair above a
+    trial's rank of G skips its span test, and trials end once none can rise.
     """
     for u, v in pairs:
         if u == v:
@@ -265,7 +255,12 @@ def linked_pairs(
         # at the cap no row raises the rank: no placement of a graph on n vertices ranks higher
         raises = basis.rank < cap
         for uv in queries:
-            best_uv[uv] = max(best_uv[uv], basis.rank + (raises and not basis.in_span(row_of[uv])))
+            if best_uv[uv] <= basis.rank:
+                best_uv[uv] = basis.rank + (raises and not basis.in_span(row_of[uv]))
+        # G at min(|E|, cap) and every pair one above it, or at the cap: no trial ranks higher
+        top = best_g + (best_g < cap)
+        if best_g == min(g.edge_count, cap) and all(r == top for r in best_uv.values()):
+            break
     out = []
     for u, v in pairs:
         if g.has_edge(u, v):
@@ -354,13 +349,19 @@ def is_t_redundantly_rigid(
         ok = g.is_complete() and k == 0
         return RedundancyReport(ok, CERTAIN, None if ok else edges[:k], 1)
     target = generic_rank_cap(n, d)
-    views = [kernel_view(rows, d * n, p) for rows, _ in placements(g, d, trials, seed, p)]
+    views = (kernel_view(rows, d * n, p) for rows, _ in placements(g, d, trials, seed, p))
     # rank(G - S) = full_rank - |S| + rank of the dual rows of S
-    views = [(kernel_dim, dual) for full_rank, kernel_dim, dual in views if full_rank >= target]
-    if not views:
+    views = ((kernel_dim, dual) for full_rank, kernel_dim, dual in views if full_rank >= target)
+    first, drawn = next(views, None), []
+    if first is None:
         return RedundancyReport(False, WHP, edges[:k], 1)
-    for checked, (subset, ok) in enumerate(_leaves(views[0][1], m, k, p), 1):
+    def later():  # the views after the first, each drawn when a reject first needs it
+        yield from drawn
+        for view in views:
+            drawn.append(view)
+            yield view
+    for checked, (subset, ok) in enumerate(_leaves(first[1], m, k, p), 1):
         if not ok and not any(rank_of_rows([dual[i] for i in subset], kernel_dim, p) == k
-                              for kernel_dim, dual in views[1:]):
+                              for kernel_dim, dual in later()):
             return RedundancyReport(False, WHP, tuple(edges[i] for i in subset), checked)
     return RedundancyReport(True, CERTAIN, None, comb(m, k))

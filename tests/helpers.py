@@ -3,14 +3,17 @@ brute-force oracles (kept deliberately naive, separate from the library)."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 import statistics
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, sqrt
 
+from rigidity_forge import modlinalg
 from rigidity_forge.combinatorics import CliqueSystem
 from rigidity_forge.experiments import Theorem9Report
 from rigidity_forge.global_rigidity import stress_matrix, stress_matrix_rank
@@ -30,9 +33,12 @@ from rigidity_forge.modlinalg import (
     rank_of_rows,
 )
 from rigidity_forge.rigidity import (
+    CERTAIN,
     WHP,
     RedundancyReport,
     Verdict,
+    _leaves,
+    generic_rank_cap,
     is_rigid,
     is_t_redundantly_rigid,
     kernel_view,
@@ -369,6 +375,92 @@ def forward_left_kernel_sample(m: ModMatrix, seed: int) -> list[int]:
     for f, c in zip(free, coeffs):
         w[f] = c
     return _back_substitute(basis, w)
+
+
+@contextlib.contextmanager
+def miller_rabin_runs() -> Iterator[list[int]]:
+    """The moduli that Miller-Rabin runs on inside the block, one entry per
+    run: each call that reaches the body of the cached `modlinalg.is_prime`,
+    whose cache is cleared first.  Runs are seen by a profile hook on the
+    body's code object, so no name is patched."""
+    body = modlinalg.is_prime.__wrapped__.__code__
+    runs: list[int] = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is body:
+            runs.append(frame.f_locals["m"])
+
+    modlinalg.is_prime.cache_clear()
+    saved = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        yield runs
+    finally:
+        sys.setprofile(saved)
+
+
+# -- stop-free references for the randomized scans -----------------------------
+
+
+def stop_free_linked_pairs(
+    g: Graph, d: int, pairs: Sequence[Edge], trials: int, seed: int, p: int
+) -> list[Verdict]:
+    """`linked_pairs` drawing every one of its `trials` placements and making
+    every span test below the cap: the loop before its early stops, kept as
+    their oracle (argument checks left out)."""
+    queries = {normalize_edge(u, v) for u, v in pairs if not g.has_edge(u, v)}
+    if not queries:
+        return [Verdict(True, CERTAIN) for _ in pairs]
+    placed = g.add_edges(queries)
+    cap = generic_rank_cap(g.n, d)
+    best_g = 0
+    best_uv = dict.fromkeys(queries, 0)
+    for rows, _ in placements(placed, d, trials, seed, p):
+        row_of = dict(zip(placed.sorted_edges(), rows))
+        basis = RowBasis(p).extend([row_of[e] for e in g.sorted_edges()], cap)
+        best_g = max(best_g, basis.rank)
+        raises = basis.rank < cap
+        for uv in queries:
+            best_uv[uv] = max(best_uv[uv], basis.rank + (raises and not basis.in_span(row_of[uv])))
+    out = []
+    for u, v in pairs:
+        if g.has_edge(u, v):
+            out.append(Verdict(True, CERTAIN))
+            continue
+        value = best_g == best_uv[normalize_edge(u, v)]
+        if value and best_g == cap:
+            confidence = CERTAIN
+        elif not value and best_g == g.edge_count:
+            confidence = CERTAIN
+        else:
+            confidence = WHP
+        out.append(Verdict(value, confidence, rank=best_g))
+    return out
+
+
+def eager_redundancy(
+    g: Graph, d: int, t: int, trials: int, seed: int, p: int
+) -> RedundancyReport:
+    """`is_t_redundantly_rigid` building all `trials` kernel views before its
+    prefix walk: the loop before views were drawn on demand, kept as its
+    oracle (argument checks left out)."""
+    k = t - 1
+    m = g.edge_count
+    edges = g.sorted_edges()
+    n = g.n
+    if n <= d + 1:
+        ok = g.is_complete() and k == 0
+        return RedundancyReport(ok, CERTAIN, None if ok else edges[:k], 1)
+    target = generic_rank_cap(n, d)
+    views = [kernel_view(rows, d * n, p) for rows, _ in placements(g, d, trials, seed, p)]
+    views = [(kernel_dim, dual) for full_rank, kernel_dim, dual in views if full_rank >= target]
+    if not views:
+        return RedundancyReport(False, WHP, edges[:k], 1)
+    for checked, (subset, ok) in enumerate(_leaves(views[0][1], m, k, p), 1):
+        if not ok and not any(rank_of_rows([dual[i] for i in subset], kernel_dim, p) == k
+                              for kernel_dim, dual in views[1:]):
+            return RedundancyReport(False, WHP, tuple(edges[i] for i in subset), checked)
+    return RedundancyReport(True, CERTAIN, None, comb(m, k))
 
 
 # -- per-subset redundancy scan ----------------------------------------------

@@ -28,6 +28,10 @@ def test_probe_reports_medians_per_command_and_fails_on_a_changed_output(
     counting = result["workloads"]["counting"]
     assert sorted(counting["commands"]) == ["comblemma", "expected-gpi"]
     assert 0 < max(counting["commands"].values()) <= counting["compute_s"]
+    # beside the medians: each timed pass's total and the host reading before it
+    assert len(counting["pass_s"]) == len(result["host.ref_loop_ms"]) == 3
+    assert sorted(counting["pass_s"])[1] == counting["compute_s"]
+    assert all(ms > 0 for ms in result["host.ref_loop_ms"])
 
     golden = json.loads(compute.GOLDEN.read_text())
     name, gpi = two_invocations()[1]

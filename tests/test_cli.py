@@ -31,7 +31,7 @@ from rigidity_forge.graph_core import (
     parse_graph,
 )
 
-from helpers import graph6
+from helpers import graph6, miller_rabin_runs
 
 K4_TEXT = complete_graph(4).to_edge_list()
 C4_TEXT = cycle_graph(4).to_edge_list()
@@ -203,6 +203,36 @@ def test_check_commands_exit_codes(capsys, k4_file, tmp_path):
 
     code, payload = run_json(capsys, "check-lemma6", "--orderings", "5", "--input", k4_file)
     assert code == 0 and payload["result"]["passed"] is True
+
+
+def test_check_lemma6_fails_on_a_dependent_ordering(capsys, c4_file, monkeypatch):
+    real, orderings = experiments.is_independent, []
+
+    def third_dependent(g, *args):
+        orderings.append(g)
+        verdict = real(g, *args)
+        return verdict._replace(value=False) if len(orderings) == 3 else verdict
+
+    monkeypatch.setattr(experiments, "is_independent", third_dependent)
+    rep = experiments.lemma6_property_check(cycle_graph(4), 2, 5)
+    assert rep == ("checked", None, 5, False) and rep.passed is False
+    assert len(orderings) == 3
+    orderings.clear()
+    code, payload = run_json(capsys, "check-lemma6", "--orderings", "5", "--input", c4_file)
+    assert code == 1 and payload["result"]["passed"] is False
+
+
+def test_a_randomized_command_runs_miller_rabin_once(capsys, c4_file):
+    # the flag check and every placement stream ask about the one modulus
+    with miller_rabin_runs() as runs:
+        code, payload = run_json(capsys, "globally-rigid", "--input", c4_file)
+    assert code == 0 and payload["result"] is False
+    assert runs == [rigidity.DEFAULT_PRIME]
+
+
+def test_a_composite_modulus_above_2_32_is_refused(capsys, k4_file):
+    code, payload = run_json(capsys, "rank", "--prime", "1000036000099", "--input", k4_file)
+    assert code == 2 and payload["error"] == "modulus 1000036000099 is not prime"
 
 
 @pytest.mark.parametrize("orderings", ["0", "-3"])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rigidity_forge import global_rigidity
+from rigidity_forge import global_rigidity, rigidity
 from rigidity_forge.constructions import sharpness_example, sharpness_matching
 from rigidity_forge.global_rigidity import (
     is_globally_rigid,
@@ -23,7 +23,7 @@ from rigidity_forge.graph_core import (
     vertex_connectivity,
 )
 from rigidity_forge.modlinalg import DEFAULT_PRIME
-from rigidity_forge.rigidity import generic_rank, generic_rank_cap, is_rigid
+from rigidity_forge.rigidity import generic_rank, generic_rank_cap, is_rigid, placements
 
 from helpers import (
     brute_vertex_connectivity,
@@ -228,6 +228,19 @@ def test_plane_route_without_a_k4_cover_samples_one_stress_per_trial(monkeypatch
     # K_{3,3} is minimally rigid: no placement carries a nonzero stress
     assert is_globally_rigid(complete_bipartite_graph(3, 3), 2, trials=3) == (False, "whp", 9)
     assert len(calls) == 3
+
+
+def test_plane_fallback_ranks_cap_first_stopped_at_the_cap(monkeypatch):
+    # the seed-1 30-vertex graph reaches the stress fallback: its rank check
+    # feeds the placement's rows in cap-first order and stops at 2n-3
+    inv = next(i for i in workloads.verdicts_and_checks(1) if i.command == "globally-rigid")
+    g, seed = parse_graph(inv.stdin), int(inv.args[-1])
+    calls = []
+    rank_of_rows = global_rigidity.rank_of_rows
+    monkeypatch.setattr(global_rigidity, "rank_of_rows", lambda *a: calls.append(a) or rank_of_rows(*a))
+    assert is_globally_rigid(g, 2, seed=seed) == (True, "certain", 57)
+    rows, _ = next(placements(g, 2, 1, seed, P))
+    assert calls == [([rows[i] for i in rigidity._cap_first(g, 2)], 60, P, 57)]
 
 
 # -- deletion scans ------------------------------------------------------------

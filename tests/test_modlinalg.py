@@ -61,6 +61,14 @@ def test_default_prime_is_the_mersenne_prime():
     assert is_prime(P)
 
 
+def test_composites_without_a_small_factor_fail_a_witness():
+    # no factor <= 37, so only the witness loop can refuse them
+    assert not is_prime(3215031751)  # 151 * 751 * 28351
+    assert not is_prime(3825123056546413051)  # a strong pseudoprime to bases 2..23
+    assert not is_prime(1000003 * 1000033)
+    assert all(is_prime(q) for q in (1000003, 1000033, (1 << 31) - 1))
+
+
 def test_rank_examples():
     assert rank(matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)) == 3
     assert rank(matrix([[0] * 5, [0] * 5], 5)) == 0

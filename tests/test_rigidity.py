@@ -27,7 +27,14 @@ from rigidity_forge.rigidity import (
     placements,
 )
 
-from helpers import exact_generic_rank, per_subset_redundancy, random_graph
+from helpers import (
+    eager_redundancy,
+    exact_generic_rank,
+    miller_rabin_runs,
+    per_subset_redundancy,
+    random_graph,
+    stop_free_linked_pairs,
+)
 
 P = DEFAULT_PRIME
 
@@ -65,7 +72,7 @@ def test_placements_draw_fresh_points_per_trial():
         next(placements(g, 2, 0, 7, P))
 
 
-def test_composite_modulus_is_refused(monkeypatch):
+def test_composite_modulus_is_refused():
     for p in (15, 91):
         message = f"modulus {p} is not prime"
         with pytest.raises(ValueError, match=message):
@@ -76,11 +83,9 @@ def test_composite_modulus_is_refused(monkeypatch):
             stress_matrix_rank(complete_graph(6), 2, p=p)
 
     # a prime is tested once, not once per placement stream
-    real, calls = rigidity.is_prime, []
-    monkeypatch.setattr(rigidity, "is_prime", lambda m: calls.append(m) or real(m))
-    rigidity._require_prime.cache_clear()
-    for seed in range(3):
-        generic_rank(complete_graph(6), 2, seed=seed, p=P)
+    with miller_rabin_runs() as calls:
+        for seed in range(3):
+            generic_rank(complete_graph(6), 2, seed=seed, p=P)
     assert calls == [P]
 
 
@@ -165,7 +170,7 @@ def test_generic_rank_stops_its_trials_at_the_cover_bound(monkeypatch):
     monkeypatch.setattr(rigidity, "rank_of_rows", counted)
     ly = lovasz_yemini_family(2, 8)
     rep = generic_rank(ly, 2, trials=2)
-    assert (rep.rank, rep.confidence, rep.trials) == (76, "whp", 2)
+    assert (rep.rank, rep.confidence) == (76, "whp")
     assert len(calls) == 1
 
 
@@ -373,6 +378,55 @@ def test_linked_pairs_validation_and_edges():
         linked_pairs(g, 2, [(0, 2)], trials=0)
 
 
+def count_placements(monkeypatch):
+    """The placements `rigidity` draws from its stream, one entry each."""
+    drawn = []
+    stream = rigidity.placements
+
+    def counted(*args):
+        for item in stream(*args):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(rigidity, "placements", counted)
+    return drawn
+
+
+def test_linked_pairs_of_c40_draw_one_placement(monkeypatch):
+    # the first trial ranks C40 at |E| and every chord one above it: no
+    # later placement can raise either, so the second is never drawn
+    g = cycle_graph(40)
+    drawn = count_placements(monkeypatch)
+    scan = linked_pairs(g, 2, nonedges(g), seed=9)
+    assert len(scan) == 740 and set(scan) == {Verdict(False, "certain", rank=40)}
+    assert len(drawn) == 1
+
+
+def test_early_stops_match_the_stop_free_loops(monkeypatch):
+    # small primes make placements disagree, so a later trial often raises a
+    # best rank: it must still be drawn then, and the stops must be reached
+    rng = random.Random(3737)
+    primes = (5, 7, 11, 13, P)
+    raised = stopped = redrawn = 0
+    drawn = count_placements(monkeypatch)
+    for _ in range(250):
+        d = rng.choice((1, 2, 3))
+        g = random_graph(rng, rng.randint(2, 11), rng.random())
+        trials, p, seed = rng.randint(1, 3), rng.choice(primes), rng.getrandbits(32)
+        pairs = nonedges(g)
+        if pairs:
+            drawn.clear()
+            want = stop_free_linked_pairs(g, d, pairs, trials, seed, p)
+            assert linked_pairs(g, d, pairs, trials, seed, p) == want
+            stopped += len(drawn) < trials
+            raised += stop_free_linked_pairs(g, d, pairs, 1, seed, p) != want
+        t = rng.randint(1, min(3, g.edge_count + 1))
+        want = eager_redundancy(g, d, t, trials, seed, p)
+        assert is_t_redundantly_rigid(g, d, t, trials, seed, p) == want
+        redrawn += eager_redundancy(g, d, t, 1, seed, p) != want
+    assert raised and stopped and redrawn
+
+
 # -- redundant rigidity ------------------------------------------------------
 
 
@@ -416,6 +470,17 @@ def test_sharpness_redundancy_witness():
     assert rep.witness == sharpness_matching(2)[:4]
 
 
+@pytest.mark.parametrize("t", [3, 4])
+def test_redundant_matched_cliques_build_one_kernel_view(monkeypatch, t):
+    # no subset is rejected by the first view, so no later view is drawn
+    views = []
+    kernel_view = rigidity.kernel_view
+    monkeypatch.setattr(rigidity, "kernel_view", lambda *a: views.append(a) or kernel_view(*a))
+    rep = is_t_redundantly_rigid(sharpness_example(2), 2, t)
+    assert rep == (True, "certain", None, comb(36, t - 1))
+    assert len(views) == 1
+
+
 def full_rank_views(g, d, trials, seed, p):
     target = d * g.n - comb(d + 1, 2)
     views = [rigidity.kernel_view(rows, d * g.n, p) for rows, _ in placements(g, d, trials, seed, p)]
@@ -453,8 +518,8 @@ def test_prefix_walk_matches_per_subset_scan():
 
 
 def count_basis_calls(monkeypatch):
-    """Count RowBasis.add and RowBasis.in_span calls made after the last
-    kernel view of a scan is built."""
+    """Count RowBasis.add and RowBasis.in_span calls made after the first
+    kernel view of a scan is built (a later view is built mid-walk)."""
     counts = {"add": 0, "in_span": 0}
     for name in counts:
         method = getattr(RowBasis, name)
@@ -466,9 +531,13 @@ def count_basis_calls(monkeypatch):
         monkeypatch.setattr(RowBasis, name, counted)
     kernel_view = rigidity.kernel_view
 
+    built = []
+
     def view_then_reset(*args):
         out = kernel_view(*args)
-        counts.update(add=0, in_span=0)
+        if not built:
+            counts.update(add=0, in_span=0)
+        built.append(out)
         return out
 
     monkeypatch.setattr(rigidity, "kernel_view", view_then_reset)
