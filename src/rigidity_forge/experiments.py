@@ -192,9 +192,9 @@ def lemma6_property_check(
     if pair is not None:
         return Lemma6Report("inapplicable", pair, 0, None)
     order = list(range(g.n))
-    for _ in range(orderings_count):
+    for built in range(1, orderings_count + 1):
         rng.shuffle(order)
         result = build_gpi(g, d, order)
         if not is_independent(result.subgraph, d, trials, rng.getrandbits(64), p).value:
-            return Lemma6Report("checked", None, orderings_count, False)
+            return Lemma6Report("checked", None, built, False)
     return Lemma6Report("checked", None, orderings_count, True)

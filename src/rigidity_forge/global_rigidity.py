@@ -16,7 +16,9 @@ from typing import NamedTuple
 
 from .graph_core import Graph, _bits, as_vertex_set, induced_subgraph, path_avoiding, vertex_connectivity
 from .modlinalg import DEFAULT_PRIME, ModMatrix, left_kernel_sample, rank, rank_of_rows
-from .rigidity import CERTAIN, WHP, Verdict, _cap_first, generic_rank_cap, is_linked, is_rigid, placements
+from .rigidity import (
+    CERTAIN, WHP, Verdict, _cap_first, _matrix_rows, generic_rank_cap, is_linked, is_rigid, placements,
+)
 
 
 class StressCertificate(NamedTuple):
@@ -57,7 +59,8 @@ def stress_matrix_rank(
         raise ValueError("stress certificates need at least d+2 vertices")
     target = n - d - 1
     best: StressCertificate | None = None
-    for rows, rng in placements(g, d, trials, seed, p):
+    for points, rng in placements(n, d, trials, seed, p):
+        rows = _matrix_rows(g.sorted_edges(), d, points, p)
         stress = tuple(left_kernel_sample(ModMatrix(rows, d * n, p), rng.getrandbits(64)))
         omega_rank = rank(stress_matrix(g, stress, p)) if any(stress) else 0
         if best is None or omega_rank > best.omega_rank:
@@ -104,9 +107,10 @@ def _plane_redundant(g: Graph, trials: int, seed: int, p: int) -> bool:
     if all(any(mask(w) & c for w in _bits(c)) for c in common):
         return True
     cap, order = generic_rank_cap(g.n, 2), _cap_first(g, 2)
-    return any(all(left_kernel_sample(ModMatrix(rows, 2 * g.n, p), rng.getrandbits(64)))
-               and rank_of_rows([rows[i] for i in order], 2 * g.n, p, cap) == cap
-               for rows, rng in placements(g, 2, trials, seed, p))
+    return any(all(left_kernel_sample(ModMatrix(_matrix_rows(g.sorted_edges(), 2, points, p), 2 * g.n, p),
+                                      rng.getrandbits(64)))
+               and rank_of_rows(_matrix_rows(order, 2, points, p), 2 * g.n, p, cap) == cap
+               for points, rng in placements(g.n, 2, trials, seed, p))
 
 
 def wgl_sufficient(

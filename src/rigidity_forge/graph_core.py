@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 import warnings
 from collections.abc import Iterable, Iterator
-from itertools import chain, combinations
+from itertools import combinations
 from math import isqrt
 
 Edge = tuple[int, int]
@@ -110,9 +110,6 @@ class Graph:
         return self.edge_count == self.n * (self.n - 1) // 2
 
     # -- derived graphs --------------------------------------------------
-
-    def add_edges(self, new_edges: Iterable[Edge]) -> "Graph":
-        return Graph(self.n, chain(self._edges, new_edges))
 
     def remove_edges(self, gone: Iterable[Edge]) -> "Graph":
         drop = {normalize_edge(u, v) for u, v in gone}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from math import comb
 from typing import NamedTuple
 
@@ -65,15 +65,14 @@ def generic_rank_cap(n: int, d: int) -> int:
 
 
 def placements(
-    g: Graph, d: int, trials: int, seed: int, p: int
-) -> Iterator[tuple[list[Row], random.Random]]:
+    n: int, d: int, trials: int, seed: int, p: int
+) -> Iterator[tuple[list[int], random.Random]]:
     """The seeded placement stream behind every randomized verdict.
 
-    Yields, for each of `trials` placements, the rows of the rigidity matrix
-    R(G,p) and the stream itself, from which a caller may draw more before
-    the next placement.  Coordinates are uniform in [1, p-1], drawn vertex
-    by vertex.  R(G,p) has one row per sorted edge uv: the block of vertex u
-    holds p(u)-p(v), the block of v holds p(v)-p(u).  The modulus must be
+    Yields, for each of `trials` placements of n vertices in d dimensions,
+    its coordinates and the stream itself, from which a caller may draw more
+    before the next placement.  Coordinates are uniform in [1, p-1], drawn
+    vertex by vertex: p(v) is points[v*d : v*d + d].  The modulus must be
     prime: over a ring with zero divisors elimination is undefined.
     """
     if trials < 1:
@@ -82,13 +81,15 @@ def placements(
         raise ValueError(f"modulus {p} is not prime")
     rng = make_rng(seed)
     for _ in range(trials):
-        points = [rng.randrange(1, p) for _ in range(g.n * d)]
-        yield _matrix_rows(g, d, points, p), rng
+        yield [rng.randrange(1, p) for _ in range(n * d)], rng
 
 
-def _matrix_rows(g: Graph, d: int, points: Sequence[int], p: int) -> list[Row]:
+def _matrix_rows(edges: Iterable[Edge], d: int, points: Sequence[int], p: int) -> list[Row]:
+    """The rows of the rigidity matrix on a placement, one per edge uv, u < v,
+    in the order given: the block of vertex u holds p(u)-p(v), the block of
+    v holds p(v)-p(u)."""
     rows = []
-    for u, v in g.sorted_edges():
+    for u, v in edges:
         row = {}
         for t in range(d):
             diff = (points[u * d + t] - points[v * d + t]) % p
@@ -99,28 +100,25 @@ def _matrix_rows(g: Graph, d: int, points: Sequence[int], p: int) -> list[Row]:
     return rows
 
 
-def _cap_first(g: Graph, d: int) -> list[int]:
-    """The indices of g's sorted edges, arranged so that :meth:`RowBasis.extend`,
-    which feeds rows last-first, takes each vertex's first d edges of that
-    last-first order before all other edges.  On K_n those edges are a basis,
-    K_{d+1} and then one vertex joined to d earlier ones at a time, so an
-    elimination stopped at the cap adds no dependent row.  The rank does not
-    depend on the order.
+def _cap_first(g: Graph, d: int) -> list[Edge]:
+    """g's edges, arranged so that :meth:`RowBasis.extend`, which feeds rows
+    last-first, takes each vertex's first d edges of that last-first order
+    before all other edges.  On K_n those edges are a basis, K_{d+1} and then
+    one vertex joined to d earlier ones at a time, so an elimination stopped
+    at the cap adds no dependent row.  The rank does not depend on the order.
     """
-    edges = g.sorted_edges()
     seen = [0] * g.n
     first, rest = [], []
-    for i in reversed(range(len(edges))):
-        u, v = edges[i]
-        (first if seen[u] < d or seen[v] < d else rest).append(i)
+    for u, v in reversed(g.sorted_edges()):
+        (first if seen[u] < d or seen[v] < d else rest).append((u, v))
         seen[u] += 1
         seen[v] += 1
     return rest[::-1] + first[::-1]
 
 
-def _cover_first(g: Graph, d: int) -> tuple[list[int], int]:
-    """A feed order for :func:`rank_of_rows` and an upper bound on the
-    generic rank of g, from a greedy clique cover.
+def _cover_first(g: Graph, d: int) -> tuple[list[Edge], int]:
+    """g's edges in a feed order for :func:`rank_of_rows`, and an upper bound
+    on the generic rank of g, from a greedy clique cover.
 
     The maximal cliques on k >= d+2 vertices are taken largest first, and
     each is kept when its rank bound d*k - C(d+1,2) is below its number of
@@ -137,9 +135,9 @@ def _cover_first(g: Graph, d: int) -> tuple[list[int], int]:
     with the bound |E|, when no edge has d common neighbours (so there is no
     K_{d+2}) or g has more maximal cliques than vertices.
     """
-    order, m, edges = _cap_first(g, d), g.edge_count, g.sorted_edges()
+    order, m = _cap_first(g, d), g.edge_count
     mask = g.neighbor_mask
-    if not any((mask(u) & mask(v)).bit_count() >= d for u, v in edges):
+    if not any((mask(u) & mask(v)).bit_count() >= d for u, v in g.sorted_edges()):
         return order, m
     cliques = list(itertools.islice(iter_maximal_cliques(g), g.n + 1))
     if len(cliques) > g.n:
@@ -157,12 +155,11 @@ def _cover_first(g: Graph, d: int) -> tuple[list[int], int]:
             tree += ((w, top[i]) for i in range(d + 1, len(top)) for w in top[i - d : i])
     if not covered:
         return order, m
-    index = {e: i for i, e in enumerate(edges)}
     # a clique is sorted, so each tree pair runs from the larger vertex down;
     # overlapping cliques can share tree edges: each goes in once
-    fed_first = list(dict.fromkeys(index[v, u] for u, v in tree))
+    fed_first = list(dict.fromkeys((v, u) for u, v in tree))
     skip = set(fed_first)
-    rest = sorted((i for i in order if i not in skip), key=lambda i: edges[i] not in covered)
+    rest = sorted((e for e in order if e not in skip), key=lambda e: e not in covered)
     return rest + fed_first[::-1], bound + m - len(covered)
 
 
@@ -183,8 +180,8 @@ def generic_rank(
     order, bound = _cover_first(g, d)
     stop = min(cap, bound)
     best = 0
-    for rows, _ in placements(g, d, trials, seed, p):
-        best = max(best, rank_of_rows([rows[i] for i in order], d * g.n, p, stop))
+    for points, _ in placements(g.n, d, trials, seed, p):
+        best = max(best, rank_of_rows(_matrix_rows(order, d, points, p), d * g.n, p, stop))
         if best == stop:
             break
     confidence = CERTAIN if best == cap else WHP
@@ -232,8 +229,9 @@ def linked_pairs(
     the same placement lies in its row space, which makes
     rank(G) <= rank(G+uv) <= rank(G)+1 hold exactly per trial.  A pair is
     linked when its best rank over the trials equals the best rank of G.
-    Edges of G are linked with certainty and cost nothing.  A pair above a
-    trial's rank of G skips its span test, and trials end once none can rise.
+    Edges of G are linked with certainty and cost nothing.  A pair's row is
+    built only for its span test, which a pair above a trial's rank of G
+    skips, and trials end once none can rise.
     """
     for u, v in pairs:
         if u == v:
@@ -243,20 +241,17 @@ def linked_pairs(
     queries = {normalize_edge(u, v) for u, v in pairs if not g.has_edge(u, v)}
     if not queries:
         return [Verdict(True, CERTAIN) for _ in pairs]
-    # placing G plus every queried pair draws the same coordinates as placing G
-    placed = g.add_edges(queries)
     cap = generic_rank_cap(g.n, d)
     best_g = 0
     best_uv = dict.fromkeys(queries, 0)
-    for rows, _ in placements(placed, d, trials, seed, p):
-        row_of = dict(zip(placed.sorted_edges(), rows))
-        basis = RowBasis(p).extend([row_of[e] for e in g.sorted_edges()], cap)
+    for points, _ in placements(g.n, d, trials, seed, p):
+        basis = RowBasis(p).extend(_matrix_rows(g.sorted_edges(), d, points, p), cap)
         best_g = max(best_g, basis.rank)
         # at the cap no row raises the rank: no placement of a graph on n vertices ranks higher
         raises = basis.rank < cap
         for uv in queries:
             if best_uv[uv] <= basis.rank:
-                best_uv[uv] = basis.rank + (raises and not basis.in_span(row_of[uv]))
+                best_uv[uv] = basis.rank + (raises and not basis.in_span(_matrix_rows([uv], d, points, p)[0]))
         # G at min(|E|, cap) and every pair one above it, or at the cap: no trial ranks higher
         top = best_g + (best_g < cap)
         if best_g == min(g.edge_count, cap) and all(r == top for r in best_uv.values()):
@@ -349,7 +344,8 @@ def is_t_redundantly_rigid(
         ok = g.is_complete() and k == 0
         return RedundancyReport(ok, CERTAIN, None if ok else edges[:k], 1)
     target = generic_rank_cap(n, d)
-    views = (kernel_view(rows, d * n, p) for rows, _ in placements(g, d, trials, seed, p))
+    views = (kernel_view(_matrix_rows(edges, d, points, p), d * n, p)
+             for points, _ in placements(n, d, trials, seed, p))
     # rank(G - S) = full_rank - |S| + rank of the dual rows of S
     views = ((kernel_dim, dual) for full_rank, kernel_dim, dual in views if full_rank >= target)
     first, drawn = next(views, None), []

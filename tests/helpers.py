@@ -38,12 +38,33 @@ from rigidity_forge.rigidity import (
     RedundancyReport,
     Verdict,
     _leaves,
+    _matrix_rows,
     generic_rank_cap,
     is_rigid,
     is_t_redundantly_rigid,
     kernel_view,
     placements,
 )
+
+
+def add_edges(g: Graph, new_edges: Iterable[Edge]) -> Graph:
+    """g plus the edges given, on the same vertices."""
+    return Graph(g.n, itertools.chain(g.sorted_edges(), new_edges))
+
+
+def placed_rows(
+    g: Graph, d: int, trials: int, seed: int, p: int
+) -> Iterator[tuple[list[dict[int, int]], random.Random]]:
+    """The rows of R(G,p), one per sorted edge of g, for each placement
+    `rigidity.placements` draws, with its stream."""
+    for points, rng in placements(g.n, d, trials, seed, p):
+        yield _matrix_rows(g.sorted_edges(), d, points, p), rng
+
+
+def edge_positions(g: Graph, edges: Iterable[Edge]) -> list[int]:
+    """Where each of the edges given stands among g's sorted edges."""
+    index = {e: i for i, e in enumerate(g.sorted_edges())}
+    return [index[e] for e in edges]
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -407,15 +428,18 @@ def stop_free_linked_pairs(
 ) -> list[Verdict]:
     """`linked_pairs` drawing every one of its `trials` placements and making
     every span test below the cap: the loop before its early stops, kept as
-    their oracle (argument checks left out)."""
+    their oracle (argument checks left out).  It reads the rows of G plus
+    every queried pair on one placement, so it also checks the pair rows
+    `linked_pairs` builds one at a time."""
     queries = {normalize_edge(u, v) for u, v in pairs if not g.has_edge(u, v)}
     if not queries:
         return [Verdict(True, CERTAIN) for _ in pairs]
-    placed = g.add_edges(queries)
+    # placing G plus every queried pair draws the same coordinates as placing G
+    placed = add_edges(g, queries)
     cap = generic_rank_cap(g.n, d)
     best_g = 0
     best_uv = dict.fromkeys(queries, 0)
-    for rows, _ in placements(placed, d, trials, seed, p):
+    for rows, _ in placed_rows(placed, d, trials, seed, p):
         row_of = dict(zip(placed.sorted_edges(), rows))
         basis = RowBasis(p).extend([row_of[e] for e in g.sorted_edges()], cap)
         best_g = max(best_g, basis.rank)
@@ -452,7 +476,7 @@ def eager_redundancy(
         ok = g.is_complete() and k == 0
         return RedundancyReport(ok, CERTAIN, None if ok else edges[:k], 1)
     target = generic_rank_cap(n, d)
-    views = [kernel_view(rows, d * n, p) for rows, _ in placements(g, d, trials, seed, p)]
+    views = [kernel_view(rows, d * n, p) for rows, _ in placed_rows(g, d, trials, seed, p)]
     views = [(kernel_dim, dual) for full_rank, kernel_dim, dual in views if full_rank >= target]
     if not views:
         return RedundancyReport(False, WHP, edges[:k], 1)
@@ -482,7 +506,7 @@ def per_subset_redundancy(
             return RedundancyReport(True, "certain", None, 1)
         return RedundancyReport(False, "certain", edges[:k], 1)
     target = d * n - comb(d + 1, 2)
-    views = [kernel_view(rows, d * n, p) for rows, _ in placements(g, d, trials, seed, p)]
+    views = [kernel_view(rows, d * n, p) for rows, _ in placed_rows(g, d, trials, seed, p)]
     checked = 0
     for subset in itertools.combinations(range(g.edge_count), k):
         checked += 1
@@ -539,7 +563,7 @@ def globally_rigid_deletions(
     target, omega_target = d * n - comb(d + 1, 2), n - d - 1
     index = {e: i for i, e in enumerate(g.sorted_edges())}
     views = []
-    for rows, rng in placements(g, d, trials, seed, p):  # rng then draws the stresses
+    for rows, rng in placed_rows(g, d, trials, seed, p):  # rng then draws the stresses
         views.append(kernel_view(rows, d * n, p))
     for gone in deletions:
         try:

@@ -215,7 +215,8 @@ def test_check_lemma6_fails_on_a_dependent_ordering(capsys, c4_file, monkeypatch
 
     monkeypatch.setattr(experiments, "is_independent", third_dependent)
     rep = experiments.lemma6_property_check(cycle_graph(4), 2, 5)
-    assert rep == ("checked", None, 5, False) and rep.passed is False
+    # the failing ordering is the third built: the count stops there
+    assert rep == ("checked", None, 3, False) and rep.passed is False
     assert len(orderings) == 3
     orderings.clear()
     code, payload = run_json(capsys, "check-lemma6", "--orderings", "5", "--input", c4_file)
@@ -290,6 +291,24 @@ def test_theorem9_above_dimension_two_names_the_subset_count(capsys, monkeypatch
     assert code == 2 and subsets in payload["error"]
     if d == 3:
         assert "C(144, 6)" in payload["error"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("rank", "--trials", "0"), "trials must be at least 1"),
+    (("rank", "--dim", "0"), "dimension must be at least 1"),
+    (("gpi", "--ordering", "0,1,x"), "expected comma-separated integers, got '0,1,x'"),
+], ids=["trials 0", "dim 0", "ordering 0,1,x"])
+def test_settings_and_orderings_no_command_can_run_exit_two(capsys, k4_file, argv, message):
+    code, payload = run_json(capsys, *argv, "--input", k4_file)
+    assert (code, payload["error"]) == (2, message)
+
+
+def test_text_format_prints_a_dict_result_as_one_json_line(capsys, k4_file):
+    code, out = run_cli(capsys, "redundant", "--t", "2", "--format", "text", "--input", k4_file)
+    assert code == 0
+    assert out == ('command: redundant\n'
+                   'result: {"subsets_checked": 6, "value": true, "witness": null}\n'
+                   'confidence: certain\nseed: 0\n')
 
 
 def usage_error(capsys, *argv) -> str:

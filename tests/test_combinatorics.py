@@ -25,6 +25,7 @@ from rigidity_forge.graph_core import (
 )
 
 from helpers import (
+    add_edges,
     brute_covered_count,
     brute_force_expected_gpi,
     enumerated_clique_size_counts,
@@ -271,7 +272,7 @@ def test_clique_size_counts_match_enumeration():
     # hubs of degree 33-48 over a cycle plus chords
     for m in (rng.randint(33, 48) for _ in range(20)):
         rim = random_graph(rng, m, rng.uniform(0.02, 0.3))
-        graphs.append(hub_over(rim.add_edges([(i, (i + 1) % m) for i in range(m)])))
+        graphs.append(hub_over(add_edges(rim, [(i, (i + 1) % m) for i in range(m)])))
     for g in graphs:
         for v in range(g.n):
             assert _clique_size_counts(g, v) == enumerated_clique_size_counts(g, v), (g, v)
@@ -285,3 +286,12 @@ def test_clique_size_counts_of_a_wheel_hub_read_no_pair_of_its_neighbours():
     started = time.perf_counter()
     assert _clique_size_counts(wheel, 0) == [1, m, m] + [0] * (m - 2)
     assert time.perf_counter() - started < 1.5
+
+
+def test_refused_arguments():
+    with pytest.raises(ValueError, match="unknown method 'x'"):
+        covered_subset_count(system(4, 2, {0, 1}), 2, method="x")
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        m_dk(0, 1)
+    with pytest.raises(ValueError, match="edge count must be non-negative"):
+        grn_lower_bound(1, -1)

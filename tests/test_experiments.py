@@ -33,6 +33,7 @@ from rigidity_forge.graph_core import (
 from rigidity_forge.modlinalg import DEFAULT_PRIME
 
 from helpers import (
+    add_edges,
     brute_force_expected_gpi,
     exact_generic_rank,
     is_clique,
@@ -343,7 +344,7 @@ def _two_k7_on_two_shared_vertices():
     (lambda: sharpness_example(2), True, False),
     (lambda: sharpness_example(2).remove_edges([(0, 6)]), False, True),
     (lambda: sharpness_example(2).remove_edges([(5, 11)]), False, True),
-    (lambda: sharpness_example(2).add_edges([(0, 7)]), False, False),
+    (lambda: add_edges(sharpness_example(2), [(0, 7)]), False, False),
     (_two_k7_on_two_shared_vertices, False, True),
 ], ids=["example", "less (0,6)", "less (5,11)", "plus (0,7)", "shared pair"])
 def test_theorem9_plane_route_matches_the_stress_scan(monkeypatch, build, passes, witnessed):

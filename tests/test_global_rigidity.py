@@ -23,12 +23,15 @@ from rigidity_forge.graph_core import (
     vertex_connectivity,
 )
 from rigidity_forge.modlinalg import DEFAULT_PRIME
-from rigidity_forge.rigidity import generic_rank, generic_rank_cap, is_rigid, placements
+from rigidity_forge.rigidity import generic_rank, generic_rank_cap, is_rigid
 
 from helpers import (
+    add_edges,
     brute_vertex_connectivity,
+    edge_positions,
     globally_rigid_deletions,
     neighbors,
+    placed_rows,
     random_graph,
     stress_globally_rigid,
 )
@@ -130,8 +133,8 @@ def test_globally_rigid_implies_rigid_and_connectivity():
 def test_globally_rigid_monotone_under_edge_addition():
     g = complete_bipartite_graph(4, 4)
     assert is_globally_rigid(g, 2).value
-    assert is_globally_rigid(g.add_edges([(0, 1)]), 2).value
-    assert is_globally_rigid(g.add_edges([(0, 1), (4, 5)]), 2).value
+    assert is_globally_rigid(add_edges(g, [(0, 1)]), 2).value
+    assert is_globally_rigid(add_edges(g, [(0, 1), (4, 5)]), 2).value
 
 
 def _k4_covered(g):
@@ -239,8 +242,8 @@ def test_plane_fallback_ranks_cap_first_stopped_at_the_cap(monkeypatch):
     rank_of_rows = global_rigidity.rank_of_rows
     monkeypatch.setattr(global_rigidity, "rank_of_rows", lambda *a: calls.append(a) or rank_of_rows(*a))
     assert is_globally_rigid(g, 2, seed=seed) == (True, "certain", 57)
-    rows, _ = next(placements(g, 2, 1, seed, P))
-    assert calls == [([rows[i] for i in rigidity._cap_first(g, 2)], 60, P, 57)]
+    rows, _ = next(placed_rows(g, 2, 1, seed, P))
+    assert calls == [([rows[i] for i in edge_positions(g, rigidity._cap_first(g, 2))], 60, P, 57)]
 
 
 # -- deletion scans ------------------------------------------------------------

@@ -283,6 +283,20 @@ def test_parse_graph6_known_encodings():
     assert parse_graph6(">>graph6<<EFz_") == complete_bipartite_graph(3, 3)
 
 
+@pytest.mark.parametrize("text, message", [
+    (">>graph6<<", "empty graph6 payload"),
+    (">>graph6<<C~ x", "invalid graph6 byte"),
+])
+def test_graph6_refuses_an_empty_payload_and_bytes_outside_its_alphabet(text, message):
+    with pytest.raises(GraphParseError, match=message):
+        parse_graph(text)
+
+
+def test_cycle_graph_refuses_fewer_than_three_vertices():
+    with pytest.raises(ValueError, match="cycle needs at least 3 vertices"):
+        cycle_graph(2)
+
+
 def test_parse_graph_autodetects_format():
     assert parse_graph("C~") == complete_graph(4)
     assert parse_graph(">>graph6<<C~") == complete_graph(4)

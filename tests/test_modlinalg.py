@@ -13,9 +13,8 @@ from rigidity_forge.modlinalg import (
     rank,
     rank_of_rows,
 )
-from rigidity_forge.rigidity import placements
 
-from helpers import forward_left_kernel_basis, forward_left_kernel_sample, random_graph
+from helpers import forward_left_kernel_basis, forward_left_kernel_sample, placed_rows, random_graph
 
 P = DEFAULT_PRIME
 
@@ -218,7 +217,7 @@ def test_rank_of_rows_ignores_the_row_feed_order():
         cases.append(([sparse(row) for row in rank_deficient_rows(rng, r, c)], c))
     for n in (8, 12, 16):
         g = random_graph(rng, n, 0.6)
-        rows, stream = next(placements(g, 2, 1, rng.getrandbits(32), P))
+        rows, stream = next(placed_rows(g, 2, 1, rng.getrandbits(32), P))
         stress = left_kernel_sample(ModMatrix(rows, 2 * n, P), stream.getrandbits(64))
         assert any(stress)
         cases.append((stress_matrix(g, tuple(stress), P).data, n))

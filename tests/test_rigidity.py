@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -28,10 +29,13 @@ from rigidity_forge.rigidity import (
 )
 
 from helpers import (
+    add_edges,
     eager_redundancy,
+    edge_positions,
     exact_generic_rank,
     miller_rabin_runs,
     per_subset_redundancy,
+    placed_rows,
     random_graph,
     stop_free_linked_pairs,
 )
@@ -43,7 +47,7 @@ P = DEFAULT_PRIME
 
 
 def first_placement(g, d, seed):
-    rows, _ = next(placements(g, d, 1, seed, P))
+    rows, _ = next(placed_rows(g, d, 1, seed, P))
     return rows
 
 
@@ -65,11 +69,10 @@ def test_rigidity_matrix_triangle_rank():
 
 
 def test_placements_draw_fresh_points_per_trial():
-    g = complete_graph(3)
-    (first, _), (second, _) = placements(g, 2, 2, 7, P)
-    assert first != second
+    (first, _), (second, _) = placements(3, 2, 2, 7, P)
+    assert len(first) == len(second) == 6 and first != second
     with pytest.raises(ValueError):
-        next(placements(g, 2, 0, 7, P))
+        next(placements(3, 2, 0, 7, P))
 
 
 def test_composite_modulus_is_refused():
@@ -130,11 +133,11 @@ def test_capped_rank_matches_the_uncapped_rank():
         d = rng.randint(1, 3)
         g = random_graph(rng, rng.randint(1, 10), rng.random())
         cap = min(g.edge_count, generic_rank_cap(g.n, d))
-        order = rigidity._cap_first(g, d)
+        order = edge_positions(g, rigidity._cap_first(g, d))
         assert sorted(order) == list(range(g.edge_count))
         seed = rng.getrandbits(64)
         ranks = []
-        for rows, _ in placements(g, d, 2, seed, P):
+        for rows, _ in placed_rows(g, d, 2, seed, P):
             ranks.append(rank_of_rows(rows, d * g.n, P))
             assert rank_of_rows([rows[i] for i in order], d * g.n, P, cap) == ranks[-1]
         best = max(ranks)
@@ -194,15 +197,16 @@ def test_cover_feed_ranks_as_the_cap_first_feed():
         gated += [(moon_moser_graph(15), d), (cycle_graph(9), d)]
     kinds = set()
     for g, d in graphs + gated:
-        order, bound = rigidity._cover_first(g, d)
+        edges, bound = rigidity._cover_first(g, d)
+        order = edge_positions(g, edges)
         assert sorted(order) == list(range(g.edge_count))
         cap = min(g.edge_count, generic_rank_cap(g.n, d))
         if (g, d) in gated:
-            assert (order, bound) == (rigidity._cap_first(g, d), g.edge_count)
+            assert (edges, bound) == (rigidity._cap_first(g, d), g.edge_count)
         kinds.add("below cap" if bound < cap else "gated" if bound == g.edge_count else "at cap")
         if d * g.n <= 36:
             assert bound >= exact_generic_rank(g, d)
-        for rows, _ in placements(g, d, 1, rng.getrandbits(64), P):
+        for rows, _ in placed_rows(g, d, 1, rng.getrandbits(64), P):
             full = rank_of_rows(rows, d * g.n, P)
             assert full <= bound
             assert rank_of_rows([rows[i] for i in order], d * g.n, P, min(cap, bound)) == full
@@ -288,7 +292,7 @@ def test_rank_monotone_per_shared_framework():
         if not non_edges:
             continue
         e = rng.choice(non_edges)
-        g2 = g.add_edges([e])
+        g2 = add_edges(g, [e])
         rows = first_placement(g2, 2, seed=rng.randrange(2**32))
         uv_row = rows.pop(g2.sorted_edges().index(e))
         basis = RowBasis(P)
@@ -344,10 +348,10 @@ def test_linked_pairs_match_rank_increments_on_random_graphs():
             if g.has_edge(u, v):
                 assert verdict.value and verdict.confidence == "certain"
                 continue
-            g2 = g.add_edges([(u, v)])
+            g2 = add_edges(g, [(u, v)])
             uv = g2.sorted_edges().index((min(u, v), max(u, v)))
             best_g = best_g2 = 0
-            for rows, _ in placements(g2, d, 2, seed, P):
+            for rows, _ in placed_rows(g2, d, 2, seed, P):
                 best_g2 = max(best_g2, rank_of_rows(rows, d * g.n, P))
                 best_g = max(best_g, rank_of_rows(rows[:uv] + rows[uv + 1:], d * g.n, P))
             assert verdict.value == (best_g == best_g2) and verdict.rank == best_g
@@ -363,6 +367,41 @@ def test_linked_pairs_at_the_cap_make_no_in_span_call(monkeypatch):
     assert scan == [Verdict(True, "certain", rank=21)] * 2
     # two trials, each stopped at the cap before its last row
     assert counts["in_span"] == 0 and counts["add"] < 2 * g.edge_count
+
+
+def test_linked_pairs_build_no_graph(monkeypatch):
+    # the pairs' rows come from G's placement: no graph of G plus the pairs
+    g = cycle_graph(12)
+    built = []
+    init = Graph.__init__
+    monkeypatch.setattr(Graph, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    scan = linked_pairs(g, 2, nonedges(g), seed=9)
+    assert len(scan) == 54 and built == []
+
+
+def test_linked_pairs_at_the_cap_build_no_pair_row(monkeypatch):
+    # K12 less two edges ranks at the cap on its first placement, so no span
+    # test runs: the only rows built are G's, once
+    g = complete_graph(12).remove_edges([(3, 7), (0, 11)])
+    built = []
+    matrix_rows = rigidity._matrix_rows
+    monkeypatch.setattr(rigidity, "_matrix_rows", lambda edges, *a: built.append(list(edges))
+                        or matrix_rows(edges, *a))
+    drawn = count_placements(monkeypatch)
+    assert linked_pairs(g, 2, [(3, 7), (0, 11)], seed=9) == [Verdict(True, "certain", rank=21)] * 2
+    assert len(drawn) == 1 and built == [list(g.sorted_edges())]
+
+
+def test_linked_pairs_of_c40_hold_only_the_rows_of_g():
+    # 740 pair rows held at once peaked at 0.48 MB; one at a time they fit in half that
+    g = cycle_graph(40)
+    tracemalloc.start()
+    try:
+        scan = linked_pairs(g, 2, nonedges(g), seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scan) == 740 and peak <= 250_000, peak
 
 
 def test_linked_pairs_validation_and_edges():
@@ -483,7 +522,7 @@ def test_redundant_matched_cliques_build_one_kernel_view(monkeypatch, t):
 
 def full_rank_views(g, d, trials, seed, p):
     target = d * g.n - comb(d + 1, 2)
-    views = [rigidity.kernel_view(rows, d * g.n, p) for rows, _ in placements(g, d, trials, seed, p)]
+    views = [rigidity.kernel_view(rows, d * g.n, p) for rows, _ in placed_rows(g, d, trials, seed, p)]
     return [(kernel_dim, dual) for full, kernel_dim, dual in views if full >= target]
 
 
