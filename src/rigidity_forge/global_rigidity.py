@@ -12,13 +12,12 @@ True verdict there is certain, since rigidity at the rank cap, exact
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .graph_core import Graph, _bits, as_vertex_set, induced_subgraph, path_avoiding, vertex_connectivity
-from .modlinalg import DEFAULT_PRIME, ModMatrix, left_kernel_sample, rank, rank_of_rows
-from .rigidity import (
-    CERTAIN, WHP, Verdict, _cap_first, _matrix_rows, generic_rank_cap, is_linked, is_rigid, placements,
-)
+from .modlinalg import DEFAULT_PRIME, ModMatrix, left_kernel_sample, rank
+from .rigidity import CERTAIN, WHP, Verdict, _matrix_rows, generic_rank_cap, is_linked, is_rigid, placements
 
 
 class StressCertificate(NamedTuple):
@@ -45,29 +44,33 @@ def stress_matrix(g: Graph, stress: tuple[int, ...], p: int = DEFAULT_PRIME) -> 
     return ModMatrix(data, n, p)
 
 
+def _stresses(g: Graph, d: int, trials: int, seed: int, p: int) -> Iterator[tuple[int, list[int]]]:
+    """Per seeded placement, the rank of R(G,p) (rows in sorted edge order) and a random
+    stress from its left kernel, zero iff there is none, seeded by the stream's next draw."""
+    for points, rng in placements(g.n, d, trials, seed, p):
+        rows = _matrix_rows(g.sorted_edges(), d, points, p)
+        yield left_kernel_sample(ModMatrix(rows, d * g.n, p), rng.getrandbits(64))
+
+
 def stress_matrix_rank(
     g: Graph, d: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
 ) -> StressCertificate:
-    """Best stress-matrix rank over seeded trials.
+    """Best stress-matrix rank over the stresses of :func:`_stresses`.
 
-    Each trial draws a placement, samples a random equilibrium stress from
-    the left kernel of the rigidity matrix and ranks the assembled stress
-    matrix.  Requires n >= d+2; the target rank is n-d-1.
+    The first best trial is kept; a zero stress's matrix ranks 0.  Requires
+    n >= d+2; the target rank is n-d-1.
     """
     n = g.n
     if n < d + 2:
         raise ValueError("stress certificates need at least d+2 vertices")
     target = n - d - 1
-    best: StressCertificate | None = None
-    for points, rng in placements(n, d, trials, seed, p):
-        rows = _matrix_rows(g.sorted_edges(), d, points, p)
-        stress = tuple(left_kernel_sample(ModMatrix(rows, d * n, p), rng.getrandbits(64)))
-        omega_rank = rank(stress_matrix(g, stress, p)) if any(stress) else 0
-        if best is None or omega_rank > best.omega_rank:
-            best = StressCertificate(stress, omega_rank, target)
-        if best.omega_rank >= target:
-            break
-    assert best is not None
+    best = StressCertificate((0,) * g.edge_count, 0, target)
+    for _, stress in _stresses(g, d, trials, seed, p):
+        omega_rank = rank(stress_matrix(g, stress, p))
+        if omega_rank > best.omega_rank:
+            best = StressCertificate(tuple(stress), omega_rank, target)
+            if omega_rank >= target:
+                break
     return best
 
 
@@ -98,19 +101,15 @@ def is_globally_rigid(
 
 
 def _plane_redundant(g: Graph, trials: int, seed: int, p: int) -> bool:
-    """Redundant rigidity of a rigid graph in the plane.  True is certain:
-    every edge lies in a K4, a circuit of the plane rigidity matroid, or a
-    stress drawn as :func:`stress_matrix_rank` draws it is nonzero on every
-    edge of a placement of rank 2n-3, so every edge lies in a circuit."""
+    """Redundant rigidity of a rigid graph in the plane; True is certain: every edge
+    lies in a K4, a plane rigidity circuit, or a stress of :func:`_stresses` is nonzero
+    on every edge of a placement of rank 2n-3, so every edge lies in a circuit."""
     mask = g.neighbor_mask
     common = (mask(u) & mask(v) for u, v in g.sorted_edges())
     if all(any(mask(w) & c for w in _bits(c)) for c in common):
         return True
-    cap, order = generic_rank_cap(g.n, 2), _cap_first(g, 2)
-    return any(all(left_kernel_sample(ModMatrix(_matrix_rows(g.sorted_edges(), 2, points, p), 2 * g.n, p),
-                                      rng.getrandbits(64)))
-               and rank_of_rows(_matrix_rows(order, 2, points, p), 2 * g.n, p, cap) == cap
-               for points, rng in placements(g.n, 2, trials, seed, p))
+    cap = generic_rank_cap(g.n, 2)
+    return any(r == cap and all(stress) for r, stress in _stresses(g, 2, trials, seed, p))
 
 
 def wgl_sufficient(

@@ -195,18 +195,19 @@ def left_kernel_basis(m: ModMatrix) -> list[list[int]]:
     return out
 
 
-def left_kernel_sample(m: ModMatrix, seed: int) -> list[int]:
-    """A seeded random left-kernel element; all-zero iff the kernel is trivial.
+def left_kernel_sample(m: ModMatrix, seed: int) -> tuple[int, list[int]]:
+    """The rank of m and a seeded random left-kernel element, both from one
+    column elimination; the element is all-zero iff the kernel is trivial.
 
     A uniform Z_p-combination of the :func:`left_kernel_basis` vectors, drawn
-    as its free coordinates in increasing row order.  The rare all-zero draw
+    as its free coordinates in increasing row order; the rare all-zero draw
     is redrawn, so the zero vector uniquely signals a trivial kernel.
     """
     basis = _column_basis(m)
     free = [f for f in range(m.rows) if f not in basis.pivots]
     w = [0] * m.rows
     if not free:
-        return w
+        return basis.rank, w
     rng = make_rng(seed)
     for _ in range(8):
         coeffs = [rng.randrange(m.p) for _ in free]
@@ -216,4 +217,4 @@ def left_kernel_sample(m: ModMatrix, seed: int) -> list[int]:
         coeffs = [1] + [0] * (len(free) - 1)
     for f, c in zip(free, coeffs):
         w[f] = c
-    return _kernel_vector(basis, w)
+    return basis.rank, _kernel_vector(basis, w)

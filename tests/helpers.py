@@ -379,13 +379,13 @@ def forward_left_kernel_basis(m: ModMatrix) -> list[list[int]]:
     return out
 
 
-def forward_left_kernel_sample(m: ModMatrix, seed: int) -> list[int]:
+def forward_left_kernel_sample(m: ModMatrix, seed: int) -> tuple[int, list[int]]:
     """`left_kernel_sample` on :func:`forward_column_basis`."""
     basis = forward_column_basis(m)
     free = [f for f in range(m.rows) if f not in basis.pivots]
     w = [0] * m.rows
     if not free:
-        return w
+        return basis.rank, w
     rng = make_rng(seed)
     for _ in range(8):
         coeffs = [rng.randrange(m.p) for _ in free]
@@ -395,7 +395,7 @@ def forward_left_kernel_sample(m: ModMatrix, seed: int) -> list[int]:
         coeffs = [1] + [0] * (len(free) - 1)
     for f, c in zip(free, coeffs):
         w[f] = c
-    return _back_substitute(basis, w)
+    return basis.rank, _back_substitute(basis, w)
 
 
 @contextlib.contextmanager
@@ -584,7 +584,7 @@ def globally_rigid_deletions(
                 for j, i in enumerate(subset):
                     for f, x in dual[i].items():
                         picked[f][j] = x
-                c = left_kernel_sample(ModMatrix(picked, len(subset), p), rng.getrandbits(64))
+                _, c = left_kernel_sample(ModMatrix(picked, len(subset), p), rng.getrandbits(64))
                 # entry e of K.c, summed over the dual row of edge e
                 stress = tuple(sum(c[f] * x for f, x in row.items()) % p for row in dual)
                 omega = stress_matrix(g, stress, p).data if any(stress) else []

@@ -236,6 +236,23 @@ def test_a_composite_modulus_above_2_32_is_refused(capsys, k4_file):
     assert code == 2 and payload["error"] == "modulus 1000036000099 is not prime"
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("rank",), "2 1\n0 1\n"),
+    (("linked", "--u", "0", "--v", "1"), "2 0\n"),  # a non-edge: an edge is linked unplaced
+], ids=["rank", "linked"])
+def test_a_huge_dimension_is_refused_before_any_coordinate(capsys, monkeypatch, tmp_path, argv, text):
+    # 2 * 4,000,000 coordinates would take gigabytes; the stream refuses them unseeded
+    def forbidden(seed):
+        raise AssertionError("placement stream seeded")
+
+    monkeypatch.setattr(rigidity, "make_rng", forbidden)
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, payload = run_json(capsys, *argv, "--dim", "4000000", "--input", str(path))
+    assert code == 2
+    assert payload["error"] == f"8000000 coordinates exceed the limit of {rigidity.MAX_COORDINATES}"
+
+
 @pytest.mark.parametrize("orderings", ["0", "-3"])
 def test_check_lemma6_refuses_fewer_than_one_ordering(capsys, c4_file, orderings):
     code, payload = run_json(capsys, "check-lemma6", "--orderings", orderings, "--input", c4_file)

@@ -28,7 +28,6 @@ from rigidity_forge.rigidity import generic_rank, generic_rank_cap, is_rigid
 from helpers import (
     add_edges,
     brute_vertex_connectivity,
-    edge_positions,
     globally_rigid_deletions,
     neighbors,
     placed_rows,
@@ -233,17 +232,22 @@ def test_plane_route_without_a_k4_cover_samples_one_stress_per_trial(monkeypatch
     assert len(calls) == 3
 
 
-def test_plane_fallback_ranks_cap_first_stopped_at_the_cap(monkeypatch):
-    # the seed-1 30-vertex graph reaches the stress fallback: its rank check
-    # feeds the placement's rows in cap-first order and stops at 2n-3
+def test_plane_fallback_reads_the_rank_of_its_stress_elimination(monkeypatch):
+    # the seed-1 30-vertex graph reaches the stress fallback: the placement's
+    # rank comes with its stress, so only the rigidity test ranks rows
     inv = next(i for i in workloads.verdicts_and_checks(1) if i.command == "globally-rigid")
     g, seed = parse_graph(inv.stdin), int(inv.args[-1])
-    calls = []
-    rank_of_rows = global_rigidity.rank_of_rows
-    monkeypatch.setattr(global_rigidity, "rank_of_rows", lambda *a: calls.append(a) or rank_of_rows(*a))
+    ranked, sampled = [], []
+    rank_of_rows, sample = rigidity.rank_of_rows, global_rigidity.left_kernel_sample
+    monkeypatch.setattr(rigidity, "rank_of_rows", lambda *a: ranked.append("rigidity") or rank_of_rows(*a))
+    # a rank check of global_rigidity's own would call this name
+    monkeypatch.setattr(global_rigidity, "rank_of_rows",
+                        lambda *a: ranked.append("global_rigidity") or rank_of_rows(*a), raising=False)
+    monkeypatch.setattr(global_rigidity, "left_kernel_sample", lambda *a: sampled.append(a) or sample(*a))
     assert is_globally_rigid(g, 2, seed=seed) == (True, "certain", 57)
+    assert ranked == ["rigidity"] and len(sampled) == 1
     rows, _ = next(placed_rows(g, 2, 1, seed, P))
-    assert calls == [([rows[i] for i in edge_positions(g, rigidity._cap_first(g, 2))], 60, P, 57)]
+    assert sample(*sampled[0])[0] == 57 == rank_of_rows(rows, 60, P)
 
 
 # -- deletion scans ------------------------------------------------------------

@@ -590,6 +590,12 @@ def test_path_avoiding_rejects_equal_endpoints():
         path_avoiding(complete_graph(3), 1, 1, [1])
 
 
+def test_path_avoiding_rejects_an_endpoint_out_of_range():
+    for u, v in ((0, 3), (-1, 2)):
+        with pytest.raises(ValueError, match="endpoint out of range"):
+            path_avoiding(complete_graph(3), u, v, [0])
+
+
 def test_path_avoiding_monotone_under_shrinking_v0():
     rng = random.Random(31)
     for _ in range(100):

@@ -114,11 +114,21 @@ def test_row_basis_add_and_in_span():
 
 
 def test_left_kernel_sample_examples():
-    assert left_kernel_sample(matrix([[1]], 1), seed=4) == [0]
-    assert left_kernel_sample(matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3), seed=4) == [0, 0, 0]
-    w = left_kernel_sample(matrix([[1, 0], [1, 0]], 2), seed=4)
-    assert w[0] != 0 and (w[0] + w[1]) % P == 0
-    assert left_kernel_sample(matrix([[], []], 0), seed=4)[0] != 0  # no columns: all of Z_p^2
+    assert left_kernel_sample(matrix([[1]], 1), seed=4) == (1, [0])
+    assert left_kernel_sample(matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3), seed=4) == (3, [0, 0, 0])
+    r, w = left_kernel_sample(matrix([[1, 0], [1, 0]], 2), seed=4)
+    assert r == 1 and w[0] != 0 and (w[0] + w[1]) % P == 0
+    r, w = left_kernel_sample(matrix([[], []], 0), seed=4)
+    assert r == 0 and w[0] != 0  # no columns: all of Z_p^2
+
+
+def test_left_kernel_sample_falls_back_after_eight_zero_draws():
+    # seed 15 draws a zero free coordinate eight times in Z_2; the fallback
+    # sets the first free coordinate to 1
+    m = ModMatrix([{0: 1}, {0: 1}], 1, 2)
+    rng = make_rng(15)
+    assert [rng.randrange(2) for _ in range(8)] == [0] * 8
+    assert left_kernel_sample(m, seed=15) == (1, [1, 1])
 
 
 def test_left_kernel_sample_annihilates_exactly():
@@ -127,7 +137,8 @@ def test_left_kernel_sample_annihilates_exactly():
         r, c = rng.randint(1, 7), rng.randint(1, 5)
         rows = [[rng.randrange(P) if rng.random() < 0.7 else 0 for _ in range(c)] for _ in range(r)]
         m = matrix(rows, c)
-        w = left_kernel_sample(m, seed=trial)
+        full, w = left_kernel_sample(m, seed=trial)
+        assert full == rank_of_rows(m.data, c, P)
         assert left_product(w, rows, c) == [0] * c
         basis = left_kernel_basis(m)
         assert len(basis) == r - rank(m)
@@ -218,7 +229,7 @@ def test_rank_of_rows_ignores_the_row_feed_order():
     for n in (8, 12, 16):
         g = random_graph(rng, n, 0.6)
         rows, stream = next(placed_rows(g, 2, 1, rng.getrandbits(32), P))
-        stress = left_kernel_sample(ModMatrix(rows, 2 * n, P), stream.getrandbits(64))
+        _, stress = left_kernel_sample(ModMatrix(rows, 2 * n, P), stream.getrandbits(64))
         assert any(stress)
         cases.append((stress_matrix(g, tuple(stress), P).data, n))
     for rows, cols in cases:

@@ -14,7 +14,7 @@ from rigidity_forge.constructions import (
     sharpness_matching,
 )
 from rigidity_forge.global_rigidity import stress_matrix_rank
-from rigidity_forge.graph_core import Graph, complete_graph, cycle_graph, vertex_connectivity
+from rigidity_forge.graph_core import MAX_VERTICES, Graph, complete_graph, cycle_graph, vertex_connectivity
 from rigidity_forge.modlinalg import DEFAULT_PRIME, RowBasis, make_rng, rank_of_rows
 from rigidity_forge.rigidity import (
     Verdict,
@@ -75,6 +75,17 @@ def test_placements_draw_fresh_points_per_trial():
         next(placements(3, 2, 0, 7, P))
 
 
+def test_placements_refuse_more_coordinates_than_the_limit():
+    # every graph Graph accepts is placeable up to d = 6; LY(3,12), the
+    # largest benchmark placement, has 396 coordinates
+    assert rigidity.MAX_COORDINATES >= MAX_VERTICES * 6
+    (points, _), = placements(MAX_VERTICES, 6, 1, 7, P)
+    assert len(points) == MAX_VERTICES * 6
+    too_many = rigidity.MAX_COORDINATES + 1
+    with pytest.raises(ValueError, match=f"^{too_many} coordinates exceed the limit"):
+        next(placements(too_many, 1, 1, 7, P))
+
+
 def test_composite_modulus_is_refused():
     for p in (15, 91):
         message = f"modulus {p} is not prime"
@@ -84,6 +95,9 @@ def test_composite_modulus_is_refused():
             is_linked(cycle_graph(6), 2, 0, 2, p=p)
         with pytest.raises(ValueError, match=message):
             stress_matrix_rank(complete_graph(6), 2, p=p)
+
+    with pytest.raises(ValueError, match="modulus 1 is not prime"):  # below 2: no prime
+        generic_rank(complete_graph(6), 2, p=1)
 
     # a prime is tested once, not once per placement stream
     with miller_rabin_runs() as calls:

@@ -5,8 +5,9 @@ counts off the arguments of a few of them (its hooks).  When such a
 function is renamed or deleted, or a hooked argument stops binding, the
 traced benchmark run reports the metric as absent.  This guard runs one
 in-process CLI call per hooked function and per command of the ``counting``
-workload under the tracer (and calls the one hooked function no command
-reaches directly), and fails on any absent metric.
+workload under the tracer, plus one through the plane route's stress
+fallback (and calls the one hooked function no command reaches directly),
+and fails on any absent metric.
 """
 
 import io
@@ -20,6 +21,7 @@ import tracing  # noqa: E402
 from rigidity_forge import cli, combinatorics  # noqa: E402
 
 K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+K44 = "8 16\n" + "".join(f"{u} {v}\n" for u in range(4) for v in range(4, 8))
 K77 = "14 49\n" + "".join(f"{u} {v}\n" for u in range(7) for v in range(7, 14))
 K5_LESS_AN_EDGE = "5 9\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
 K6_LESS_AN_EDGE = "6 14\n" + "".join(
@@ -30,6 +32,7 @@ INVOCATIONS = [
     (["redundant", "--t", "2"], K4),
     (["linked", "--u", "0", "--v", "1"], K5_LESS_AN_EDGE),
     (["globally-rigid", "--dim", "3"], K6_LESS_AN_EDGE),
+    (["globally-rigid"], K44),  # in no K4: the plane route draws its stress
     (["connectivity"], K5_LESS_AN_EDGE),
     (["check-lemma7-hyp"], K77),
     (["expected-gpi"], K4),
