@@ -126,10 +126,7 @@ class Command(NamedTuple):
     run: Callable
     reads: str | None = "graph"  # "graph", "text" or None
     flags: Mapping[str, dict] = MappingProxyType({})  # flag -> add_argument kwargs
-    #: a fixed tag, or None to take the result's own `confidence` field
-    confidence: str | None = "certain"
-    #: with confidence None: the report field printed as the result (None: all the rest)
-    pick: str | None = None
+    pick: str | None = None  # the report field printed as the result (None: all but its tag)
     check: str | None = None  # report field added to the result; False exits 1
 
     @property
@@ -144,20 +141,17 @@ _PAIR = {"--u": _INT, "--v": _INT}
 
 COMMANDS = {
     "rank": Command("generic rigidity matroid rank",
-        lambda g, a: rf.generic_rank(g, a.dim, a.trials, a.seed, a.prime),
-        confidence=None, pick="rank"),
+        lambda g, a: rf.generic_rank(g, a.dim, a.trials, a.seed, a.prime), pick="rank"),
     "rigid": Command("generic rigidity verdict",
-        lambda g, a: rf.is_rigid(g, a.dim, a.trials, a.seed, a.prime),
-        confidence=None, pick="value"),
+        lambda g, a: rf.is_rigid(g, a.dim, a.trials, a.seed, a.prime), pick="value"),
     "globally-rigid": Command("generic global rigidity verdict",
-        lambda g, a: rf.is_globally_rigid(g, a.dim, a.trials, a.seed, a.prime),
-        confidence=None, pick="value"),
+        lambda g, a: rf.is_globally_rigid(g, a.dim, a.trials, a.seed, a.prime), pick="value"),
     "linked": Command("is the pair {u,v} linked",
         lambda g, a: rf.is_linked(g, a.dim, a.u, a.v, a.trials, a.seed, a.prime),
-        flags=_PAIR, confidence=None, pick="value"),
+        flags=_PAIR, pick="value"),
     "redundant": Command("t-redundant rigidity verdict",
         lambda g, a: rf.is_t_redundantly_rigid(g, a.dim, a.t, a.trials, a.seed, a.prime),
-        flags={"--t": _INT}, confidence=None),
+        flags={"--t": _INT}),
     "connectivity": Command("exact vertex connectivity", lambda g, a: rf.vertex_connectivity(g)),
     "gpi": Command("build the ordered subgraph", _gpi, flags={"--ordering": {
         "default": None, "help": "comma-separated permutation; default seeded shuffle"}}),
@@ -180,28 +174,23 @@ COMMANDS = {
     "grn-bound": Command("lower bound on the best nontrivial globally rigid dimension",
         lambda g, a: rf.grn_lower_bound(g.n, g.edge_count)),
     "check-theorem1": Command("assert: d(d+1)-connected implies rigid",
-        lambda g, a: rf.theorem1_spot_check(g, a.dim, a.trials, a.seed, a.prime),
-        confidence="whp", check="passed"),
+        lambda g, a: rf.theorem1_spot_check(g, a.dim, a.trials, a.seed, a.prime), check="passed"),
     "check-theorem2": Command("assert: d(d+1)-connected implies globally rigid",
-        lambda g, a: rf.theorem2_spot_check(g, a.dim, a.trials, a.seed, a.prime),
-        confidence="whp", check="passed"),
+        lambda g, a: rf.theorem2_spot_check(g, a.dim, a.trials, a.seed, a.prime), check="passed"),
     "check-theorem9": Command("assert the sharp redundancy constants",
-        lambda _, a: rf.theorem9_check(a.dim, a.trials, a.seed, a.prime),
-        reads=None, confidence="whp", check="passed"),
+        lambda _, a: rf.theorem9_check(a.dim, a.trials, a.seed, a.prime), reads=None, check="passed"),
     "check-theorem10": Command("assert the m_{d,k} rank lower bound",
-        lambda g, a: rf.theorem10_check(g, a.dim, a.trials, a.seed, a.prime),
-        confidence="whp", check="passed"),
+        lambda g, a: rf.theorem10_check(g, a.dim, a.trials, a.seed, a.prime), check="passed"),
     "check-lemma6": Command("assert ordered subgraphs are independent when no non-edge is linked",
         lambda g, a: rf.lemma6_property_check(g, a.dim, a.orderings, a.trials, a.seed, a.prime),
-        flags={"--orderings": {"type": int, "default": 20}}, confidence="whp", check="passed"),
+        flags={"--orderings": {"type": int, "default": 20}}, check="passed"),
     "check-lemma7-hyp": Command("check the expected-size lemma hypotheses",
         lambda g, a: rf.check_lemma7_hypotheses(g, a.dim), check="all_ok"),
     "wgl": Command("sufficient condition for weak global linkedness",
         lambda g, a: rf.wgl_sufficient(
             g, a.dim, a.u, a.v, _csv_ints(a.v0), a.trials, a.seed, a.prime),
         flags=_PAIR | {"--v0": {
-            "required": True, "help": "comma-separated vertex set containing u and v"}},
-        confidence=None, pick="value"),
+            "required": True, "help": "comma-separated vertex set containing u and v"}}, pick="value"),
 }
 
 
@@ -316,7 +305,8 @@ def main(argv: list[str] | None = None) -> int:
         if generator:
             report = {"n": report.n, "m": report.edge_count, "edge_list": report.to_edge_list()}
         result = jsonable(report)
-        confidence = cmd.confidence or result.pop("confidence")
+        # a randomized report carries its own tag; an exact command's answer is certain
+        confidence = result.pop("confidence", "certain") if isinstance(result, dict) else "certain"
         if cmd.pick:
             result = result[cmd.pick]
         code = 0

@@ -2,9 +2,9 @@
 
 A graph on n >= d+2 vertices is generically globally rigid exactly when it
 is rigid and a generic placement carries an equilibrium stress whose stress
-matrix has rank n-d-1.  Random field placements plus a random kernel stress
-evaluate that condition with one-sided error in each direction, so both
-verdicts are tagged "whp".  In the plane the verdict is instead rigid,
+matrix has rank n-d-1.  A random kernel stress on random field placements
+evaluates that with one-sided error each way, so both verdicts are "whp"
+(a graph found not rigid keeps :func:`is_rigid`'s).  In the plane it is rigid,
 3-connected and redundantly rigid (Jackson & Jordan, *JCTB* 94, 2005); a
 True verdict there is certain, since rigidity at the rank cap, exact
 3-connectivity and :func:`_plane_redundant`'s True are each certain.
@@ -90,9 +90,8 @@ def is_globally_rigid(
         return Verdict(g.is_complete(), CERTAIN)
     if d == 1:
         return Verdict(vertex_connectivity(g, 2) >= 2, CERTAIN)
-    rigid = is_rigid(g, d, trials, seed, p)
-    if not rigid.value:
-        return Verdict(False, WHP, rank=rigid.rank)
+    if not (rigid := is_rigid(g, d, trials, seed, p)).value:
+        return rigid
     if d == 2:
         value = vertex_connectivity(g, 3) >= 3 and _plane_redundant(g, trials, seed, p)
         return Verdict(value, CERTAIN if value else WHP, rank=rigid.rank)

@@ -2,9 +2,9 @@
 
 Generic placements are emulated by uniform random coordinates in a large
 prime field; a random evaluation never overestimates the generic rank, and
-underestimates it with negligible probability.  Verdicts carry an explicit
-one-sided confidence tag: "certain" when the computed rank is forced by an
-a-priori cap, "whp" otherwise.
+underestimates it with negligible probability.  :func:`settled` tags each
+verdict "certain" when certain bounds decide it (the rank found below; |E|,
+the cap dn - C(d+1,2) and a clique cover's bound above), "whp" otherwise.
 """
 
 from __future__ import annotations
@@ -35,13 +35,19 @@ WHP = "whp"
 #: up to d = 6.  At the limit the rank of one edge takes 0.2 s and 54 MB in a
 #: CLI call (2-core x86-64 box, CPython 3.11).
 MAX_COORDINATES = 6 * MAX_VERTICES
+#: The most placements one verdict draws (each misses with odds of about rank/p
+#: at most), and edge subsets one redundancy verdict tests.  In-process on that
+#: box, 1,000 trials rank 20 edges in 0.3 s; 8.2e6 subsets (K_16, t = 5) take 9-10 s.
+MAX_TRIALS = 1000
+REDUNDANCY_BUDGET = 10**7
 
 
 class RankReport(NamedTuple):
-    """Computed matroid rank plus the confidence of the verdict."""
+    """Computed matroid rank, its confidence, and the certain upper bound it stopped at."""
 
     rank: int
     confidence: str
+    upper: int
 
 
 class Verdict(NamedTuple):
@@ -70,6 +76,12 @@ def generic_rank_cap(n: int, d: int) -> int:
     return comb(n, 2)
 
 
+def settled(lower: int, upper: int, target: int) -> str:
+    """The tag of a verdict on whether a quantity reaches `target`, from certain
+    bounds lower <= quantity <= upper: "certain" exactly when they decide it."""
+    return CERTAIN if lower >= target or upper < target else WHP
+
+
 def placements(
     n: int, d: int, trials: int, seed: int, p: int
 ) -> Iterator[tuple[list[int], random.Random]]:
@@ -79,18 +91,19 @@ def placements(
     its coordinates and the stream itself, from which a caller may draw more
     before the next placement.  Coordinates are uniform in [1, p-1], drawn
     vertex by vertex: p(v) is points[v*d : v*d + d].  The modulus must be
-    prime: over a ring with zero divisors elimination is undefined.  More
-    than MAX_COORDINATES coordinates are refused before any is drawn.
+    prime: over a ring with zero divisors elimination is undefined.  More than
+    MAX_TRIALS placements or MAX_COORDINATES coordinates are refused at the call.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"{trials} trials exceed the limit of {MAX_TRIALS}")
     if n * d > MAX_COORDINATES:
         raise ValueError(f"{n * d} coordinates exceed the limit of {MAX_COORDINATES}")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     rng = make_rng(seed)
-    for _ in range(trials):
-        yield [rng.randrange(1, p) for _ in range(n * d)], rng
+    return (([rng.randrange(1, p) for _ in range(n * d)], rng) for _ in range(trials))
 
 
 def _matrix_rows(edges: Iterable[Edge], d: int, points: Sequence[int], p: int) -> list[Row]:
@@ -178,23 +191,22 @@ def generic_rank(
     """Max rank of the rigidity matrix over independent random placements.
 
     The result is a certain lower bound on the generic rank and equals it
-    with high probability; "certain" is reported exactly when the rank hits
-    the a-priori cap min(|E|, dn - C(d+1,2)).  No placement ranks above a
-    clique-cover bound either, so eliminations and trials stop at the lower
-    of the two (see :func:`_cover_first`).
+    with high probability.  The report's `upper` is the lowest certain upper
+    bound held: min(|E|, dn - C(d+1,2), the clique-cover bound of
+    :func:`_cover_first`).  Eliminations and trials stop there, and the rank
+    is "certain" exactly when it reaches it.
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    cap = min(g.edge_count, generic_rank_cap(g.n, d))
-    order, bound = _cover_first(g, d)
-    stop = min(cap, bound)
+    stream = placements(g.n, d, trials, seed, p)  # refuses its settings before the clique search
+    order, bound = _cover_first(g, d)  # bound <= |E|
+    stop = min(bound, generic_rank_cap(g.n, d))
     best = 0
-    for points, _ in placements(g.n, d, trials, seed, p):
+    for points, _ in stream:
         best = max(best, rank_of_rows(_matrix_rows(order, d, points, p), d * g.n, p, stop))
         if best == stop:
             break
-    confidence = CERTAIN if best == cap else WHP
-    return RankReport(best, confidence)
+    return RankReport(best, settled(best, stop, stop), stop)
 
 
 def is_independent(
@@ -202,8 +214,7 @@ def is_independent(
 ) -> Verdict:
     """True iff the generic rank equals |E|; true verdicts are certain."""
     rep = generic_rank(g, d, trials, seed, p)
-    value = rep.rank == g.edge_count
-    return Verdict(value, CERTAIN if value else WHP, rank=rep.rank)
+    return Verdict(rep.rank == g.edge_count, settled(rep.rank, rep.upper, g.edge_count), rank=rep.rank)
 
 
 def is_rigid(
@@ -220,8 +231,7 @@ def is_rigid(
         return Verdict(g.is_complete(), CERTAIN)
     target = generic_rank_cap(n, d)
     rep = generic_rank(g, d, trials, seed, p)
-    value = rep.rank == target
-    return Verdict(value, CERTAIN if value else WHP, rank=rep.rank)
+    return Verdict(rep.rank == target, settled(rep.rank, rep.upper, target), rank=rep.rank)
 
 
 def linked_pairs(
@@ -251,6 +261,7 @@ def linked_pairs(
     if not queries:
         return [Verdict(True, CERTAIN) for _ in pairs]
     cap = generic_rank_cap(g.n, d)
+    full = min(g.edge_count, cap)  # rank(G) <= full, so rank(G + uv) <= min(full + 1, cap)
     best_g = 0
     best_uv = dict.fromkeys(queries, 0)
     for points, _ in placements(g.n, d, trials, seed, p):
@@ -261,26 +272,15 @@ def linked_pairs(
         for uv in queries:
             if best_uv[uv] <= basis.rank:
                 best_uv[uv] = basis.rank + (raises and not basis.in_span(_matrix_rows([uv], d, points, p)[0]))
-        # G at min(|E|, cap) and every pair one above it, or at the cap: no trial ranks higher
+        # G at full and every pair one above it, or at the cap: no trial ranks higher
         top = best_g + (best_g < cap)
-        if best_g == min(g.edge_count, cap) and all(r == top for r in best_uv.values()):
+        if best_g == full and all(r == top for r in best_uv.values()):
             break
-    out = []
-    for u, v in pairs:
-        if g.has_edge(u, v):
-            out.append(Verdict(True, CERTAIN))
-            continue
-        value = best_g == best_uv[normalize_edge(u, v)]
-        if value and best_g == cap:
-            # rank is at the cap, so no edge can raise it
-            confidence = CERTAIN
-        elif not value and best_g == g.edge_count:
-            # G is certainly independent and the new edge certainly adds rank
-            confidence = CERTAIN
-        else:
-            confidence = WHP
-        out.append(Verdict(value, confidence, rank=best_g))
-    return out
+    # uv raises the rank by at least best - full and at most min(full + 1, cap) - best_g, and it
+    # is linked iff by 0: certain when rank(G) is at the cap, or at |E| (G is independent)
+    verdict = {uv: Verdict(best == best_g, settled(best - full, min(full + 1, cap) - best_g, 1), rank=best_g)
+               for uv, best in best_uv.items()}
+    return [Verdict(True, CERTAIN) if g.has_edge(u, v) else verdict[normalize_edge(u, v)] for u, v in pairs]
 
 
 def is_linked(
@@ -347,6 +347,8 @@ def is_t_redundantly_rigid(
     m = g.edge_count
     if k > m:
         raise ValueError(f"cannot delete {k} edges from {m}")
+    if comb(m, k) > REDUNDANCY_BUDGET:
+        raise ValueError(f"{comb(m, k)} edge subsets exceed the budget of {REDUNDANCY_BUDGET}")
     edges = g.sorted_edges()
     n = g.n
     if n <= d + 1:

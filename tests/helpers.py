@@ -635,4 +635,5 @@ def theorem9_by_scan(
         gr_witness,
         is_rigid(boundary, d, trials, seed, p).value,
         not stress_globally_rigid(boundary, d, trials, seed, p).value,
+        "whp",  # the stress route's verdicts are all whp
     )

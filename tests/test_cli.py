@@ -24,6 +24,7 @@ from rigidity_forge.constructions import lovasz_yemini_family, sharpness_example
 from rigidity_forge.graph_core import (
     GRAPH6_BYTES,
     MAX_EDGES,
+    Graph,
     GraphFormatWarning,
     complete_bipartite_graph,
     complete_graph,
@@ -211,12 +212,13 @@ def test_check_lemma6_fails_on_a_dependent_ordering(capsys, c4_file, monkeypatch
     def third_dependent(g, *args):
         orderings.append(g)
         verdict = real(g, *args)
-        return verdict._replace(value=False) if len(orderings) == 3 else verdict
+        return verdict._replace(value=False, confidence="whp") if len(orderings) == 3 else verdict
 
     monkeypatch.setattr(experiments, "is_independent", third_dependent)
     rep = experiments.lemma6_property_check(cycle_graph(4), 2, 5)
-    # the failing ordering is the third built: the count stops there
-    assert rep == ("checked", None, 3, False) and rep.passed is False
+    # the failing ordering is the third built: the count stops there, and the
+    # report takes the weakest tag of the verdicts it read
+    assert rep == ("checked", None, 3, False, "whp") and rep.passed is False
     assert len(orderings) == 3
     orderings.clear()
     code, payload = run_json(capsys, "check-lemma6", "--orderings", "5", "--input", c4_file)
@@ -251,6 +253,46 @@ def test_a_huge_dimension_is_refused_before_any_coordinate(capsys, monkeypatch, 
     code, payload = run_json(capsys, *argv, "--dim", "4000000", "--input", str(path))
     assert code == 2
     assert payload["error"] == f"8000000 coordinates exceed the limit of {rigidity.MAX_COORDINATES}"
+
+
+def _forbid(monkeypatch, module, name):
+    def forbidden(*args):
+        raise AssertionError(f"{name} called")
+
+    monkeypatch.setattr(module, name, forbidden)
+
+
+def test_too_many_trials_are_refused_before_any_placement(capsys, monkeypatch, tmp_path):
+    # two disjoint copies of K_{3,3} plus an edge rank 18, below |E| = 20 and
+    # the cap 21, with no clique cover: no trial stops early, so 10^9 would take days
+    k33 = [(u, v) for u in range(3) for v in range(3, 6)] + [(0, 1)]
+    path = tmp_path / "g.txt"
+    path.write_text(Graph(12, k33 + [(u + 6, v + 6) for u, v in k33]).to_edge_list())
+    _forbid(monkeypatch, rigidity, "make_rng")
+    _forbid(monkeypatch, rigidity, "iter_maximal_cliques")  # edge 01 has 3 common neighbours
+    code, payload = run_json(capsys, "rank", "--trials", "1000000000", "--input", str(path))
+    assert code == 2
+    assert payload["error"] == f"1000000000 trials exceed the limit of {rigidity.MAX_TRIALS}"
+
+
+def test_too_many_orderings_are_refused_before_the_hypothesis_scan(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "c20.txt"
+    path.write_text(cycle_graph(20).to_edge_list())
+    _forbid(monkeypatch, experiments, "linked_pairs")
+    code, payload = run_json(capsys, "check-lemma6", "--orderings", "1000000000", "--input", str(path))
+    assert code == 2
+    assert payload["error"] == f"1000000000 orderings exceed the limit of {experiments.MAX_ORDERINGS}"
+
+
+def test_a_redundancy_scan_over_the_budget_is_refused_before_any_placement(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "k16.txt"
+    path.write_text(complete_graph(16).to_edge_list())
+    _forbid(monkeypatch, rigidity, "make_rng")
+    code, payload = run_json(capsys, "redundant", "--t", "6", "--input", str(path))
+    assert code == 2
+    assert payload["error"] == f"{comb(120, 5)} edge subsets exceed the budget of {rigidity.REDUNDANCY_BUDGET}"
+    # theorem 9's plane scan and the benchmark's scans stay inside it
+    assert max(comb(36, 2), comb(36, 3)) <= rigidity.REDUNDANCY_BUDGET < comb(120, 5)
 
 
 @pytest.mark.parametrize("orderings", ["0", "-3"])

@@ -351,7 +351,8 @@ def test_theorem9_plane_route_matches_the_stress_scan(monkeypatch, build, passes
     g = build()
     monkeypatch.setattr(experiments, "sharpness_example", lambda d: g)
     rep = theorem9_check(2, seed=5)
-    assert rep == theorem9_by_scan(g, sharpness_matching(2), 2, 2, 5, DEFAULT_PRIME)
+    # the stress route tags every verdict whp; the plane route may be certain
+    assert rep._replace(confidence="whp") == theorem9_by_scan(g, sharpness_matching(2), 2, 2, 5, DEFAULT_PRIME)
     assert rep.passed is passes
     assert (rep.gr_witness is not None) is witnessed
 

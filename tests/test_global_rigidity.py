@@ -181,8 +181,10 @@ def test_plane_route_matches_the_stress_oracle():
         verdict = is_globally_rigid(g, 2, seed=seed)
         oracle = stress_globally_rigid(g, 2, seed=seed)
         assert (verdict.value, verdict.rank) == (oracle.value, oracle.rank), g.sorted_edges()
-        assert verdict.confidence == ("certain" if verdict.value else "whp")
-        if not is_rigid(g, 2, seed=seed):
+        rigid = is_rigid(g, 2, seed=seed)
+        # a graph found not rigid keeps the rigidity verdict's own tag
+        assert verdict.confidence == ("certain" if verdict.value else rigid.confidence if not rigid else "whp")
+        if not rigid:
             kind = "not rigid"
         elif brute_vertex_connectivity(g) < 3:
             kind = "rigid, not 3-connected"

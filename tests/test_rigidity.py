@@ -187,7 +187,8 @@ def test_generic_rank_stops_its_trials_at_the_cover_bound(monkeypatch):
     monkeypatch.setattr(rigidity, "rank_of_rows", counted)
     ly = lovasz_yemini_family(2, 8)
     rep = generic_rank(ly, 2, trials=2)
-    assert (rep.rank, rep.confidence) == (76, "whp")
+    # the rank meets the certain cover bound, so it is certain, below the cap
+    assert rep == (76, "certain", 76)
     assert len(calls) == 1
 
 
@@ -248,9 +249,28 @@ def test_is_independent():
         g = random_graph(rng, d + 1, 0.8)
         assert is_independent(g, d).value  # any graph on <= d+1 vertices
     v = is_independent(complete_graph(5), 3)
-    assert not v.value and v.confidence == "whp"
+    assert not v.value and v.confidence == "certain"  # 10 edges above the cap 9
+    v = is_independent(double_banana(), 3)
+    assert not v.value and v.confidence == "whp"  # 18 edges at the cap, and no K_5
     v = is_independent(cycle_graph(4), 2)
     assert v.value and v.confidence == "certain"
+
+
+def double_banana():
+    """Two K_5 less the edge 01, glued at 0 and 1: 18 = 3*8 - 6 edges, rank 17 in R^3."""
+    return Graph(8, [e for block in ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7))
+                     for e in itertools.combinations(block, 2) if e != (0, 1)])
+
+
+def test_rigidity_tags_come_from_the_certain_bounds():
+    # |E| below the cap, a cover bound below the cap, or neither
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert is_rigid(path, 2) == (False, "certain", 3)
+    assert is_rigid(lovasz_yemini_family(2, 8), 2) == (False, "certain", 76)
+    assert is_rigid(double_banana(), 3) == (False, "whp", 17)
+    assert generic_rank(double_banana(), 3) == (17, "whp", 18)
+    assert [rigidity.settled(*bounds, 5) for bounds in ((5, 9), (2, 4), (2, 5), (4, 4))] == \
+        ["certain", "certain", "whp", "certain"]
 
 
 def test_is_rigid_examples():
