@@ -2,22 +2,21 @@
 
 A graph on n >= d+2 vertices is generically globally rigid exactly when it
 is rigid and a generic placement carries an equilibrium stress whose stress
-matrix has rank n-d-1.  A random kernel stress on random field placements
-evaluates that with one-sided error each way, so both verdicts are "whp"
-(a graph found not rigid keeps :func:`is_rigid`'s).  In the plane it is rigid,
-3-connected and redundantly rigid (Jackson & Jordan, *JCTB* 94, 2005); a
-True verdict there is certain, since rigidity at the rank cap, exact
-3-connectivity and :func:`_plane_redundant`'s True are each certain.
+matrix has rank n-d-1.  A random stress of the one stress stream,
+:func:`rigidity._stresses`, evaluates that with one-sided error each way, so
+both verdicts are "whp" (a graph found not rigid keeps :func:`is_rigid`'s).
+In the plane it is rigid, 3-connected and redundantly rigid (Jackson & Jordan,
+*JCTB* 94, 2005).  There exact 3-connectivity makes a False certain, and a True
+is certain too: rigidity at the rank cap and a redundancy True are.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from typing import NamedTuple
 
 from .graph_core import Graph, _bits, as_vertex_set, induced_subgraph, path_avoiding, vertex_connectivity
-from .modlinalg import DEFAULT_PRIME, ModMatrix, left_kernel_sample, rank
-from .rigidity import CERTAIN, WHP, Verdict, _matrix_rows, generic_rank_cap, is_linked, is_rigid, placements
+from .modlinalg import DEFAULT_PRIME, ModMatrix, rank
+from .rigidity import CERTAIN, WHP, Verdict, _stresses, is_linked, is_rigid, is_t_redundantly_rigid
 
 
 class StressCertificate(NamedTuple):
@@ -44,18 +43,10 @@ def stress_matrix(g: Graph, stress: tuple[int, ...], p: int = DEFAULT_PRIME) -> 
     return ModMatrix(data, n, p)
 
 
-def _stresses(g: Graph, d: int, trials: int, seed: int, p: int) -> Iterator[tuple[int, list[int]]]:
-    """Per seeded placement, the rank of R(G,p) (rows in sorted edge order) and a random
-    stress from its left kernel, zero iff there is none, seeded by the stream's next draw."""
-    for points, rng in placements(g.n, d, trials, seed, p):
-        rows = _matrix_rows(g.sorted_edges(), d, points, p)
-        yield left_kernel_sample(ModMatrix(rows, d * g.n, p), rng.getrandbits(64))
-
-
 def stress_matrix_rank(
     g: Graph, d: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
 ) -> StressCertificate:
-    """Best stress-matrix rank over the stresses of :func:`_stresses`.
+    """Best stress-matrix rank over the stresses of :func:`rigidity._stresses`.
 
     The first best trial is kept; a zero stress's matrix ranks 0.  Requires
     n >= d+2; the target rank is n-d-1.
@@ -83,7 +74,7 @@ def is_globally_rigid(
     also necessary.  Dimension 1 reduces to 2-connectivity, which is decided
     exactly.  Otherwise the verdict combines the rigidity rank test with the
     stress-matrix certificate, or in the plane with 3-connectivity and
-    :func:`_plane_redundant`.
+    redundant rigidity (every edge in a K4, a plane circuit, or t = 2).
     """
     n = g.n
     if n <= d + 1 or g.is_complete():
@@ -93,22 +84,15 @@ def is_globally_rigid(
     if not (rigid := is_rigid(g, d, trials, seed, p)).value:
         return rigid
     if d == 2:
-        value = vertex_connectivity(g, 3) >= 3 and _plane_redundant(g, trials, seed, p)
+        if vertex_connectivity(g, 3) < 3:  # Hendrickson, SIAM J. Comput. 21, 1992
+            return Verdict(False, CERTAIN, rank=rigid.rank)
+        mask = g.neighbor_mask
+        common = (mask(u) & mask(v) for u, v in g.sorted_edges())  # uv is in a K4 iff two are adjacent
+        value = (all(any(mask(w) & c for w in _bits(c)) for c in common)
+                 or is_t_redundantly_rigid(g, 2, 2, trials, seed, p).value)
         return Verdict(value, CERTAIN if value else WHP, rank=rigid.rank)
     cert = stress_matrix_rank(g, d, trials, seed, p)
     return Verdict(cert.omega_rank == cert.target, WHP, rank=rigid.rank)
-
-
-def _plane_redundant(g: Graph, trials: int, seed: int, p: int) -> bool:
-    """Redundant rigidity of a rigid graph in the plane; True is certain: every edge
-    lies in a K4, a plane rigidity circuit, or a stress of :func:`_stresses` is nonzero
-    on every edge of a placement of rank 2n-3, so every edge lies in a circuit."""
-    mask = g.neighbor_mask
-    common = (mask(u) & mask(v) for u, v in g.sorted_edges())
-    if all(any(mask(w) & c for w in _bits(c)) for c in common):
-        return True
-    cap = generic_rank_cap(g.n, 2)
-    return any(r == cap and all(stress) for r, stress in _stresses(g, 2, trials, seed, p))
 
 
 def wgl_sufficient(

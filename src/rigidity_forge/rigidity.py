@@ -23,6 +23,7 @@ from .modlinalg import (
     RowBasis,
     is_prime,
     left_kernel_basis,
+    left_kernel_sample,
     make_rng,
     rank_of_rows,
 )
@@ -120,6 +121,14 @@ def _matrix_rows(edges: Iterable[Edge], d: int, points: Sequence[int], p: int) -
                 row[v * d + t] = p - diff
         rows.append(row)
     return rows
+
+
+def _stresses(g: Graph, d: int, trials: int, seed: int, p: int) -> Iterator[tuple[int, list[int]]]:
+    """Per seeded placement, the rank of R(G,p) (rows in sorted edge order) and a random
+    stress from its left kernel, zero iff there is none, seeded by the stream's next draw."""
+    for points, rng in placements(g.n, d, trials, seed, p):
+        rows = _matrix_rows(g.sorted_edges(), d, points, p)
+        yield left_kernel_sample(ModMatrix(rows, d * g.n, p), rng.getrandbits(64))
 
 
 def _cap_first(g: Graph, d: int) -> list[Edge]:
@@ -334,12 +343,15 @@ def is_t_redundantly_rigid(
     """Rigid after deleting any edge set of size < t.
 
     By rank monotonicity it suffices to enumerate deletions of size exactly
-    t-1.  Per trial one shared placement is evaluated; the per-subset rank
-    drop is read off the left-kernel matrix (the dual representation), which
-    is exactly the rank of the remaining rows for that placement.  A subset
-    fails iff it is dependent in every full-rank view; the witness is the
-    first failing subset in lexicographic order, and subsets_checked counts up
-    to it.  :func:`_leaves` walks the first view; only its rejects are re-tested.
+    t-1.  Each trial's placement gives every edge a dual row: for t <= 2 its
+    entry in one stress of :func:`_stresses` (the dual rows projected on one
+    random direction), else its column of the left-kernel basis
+    (:func:`kernel_view`).  A subset independent in a full-rank view keeps the
+    rank at the cap once deleted, so True is certain; one dependent in every
+    view fails, certainly when |E| - (t-1) is below the cap.  The witness is
+    the first failing subset in lexicographic order, and subsets_checked
+    counts up to it.  :func:`_leaves` walks the first view; only its rejects
+    are re-tested.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -355,13 +367,17 @@ def is_t_redundantly_rigid(
         ok = g.is_complete() and k == 0
         return RedundancyReport(ok, CERTAIN, None if ok else edges[:k], 1)
     target = generic_rank_cap(n, d)
-    views = (kernel_view(_matrix_rows(edges, d, points, p), d * n, p)
-             for points, _ in placements(n, d, trials, seed, p))
-    # rank(G - S) = full_rank - |S| + rank of the dual rows of S
+    if k <= 1:
+        views = ((r, 1, [{0: s} if s else {} for s in stress]) for r, stress in _stresses(g, d, trials, seed, p))
+    else:
+        views = (kernel_view(_matrix_rows(edges, d, points, p), d * n, p)
+                 for points, _ in placements(n, d, trials, seed, p))
+    # rank(G - S) >= full_rank - |S| + rank of the dual rows of S, with equality for the kernel
     views = ((kernel_dim, dual) for full_rank, kernel_dim, dual in views if full_rank >= target)
     first, drawn = next(views, None), []
+    failed = settled(0, m - k, target)  # a failing S leaves rank(G - S) <= |E| - |S|
     if first is None:
-        return RedundancyReport(False, WHP, edges[:k], 1)
+        return RedundancyReport(False, failed, edges[:k], 1)
     def later():  # the views after the first, each drawn when a reject first needs it
         yield from drawn
         for view in views:
@@ -370,5 +386,5 @@ def is_t_redundantly_rigid(
     for checked, (subset, ok) in enumerate(_leaves(first[1], m, k, p), 1):
         if not ok and not any(rank_of_rows([dual[i] for i in subset], kernel_dim, p) == k
                               for kernel_dim, dual in later()):
-            return RedundancyReport(False, WHP, tuple(edges[i] for i in subset), checked)
+            return RedundancyReport(False, failed, tuple(edges[i] for i in subset), checked)
     return RedundancyReport(True, CERTAIN, None, comb(m, k))

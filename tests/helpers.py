@@ -462,10 +462,46 @@ def stop_free_linked_pairs(
     return out
 
 
+def kernel_views(
+    g: Graph, d: int, trials: int, seed: int, p: int
+) -> list[tuple[int, int, list[dict[int, int]]]]:
+    """`rigidity.kernel_view` of every placement `placed_rows` draws: each
+    edge's dual row is its column of the left-kernel basis."""
+    return [kernel_view(rows, d * g.n, p) for rows, _ in placed_rows(g, d, trials, seed, p)]
+
+
+def stress_views(
+    g: Graph, d: int, trials: int, seed: int, p: int
+) -> list[tuple[int, int, list[dict[int, int]]]]:
+    """Per placement `placed_rows` draws, its rank, kernel dimension 1 and
+    each edge's entry in one stress, a `left_kernel_sample` seeded by the
+    stream's next draw, as a one-column dual row (empty where it is zero)."""
+    views = []
+    for rows, rng in placed_rows(g, d, trials, seed, p):
+        full, stress = left_kernel_sample(ModMatrix(rows, d * g.n, p), rng.getrandbits(64))
+        views.append((full, 1, [{0: s} if s else {} for s in stress]))
+    return views
+
+
+def redundancy_views(
+    g: Graph, d: int, t: int, trials: int, seed: int, p: int
+) -> list[tuple[int, int, list[dict[int, int]]]]:
+    """The views `is_t_redundantly_rigid` reads: one sampled stress per
+    placement for t <= 2, the left-kernel basis for t >= 3."""
+    return (stress_views if t <= 2 else kernel_views)(g, d, trials, seed, p)
+
+
+def redundancy_failure(g: Graph, d: int, witness: tuple[Edge, ...], checked: int) -> RedundancyReport:
+    """A failing redundancy report, "certain" when the edges left are fewer
+    than the rank cap, since G - S ranks at most |E| - |S|."""
+    short = g.edge_count - len(witness) < d * g.n - comb(d + 1, 2)
+    return RedundancyReport(False, CERTAIN if short else WHP, witness, checked)
+
+
 def eager_redundancy(
     g: Graph, d: int, t: int, trials: int, seed: int, p: int
 ) -> RedundancyReport:
-    """`is_t_redundantly_rigid` building all `trials` kernel views before its
+    """`is_t_redundantly_rigid` building all `trials` views before its
     prefix walk: the loop before views were drawn on demand, kept as its
     oracle (argument checks left out)."""
     k = t - 1
@@ -476,14 +512,14 @@ def eager_redundancy(
         ok = g.is_complete() and k == 0
         return RedundancyReport(ok, CERTAIN, None if ok else edges[:k], 1)
     target = generic_rank_cap(n, d)
-    views = [kernel_view(rows, d * n, p) for rows, _ in placed_rows(g, d, trials, seed, p)]
+    views = redundancy_views(g, d, t, trials, seed, p)
     views = [(kernel_dim, dual) for full_rank, kernel_dim, dual in views if full_rank >= target]
     if not views:
-        return RedundancyReport(False, WHP, edges[:k], 1)
+        return redundancy_failure(g, d, edges[:k], 1)
     for checked, (subset, ok) in enumerate(_leaves(views[0][1], m, k, p), 1):
         if not ok and not any(rank_of_rows([dual[i] for i in subset], kernel_dim, p) == k
                               for kernel_dim, dual in views[1:]):
-            return RedundancyReport(False, WHP, tuple(edges[i] for i in subset), checked)
+            return redundancy_failure(g, d, tuple(edges[i] for i in subset), checked)
     return RedundancyReport(True, CERTAIN, None, comb(m, k))
 
 
@@ -491,11 +527,12 @@ def eager_redundancy(
 
 
 def per_subset_redundancy(
-    g: Graph, d: int, t: int, trials: int, seed: int, p: int
+    g: Graph, d: int, t: int, trials: int, seed: int, p: int, views=None
 ) -> RedundancyReport:
     """`is_t_redundantly_rigid` as one fresh rank per subset and view, in
     lexicographic order: the loop the prefix walk replaced, kept as its
-    oracle (argument checks left out)."""
+    oracle (argument checks left out).  It reads `redundancy_views` unless
+    given other views of g."""
     k = t - 1
     edges = g.sorted_edges()
     n = g.n
@@ -506,7 +543,8 @@ def per_subset_redundancy(
             return RedundancyReport(True, "certain", None, 1)
         return RedundancyReport(False, "certain", edges[:k], 1)
     target = d * n - comb(d + 1, 2)
-    views = [kernel_view(rows, d * n, p) for rows, _ in placed_rows(g, d, trials, seed, p)]
+    if views is None:
+        views = redundancy_views(g, d, t, trials, seed, p)
     checked = 0
     for subset in itertools.combinations(range(g.edge_count), k):
         checked += 1
@@ -518,7 +556,7 @@ def per_subset_redundancy(
                 ok = True
                 break
         if not ok:
-            return RedundancyReport(False, "whp", tuple(edges[i] for i in subset), checked)
+            return redundancy_failure(g, d, tuple(edges[i] for i in subset), checked)
     return RedundancyReport(True, "certain", None, checked)
 
 

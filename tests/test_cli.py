@@ -144,6 +144,13 @@ def test_redundant_command(capsys, k4_file):
     assert payload["result"]["subsets_checked"] == 6
 
 
+def test_redundant_failure_under_the_cap_is_certain(capsys, c4_file):
+    # C4 less any edge has 3 edges, below the plane rank cap 5
+    code, payload = run_json(capsys, "redundant", "--t", "2", "--input", c4_file)
+    assert code == 0 and payload["confidence"] == "certain"
+    assert payload["result"] == {"value": False, "witness": [[0, 1]], "subsets_checked": 1}
+
+
 def test_gpi_command(capsys, k4_file):
     code, payload = run_json(capsys, "gpi", "--ordering", "0,1,2,3", "--input", k4_file)
     assert code == 0

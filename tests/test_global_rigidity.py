@@ -106,6 +106,13 @@ def test_globally_rigid_examples():
     assert not is_globally_rigid(cycle_graph(4), 2).value
 
 
+def test_plane_false_forced_by_connectivity_is_certain():
+    # two K4 sharing an edge: rigid, but its shared pair is a 2-cut
+    g = Graph(6, [*complete_graph(4).sorted_edges(), (0, 4), (0, 5), (1, 4), (1, 5), (4, 5)])
+    assert vertex_connectivity(g) == 2
+    assert is_globally_rigid(g, 2) == (False, "certain", 9)
+
+
 def test_globally_rigid_small_and_d1_conventions():
     assert is_globally_rigid(complete_graph(3), 2).value  # n <= d+1, complete
     assert not is_globally_rigid(Graph(3, [(0, 1)]), 2).value
@@ -182,14 +189,16 @@ def test_plane_route_matches_the_stress_oracle():
         oracle = stress_globally_rigid(g, 2, seed=seed)
         assert (verdict.value, verdict.rank) == (oracle.value, oracle.rank), g.sorted_edges()
         rigid = is_rigid(g, 2, seed=seed)
-        # a graph found not rigid keeps the rigidity verdict's own tag
-        assert verdict.confidence == ("certain" if verdict.value else rigid.confidence if not rigid else "whp")
         if not rigid:
             kind = "not rigid"
         elif brute_vertex_connectivity(g) < 3:
             kind = "rigid, not 3-connected"
         else:
             kind = "K4-covered" if _k4_covered(g) else "stress fallback"
+        # a graph found not rigid keeps the rigidity verdict's own tag; exact
+        # connectivity below 3 makes a False certain
+        assert verdict.confidence == ("certain" if verdict.value or kind == "rigid, not 3-connected"
+                                      else rigid.confidence if kind == "not rigid" else "whp")
         seen[kind, verdict.value] += 1
     assert set(seen) == {("not rigid", False), ("rigid, not 3-connected", False),
                          ("K4-covered", True), ("stress fallback", True),
@@ -202,8 +211,9 @@ def test_plane_route_on_a_k4_covered_graph_draws_no_stress(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("stress route called")
 
-    for name in ("stress_matrix", "stress_matrix_rank", "left_kernel_sample"):
+    for name in ("stress_matrix", "stress_matrix_rank"):
         monkeypatch.setattr(global_rigidity, name, forbidden)
+    monkeypatch.setattr(rigidity, "left_kernel_sample", forbidden)
     g = complete_graph(6).remove_edges([(0, 1), (2, 3)])
     assert _k4_covered(g) and is_globally_rigid(g, 2) == (True, "certain", 9)
     blocks = (range(5), range(3, 8))  # two K5s sharing two vertices
@@ -213,13 +223,13 @@ def test_plane_route_on_a_k4_covered_graph_draws_no_stress(monkeypatch):
 
 def test_plane_route_without_a_k4_cover_samples_one_stress_per_trial(monkeypatch):
     calls = []
-    sample = global_rigidity.left_kernel_sample
+    sample = rigidity.left_kernel_sample
 
     def spy(m, seed):
         calls.append(seed)
         return sample(m, seed)
 
-    monkeypatch.setattr(global_rigidity, "left_kernel_sample", spy)
+    monkeypatch.setattr(rigidity, "left_kernel_sample", spy)
     assert is_globally_rigid(complete_bipartite_graph(4, 4), 2, trials=3) == (True, "certain", 13)
     assert len(calls) == 1  # a full-support stress on the first placement settles it
     calls.clear()
@@ -240,12 +250,12 @@ def test_plane_fallback_reads_the_rank_of_its_stress_elimination(monkeypatch):
     inv = next(i for i in workloads.verdicts_and_checks(1) if i.command == "globally-rigid")
     g, seed = parse_graph(inv.stdin), int(inv.args[-1])
     ranked, sampled = [], []
-    rank_of_rows, sample = rigidity.rank_of_rows, global_rigidity.left_kernel_sample
+    rank_of_rows, sample = rigidity.rank_of_rows, rigidity.left_kernel_sample
     monkeypatch.setattr(rigidity, "rank_of_rows", lambda *a: ranked.append("rigidity") or rank_of_rows(*a))
     # a rank check of global_rigidity's own would call this name
     monkeypatch.setattr(global_rigidity, "rank_of_rows",
                         lambda *a: ranked.append("global_rigidity") or rank_of_rows(*a), raising=False)
-    monkeypatch.setattr(global_rigidity, "left_kernel_sample", lambda *a: sampled.append(a) or sample(*a))
+    monkeypatch.setattr(rigidity, "left_kernel_sample", lambda *a: sampled.append(a) or sample(*a))
     assert is_globally_rigid(g, 2, seed=seed) == (True, "certain", 57)
     assert ranked == ["rigidity"] and len(sampled) == 1
     rows, _ = next(placed_rows(g, 2, 1, seed, P))

@@ -1,6 +1,8 @@
 import itertools
 import random
+import time
 import tracemalloc
+from collections import Counter
 from math import comb
 
 import pytest
@@ -33,10 +35,12 @@ from helpers import (
     eager_redundancy,
     edge_positions,
     exact_generic_rank,
+    kernel_views,
     miller_rabin_runs,
     per_subset_redundancy,
     placed_rows,
     random_graph,
+    redundancy_views,
     stop_free_linked_pairs,
 )
 
@@ -554,9 +558,71 @@ def test_redundant_matched_cliques_build_one_kernel_view(monkeypatch, t):
     assert len(views) == 1
 
 
-def full_rank_views(g, d, trials, seed, p):
+def test_redundancy_up_to_t2_builds_no_left_kernel(monkeypatch):
+    # t <= 2 reads one sampled stress per placement; small primes make views
+    # reject edges, so later placements are drawn and re-tested too
+    def forbidden(*args):
+        raise AssertionError("left kernel built")
+
+    monkeypatch.setattr(rigidity, "kernel_view", forbidden)
+    monkeypatch.setattr(rigidity, "left_kernel_basis", forbidden)
+    rng = random.Random(1616)
+    values = set()
+    for _ in range(60):
+        d = rng.randint(1, 3)
+        g = random_graph(rng, rng.randint(d + 2, d + 5), rng.uniform(0.5, 1.0))
+        t = rng.randint(1, min(2, g.edge_count + 1))
+        p = rng.choice((5, 7, P))
+        values.add(is_t_redundantly_rigid(g, d, t, 3, rng.getrandbits(32), p).value)
+    assert values == {True, False}
+    assert is_t_redundantly_rigid(sharpness_example(2), 2, 2) == (True, "certain", None, 36)
+
+
+def test_redundancy_up_to_t2_matches_the_kernel_oracle():
+    # the kernel views rank every deletion exactly, an independent route; at
+    # p = 2^61 - 1 one stress per placement gives the same report, though the
+    # stress stream draws each later placement after its seed
+    rng = random.Random(6161)
+    seen = Counter()
+    for _ in range(200):
+        d = rng.randint(1, 3)
+        g = random_graph(rng, rng.randint(d + 2, d + 8), rng.uniform(0.4, 1.0))
+        t = rng.randint(1, min(2, g.edge_count + 1))
+        trials, seed = rng.randint(1, 3), rng.getrandbits(32)
+        rep = is_t_redundantly_rigid(g, d, t, trials, seed, P)
+        assert rep == per_subset_redundancy(g, d, t, trials, seed, P, kernel_views(g, d, trials, seed, P))
+        seen[t, rep.value, rep.confidence] += 1
+    assert set(seen) == {(t, value, tag) for t in (1, 2) for value, tag in
+                         ((True, "certain"), (False, "certain"), (False, "whp"))}
+
+
+def test_redundancy_failure_below_the_cap_is_certain():
+    # K4 less any two edges keeps 4, under the plane cap 5 (C4 is in test_cli)
+    assert is_t_redundantly_rigid(complete_graph(4), 2, 3) == (False, "certain", ((0, 1), (0, 2)), 1)
+    # K4 plus a vertex of degree 2: deleting one of its edges leaves 7 edges,
+    # no fewer than 2n - 3 = 7, so only the placements show the failure
+    g = Graph(5, [*complete_graph(4).sorted_edges(), (0, 4), (1, 4)])
+    assert is_t_redundantly_rigid(g, 2, 2) == (False, "whp", ((0, 4),), 4)
+
+
+def test_redundancy_t2_at_scale_holds_no_left_kernel():
+    # Harary(6, 500), 1,500 edges: the dense left kernel, 503 vectors of
+    # 1,500 entries, peaked at 29.7 MiB and took 5.4 s in-process
+    g = harary_graph(6, 500)
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        rep = is_t_redundantly_rigid(g, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 1.0
+    assert rep == (True, "certain", None, 1500) and peak <= 8 * 2**20, peak
+
+
+def full_rank_views(g, d, t, trials, seed, p):
     target = d * g.n - comb(d + 1, 2)
-    views = [rigidity.kernel_view(rows, d * g.n, p) for rows, _ in placed_rows(g, d, trials, seed, p)]
+    views = redundancy_views(g, d, t, trials, seed, p)
     return [(kernel_dim, dual) for full, kernel_dim, dual in views if full >= target]
 
 
@@ -578,7 +644,7 @@ def test_prefix_walk_matches_per_subset_scan():
         trials, p, seed = rng.randint(1, 3), rng.choice(primes), rng.getrandbits(32)
         rep = is_t_redundantly_rigid(g, d, t, trials, seed, p)
         assert rep == per_subset_redundancy(g, d, t, trials, seed, p)
-        views = full_rank_views(g, d, trials, seed, p) if g.n > d + 1 else []
+        views = full_rank_views(g, d, t, trials, seed, p) if g.n > d + 1 else []
         if not views:
             continue
         walked = itertools.combinations(range(g.edge_count), t - 1)
@@ -630,7 +696,7 @@ def test_dependent_prefix_costs_no_in_span(monkeypatch):
     # K6 in the plane mod 7: the first view has dependent 2-prefixes, whose
     # extensions the second view accepts, so the walk goes on past them
     g, d, t, trials, seed, p = complete_graph(6), 2, 4, 2, 13, 7
-    first = full_rank_views(g, d, trials, seed, p)[0]
+    first = full_rank_views(g, d, t, trials, seed, p)[0]
     leaves = list(itertools.combinations(range(g.edge_count), t - 1))
     under_dependent = sum(not independent_in(first, s[:-1], p) for s in leaves)
     assert under_dependent > 0

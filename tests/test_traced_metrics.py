@@ -29,7 +29,7 @@ K6_LESS_AN_EDGE = "6 14\n" + "".join(
 
 INVOCATIONS = [
     (["rank"], K4),
-    (["redundant", "--t", "2"], K4),
+    (["redundant", "--t", "3"], K4),  # t >= 3 reads the left-kernel basis
     (["linked", "--u", "0", "--v", "1"], K5_LESS_AN_EDGE),
     (["globally-rigid", "--dim", "3"], K6_LESS_AN_EDGE),
     (["globally-rigid"], K44),  # in no K4: the plane route draws its stress
