@@ -6,8 +6,8 @@ matrix has rank n-d-1.  A random stress of the one stress stream,
 :func:`rigidity._stresses`, evaluates that with one-sided error each way, so
 both verdicts are "whp" (a graph found not rigid keeps :func:`is_rigid`'s).
 In the plane it is rigid, 3-connected and redundantly rigid (Jackson & Jordan,
-*JCTB* 94, 2005).  There exact 3-connectivity makes a False certain, and a True
-is certain too: rigidity at the rank cap and a redundancy True are.
+*JCTB* 94, 2005).  There a False keeps the tag of the test it failed, certain for
+exact 3-connectivity, and a True is certain: rigidity at the cap and redundancy are.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def stress_matrix_rank(
         raise ValueError("stress certificates need at least d+2 vertices")
     target = n - d - 1
     best = StressCertificate((0,) * g.edge_count, 0, target)
-    for _, stress in _stresses(g, d, trials, seed, p):
+    for _, (stress,) in _stresses(g, d, trials, seed, p):
         omega_rank = rank(stress_matrix(g, stress, p))
         if omega_rank > best.omega_rank:
             best = StressCertificate(tuple(stress), omega_rank, target)
@@ -88,9 +88,10 @@ def is_globally_rigid(
             return Verdict(False, CERTAIN, rank=rigid.rank)
         mask = g.neighbor_mask
         common = (mask(u) & mask(v) for u, v in g.sorted_edges())  # uv is in a K4 iff two are adjacent
-        value = (all(any(mask(w) & c for w in _bits(c)) for c in common)
-                 or is_t_redundantly_rigid(g, 2, 2, trials, seed, p).value)
-        return Verdict(value, CERTAIN if value else WHP, rank=rigid.rank)
+        if all(any(mask(w) & c for w in _bits(c)) for c in common):
+            return Verdict(True, CERTAIN, rank=rigid.rank)
+        redundant = is_t_redundantly_rigid(g, 2, 2, trials, seed, p)
+        return Verdict(redundant.value, redundant.confidence, rank=rigid.rank)
     cert = stress_matrix_rank(g, d, trials, seed, p)
     return Verdict(cert.omega_rank == cert.target, WHP, rank=rigid.rank)
 

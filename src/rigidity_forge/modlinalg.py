@@ -65,9 +65,8 @@ class RowBasis:
 
     ``pivots`` maps the leading (smallest) column of each basis row to the
     rest of that row, scaled so the leading entry is 1.  No two basis rows
-    share a leading column.  Pivot rows are never mutated, so a shallow copy
-    of ``pivots`` is a separate basis.  Rows fed in increasing leading column
-    fill in every later pivot row, so :meth:`extend` feeds them last-first.
+    share a leading column.  Rows fed in increasing leading column fill in
+    every later pivot row, so :meth:`extend` feeds them last-first.
     """
 
     __slots__ = ("p", "pivots")
@@ -195,26 +194,23 @@ def left_kernel_basis(m: ModMatrix) -> list[list[int]]:
     return out
 
 
-def left_kernel_sample(m: ModMatrix, seed: int) -> tuple[int, list[int]]:
-    """The rank of m and a seeded random left-kernel element, both from one
-    column elimination; the element is all-zero iff the kernel is trivial.
+def left_kernel_sample(m: ModMatrix, seed: int, count: int = 1) -> tuple[int, list[list[int]]]:
+    """The rank of m and `count` seeded random left-kernel elements, all from
+    one column elimination; each is all-zero iff the kernel is trivial.
 
-    A uniform Z_p-combination of the :func:`left_kernel_basis` vectors, drawn
-    as its free coordinates in increasing row order; the rare all-zero draw
-    is redrawn, so the zero vector uniquely signals a trivial kernel.
+    Each is a uniform Z_p-combination of the :func:`left_kernel_basis`
+    vectors, drawn as its free coordinates in increasing row order, one after
+    another from one stream.  An all-zero draw is redrawn up to seven times,
+    then the first free coordinate is set to 1, so the zero vector uniquely
+    signals a trivial kernel.
     """
     basis = _column_basis(m)
     free = [f for f in range(m.rows) if f not in basis.pivots]
-    w = [0] * m.rows
-    if not free:
-        return basis.rank, w
-    rng = make_rng(seed)
-    for _ in range(8):
-        coeffs = [rng.randrange(m.p) for _ in free]
-        if any(coeffs):
-            break
-    else:
-        coeffs = [1] + [0] * (len(free) - 1)
-    for f, c in zip(free, coeffs):
-        w[f] = c
-    return basis.rank, _kernel_vector(basis, w)
+    rng, out = make_rng(seed), []
+    for _ in range(count):
+        w = [0] * m.rows
+        draws = ([rng.randrange(m.p) for _ in free] for _ in range(8))
+        for f, c in zip(free, next((c for c in draws if any(c)), [1])):
+            w[f] = c
+        out.append(_kernel_vector(basis, w) if free else w)
+    return basis.rank, out

@@ -22,7 +22,6 @@ from .modlinalg import (
     Row,
     RowBasis,
     is_prime,
-    left_kernel_basis,
     left_kernel_sample,
     make_rng,
     rank_of_rows,
@@ -38,7 +37,7 @@ WHP = "whp"
 MAX_COORDINATES = 6 * MAX_VERTICES
 #: The most placements one verdict draws (each misses with odds of about rank/p
 #: at most), and edge subsets one redundancy verdict tests.  In-process on that
-#: box, 1,000 trials rank 20 edges in 0.3 s; 8.2e6 subsets (K_16, t = 5) take 9-10 s.
+#: box, 1,000 trials rank 20 edges in 0.3 s; 8.2e6 subsets (K_16, t = 5) take 1.4-2.1 s.
 MAX_TRIALS = 1000
 REDUNDANCY_BUDGET = 10**7
 
@@ -123,12 +122,12 @@ def _matrix_rows(edges: Iterable[Edge], d: int, points: Sequence[int], p: int) -
     return rows
 
 
-def _stresses(g: Graph, d: int, trials: int, seed: int, p: int) -> Iterator[tuple[int, list[int]]]:
-    """Per seeded placement, the rank of R(G,p) (rows in sorted edge order) and a random
-    stress from its left kernel, zero iff there is none, seeded by the stream's next draw."""
+def _stresses(g: Graph, d: int, trials: int, seed: int, p: int, count: int = 1) -> Iterator[tuple[int, list]]:
+    """Per seeded placement, the rank of R(G,p) (rows in sorted edge order) and `count` random
+    stresses from its left kernel, each zero iff there is none, seeded by the stream's next draw."""
     for points, rng in placements(g.n, d, trials, seed, p):
         rows = _matrix_rows(g.sorted_edges(), d, points, p)
-        yield left_kernel_sample(ModMatrix(rows, d * g.n, p), rng.getrandbits(64))
+        yield left_kernel_sample(ModMatrix(rows, d * g.n, p), rng.getrandbits(64), count)
 
 
 def _cap_first(g: Graph, d: int) -> list[Edge]:
@@ -299,42 +298,52 @@ def is_linked(
     return linked_pairs(g, d, [(u, v)], trials, seed, p)[0]
 
 
-def kernel_view(rows: list[Row], cols: int, p: int) -> tuple[int, int, list[Row]]:
-    """What edge deletions need from one placement: the rank of R(G,p), the
-    dimension of its left kernel, and the canonical left-kernel basis K held
-    as one dual row per edge (the edge's column of K, keyed by basis index).
-
-    Deleting an edge set S leaves rank(G - S) = rank - |S| + rank of the
-    dual rows of S, and the stresses of G - S are the K-combinations that
-    vanish on S.
-    """
-    kernel = left_kernel_basis(ModMatrix(rows, cols, p))
-    dual = [{f: vec[i] for f, vec in enumerate(kernel) if vec[i]} for i in range(len(rows))]
-    return len(rows) - len(kernel), len(kernel), dual
+def _slopes(rows: list[Sequence[int]], p: int) -> list[int | None]:
+    """The slope y/x mod p of each row (x, y), p where only x is 0 and None at (0, 0),
+    with one inverse for them all (Montgomery's batch inversion)."""
+    running = list(itertools.accumulate((x or 1 for x, _ in rows), lambda u, v: u * v % p, initial=1))
+    inv, keys = pow(running[-1], -1, p), [None] * len(rows)
+    for a in range(len(rows) - 1, -1, -1):  # inv = 1/running[a + 1]
+        x, y = rows[a]
+        keys[a] = y * inv * running[a] % p if x else p if y else None
+        inv = inv * (x or 1) % p
+    return keys
 
 
-def _leaves(dual: list[Row], m: int, k: int, p: int) -> Iterator[tuple[tuple[int, ...], bool]]:
-    """Every k-subset of range(m) in lexicographic order, with whether its dual
-    rows are independent.  Depth-first with one basis per prefix: a leaf costs
-    one in_span, and a dependent prefix settles its extensions unreduced."""
-    def walk(prefix: tuple[int, ...], basis: RowBasis):
-        depth = len(prefix)
-        if depth == k:  # only when k == 0
-            yield prefix, True
+def _rejects(dual: list[tuple[int, ...]], k: int, p: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every k-subset of range(len(dual)) whose dual rows are dependent, in lexicographic
+    order, each after its position in that order (from 1).  Depth-first: a prefix holds a
+    basis c_1, c_2, ... of the vectors orthogonal to its rows, one per row still to add, as
+    the dot products c_i.s of each later row s.  A row r is independent of the prefix iff
+    some c_j.r is nonzero; adding it replaces every other c_i by (c_j.r) c_i - (c_i.r) c_j
+    and drops c_j.  A prefix with every c.r zero rejects its extensions unreduced.  With two
+    vectors left, a last pair is dependent iff its 2 x 2 determinant vanishes: the two rows'
+    slopes match or one row is zero, whose pairs take no comparison."""
+    m = len(dual)
+
+    def walk(prefix: tuple[int, ...], rows: list[Sequence[int]], pos: int):  # pos subsets precede
+        lo, left = m - len(rows), k - len(prefix)
+        if left == 2:
+            keys = _slopes(rows, p)
+            for a, key in enumerate(keys):
+                later = range(a + 1, len(keys))
+                if key is not None:
+                    later = [b for b, other in zip(later, keys[a + 1:]) if other == key or other is None]
+                for b in later:
+                    yield pos + b - a, prefix + (lo + a, lo + b)
+                pos += len(keys) - a - 1
             return
-        for i in range(prefix[-1] + 1 if prefix else 0, m - k + depth + 1):
-            if depth == k - 1:
-                yield prefix + (i,), not basis.in_span(dual[i])
-                continue
-            child = RowBasis(p)
-            child.pivots = dict(basis.pivots)  # pivot rows are never mutated
-            if child.add(dual[i]):
-                yield from walk(prefix + (i,), child)
-            else:
-                for rest in itertools.combinations(range(i + 1, m), k - depth - 1):
-                    yield prefix + (i,) + rest, False
+        for a, r in enumerate(rows[: len(rows) - left + 1]):
+            j = next((j for j, x in enumerate(r) if x), None)
+            if j is None:
+                for at, rest in enumerate(itertools.combinations(range(lo + a + 1, m), left - 1), pos + 1):
+                    yield at, prefix + (lo + a,) + rest
+            elif left > 1:
+                reduced = ([(r[j] * x - s[j] * y) % p for x, y in zip(s, r)] for s in rows[a + 1:])
+                yield from walk(prefix + (lo + a,), [s[:j] + s[j + 1:] for s in reduced], pos)
+            pos += comb(len(rows) - a - 1, left - 1)
 
-    return walk((), RowBasis(p))
+    return walk((), dual, 0) if k else iter(())
 
 
 def is_t_redundantly_rigid(
@@ -343,15 +352,15 @@ def is_t_redundantly_rigid(
     """Rigid after deleting any edge set of size < t.
 
     By rank monotonicity it suffices to enumerate deletions of size exactly
-    t-1.  Each trial's placement gives every edge a dual row: for t <= 2 its
-    entry in one stress of :func:`_stresses` (the dual rows projected on one
-    random direction), else its column of the left-kernel basis
-    (:func:`kernel_view`).  A subset independent in a full-rank view keeps the
-    rank at the cap once deleted, so True is certain; one dependent in every
-    view fails, certainly when |E| - (t-1) is below the cap.  The witness is
-    the first failing subset in lexicographic order, and subsets_checked
-    counts up to it.  :func:`_leaves` walks the first view; only its rejects
-    are re-tested.
+    k = t-1.  Each trial's placement gives every edge a dual row, its entries in
+    k stresses of :func:`_stresses`: its column of the left-kernel basis
+    projected on that many random directions, which makes a subset independent
+    in the kernel dependent with probability at most k/p (Schwartz-Zippel on a
+    k x k determinant).  A subset independent in a full-rank view keeps the rank
+    at the cap once deleted, so True is certain; one dependent in every view
+    fails, certainly when |E| - k is below the cap.  The witness is the first
+    failing subset in lexicographic order, and subsets_checked counts up to it.
+    :func:`_rejects` walks the first view; only its rejects are re-tested.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -362,18 +371,13 @@ def is_t_redundantly_rigid(
     if comb(m, k) > REDUNDANCY_BUDGET:
         raise ValueError(f"{comb(m, k)} edge subsets exceed the budget of {REDUNDANCY_BUDGET}")
     edges = g.sorted_edges()
-    n = g.n
-    if n <= d + 1:
+    if g.n <= d + 1:
         ok = g.is_complete() and k == 0
         return RedundancyReport(ok, CERTAIN, None if ok else edges[:k], 1)
-    target = generic_rank_cap(n, d)
-    if k <= 1:
-        views = ((r, 1, [{0: s} if s else {} for s in stress]) for r, stress in _stresses(g, d, trials, seed, p))
-    else:
-        views = (kernel_view(_matrix_rows(edges, d, points, p), d * n, p)
-                 for points, _ in placements(n, d, trials, seed, p))
-    # rank(G - S) >= full_rank - |S| + rank of the dual rows of S, with equality for the kernel
-    views = ((kernel_dim, dual) for full_rank, kernel_dim, dual in views if full_rank >= target)
+    target = generic_rank_cap(g.n, d)
+    # rank(G - S) = full_rank - |S| + rank of the kernel's dual rows of S, at least those of a view
+    views = (list(zip(*stresses)) for full_rank, stresses in _stresses(g, d, trials, seed, p, k)
+             if full_rank >= target)
     first, drawn = next(views, None), []
     failed = settled(0, m - k, target)  # a failing S leaves rank(G - S) <= |E| - |S|
     if first is None:
@@ -383,8 +387,7 @@ def is_t_redundantly_rigid(
         for view in views:
             drawn.append(view)
             yield view
-    for checked, (subset, ok) in enumerate(_leaves(first[1], m, k, p), 1):
-        if not ok and not any(rank_of_rows([dual[i] for i in subset], kernel_dim, p) == k
-                              for kernel_dim, dual in later()):
+    for checked, subset in _rejects(first, k, p):
+        if all(any(_rejects([dual[i] for i in subset], k, p)) for dual in later()):
             return RedundancyReport(False, failed, tuple(edges[i] for i in subset), checked)
     return RedundancyReport(True, CERTAIN, None, comb(m, k))

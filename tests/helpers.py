@@ -27,7 +27,9 @@ from rigidity_forge.graph_core import (
 from rigidity_forge.modlinalg import (
     DEFAULT_PRIME,
     ModMatrix,
+    Row,
     RowBasis,
+    left_kernel_basis,
     left_kernel_sample,
     make_rng,
     rank_of_rows,
@@ -37,12 +39,11 @@ from rigidity_forge.rigidity import (
     WHP,
     RedundancyReport,
     Verdict,
-    _leaves,
     _matrix_rows,
+    _rejects,
     generic_rank_cap,
     is_rigid,
     is_t_redundantly_rigid,
-    kernel_view,
     placements,
 )
 
@@ -379,13 +380,13 @@ def forward_left_kernel_basis(m: ModMatrix) -> list[list[int]]:
     return out
 
 
-def forward_left_kernel_sample(m: ModMatrix, seed: int) -> tuple[int, list[int]]:
-    """`left_kernel_sample` on :func:`forward_column_basis`."""
+def forward_left_kernel_sample(m: ModMatrix, seed: int) -> tuple[int, list[list[int]]]:
+    """`left_kernel_sample` of one element on :func:`forward_column_basis`."""
     basis = forward_column_basis(m)
     free = [f for f in range(m.rows) if f not in basis.pivots]
     w = [0] * m.rows
     if not free:
-        return basis.rank, w
+        return basis.rank, [w]
     rng = make_rng(seed)
     for _ in range(8):
         coeffs = [rng.randrange(m.p) for _ in free]
@@ -395,7 +396,7 @@ def forward_left_kernel_sample(m: ModMatrix, seed: int) -> tuple[int, list[int]]
         coeffs = [1] + [0] * (len(free) - 1)
     for f, c in zip(free, coeffs):
         w[f] = c
-    return basis.rank, _back_substitute(basis, w)
+    return basis.rank, [_back_substitute(basis, w)]
 
 
 @contextlib.contextmanager
@@ -462,33 +463,41 @@ def stop_free_linked_pairs(
     return out
 
 
+def kernel_view(rows: list[Row], cols: int, p: int) -> tuple[int, int, list[Row]]:
+    """What edge deletions need from one placement: the rank of R(G,p), the
+    dimension of its left kernel, and the canonical left-kernel basis K held
+    as one dual row per edge (the edge's column of K, keyed by basis index).
+
+    Deleting an edge set S leaves rank(G - S) = rank - |S| + rank of the
+    dual rows of S, and the stresses of G - S are the K-combinations that
+    vanish on S.  The exact route, the oracle of the sampled views.
+    """
+    kernel = left_kernel_basis(ModMatrix(rows, cols, p))
+    dual = [{f: vec[i] for f, vec in enumerate(kernel) if vec[i]} for i in range(len(rows))]
+    return len(rows) - len(kernel), len(kernel), dual
+
+
 def kernel_views(
     g: Graph, d: int, trials: int, seed: int, p: int
-) -> list[tuple[int, int, list[dict[int, int]]]]:
-    """`rigidity.kernel_view` of every placement `placed_rows` draws: each
+) -> list[tuple[int, int, list[Row]]]:
+    """:func:`kernel_view` of every placement `placed_rows` draws: each
     edge's dual row is its column of the left-kernel basis."""
     return [kernel_view(rows, d * g.n, p) for rows, _ in placed_rows(g, d, trials, seed, p)]
 
 
-def stress_views(
-    g: Graph, d: int, trials: int, seed: int, p: int
-) -> list[tuple[int, int, list[dict[int, int]]]]:
-    """Per placement `placed_rows` draws, its rank, kernel dimension 1 and
-    each edge's entry in one stress, a `left_kernel_sample` seeded by the
-    stream's next draw, as a one-column dual row (empty where it is zero)."""
-    views = []
-    for rows, rng in placed_rows(g, d, trials, seed, p):
-        full, stress = left_kernel_sample(ModMatrix(rows, d * g.n, p), rng.getrandbits(64))
-        views.append((full, 1, [{0: s} if s else {} for s in stress]))
-    return views
-
-
 def redundancy_views(
     g: Graph, d: int, t: int, trials: int, seed: int, p: int
-) -> list[tuple[int, int, list[dict[int, int]]]]:
-    """The views `is_t_redundantly_rigid` reads: one sampled stress per
-    placement for t <= 2, the left-kernel basis for t >= 3."""
-    return (stress_views if t <= 2 else kernel_views)(g, d, trials, seed, p)
+) -> list[tuple[int, int, list[Row]]]:
+    """The views `is_t_redundantly_rigid` reads: per placement `placed_rows`
+    draws, its rank, k = t - 1 and each edge's entries in k stresses,
+    one `left_kernel_sample` seeded by the stream's next draw, as a sparse
+    dual row of k columns."""
+    k = t - 1
+    views = []
+    for rows, rng in placed_rows(g, d, trials, seed, p):
+        full, stresses = left_kernel_sample(ModMatrix(rows, d * g.n, p), rng.getrandbits(64), k)
+        views.append((full, k, [{f: x for f, x in enumerate(col) if x} for col in zip(*stresses)]))
+    return views
 
 
 def redundancy_failure(g: Graph, d: int, witness: tuple[Edge, ...], checked: int) -> RedundancyReport:
@@ -516,9 +525,11 @@ def eager_redundancy(
     views = [(kernel_dim, dual) for full_rank, kernel_dim, dual in views if full_rank >= target]
     if not views:
         return redundancy_failure(g, d, edges[:k], 1)
-    for checked, (subset, ok) in enumerate(_leaves(views[0][1], m, k, p), 1):
-        if not ok and not any(rank_of_rows([dual[i] for i in subset], kernel_dim, p) == k
-                              for kernel_dim, dual in views[1:]):
+    dim, first = views[0]
+    dense = [tuple(row.get(f, 0) for f in range(dim)) for row in first]
+    for checked, subset in _rejects(dense, k, p):
+        if not any(rank_of_rows([dual[i] for i in subset], kernel_dim, p) == k
+                   for kernel_dim, dual in views[1:]):
             return redundancy_failure(g, d, tuple(edges[i] for i in subset), checked)
     return RedundancyReport(True, CERTAIN, None, comb(m, k))
 
@@ -622,7 +633,7 @@ def globally_rigid_deletions(
                 for j, i in enumerate(subset):
                     for f, x in dual[i].items():
                         picked[f][j] = x
-                _, c = left_kernel_sample(ModMatrix(picked, len(subset), p), rng.getrandbits(64))
+                _, (c,) = left_kernel_sample(ModMatrix(picked, len(subset), p), rng.getrandbits(64))
                 # entry e of K.c, summed over the dual row of edge e
                 stress = tuple(sum(c[f] * x for f, x in row.items()) % p for row in dual)
                 omega = stress_matrix(g, stress, p).data if any(stress) else []

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rigidity_forge import combinatorics, experiments, rigidity
+from rigidity_forge import combinatorics, experiments, global_rigidity
 from rigidity_forge.constructions import (
     lovasz_yemini_family,
     sharpness_example,
@@ -361,7 +361,7 @@ def test_theorem9_in_the_plane_draws_no_stress(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("stress route called")
 
-    monkeypatch.setattr(rigidity, "left_kernel_sample", forbidden)
+    monkeypatch.setattr(global_rigidity, "stress_matrix_rank", forbidden)
     assert theorem9_check(2, seed=3).passed
 
 

@@ -196,9 +196,11 @@ def test_plane_route_matches_the_stress_oracle():
         else:
             kind = "K4-covered" if _k4_covered(g) else "stress fallback"
         # a graph found not rigid keeps the rigidity verdict's own tag; exact
-        # connectivity below 3 makes a False certain
+        # connectivity below 3 makes a False certain, and so does a failed
+        # redundancy test once the edges left, |E| - 1, are below the cap
         assert verdict.confidence == ("certain" if verdict.value or kind == "rigid, not 3-connected"
-                                      else rigid.confidence if kind == "not rigid" else "whp")
+                                      else rigid.confidence if kind == "not rigid"
+                                      else "certain" if g.edge_count - 1 < 2 * g.n - 3 else "whp")
         seen[kind, verdict.value] += 1
     assert set(seen) == {("not rigid", False), ("rigid, not 3-connected", False),
                          ("K4-covered", True), ("stress fallback", True),
@@ -225,9 +227,9 @@ def test_plane_route_without_a_k4_cover_samples_one_stress_per_trial(monkeypatch
     calls = []
     sample = rigidity.left_kernel_sample
 
-    def spy(m, seed):
+    def spy(m, seed, count=1):
         calls.append(seed)
-        return sample(m, seed)
+        return sample(m, seed, count)
 
     monkeypatch.setattr(rigidity, "left_kernel_sample", spy)
     assert is_globally_rigid(complete_bipartite_graph(4, 4), 2, trials=3) == (True, "certain", 13)
@@ -239,8 +241,9 @@ def test_plane_route_without_a_k4_cover_samples_one_stress_per_trial(monkeypatch
     assert g.n == 30 and not _k4_covered(g)
     assert is_globally_rigid(g, 2) == (True, "certain", 57) and len(calls) == 1
     calls.clear()
-    # K_{3,3} is minimally rigid: no placement carries a nonzero stress
-    assert is_globally_rigid(complete_bipartite_graph(3, 3), 2, trials=3) == (False, "whp", 9)
+    # K_{3,3} is minimally rigid: no placement carries a nonzero stress, and
+    # deleting an edge leaves 8 edges, below the cap 9, so the False is certain
+    assert is_globally_rigid(complete_bipartite_graph(3, 3), 2, trials=3) == (False, "certain", 9)
     assert len(calls) == 3
 
 

@@ -114,12 +114,25 @@ def test_row_basis_add_and_in_span():
 
 
 def test_left_kernel_sample_examples():
-    assert left_kernel_sample(matrix([[1]], 1), seed=4) == (1, [0])
-    assert left_kernel_sample(matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3), seed=4) == (3, [0, 0, 0])
-    r, w = left_kernel_sample(matrix([[1, 0], [1, 0]], 2), seed=4)
+    assert left_kernel_sample(matrix([[1]], 1), seed=4) == (1, [[0]])
+    assert left_kernel_sample(matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3), seed=4, count=2) == (3, [[0, 0, 0]] * 2)
+    r, (w,) = left_kernel_sample(matrix([[1, 0], [1, 0]], 2), seed=4)
     assert r == 1 and w[0] != 0 and (w[0] + w[1]) % P == 0
-    r, w = left_kernel_sample(matrix([[], []], 0), seed=4)
+    r, (w,) = left_kernel_sample(matrix([[], []], 0), seed=4)
     assert r == 0 and w[0] != 0  # no columns: all of Z_p^2
+
+
+def test_left_kernel_sample_draws_its_elements_from_one_stream():
+    # the first element is the one-element sample; the three, drawn one after
+    # another, are distinct, annihilate m and span its kernel of dimension 2
+    m = matrix([[1, 2], [2, 4], [3, 6], [0, 1]], 2)
+    r, ws = left_kernel_sample(m, seed=6, count=3)
+    assert r == 2 and len(ws) == 3
+    assert ws[0] == left_kernel_sample(m, seed=6)[1][0]
+    assert len({tuple(w) for w in ws}) == 3
+    for w in ws:
+        assert left_product(w, [[1, 2], [2, 4], [3, 6], [0, 1]], 2) == [0, 0]
+    assert rank_of_rows([sparse(w) for w in ws], 4, P) == 2
 
 
 def test_left_kernel_sample_falls_back_after_eight_zero_draws():
@@ -128,7 +141,7 @@ def test_left_kernel_sample_falls_back_after_eight_zero_draws():
     m = ModMatrix([{0: 1}, {0: 1}], 1, 2)
     rng = make_rng(15)
     assert [rng.randrange(2) for _ in range(8)] == [0] * 8
-    assert left_kernel_sample(m, seed=15) == (1, [1, 1])
+    assert left_kernel_sample(m, seed=15) == (1, [[1, 1]])
 
 
 def test_left_kernel_sample_annihilates_exactly():
@@ -137,12 +150,13 @@ def test_left_kernel_sample_annihilates_exactly():
         r, c = rng.randint(1, 7), rng.randint(1, 5)
         rows = [[rng.randrange(P) if rng.random() < 0.7 else 0 for _ in range(c)] for _ in range(r)]
         m = matrix(rows, c)
-        full, w = left_kernel_sample(m, seed=trial)
-        assert full == rank_of_rows(m.data, c, P)
-        assert left_product(w, rows, c) == [0] * c
+        full, ws = left_kernel_sample(m, seed=trial, count=trial % 3 + 1)
+        assert full == rank_of_rows(m.data, c, P) and len(ws) == trial % 3 + 1
         basis = left_kernel_basis(m)
         assert len(basis) == r - rank(m)
-        assert any(w) == bool(basis)
+        for w in ws:
+            assert left_product(w, rows, c) == [0] * c
+            assert any(w) == bool(basis)
 
 
 def test_left_kernel_basis_is_canonical():
@@ -229,7 +243,7 @@ def test_rank_of_rows_ignores_the_row_feed_order():
     for n in (8, 12, 16):
         g = random_graph(rng, n, 0.6)
         rows, stream = next(placed_rows(g, 2, 1, rng.getrandbits(32), P))
-        _, stress = left_kernel_sample(ModMatrix(rows, 2 * n, P), stream.getrandbits(64))
+        _, (stress,) = left_kernel_sample(ModMatrix(rows, 2 * n, P), stream.getrandbits(64))
         assert any(stress)
         cases.append((stress_matrix(g, tuple(stress), P).data, n))
     for rows, cols in cases:

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from rigidity_forge import rigidity
+from rigidity_forge import modlinalg, rigidity
 from rigidity_forge.combinatorics import m_dk
 from rigidity_forge.constructions import (
     harary_graph,
@@ -550,49 +550,50 @@ def test_sharpness_redundancy_witness():
 @pytest.mark.parametrize("t", [3, 4])
 def test_redundant_matched_cliques_build_one_kernel_view(monkeypatch, t):
     # no subset is rejected by the first view, so no later view is drawn
-    views = []
-    kernel_view = rigidity.kernel_view
-    monkeypatch.setattr(rigidity, "kernel_view", lambda *a: views.append(a) or kernel_view(*a))
+    samples = []
+    sample = rigidity.left_kernel_sample
+    monkeypatch.setattr(rigidity, "left_kernel_sample", lambda *a: samples.append(a) or sample(*a))
     rep = is_t_redundantly_rigid(sharpness_example(2), 2, t)
     assert rep == (True, "certain", None, comb(36, t - 1))
-    assert len(views) == 1
+    assert len(samples) == 1
 
 
-def test_redundancy_up_to_t2_builds_no_left_kernel(monkeypatch):
-    # t <= 2 reads one sampled stress per placement; small primes make views
-    # reject edges, so later placements are drawn and re-tested too
+def test_redundancy_builds_no_left_kernel(monkeypatch):
+    # every t reads t - 1 sampled stresses per placement; small primes make
+    # views reject subsets, so later placements are drawn and re-tested too
     def forbidden(*args):
         raise AssertionError("left kernel built")
 
-    monkeypatch.setattr(rigidity, "kernel_view", forbidden)
-    monkeypatch.setattr(rigidity, "left_kernel_basis", forbidden)
+    monkeypatch.setattr(modlinalg, "left_kernel_basis", forbidden)
     rng = random.Random(1616)
-    values = set()
-    for _ in range(60):
+    seen = set()
+    for _ in range(100):
         d = rng.randint(1, 3)
         g = random_graph(rng, rng.randint(d + 2, d + 5), rng.uniform(0.5, 1.0))
-        t = rng.randint(1, min(2, g.edge_count + 1))
+        t = rng.randint(1, min(5, g.edge_count + 1))
         p = rng.choice((5, 7, P))
-        values.add(is_t_redundantly_rigid(g, d, t, 3, rng.getrandbits(32), p).value)
-    assert values == {True, False}
-    assert is_t_redundantly_rigid(sharpness_example(2), 2, 2) == (True, "certain", None, 36)
+        seen.add((t, is_t_redundantly_rigid(g, d, t, 3, rng.getrandbits(32), p).value))
+    assert {t for t, _ in seen} == set(range(1, 6)) and {value for _, value in seen} == {True, False}
+    assert is_t_redundantly_rigid(sharpness_example(2), 2, 4) == (True, "certain", None, comb(36, 3))
 
 
-def test_redundancy_up_to_t2_matches_the_kernel_oracle():
+def test_redundancy_matches_the_kernel_oracle():
     # the kernel views rank every deletion exactly, an independent route; at
-    # p = 2^61 - 1 one stress per placement gives the same report, though the
-    # stress stream draws each later placement after its seed
+    # p = 2^61 - 1, t - 1 stresses per placement give the same report, though
+    # the stress stream draws each later placement after its seed
     rng = random.Random(6161)
     seen = Counter()
-    for _ in range(200):
+    for _ in range(300):
         d = rng.randint(1, 3)
-        g = random_graph(rng, rng.randint(d + 2, d + 8), rng.uniform(0.4, 1.0))
-        t = rng.randint(1, min(2, g.edge_count + 1))
+        t = rng.randint(1, 5)
+        g = random_graph(rng, rng.randint(d + 2, d + (8 if t <= 2 else 5)), rng.uniform(0.4, 1.0))
+        if t - 1 > g.edge_count:
+            continue
         trials, seed = rng.randint(1, 3), rng.getrandbits(32)
         rep = is_t_redundantly_rigid(g, d, t, trials, seed, P)
         assert rep == per_subset_redundancy(g, d, t, trials, seed, P, kernel_views(g, d, trials, seed, P))
         seen[t, rep.value, rep.confidence] += 1
-    assert set(seen) == {(t, value, tag) for t in (1, 2) for value, tag in
+    assert set(seen) == {(t, value, tag) for t in range(1, 6) for value, tag in
                          ((True, "certain"), (False, "certain"), (False, "whp"))}
 
 
@@ -605,19 +606,33 @@ def test_redundancy_failure_below_the_cap_is_certain():
     assert is_t_redundantly_rigid(g, 2, 2) == (False, "whp", ((0, 4),), 4)
 
 
-def test_redundancy_t2_at_scale_holds_no_left_kernel():
-    # Harary(6, 500), 1,500 edges: the dense left kernel, 503 vectors of
-    # 1,500 entries, peaked at 29.7 MiB and took 5.4 s in-process
-    g = harary_graph(6, 500)
+def traced_redundancy(g, d, t):
+    """is_t_redundantly_rigid(g, d, t) under tracemalloc, with its seconds and peak bytes."""
     tracemalloc.start()
     started = time.perf_counter()
     try:
-        rep = is_t_redundantly_rigid(g, 2, 2)
+        rep = is_t_redundantly_rigid(g, d, t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert time.perf_counter() - started < 1.0
+    return rep, time.perf_counter() - started, peak
+
+
+def test_redundancy_t2_at_scale_holds_no_left_kernel():
+    # Harary(6, 500), 1,500 edges: the dense left kernel, 503 vectors of
+    # 1,500 entries, peaked at 29.7 MiB and took 5.4 s in-process
+    rep, seconds, peak = traced_redundancy(harary_graph(6, 500), 2, 2)
+    assert seconds < 1.0
     assert rep == (True, "certain", None, 1500) and peak <= 8 * 2**20, peak
+
+
+def test_redundancy_t3_at_scale_holds_no_left_kernel():
+    # Harary(6, 300), 900 edges and 404,550 pairs: the dense left kernel, 303
+    # vectors of 900 entries, took 5.7 s and peaked at 9.6 MiB in-process
+    # under tracemalloc; two stresses per placement take 0.3 s and 0.9 MiB
+    rep, seconds, peak = traced_redundancy(harary_graph(6, 300), 2, 3)
+    assert seconds < 1.0
+    assert rep == (True, "certain", None, comb(900, 2)) and peak <= 2 * 2**20, peak
 
 
 def full_rank_views(g, d, t, trials, seed, p):
@@ -657,8 +672,7 @@ def test_prefix_walk_matches_per_subset_scan():
 
 
 def count_basis_calls(monkeypatch):
-    """Count RowBasis.add and RowBasis.in_span calls made after the first
-    kernel view of a scan is built (a later view is built mid-walk)."""
+    """Count RowBasis.add and RowBasis.in_span calls."""
     counts = {"add": 0, "in_span": 0}
     for name in counts:
         method = getattr(RowBasis, name)
@@ -668,42 +682,60 @@ def count_basis_calls(monkeypatch):
             return _method(self, row)
 
         monkeypatch.setattr(RowBasis, name, counted)
-    kernel_view = rigidity.kernel_view
-
-    built = []
-
-    def view_then_reset(*args):
-        out = kernel_view(*args)
-        if not built:
-            counts.update(add=0, in_span=0)
-        built.append(out)
-        return out
-
-    monkeypatch.setattr(rigidity, "kernel_view", view_then_reset)
     return counts
 
 
+class Tally(int):
+    """An int that counts the comparisons it takes part in."""
+
+    comparisons = 0
+
+    def __eq__(self, other):
+        Tally.comparisons += 1
+        return int.__eq__(self, other)
+
+    __hash__ = int.__hash__
+
+
+def walk_work(monkeypatch, g, d, t, trials, seed, p):
+    """The prefix walk of the first full-rank view of g: the rows it reduces
+    to slopes, at most one per inner node and later row, and the leaf tests it
+    makes (comparisons of two slopes)."""
+    k = t - 1
+    view = next(list(zip(*stresses)) for full, stresses in rigidity._stresses(g, d, trials, seed, p, k)
+                if full == generic_rank_cap(g.n, d))
+    work, slopes = Counter(), rigidity._slopes
+
+    def tallied(rows, p):
+        work["slopes"] += len(rows)
+        return [None if key is None else Tally(key) for key in slopes(rows, p)]
+
+    monkeypatch.setattr(rigidity, "_slopes", tallied)
+    Tally.comparisons = 0
+    list(rigidity._rejects(view, k, p))
+    return {"slopes": work["slopes"], "leaf_tests": Tally.comparisons}
+
+
 def test_prefix_walk_work_on_sharpness_example(monkeypatch):
-    counts = count_basis_calls(monkeypatch)
-    rep = is_t_redundantly_rigid(sharpness_example(2), 2, 4)
-    assert rep == (True, "certain", None, 7140)
-    # one in_span per leaf, one add per inner node of the walk
-    assert counts["in_span"] == comb(36, 3)
-    assert counts["add"] <= comb(36, 2) + 36
+    g = sharpness_example(2)
+    assert is_t_redundantly_rigid(g, 2, 4) == (True, "certain", None, 7140)
+    work = walk_work(monkeypatch, g, 2, 4, 2, 0, P)
+    # one slope comparison per leaf; each node with two basis vectors left
+    # reduces each later row once, to its slope
+    assert work["leaf_tests"] == comb(36, 3)
+    assert work["slopes"] <= comb(36, 2)
 
 
-def test_dependent_prefix_costs_no_in_span(monkeypatch):
+def test_dependent_prefix_costs_no_leaf_test(monkeypatch):
     # K6 in the plane mod 7: the first view has dependent 2-prefixes, whose
-    # extensions the second view accepts, so the walk goes on past them
-    g, d, t, trials, seed, p = complete_graph(6), 2, 4, 2, 13, 7
+    # extensions later views accept, so the walk goes on past them
+    g, d, t, trials, seed, p = complete_graph(6), 2, 4, 3, 44, 7
     first = full_rank_views(g, d, t, trials, seed, p)[0]
     leaves = list(itertools.combinations(range(g.edge_count), t - 1))
     under_dependent = sum(not independent_in(first, s[:-1], p) for s in leaves)
     assert under_dependent > 0
-    counts = count_basis_calls(monkeypatch)
-    rep = is_t_redundantly_rigid(g, d, t, trials, seed, p)
-    assert rep == (True, "certain", None, len(leaves))
-    assert counts["in_span"] == len(leaves) - under_dependent
+    assert is_t_redundantly_rigid(g, d, t, trials, seed, p) == (True, "certain", None, len(leaves))
+    assert walk_work(monkeypatch, g, d, t, trials, seed, p)["leaf_tests"] == len(leaves) - under_dependent
 
 
 # -- cover bound -------------------------------------------------------------
