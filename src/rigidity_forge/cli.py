@@ -1,8 +1,8 @@
 """Command-line front end with canonical JSON output.
 
-Every invocation prints one JSON object (generators default to raw
-edge-list text so they can be piped back in).  Reruns with the same seed
-are byte-identical except for the runtime_ms field.  Exit codes: 0 for
+A generator (gen-*) prints its graph as edge-list text, so it can be piped
+back in; every other command prints one JSON object.  Reruns with the same
+seed are byte-identical except for the runtime_ms field.  Exit codes: 0 for
 success, 1 for a failed check-* assertion, 2 for usage or input errors.
 """
 
@@ -34,24 +34,20 @@ from .modlinalg import DEFAULT_PRIME, MASK64, is_prime, make_rng
 SCHEMA = "rigidity-forge/1"
 
 
-class CliError(ValueError):
-    pass
-
-
 def _check_settings(args: SimpleNamespace) -> None:
     """Refuse shared settings that no command can run with."""
     if args.dim < 1:
-        raise CliError("dimension must be at least 1")
+        raise ValueError("dimension must be at least 1")
     if args.trials < 1:
-        raise CliError("trials must be at least 1")
+        raise ValueError("trials must be at least 1")
     if args.prime <= (1 << 32):
-        raise CliError("modulus must exceed 2^32 for negligible failure odds")
+        raise ValueError("modulus must exceed 2^32 for negligible failure odds")
     if args.prime >= (1 << 64):
-        raise CliError("modulus must be below 2^64, where the primality test is exact")
+        raise ValueError("modulus must be below 2^64, where the primality test is exact")
     if not is_prime(args.prime):
-        raise CliError(f"modulus {args.prime} is not prime")
+        raise ValueError(f"modulus {args.prime} is not prime")
     if not (0 <= args.seed <= MASK64):
-        raise CliError("seed must be a 64-bit unsigned integer")
+        raise ValueError("seed must be a 64-bit unsigned integer")
 
 
 def jsonable(obj):
@@ -77,14 +73,14 @@ def _read_input(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise CliError(f"cannot read input: {exc}") from None
+        raise ValueError(f"cannot read input: {exc}") from None
 
 
 def _csv_ints(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
-        raise CliError(f"expected comma-separated integers, got {text!r}") from None
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _gpi(g: Graph, args: SimpleNamespace) -> dict:
@@ -111,7 +107,7 @@ def _clique_system(text: str, dim: int):
             raise TypeError("n, d and set members must be integers")
         return rf.CliqueSystem(n, d, sets)
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise CliError(f"bad clique-system JSON: {exc}") from None
+        raise ValueError(f"bad clique-system JSON: {exc}") from None
 
 
 class Command(NamedTuple):
@@ -119,10 +115,12 @@ class Command(NamedTuple):
 
     help: str
     #: run(input, args): the input is a parsed Graph, the raw text or None,
-    #: as `reads` says.  Runners look library names up on the package (`rf`)
-    #: at call time, which imports a name's module on first access, so a process
-    #: loads only its command's modules and a patched module attribute (a
-    #: tracer, a test double) is the one called.
+    #: as `reads` says.  A generator's runner returns a Graph, printed as its
+    #: edge list; any other runner's report is printed as the JSON result.
+    #: Runners look library names up on the package (`rf`) at call time, which
+    #: imports a name's module on first access, so a process loads only its
+    #: command's modules and a patched module attribute (a tracer, a test
+    #: double) is the one called.
     run: Callable
     reads: str | None = "graph"  # "graph", "text" or None
     flags: Mapping[str, dict] = MappingProxyType({})  # flag -> add_argument kwargs
@@ -194,15 +192,13 @@ COMMANDS = {
 }
 
 
-#: flag -> add_argument kwargs of the shared flags (`--input`: commands that read one)
+#: flag -> add_argument kwargs of the flags every command takes (`--input`: those that read one)
 SHARED_FLAGS = MappingProxyType({
     "--dim": {"type": int, "default": 2, "help": "dimension d (default 2)"},
     "--seed": {"type": int, "default": 0, "help": "64-bit seed (default 0)"},
     "--trials": {"type": int, "default": 2, "help": "randomized trials (default 2)"},
     "--prime": {"type": int, "default": DEFAULT_PRIME, "help": "field modulus (default 2^61-1)"},
     "--input": {"default": "-", "help": "graph file or - for stdin"},
-    "--format": {"dest": "fmt", "choices": ("json", "text"), "default": None,
-                 "help": "output format (generators default to text, the rest to json)"},
 })
 
 
@@ -234,10 +230,7 @@ def parse_direct(argv: list[str]) -> SimpleNamespace | None:
     if not argv or argv[0] not in COMMANDS:
         return None
     specs = COMMANDS[argv[0]].all_flags
-    dest = {flag: spec.get("dest", flag[2:].replace("-", "_")) for flag, spec in specs.items()}
-    values = {"command": argv[0]}
-    for flag, spec in specs.items():
-        values[dest[flag]] = spec.get("default")
+    values = {"command": argv[0]} | {flag[2:]: spec.get("default") for flag, spec in specs.items()}
     tokens = iter(argv[1:])
     for flag in tokens:
         spec = specs.get(flag)
@@ -252,10 +245,8 @@ def parse_direct(argv: list[str]) -> SimpleNamespace | None:
                 value = spec["type"](value)
             except ValueError:
                 return None
-        if "choices" in spec and value not in spec["choices"]:
-            return None
-        values[dest[flag]] = value
-    if any(spec.get("required") and values[dest[flag]] is None for flag, spec in specs.items()):
+        values[flag[2:]] = value
+    if any(spec.get("required") and values[flag[2:]] is None for flag, spec in specs.items()):
         return None
     return SimpleNamespace(**values)
 
@@ -269,22 +260,6 @@ def _load(cmd: Command, args: SimpleNamespace) -> tuple[Graph | str | None, str 
         g = parse_graph(text)
         return g, sha256(g.to_edge_list().encode()).hexdigest()[:16]
     return text, sha256(text.encode()).hexdigest()[:16]
-
-
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
-        return
-    result = payload.get("result")
-    if isinstance(result, dict) and "edge_list" in result:
-        sys.stdout.write(result["edge_list"])
-        return
-    for key in ("command", "result", "confidence", "seed"):
-        if key in payload:
-            value = payload[key]
-            if isinstance(value, (dict, list)):
-                value = json.dumps(value, sort_keys=True)
-            print(f"{key}: {value}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -301,9 +276,9 @@ def main(argv: list[str] | None = None) -> int:
         started = time.perf_counter()
         source, digest = _load(cmd, args)
         report = cmd.run(source, args)
-        generator = isinstance(report, Graph)  # printed as edge-list text by default
-        if generator:
-            report = {"n": report.n, "m": report.edge_count, "edge_list": report.to_edge_list()}
+        if isinstance(report, Graph):  # a generator
+            sys.stdout.write(report.to_edge_list())
+            return 0
         result = jsonable(report)
         # a randomized report carries its own tag; an exact command's answer is certain
         confidence = result.pop("confidence", "certain") if isinstance(result, dict) else "certain"
@@ -324,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
             "seed": args.seed,
             "runtime_ms": runtime_ms,
         }
-        _emit(payload, args.fmt or ("text" if generator else "json"))
+        print(json.dumps(payload, sort_keys=True))
         return code
     # deep inputs overflow the recursion limit and infinite JSON numbers
     # overflow int(): both are input errors, not failed checks

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import rigidity_forge
 from rigidity_forge import cli, combinatorics, experiments, rigidity
 from rigidity_forge.cli import COMMANDS, build_parser, main, parse_direct
-from rigidity_forge.constructions import lovasz_yemini_family, sharpness_example
+from rigidity_forge.constructions import harary_graph, lovasz_yemini_family, sharpness_example
 from rigidity_forge.graph_core import (
     GRAPH6_BYTES,
     MAX_EDGES,
@@ -77,11 +77,6 @@ def test_rigid_command(capsys, k4_file):
     assert isinstance(payload["runtime_ms"], int)
 
 
-def test_text_format_from_flag(capsys, k4_file):
-    expected = "command: rank\nresult: 5\nconfidence: certain\nseed: 0\n"
-    assert run_cli(capsys, "rank", "--format", "text", "--input", k4_file) == (0, expected)
-
-
 def test_rigid_false_still_exits_zero(capsys, c4_file):
     code, payload = run_json(capsys, "rigid", "--input", c4_file)
     assert code == 0 and payload["result"] is False
@@ -105,21 +100,28 @@ def test_generator_pipes_back_into_parser(capsys, tmp_path):
 
 
 def test_generators_round_trip(capsys):
-    for argv, n in [
-        (("gen-sharpness", "--dim", "2"), 12),
-        (("gen-harary", "--k", "5", "--s", "8"), 8),
+    for argv, expected in [
+        (("gen-ly", "--dim", "2", "--s", "8"), lovasz_yemini_family(2, 8)),
+        (("gen-sharpness", "--dim", "2"), sharpness_example(2)),
+        (("gen-harary", "--k", "5", "--s", "8"), harary_graph(5, 8)),
     ]:
         code, out = run_cli(capsys, *argv)
-        assert code == 0
+        assert (code, out) == (0, expected.to_edge_list())
         g = parse_graph(out)
-        assert g.n == n
+        assert g.n == expected.n
         assert parse_graph(g.to_edge_list()) == g
 
 
-def test_generator_json_format(capsys):
-    code, payload = run_json(capsys, "gen-harary", "--k", "2", "--s", "5", "--format", "json")
-    assert code == 0
-    assert payload["result"]["n"] == 5 and payload["result"]["m"] == 5
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv", [["rank"], ["gen-harary", "--k", "2", "--s", "5"]],
+                         ids=["rank", "gen-harary"])
+def test_format_flag_is_a_usage_error(capsys, argv, fmt):
+    # each command has one output form: no flag chooses another
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", fmt])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "schema": "rigidity-forge/1", "error": f"unrecognized arguments: --format {fmt}"}
 
 
 def test_connectivity_and_rank_and_grn(capsys, k4_file):
@@ -367,14 +369,6 @@ def test_theorem9_above_dimension_two_names_the_subset_count(capsys, monkeypatch
 def test_settings_and_orderings_no_command_can_run_exit_two(capsys, k4_file, argv, message):
     code, payload = run_json(capsys, *argv, "--input", k4_file)
     assert (code, payload["error"]) == (2, message)
-
-
-def test_text_format_prints_a_dict_result_as_one_json_line(capsys, k4_file):
-    code, out = run_cli(capsys, "redundant", "--t", "2", "--format", "text", "--input", k4_file)
-    assert code == 0
-    assert out == ('command: redundant\n'
-                   'result: {"subsets_checked": 6, "value": true, "witness": null}\n'
-                   'confidence: certain\nseed: 0\n')
 
 
 def usage_error(capsys, *argv) -> str:
@@ -729,7 +723,7 @@ def well_formed_argvs(rng, count):
     and some optional ones, in random order, a few given twice."""
     samples = {"--dim": ["1", "2", "3"], "--seed": ["0", "7", str(2**64 - 1)],
                "--trials": ["1", "3"], "--prime": [str(2**61 - 1)],
-               "--input": ["g.txt", "", "a b", "-"], "--format": ["json", "text"]}
+               "--input": ["g.txt", "", "a b", "-"]}
     for name in list(COMMANDS) * count:
         specs = COMMANDS[name].all_flags
         flags = [f for f, spec in specs.items() if spec.get("required") or rng.random() < 0.5]
@@ -786,9 +780,9 @@ def test_readme_cli_section_names_only_real_flags():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
-    real = {"--help"}.union(*(cmd.all_flags for cmd in COMMANDS.values()))
-    assert "--dim" in named and "--ordering" in named
-    assert sorted(named - real) == []
+    real = set().union(*(cmd.all_flags for cmd in COMMANDS.values()))
+    assert sorted(named - real - {"--help"}) == []
+    assert sorted(real - named) == []
 
 
 def test_input_digest_is_the_sha256_prefix(capsys, k4_file):
