@@ -29,23 +29,17 @@ except ImportError:
 import rigidity_forge as rf
 
 from .graph_core import Graph, parse_graph
-from .modlinalg import DEFAULT_PRIME, MASK64, is_prime, make_rng
+from .modlinalg import DEFAULT_PRIME, MASK64, make_rng
 
 SCHEMA = "rigidity-forge/1"
+#: placements per randomized verdict, each over Z_p at p = DEFAULT_PRIME
+TRIALS = 2
 
 
 def _check_settings(args: SimpleNamespace) -> None:
     """Refuse shared settings that no command can run with."""
     if args.dim < 1:
         raise ValueError("dimension must be at least 1")
-    if args.trials < 1:
-        raise ValueError("trials must be at least 1")
-    if args.prime <= (1 << 32):
-        raise ValueError("modulus must exceed 2^32 for negligible failure odds")
-    if args.prime >= (1 << 64):
-        raise ValueError("modulus must be below 2^64, where the primality test is exact")
-    if not is_prime(args.prime):
-        raise ValueError(f"modulus {args.prime} is not prime")
     if not (0 <= args.seed <= MASK64):
         raise ValueError("seed must be a 64-bit unsigned integer")
 
@@ -57,8 +51,6 @@ def jsonable(obj):
     # a Fraction, recognised by duck type so that the CLI need not import `fractions`
     if hasattr(obj, "denominator") and not isinstance(obj, int):
         return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(obj.numerator)
-    if isinstance(obj, Graph):
-        return {"n": obj.n, "m": obj.edge_count, "edges": [list(e) for e in obj.sorted_edges()]}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -139,16 +131,16 @@ _PAIR = {"--u": _INT, "--v": _INT}
 
 COMMANDS = {
     "rank": Command("generic rigidity matroid rank",
-        lambda g, a: rf.generic_rank(g, a.dim, a.trials, a.seed, a.prime), pick="rank"),
+        lambda g, a: rf.generic_rank(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME), pick="rank"),
     "rigid": Command("generic rigidity verdict",
-        lambda g, a: rf.is_rigid(g, a.dim, a.trials, a.seed, a.prime), pick="value"),
+        lambda g, a: rf.is_rigid(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME), pick="value"),
     "globally-rigid": Command("generic global rigidity verdict",
-        lambda g, a: rf.is_globally_rigid(g, a.dim, a.trials, a.seed, a.prime), pick="value"),
+        lambda g, a: rf.is_globally_rigid(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME), pick="value"),
     "linked": Command("is the pair {u,v} linked",
-        lambda g, a: rf.is_linked(g, a.dim, a.u, a.v, a.trials, a.seed, a.prime),
+        lambda g, a: rf.is_linked(g, a.dim, a.u, a.v, TRIALS, a.seed, DEFAULT_PRIME),
         flags=_PAIR, pick="value"),
     "redundant": Command("t-redundant rigidity verdict",
-        lambda g, a: rf.is_t_redundantly_rigid(g, a.dim, a.t, a.trials, a.seed, a.prime),
+        lambda g, a: rf.is_t_redundantly_rigid(g, a.dim, a.t, TRIALS, a.seed, DEFAULT_PRIME),
         flags={"--t": _INT}),
     "connectivity": Command("exact vertex connectivity", lambda g, a: rf.vertex_connectivity(g)),
     "gpi": Command("build the ordered subgraph", _gpi, flags={"--ordering": {
@@ -172,21 +164,21 @@ COMMANDS = {
     "grn-bound": Command("lower bound on the best nontrivial globally rigid dimension",
         lambda g, a: rf.grn_lower_bound(g.n, g.edge_count)),
     "check-theorem1": Command("assert: d(d+1)-connected implies rigid",
-        lambda g, a: rf.theorem1_spot_check(g, a.dim, a.trials, a.seed, a.prime), check="passed"),
+        lambda g, a: rf.theorem1_spot_check(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME), check="passed"),
     "check-theorem2": Command("assert: d(d+1)-connected implies globally rigid",
-        lambda g, a: rf.theorem2_spot_check(g, a.dim, a.trials, a.seed, a.prime), check="passed"),
+        lambda g, a: rf.theorem2_spot_check(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME), check="passed"),
     "check-theorem9": Command("assert the sharp redundancy constants",
-        lambda _, a: rf.theorem9_check(a.dim, a.trials, a.seed, a.prime), reads=None, check="passed"),
+        lambda _, a: rf.theorem9_check(a.dim, TRIALS, a.seed, DEFAULT_PRIME), reads=None, check="passed"),
     "check-theorem10": Command("assert the m_{d,k} rank lower bound",
-        lambda g, a: rf.theorem10_check(g, a.dim, a.trials, a.seed, a.prime), check="passed"),
+        lambda g, a: rf.theorem10_check(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME), check="passed"),
     "check-lemma6": Command("assert ordered subgraphs are independent when no non-edge is linked",
-        lambda g, a: rf.lemma6_property_check(g, a.dim, a.orderings, a.trials, a.seed, a.prime),
-        flags={"--orderings": {"type": int, "default": 20}}, check="passed"),
+        lambda g, a: rf.lemma6_property_check(g, a.dim, trials=TRIALS, seed=a.seed, p=DEFAULT_PRIME),
+        check="passed"),
     "check-lemma7-hyp": Command("check the expected-size lemma hypotheses",
         lambda g, a: rf.check_lemma7_hypotheses(g, a.dim), check="all_ok"),
     "wgl": Command("sufficient condition for weak global linkedness",
         lambda g, a: rf.wgl_sufficient(
-            g, a.dim, a.u, a.v, _csv_ints(a.v0), a.trials, a.seed, a.prime),
+            g, a.dim, a.u, a.v, _csv_ints(a.v0), TRIALS, a.seed, DEFAULT_PRIME),
         flags=_PAIR | {"--v0": {
             "required": True, "help": "comma-separated vertex set containing u and v"}}, pick="value"),
 }
@@ -196,8 +188,6 @@ COMMANDS = {
 SHARED_FLAGS = MappingProxyType({
     "--dim": {"type": int, "default": 2, "help": "dimension d (default 2)"},
     "--seed": {"type": int, "default": 0, "help": "64-bit seed (default 0)"},
-    "--trials": {"type": int, "default": 2, "help": "randomized trials (default 2)"},
-    "--prime": {"type": int, "default": DEFAULT_PRIME, "help": "field modulus (default 2^61-1)"},
     "--input": {"default": "-", "help": "graph file or - for stdin"},
 })
 
@@ -293,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
             "schema": SCHEMA,
             "command": args.command,
             "input_digest": digest,
-            "params": {"dim": args.dim, "trials": args.trials, "prime": args.prime},
+            "params": {"dim": args.dim, "trials": TRIALS, "prime": DEFAULT_PRIME},
             "result": result,
             "confidence": confidence,
             "seed": args.seed,

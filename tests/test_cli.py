@@ -124,6 +124,19 @@ def test_format_flag_is_a_usage_error(capsys, argv, fmt):
         "schema": "rigidity-forge/1", "error": f"unrecognized arguments: --format {fmt}"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["rank", "--trials", "3"], ["rank", "--prime", str(2**61 - 1)], ["check-lemma6", "--orderings", "20"],
+], ids=["trials", "prime", "orderings"])
+def test_fixed_settings_are_no_flags(capsys, k4_file, argv):
+    # every randomized command runs cli.TRIALS placements over DEFAULT_PRIME,
+    # and lemma 6 the library's orderings: no flag sets them
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--input", k4_file])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "schema": "rigidity-forge/1", "error": f"unrecognized arguments: {' '.join(argv[1:])}"}
+
+
 def test_connectivity_and_rank_and_grn(capsys, k4_file):
     assert run_json(capsys, "connectivity", "--input", k4_file)[1]["result"] == 3
     assert run_json(capsys, "rank", "--input", k4_file)[1]["result"] == 5
@@ -211,7 +224,7 @@ def test_check_commands_exit_codes(capsys, k4_file, tmp_path):
     code, payload = run_json(capsys, "check-theorem2", "--input", str(path2))
     assert code == 0 and payload["result"]["passed"] is True
 
-    code, payload = run_json(capsys, "check-lemma6", "--orderings", "5", "--input", k4_file)
+    code, payload = run_json(capsys, "check-lemma6", "--input", k4_file)
     assert code == 0 and payload["result"]["passed"] is True
 
 
@@ -230,21 +243,16 @@ def test_check_lemma6_fails_on_a_dependent_ordering(capsys, c4_file, monkeypatch
     assert rep == ("checked", None, 3, False, "whp") and rep.passed is False
     assert len(orderings) == 3
     orderings.clear()
-    code, payload = run_json(capsys, "check-lemma6", "--orderings", "5", "--input", c4_file)
+    code, payload = run_json(capsys, "check-lemma6", "--input", c4_file)
     assert code == 1 and payload["result"]["passed"] is False
 
 
 def test_a_randomized_command_runs_miller_rabin_once(capsys, c4_file):
-    # the flag check and every placement stream ask about the one modulus
+    # every placement stream asks about the one modulus; the test runs once
     with miller_rabin_runs() as runs:
         code, payload = run_json(capsys, "globally-rigid", "--input", c4_file)
     assert code == 0 and payload["result"] is False
     assert runs == [rigidity.DEFAULT_PRIME]
-
-
-def test_a_composite_modulus_above_2_32_is_refused(capsys, k4_file):
-    code, payload = run_json(capsys, "rank", "--prime", "1000036000099", "--input", k4_file)
-    assert code == 2 and payload["error"] == "modulus 1000036000099 is not prime"
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -271,26 +279,23 @@ def _forbid(monkeypatch, module, name):
     monkeypatch.setattr(module, name, forbidden)
 
 
-def test_too_many_trials_are_refused_before_any_placement(capsys, monkeypatch, tmp_path):
+def test_too_many_trials_are_refused_before_any_placement(monkeypatch):
     # two disjoint copies of K_{3,3} plus an edge rank 18, below |E| = 20 and
     # the cap 21, with no clique cover: no trial stops early, so 10^9 would take days
     k33 = [(u, v) for u in range(3) for v in range(3, 6)] + [(0, 1)]
-    path = tmp_path / "g.txt"
-    path.write_text(Graph(12, k33 + [(u + 6, v + 6) for u, v in k33]).to_edge_list())
+    g = Graph(12, k33 + [(u + 6, v + 6) for u, v in k33])
     _forbid(monkeypatch, rigidity, "make_rng")
     _forbid(monkeypatch, rigidity, "iter_maximal_cliques")  # edge 01 has 3 common neighbours
-    code, payload = run_json(capsys, "rank", "--trials", "1000000000", "--input", str(path))
-    assert code == 2
-    assert payload["error"] == f"1000000000 trials exceed the limit of {rigidity.MAX_TRIALS}"
+    message = f"1000000000 trials exceed the limit of {rigidity.MAX_TRIALS}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rigidity.generic_rank(g, 2, trials=10**9)
 
 
-def test_too_many_orderings_are_refused_before_the_hypothesis_scan(capsys, monkeypatch, tmp_path):
-    path = tmp_path / "c20.txt"
-    path.write_text(cycle_graph(20).to_edge_list())
+def test_too_many_orderings_are_refused_before_the_hypothesis_scan(monkeypatch):
     _forbid(monkeypatch, experiments, "linked_pairs")
-    code, payload = run_json(capsys, "check-lemma6", "--orderings", "1000000000", "--input", str(path))
-    assert code == 2
-    assert payload["error"] == f"1000000000 orderings exceed the limit of {experiments.MAX_ORDERINGS}"
+    message = f"1000000000 orderings exceed the limit of {experiments.MAX_ORDERINGS}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        experiments.lemma6_property_check(cycle_graph(20), 2, 10**9)
 
 
 def test_a_redundancy_scan_over_the_budget_is_refused_before_any_placement(capsys, monkeypatch, tmp_path):
@@ -302,12 +307,6 @@ def test_a_redundancy_scan_over_the_budget_is_refused_before_any_placement(capsy
     assert payload["error"] == f"{comb(120, 5)} edge subsets exceed the budget of {rigidity.REDUNDANCY_BUDGET}"
     # theorem 9's plane scan and the benchmark's scans stay inside it
     assert max(comb(36, 2), comb(36, 3)) <= rigidity.REDUNDANCY_BUDGET < comb(120, 5)
-
-
-@pytest.mark.parametrize("orderings", ["0", "-3"])
-def test_check_lemma6_refuses_fewer_than_one_ordering(capsys, c4_file, orderings):
-    code, payload = run_json(capsys, "check-lemma6", "--orderings", orderings, "--input", c4_file)
-    assert code == 2 and payload["error"] == "orderings must be at least 1"
 
 
 @pytest.mark.parametrize("text", ["4 3\n0 1\n1 2\n2 3\n", K4_TEXT], ids=["P4", "K4"])
@@ -336,9 +335,6 @@ def test_usage_errors_exit_two(capsys, tmp_path, monkeypatch):
     code, payload = run_json(capsys, "mdk", "--k", "99")
     assert code == 2 and "error" in payload
 
-    code, payload = run_json(capsys, "rank", "--prime", "1000", "--input", str(bad))
-    assert code == 2
-
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
@@ -362,10 +358,9 @@ def test_theorem9_above_dimension_two_names_the_subset_count(capsys, monkeypatch
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("rank", "--trials", "0"), "trials must be at least 1"),
     (("rank", "--dim", "0"), "dimension must be at least 1"),
     (("gpi", "--ordering", "0,1,x"), "expected comma-separated integers, got '0,1,x'"),
-], ids=["trials 0", "dim 0", "ordering 0,1,x"])
+], ids=["dim 0", "ordering 0,1,x"])
 def test_settings_and_orderings_no_command_can_run_exit_two(capsys, k4_file, argv, message):
     code, payload = run_json(capsys, *argv, "--input", k4_file)
     assert (code, payload["error"]) == (2, message)
@@ -434,12 +429,6 @@ def test_recursion_limit_exits_two(capsys, k4_file, monkeypatch):
 
 def test_field_errors_exit_two(capsys, k4_file):
     for flags in [
-        ("--prime", str(2**61 - 3)),  # composite
-        ("--prime", "97"),  # prime, but too small for negligible failure odds
-        # 399165290221 * 798330580441: a strong pseudoprime to every base of
-        # is_prime, which is exact only below 2^64
-        ("--prime", "318665857834031151167461"),
-        ("--prime", str(2**89 - 1)),  # a prime above 2^64
         ("--seed", "-1"),
         ("--seed", str(2**64)),
     ]:
@@ -585,7 +574,7 @@ def test_cli_command_loads_only_its_modules():
 @pytest.mark.parametrize("argv, expected_code", [
     (["rank"], 0),
     (["check-lemma7-hyp"], 1),
-    (["rank", "--prime", str(2**61 - 3)], 2),  # composite
+    (["rank", "--seed", str(2**64)], 2),  # a setting main refuses
     (["rank", "--bogus"], 2),  # argparse usage error
 ])
 def test_process_entry_point_prints_what_main_prints(capsys, k4_file, argv, expected_code):
@@ -722,7 +711,6 @@ def well_formed_argvs(rng, count):
     """`<command> --flag value ...` argvs of every command: each required flag
     and some optional ones, in random order, a few given twice."""
     samples = {"--dim": ["1", "2", "3"], "--seed": ["0", "7", str(2**64 - 1)],
-               "--trials": ["1", "3"], "--prime": [str(2**61 - 1)],
                "--input": ["g.txt", "", "a b", "-"]}
     for name in list(COMMANDS) * count:
         specs = COMMANDS[name].all_flags

@@ -237,9 +237,16 @@ def test_generic_rank_is_seed_reproducible():
     assert generic_rank(g, 2, seed=42) == generic_rank(g, 2, seed=42)
 
 
+def test_fewer_than_one_trial_is_refused_before_any_placement(monkeypatch):
+    def forbidden(seed):
+        raise AssertionError("placement stream seeded")
+
+    monkeypatch.setattr(rigidity, "make_rng", forbidden)
+    with pytest.raises(ValueError, match="^need at least one trial$"):
+        generic_rank(complete_graph(4), 2, trials=0)
+
+
 def test_generic_rank_rejects_bad_params():
-    with pytest.raises(ValueError):
-        generic_rank(complete_graph(3), 2, trials=0)
     with pytest.raises(ValueError):
         generic_rank(complete_graph(3), 0)
 
