@@ -37,7 +37,7 @@ TRIALS = 2
 
 
 def _check_settings(args: SimpleNamespace) -> None:
-    """Refuse shared settings that no command can run with."""
+    """Refuse a dimension or seed that no command can run with."""
     if args.dim < 1:
         raise ValueError("dimension must be at least 1")
     if not (0 <= args.seed <= MASK64):
@@ -122,74 +122,75 @@ class Command(NamedTuple):
     @property
     def all_flags(self) -> dict[str, dict]:
         """flag -> add_argument kwargs of every flag the command takes, in help order."""
-        flags = SHARED_FLAGS | self.flags
-        return {f: spec for f, spec in flags.items() if self.reads or f != "--input"}
+        return self.flags | (_INPUT if self.reads else {})
 
 
+_DIM = {"--dim": {"type": int, "default": 2, "help": "dimension d (default 2)"}}
+_DRAWS = _DIM | {"--seed": {"type": int, "default": 0, "help": "64-bit seed (default 0)"}}
+_INPUT = {"--input": {"default": "-", "help": "graph file or - for stdin"}}
+#: dim and seed in every command's namespace: at their defaults where the command takes no such flag
+DEFAULTS = MappingProxyType({flag[2:]: spec["default"] for flag, spec in _DRAWS.items()})
 _INT = {"type": int, "required": True}
 _PAIR = {"--u": _INT, "--v": _INT}
 
 COMMANDS = {
     "rank": Command("generic rigidity matroid rank",
-        lambda g, a: rf.generic_rank(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME), pick="rank"),
+        lambda g, a: rf.generic_rank(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME), flags=_DRAWS, pick="rank"),
     "rigid": Command("generic rigidity verdict",
-        lambda g, a: rf.is_rigid(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME), pick="value"),
+        lambda g, a: rf.is_rigid(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME), flags=_DRAWS, pick="value"),
     "globally-rigid": Command("generic global rigidity verdict",
-        lambda g, a: rf.is_globally_rigid(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME), pick="value"),
+        lambda g, a: rf.is_globally_rigid(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME),
+        flags=_DRAWS, pick="value"),
     "linked": Command("is the pair {u,v} linked",
         lambda g, a: rf.is_linked(g, a.dim, a.u, a.v, TRIALS, a.seed, DEFAULT_PRIME),
-        flags=_PAIR, pick="value"),
+        flags=_DRAWS | _PAIR, pick="value"),
     "redundant": Command("t-redundant rigidity verdict",
         lambda g, a: rf.is_t_redundantly_rigid(g, a.dim, a.t, TRIALS, a.seed, DEFAULT_PRIME),
-        flags={"--t": _INT}),
+        flags=_DRAWS | {"--t": _INT}),
     "connectivity": Command("exact vertex connectivity", lambda g, a: rf.vertex_connectivity(g)),
-    "gpi": Command("build the ordered subgraph", _gpi, flags={"--ordering": {
+    "gpi": Command("build the ordered subgraph", _gpi, flags=_DRAWS | {"--ordering": {
         "default": None, "help": "comma-separated permutation; default seeded shuffle"}}),
     "expected-gpi": Command("exact expected ordered-subgraph size",
-        lambda g, a: rf.exact_expected_gpi_edges(g, a.dim)),
+        lambda g, a: rf.exact_expected_gpi_edges(g, a.dim), flags=_DIM),
     "gen-ly": Command("generate the split-clique non-rigid family",
         lambda _, a: rf.lovasz_yemini_family(a.dim, a.s),
-        reads=None, flags={"--s": _INT | {"help": "base graph size"}}),
+        reads=None, flags=_DIM | {"--s": _INT | {"help": "base graph size"}}),
     "gen-sharpness": Command("generate the matched-cliques redundancy example",
-        lambda _, a: rf.sharpness_example(a.dim), reads=None),
+        lambda _, a: rf.sharpness_example(a.dim), reads=None, flags=_DIM),
     "gen-harary": Command("generate the k-connected k-regular circulant",
         lambda _, a: rf.harary_graph(a.k, a.s),
         reads=None, flags={"--k": _INT, "--s": _INT}),
     "comblemma": Command("verify the covered-subset bound on a clique system (JSON input)",
         lambda text, a: rf.verify_comblemma(_clique_system(text, a.dim), a.m),
-        reads="text", flags={"--m": _INT}),
+        reads="text", flags=_DIM | {"--m": _INT}),
     "mdk": Command("sharp rank density m_{d,k}",
         lambda _, a: rf.m_dk(a.dim, a.k),
-        reads=None, flags={"--k": _INT}),
+        reads=None, flags=_DIM | {"--k": _INT}),
     "grn-bound": Command("lower bound on the best nontrivial globally rigid dimension",
         lambda g, a: rf.grn_lower_bound(g.n, g.edge_count)),
     "check-theorem1": Command("assert: d(d+1)-connected implies rigid",
-        lambda g, a: rf.theorem1_spot_check(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME), check="passed"),
+        lambda g, a: rf.theorem1_spot_check(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME),
+        flags=_DRAWS, check="passed"),
     "check-theorem2": Command("assert: d(d+1)-connected implies globally rigid",
-        lambda g, a: rf.theorem2_spot_check(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME), check="passed"),
+        lambda g, a: rf.theorem2_spot_check(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME),
+        flags=_DRAWS, check="passed"),
     "check-theorem9": Command("assert the sharp redundancy constants",
-        lambda _, a: rf.theorem9_check(a.dim, TRIALS, a.seed, DEFAULT_PRIME), reads=None, check="passed"),
+        lambda _, a: rf.theorem9_check(a.dim, TRIALS, a.seed, DEFAULT_PRIME),
+        reads=None, flags=_DRAWS, check="passed"),
     "check-theorem10": Command("assert the m_{d,k} rank lower bound",
-        lambda g, a: rf.theorem10_check(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME), check="passed"),
+        lambda g, a: rf.theorem10_check(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME),
+        flags=_DRAWS, check="passed"),
     "check-lemma6": Command("assert ordered subgraphs are independent when no non-edge is linked",
         lambda g, a: rf.lemma6_property_check(g, a.dim, trials=TRIALS, seed=a.seed, p=DEFAULT_PRIME),
-        check="passed"),
+        flags=_DRAWS, check="passed"),
     "check-lemma7-hyp": Command("check the expected-size lemma hypotheses",
-        lambda g, a: rf.check_lemma7_hypotheses(g, a.dim), check="all_ok"),
+        lambda g, a: rf.check_lemma7_hypotheses(g, a.dim), flags=_DIM, check="all_ok"),
     "wgl": Command("sufficient condition for weak global linkedness",
         lambda g, a: rf.wgl_sufficient(
             g, a.dim, a.u, a.v, _csv_ints(a.v0), TRIALS, a.seed, DEFAULT_PRIME),
-        flags=_PAIR | {"--v0": {
+        flags=_DRAWS | _PAIR | {"--v0": {
             "required": True, "help": "comma-separated vertex set containing u and v"}}, pick="value"),
 }
-
-
-#: flag -> add_argument kwargs of the flags every command takes (`--input`: those that read one)
-SHARED_FLAGS = MappingProxyType({
-    "--dim": {"type": int, "default": 2, "help": "dimension d (default 2)"},
-    "--seed": {"type": int, "default": 0, "help": "64-bit seed (default 0)"},
-    "--input": {"default": "-", "help": "graph file or - for stdin"},
-})
 
 
 def build_parser(names=COMMANDS):
@@ -207,6 +208,7 @@ def build_parser(names=COMMANDS):
     sub = parser.add_subparsers(dest="command", required=True)
     for name in names:
         p = sub.add_parser(name, help=COMMANDS[name].help)
+        p.set_defaults(**DEFAULTS)
         for flag, spec in COMMANDS[name].all_flags.items():
             p.add_argument(flag, **spec)
     return parser
@@ -220,7 +222,7 @@ def parse_direct(argv: list[str]) -> SimpleNamespace | None:
     if not argv or argv[0] not in COMMANDS:
         return None
     specs = COMMANDS[argv[0]].all_flags
-    values = {"command": argv[0]} | {flag[2:]: spec.get("default") for flag, spec in specs.items()}
+    values = dict(DEFAULTS, command=argv[0]) | {flag[2:]: spec.get("default") for flag, spec in specs.items()}
     tokens = iter(argv[1:])
     for flag in tokens:
         spec = specs.get(flag)

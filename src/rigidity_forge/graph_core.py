@@ -6,7 +6,6 @@ construction, so every query here is safe to share across threads.
 
 from __future__ import annotations
 
-import re
 import warnings
 from collections.abc import Iterable, Iterator
 from itertools import combinations
@@ -166,10 +165,17 @@ def parse_edge_list(text: str) -> Graph:
     raises ``GraphParseError`` naming its line; dropped duplicates and a
     header count other than the final one are only warnings.
     """
-    # one line and its break at a time, breaking where str.splitlines breaks;
-    # every break is whitespace to str.split
-    found = re.finditer("[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*(?:\r\n|.)?", text, re.S)
-    lines = ((no, m.group().split()) for no, m in enumerate(found, start=1))
+    def pieces() -> Iterator[str]:
+        # lines as str.splitlines breaks them, from windows ending at a "\n" where they hold one
+        start, carry = 0, ""  # carry: the last line of a window cut short of a "\n", read again
+        while start < len(text):  # a window is widened past a long line; a refused header costs one
+            stop = text.rfind("\n", start, end := start + max(1 << 14, 2 * len(carry))) + 1 or end
+            split = (carry + text[start:stop]).splitlines(True)  # a break is whitespace to str.split
+            carry = split.pop() if stop < len(text) and text[stop - 1] != "\n" else ""
+            yield from split
+            start = stop
+
+    lines = ((no, line.split()) for no, line in enumerate(pieces(), start=1))
     no, parts = next(((no, parts) for no, parts in lines if parts), (1, []))
     if not parts:
         raise GraphParseError("line 1: empty input")

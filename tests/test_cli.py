@@ -12,6 +12,7 @@ import sys
 import warnings
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -456,6 +457,53 @@ def test_no_input_argvs_name_every_command_that_reads_nothing():
         name for name, cmd in COMMANDS.items() if cmd.reads is None}
 
 
+#: the required flags of each command that has some, at values valid on K4
+REQUIRED_FLAGS = {
+    "linked": ["--u", "0", "--v", "2"], "redundant": ["--t", "2"], "gen-ly": ["--s", "8"],
+    "gen-harary": ["--k", "3", "--s", "6"], "comblemma": ["--m", "3"], "mdk": ["--k", "3"],
+    "wgl": ["--u", "0", "--v", "2", "--v0", "0,1,2,3"],
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_a_command_takes_exactly_the_flags_its_runner_reads(name):
+    # a flag the runner never read would be accepted and silently ignored, and a
+    # setting it read without taking its flag would be fixed at the namespace default
+    cmd, read = COMMANDS[name], set()
+
+    class RecordingArgs(SimpleNamespace):
+        def __getattribute__(self, attr):
+            read.add(attr)
+            return super().__getattribute__(attr)
+
+    args = RecordingArgs(**vars(parse_direct([name, *REQUIRED_FLAGS.get(name, [])])))
+    source = {"graph": parse_graph(K4_TEXT), "text": '{"n": 6, "d": 2, "sets": [[0, 1, 2]]}', None: None}
+    cmd.run(source[cmd.reads], args)
+    assert read == {flag[2:] for flag in cmd.all_flags if flag != "--input"}
+
+
+# every (command, flag) pair of a setting the command does not read
+UNREAD_SETTINGS = [(name, "--seed") for name in (
+    "connectivity", "expected-gpi", "comblemma", "mdk", "grn-bound", "check-lemma7-hyp",
+    "gen-ly", "gen-sharpness", "gen-harary")] + [
+    (name, "--dim") for name in ("connectivity", "grn-bound", "gen-harary")]
+
+
+@pytest.mark.parametrize("name, flag", UNREAD_SETTINGS, ids=[f"{n} {f}" for n, f in UNREAD_SETTINGS])
+def test_a_setting_the_command_does_not_read_is_a_usage_error(capsys, k4_file, name, flag):
+    argv = [name, *REQUIRED_FLAGS.get(name, []), flag, "5"]
+    code, out = exit_and_output(capsys, main, argv + ["--input", k4_file] * bool(COMMANDS[name].reads))
+    assert code == 2 and json.loads(out) == {
+        "schema": "rigidity-forge/1", "error": f"unrecognized arguments: {flag} 5"}
+    assert flag not in exit_and_output(capsys, main, [name, "--help"])[1]
+
+
+def test_unread_settings_name_every_command_without_the_flag():
+    assert sorted(UNREAD_SETTINGS) == sorted(
+        (name, flag) for name, cmd in COMMANDS.items() for flag in ("--dim", "--seed")
+        if flag not in cmd.all_flags)
+
+
 def test_missing_input_file(capsys):
     code, payload = run_json(capsys, "rigid", "--input", "/nonexistent/graph.txt")
     assert code == 2 and "cannot read input" in payload["error"]
@@ -756,7 +804,7 @@ def test_argparse_forms_give_the_same_output(capsys, k4_file):
     for odd, plain in [
         (["rank", f"--input={k4_file}", "--d", "3"], ["rank", "--input", k4_file, "--dim", "3"]),
         (["mdk", "--k=3"], ["mdk", "--k", "3"]),
-        (["mdk", "--k", "3", "--seed", "-1"], ["mdk", "--k", "3", "--seed", str(2**64)]),
+        (["check-theorem9", "--dim", "2", "--seed", "-1"], ["check-theorem9", "--dim", "2", "--seed", str(2**64)]),
     ]:
         assert parse_direct(odd) is None and parse_direct(plain) is not None
         odd_code, odd_out = run_cli(capsys, *odd)
