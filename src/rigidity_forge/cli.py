@@ -181,7 +181,7 @@ COMMANDS = {
         lambda g, a: rf.theorem10_check(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME),
         flags=_DRAWS, check="passed"),
     "check-lemma6": Command("assert ordered subgraphs are independent when no non-edge is linked",
-        lambda g, a: rf.lemma6_property_check(g, a.dim, trials=TRIALS, seed=a.seed, p=DEFAULT_PRIME),
+        lambda g, a: rf.lemma6_property_check(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME),
         flags=_DRAWS, check="passed"),
     "check-lemma7-hyp": Command("check the expected-size lemma hypotheses",
         lambda g, a: rf.check_lemma7_hypotheses(g, a.dim), flags=_DIM, check="all_ok"),

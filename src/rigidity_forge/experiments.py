@@ -18,15 +18,14 @@ from .constructions import build_gpi, sharpness_example, sharpness_matching
 from .global_rigidity import is_globally_rigid
 from .graph_core import Edge, Graph, vertex_connectivity
 from .modlinalg import DEFAULT_PRIME, make_rng
-from .rigidity import (CERTAIN, WHP, Verdict, generic_rank, generic_rank_cap, is_independent, is_rigid,
+from .rigidity import (CERTAIN, WHP, Verdict, generic_rank_cap, is_independent, is_rigid,
                        is_t_redundantly_rigid, linked_pairs, settled)
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-#: The most seeded orderings one lemma 6 check builds and tests: 10,000 take
-#: 5.4 s on C_40 in-process (2-core x86-64 box, CPython 3.11).
-MAX_ORDERINGS = 10_000
+#: The seeded orderings one lemma 6 check builds and tests.
+ORDERINGS = 20
 
 
 def _weakest(tags) -> str:
@@ -154,10 +153,9 @@ def theorem10_check(
     if not 1 <= kappa < d * (d + 1) or (rigid := is_rigid(g, d, trials, seed, p)).value:
         return Theorem10Report("inapplicable", kappa, None, None, None, CERTAIN)
     bound = m_dk(d, kappa) * g.n
-    rank = rigid.rank if rigid.rank is not None else generic_rank(g, d, trials, seed, p).rank
     # the rank is a certain lower bound: a pass rests on the rigidity verdict alone
-    confidence = _weakest((rigid.confidence, settled(rank, generic_rank_cap(g.n, d), bound)))
-    return Theorem10Report("checked", kappa, rank, bound, rank >= bound, confidence)
+    confidence = _weakest((rigid.confidence, settled(rigid.rank, generic_rank_cap(g.n, d), bound)))
+    return Theorem10Report("checked", kappa, rigid.rank, bound, rigid.rank >= bound, confidence)
 
 
 class Lemma6Report(NamedTuple):
@@ -175,7 +173,6 @@ class Lemma6Report(NamedTuple):
 def lemma6_property_check(
     g: Graph,
     d: int,
-    orderings_count: int = 20,
     trials: int = 2,
     seed: int = 0,
     p: int = DEFAULT_PRIME,
@@ -185,10 +182,6 @@ def lemma6_property_check(
     the n <= 40 bound.  A linked non-edge, the first in lexicographic order,
     makes the check inapplicable; otherwise seeded ordered subgraphs are
     tested for independence.  Requires d >= 2, as the ordered subgraph does."""
-    if orderings_count < 1:
-        raise ValueError("orderings must be at least 1")
-    if orderings_count > MAX_ORDERINGS:
-        raise ValueError(f"{orderings_count} orderings exceed the limit of {MAX_ORDERINGS}")
     if g.n > 40:
         raise ValueError("hypothesis verification is limited to n <= 40")
     if d < 2:
@@ -200,7 +193,7 @@ def lemma6_property_check(
     if pair is not None:
         return Lemma6Report("inapplicable", pair[0], 0, None, pair[1].confidence)
     order = list(range(g.n))
-    for built in range(1, orderings_count + 1):
+    for built in range(1, ORDERINGS + 1):
         rng.shuffle(order)
         verdicts.append(is_independent(build_gpi(g, d, order).subgraph, d, trials, rng.getrandbits(64), p))
         if not verdicts[-1].value:

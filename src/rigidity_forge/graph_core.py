@@ -274,9 +274,7 @@ def parse_graph(text: str) -> Graph:
     (edge-list input always starts with a decimal digit).
     """
     stripped = text.lstrip()
-    if not stripped:
-        raise GraphParseError("line 1: empty input")
-    if stripped.startswith(GRAPH6_HEADER) or ord(stripped[0]) >= 63:
+    if stripped.startswith(GRAPH6_HEADER) or stripped[:1] >= "?":
         return parse_graph6(text)
     return parse_edge_list(text)
 

@@ -183,8 +183,6 @@ def _cover_first(g: Graph, d: int) -> tuple[list[Edge], int]:
             top = c[::-1]
             tree += itertools.combinations(top[: d + 1], 2)
             tree += ((w, top[i]) for i in range(d + 1, len(top)) for w in top[i - d : i])
-    if not covered:
-        return order, m
     # a clique is sorted, so each tree pair runs from the larger vertex down;
     # overlapping cliques can share tree edges: each goes in once
     fed_first = list(dict.fromkeys((v, u) for u, v in tree))
@@ -232,11 +230,12 @@ def is_rigid(
 
     For n <= d+1 the rank condition degenerates; there rigidity is defined
     as completeness (simplices and sub-simplices), so graphs on 0 or 1
-    vertices are rigid.
+    vertices are rigid.  Such a graph is independent (K_{d+1} is), so its
+    rank is |E|, exactly.
     """
     n = g.n
     if n <= d + 1:
-        return Verdict(g.is_complete(), CERTAIN)
+        return Verdict(g.is_complete(), CERTAIN, rank=g.edge_count)
     target = generic_rank_cap(n, d)
     rep = generic_rank(g, d, trials, seed, p)
     return Verdict(rep.rank == target, settled(rep.rank, rep.upper, target), rank=rep.rank)

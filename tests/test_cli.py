@@ -238,7 +238,7 @@ def test_check_lemma6_fails_on_a_dependent_ordering(capsys, c4_file, monkeypatch
         return verdict._replace(value=False, confidence="whp") if len(orderings) == 3 else verdict
 
     monkeypatch.setattr(experiments, "is_independent", third_dependent)
-    rep = experiments.lemma6_property_check(cycle_graph(4), 2, 5)
+    rep = experiments.lemma6_property_check(cycle_graph(4), 2)
     # the failing ordering is the third built: the count stops there, and the
     # report takes the weakest tag of the verdicts it read
     assert rep == ("checked", None, 3, False, "whp") and rep.passed is False
@@ -290,13 +290,6 @@ def test_too_many_trials_are_refused_before_any_placement(monkeypatch):
     message = f"1000000000 trials exceed the limit of {rigidity.MAX_TRIALS}"
     with pytest.raises(ValueError, match=f"^{message}$"):
         rigidity.generic_rank(g, 2, trials=10**9)
-
-
-def test_too_many_orderings_are_refused_before_the_hypothesis_scan(monkeypatch):
-    _forbid(monkeypatch, experiments, "linked_pairs")
-    message = f"1000000000 orderings exceed the limit of {experiments.MAX_ORDERINGS}"
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        experiments.lemma6_property_check(cycle_graph(20), 2, 10**9)
 
 
 def test_a_redundancy_scan_over_the_budget_is_refused_before_any_placement(capsys, monkeypatch, tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rigidity_forge import combinatorics, experiments, global_rigidity
+from rigidity_forge import combinatorics, experiments, global_rigidity, rigidity
 from rigidity_forge.constructions import (
     lovasz_yemini_family,
     sharpness_example,
@@ -417,30 +417,28 @@ def test_theorem10_tests_rigidity_only_where_the_bound_applies(monkeypatch):
 
 def test_theorem10_reads_the_rank_off_the_rigidity_verdict(monkeypatch):
     ly = lovasz_yemini_family(2, 8)
-    path = Graph(3, [(0, 1), (1, 2)])  # n <= d+1: the verdict carries no rank
-    ranks = [experiments.generic_rank(g, 2, 2, 5).rank for g in (ly, path)]
+    path = Graph(3, [(0, 1), (1, 2)])  # n <= d+1: the verdict carries |E| without a rank call
+    ranks = [rigidity.generic_rank(g, 2, 2, 5).rank for g in (ly, path)]
     calls = []
-    real = experiments.generic_rank
-    monkeypatch.setattr(experiments, "generic_rank", lambda *a: calls.append(a) or real(*a))
+    real = rigidity.generic_rank
+    monkeypatch.setattr(rigidity, "generic_rank", lambda *a: calls.append(a) or real(*a))
     assert [theorem10_check(g, 2, 2, 5).rank for g in (ly, path)] == ranks
-    assert calls == [(path, 2, 2, 5, experiments.DEFAULT_PRIME)]
+    assert calls == [(ly, 2, 2, 5, experiments.DEFAULT_PRIME)]  # is_rigid's own, on ly alone
 
 
 def test_lemma6_property_check():
-    rep = lemma6_property_check(cycle_graph(4), 2, orderings_count=12)
+    rep = lemma6_property_check(cycle_graph(4), 2)
     assert rep.status == "checked" and rep.all_independent and rep.passed
 
     rep = lemma6_property_check(complete_graph(4).remove_edges([(0, 1)]), 2)
     assert rep.status == "inapplicable" and rep.linked_nonedge == (0, 1)
     assert rep.passed is None
 
-    rep = lemma6_property_check(complete_graph(6), 2, orderings_count=8)
+    rep = lemma6_property_check(complete_graph(6), 2)
     assert rep.status == "checked" and rep.passed  # no non-edges at all
 
     with pytest.raises(ValueError):
         lemma6_property_check(Graph(41), 2)
-    with pytest.raises(ValueError, match="orderings must be at least 1"):
-        lemma6_property_check(cycle_graph(4), 2, orderings_count=0)
 
 
 def test_lemma6_fuzz_on_random_graphs():
@@ -450,9 +448,7 @@ def test_lemma6_fuzz_on_random_graphs():
     applicable = 0
     for _ in range(25):
         g = random_graph(rng, rng.randint(4, 7), rng.random())
-        rep = lemma6_property_check(
-            g, 2, orderings_count=5, seed=rng.getrandbits(64)
-        )
+        rep = lemma6_property_check(g, 2, seed=rng.getrandbits(64))
         if rep.status == "checked":
             applicable += 1
             assert rep.passed

@@ -74,3 +74,97 @@ def test_every_name_the_cli_reads_from_the_package_is_exported():
     reads = package_reads((SRC / "cli.py").read_text(encoding="utf-8"))
     exported = {name for names in rigidity_forge._EXPORTS.values() for name in names}
     assert reads and sorted(reads - exported) == []
+
+
+ROOT = SRC.parents[1]
+
+# optional parameters that no call under src/, bench/ or perfbench/ passes
+UNPASSED_ALLOWED = {
+    # perfbench's combinatorics.covered_subsets hook reads it (ROADMAP item 21)
+    ("combinatorics.covered_subset_count", "method"),
+}
+
+
+def optional_parameters(module: str, source: str) -> list[tuple[str, str, list[str], set[str]]]:
+    """Each function the source defines, as the name a call reaches it by
+    (its class's for an `__init__`), its qualified name, the parameters a
+    call binds by position (a method's first is bound already), and those
+    with a default."""
+    found = []
+
+    def visit(node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                optional = set(positional[len(positional) - len(args.defaults):])
+                optional |= {a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults) if default}
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
+                if cls is not None and not static:
+                    positional = positional[1:]
+                qualified = ".".join(filter(None, (module, cls, child.name)))
+                key = cls if child.name == "__init__" else child.name
+                found.append((key, qualified, positional, optional))
+                visit(child)
+            else:
+                visit(child, cls)
+
+    visit(ast.parse(source))
+    return found
+
+
+def passed_parameters(source: str, defs) -> set[tuple[str, str]]:
+    """The (function, parameter) pairs of `defs` that some call in the source
+    passes, by position or by keyword; `*args` and `**kwargs` pass all they
+    can reach.  A call reaches a function by bare name or attribute."""
+    passed = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for qualified, positional, optional in defs.get(name, ()):
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            reach = set(positional if starred else positional[:len(node.args)])
+            reach |= optional if None in keywords else keywords
+            passed |= {(qualified, p) for p in optional & reach}
+    return passed
+
+
+def unpassed_parameters(modules: dict[str, str], callers: list[str]) -> set[tuple[str, str]]:
+    """The (function, parameter) pairs of the modules' optional parameters
+    that no caller source passes."""
+    defs: dict[str, list] = {}
+    for module, source in modules.items():
+        for key, *entry in optional_parameters(module, source):
+            defs.setdefault(key, []).append(entry)
+    optional = {(q, p) for entries in defs.values() for q, _, params in entries for p in params}
+    return optional - set().union(*(passed_parameters(source, defs) for source in callers))
+
+
+def test_settings_reader_sees_positions_keywords_and_constructors():
+    source = (
+        "class C:\n"
+        "    def __init__(self, a, b=1, c=2):\n        pass\n\n"
+        "    def m(self, x=0, *, y=1):\n        pass\n\n"
+        "    @staticmethod\n    def s(u=0):\n        pass\n\n"
+        "def f(a, b=0, c=1, *, d=2):\n"
+        "    return C(0, 5).m(y=3) + f(1, 2, d=4) + C.s(*rest) + g(**kw)\n\n"
+        "def g(e=0):\n    pass\n"
+    )
+    assert unpassed_parameters({"mod": source}, [source]) == {("mod.C.__init__", "c"), ("mod.C.m", "x"),
+                                                              ("mod.f", "c")}
+    unpassed = unpassed_parameters({"mod": source}, ["f(c=1)", "C(1, 2, 3)"])
+    assert {("mod.C.m", "y"), ("mod.g", "e")} <= unpassed and ("mod.f", "c") not in unpassed
+
+
+def test_every_optional_parameter_is_passed_by_some_caller():
+    # a parameter that only tests set is a knob the program never turns
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    callers = [path.read_text(encoding="utf-8") for top in ("src", "bench", "perfbench")
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    unpassed = unpassed_parameters(modules, callers)
+    assert UNPASSED_ALLOWED <= unpassed
+    assert sorted(unpassed - UNPASSED_ALLOWED) == []

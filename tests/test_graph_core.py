@@ -303,6 +303,13 @@ def test_parse_graph_autodetects_format():
     assert parse_graph("3 3\n0 1\n1 2\n0 2") == complete_graph(3)
 
 
+@pytest.mark.parametrize("text", ["", " ", "\n", "\r\n", "\t\v\f", "\x1c\x85", "\u2028"])
+def test_blank_text_is_refused_as_empty_input(text):
+    # a blank text has no first byte to autodetect by: the edge-list reader refuses it
+    with pytest.raises(GraphParseError, match="^line 1: empty input$"):
+        parse_graph(text)
+
+
 def test_edge_list_round_trip_is_canonical():
     g = complete_bipartite_graph(2, 3)
     text = g.to_edge_list()

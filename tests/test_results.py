@@ -24,7 +24,7 @@ def seeded_results() -> list:
         experiments.theorem1_spot_check(k7, 2, seed=SEED),
         experiments.theorem9_check(seed=SEED),
         experiments.theorem10_check(c4, 2, seed=SEED),
-        experiments.lemma6_property_check(c4, 2, 3, seed=SEED),
+        experiments.lemma6_property_check(c4, 2, seed=SEED),
     ]
 
 
@@ -57,7 +57,7 @@ def test_result_properties():
     assert combinatorics.check_lemma7_hypotheses(complete_bipartite_graph(7, 7), 2).all_ok is True
     assert combinatorics.check_lemma7_hypotheses(complete_graph(4), 2).all_ok is False
     assert experiments.theorem9_check(seed=SEED).passed is True
-    assert experiments.lemma6_property_check(cycle_graph(4), 2, 3, seed=SEED).passed is True
+    assert experiments.lemma6_property_check(cycle_graph(4), 2, seed=SEED).passed is True
     res = constructions.build_gpi(complete_graph(5), 2, [4, 3, 2, 1, 0])
     assert res.edge_count == res.subgraph.edge_count == 7
 

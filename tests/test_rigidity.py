@@ -299,6 +299,20 @@ def test_is_rigid_small_vertex_conventions():
     assert is_rigid(Graph(2, [(0, 1)]), 3).value
 
 
+def test_a_small_graphs_verdict_carries_its_exact_rank():
+    # every graph on at most d+1 vertices is independent (K_{d+1} is): 1,192 graphs
+    graphs = 0
+    for d in range(1, 5):
+        for n in range(d + 2):
+            pairs = list(itertools.combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                g = Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+                assert is_rigid(g, d) == (g.is_complete(), "certain", g.edge_count)
+                assert generic_rank(g, d) == (g.edge_count, "certain", g.edge_count)
+                graphs += 1
+    assert graphs == 1192
+
+
 def test_rigid_implies_d_connected():
     # cross-module consistency on a mixed bag of suite graphs
     graphs = [
@@ -754,6 +768,10 @@ def test_cover_rank_bound_examples():
     # no triangle: the search is skipped, and every edge counts
     c6 = cycle_graph(6)
     assert rigidity._cover_first(c6, 2) == (rigidity._cap_first(c6, 2), 6)
+    # a diamond: edge 01 has two non-adjacent common neighbours, so the
+    # search runs, keeps no clique, and the tail returns the plain feed
+    diamond = complete_graph(4).remove_edges([(2, 3)])
+    assert rigidity._cover_first(diamond, 2) == (rigidity._cap_first(diamond, 2), 5)
 
 
 @pytest.mark.parametrize("d, s, bound", [
