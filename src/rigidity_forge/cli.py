@@ -44,17 +44,17 @@ def _check_settings(args: SimpleNamespace) -> None:
         raise ValueError("seed must be a 64-bit unsigned integer")
 
 
-def jsonable(obj):
+def _jsonable(obj):
     """Recursively convert results to JSON-friendly values."""
     if hasattr(obj, "_fields"):  # a result NamedTuple: an object, not an array
-        return {f: jsonable(v) for f, v in zip(obj._fields, obj)}
+        return {f: _jsonable(v) for f, v in zip(obj._fields, obj)}
     # a Fraction, recognised by duck type so that the CLI need not import `fractions`
     if hasattr(obj, "denominator") and not isinstance(obj, int):
         return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(obj.numerator)
     if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [jsonable(x) for x in obj]
+        return [_jsonable(x) for x in obj]
     return obj
 
 
@@ -135,17 +135,17 @@ _PAIR = {"--u": _INT, "--v": _INT}
 
 COMMANDS = {
     "rank": Command("generic rigidity matroid rank",
-        lambda g, a: rf.generic_rank(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME), flags=_DRAWS, pick="rank"),
+        lambda g, a: rf.generic_rank(g, a.dim, TRIALS, a.seed), flags=_DRAWS, pick="rank"),
     "rigid": Command("generic rigidity verdict",
-        lambda g, a: rf.is_rigid(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME), flags=_DRAWS, pick="value"),
+        lambda g, a: rf.is_rigid(g, a.dim, TRIALS, a.seed), flags=_DRAWS, pick="value"),
     "globally-rigid": Command("generic global rigidity verdict",
-        lambda g, a: rf.is_globally_rigid(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME),
+        lambda g, a: rf.is_globally_rigid(g, a.dim, TRIALS, a.seed),
         flags=_DRAWS, pick="value"),
     "linked": Command("is the pair {u,v} linked",
-        lambda g, a: rf.is_linked(g, a.dim, a.u, a.v, TRIALS, a.seed, DEFAULT_PRIME),
+        lambda g, a: rf.is_linked(g, a.dim, a.u, a.v, TRIALS, a.seed),
         flags=_DRAWS | _PAIR, pick="value"),
     "redundant": Command("t-redundant rigidity verdict",
-        lambda g, a: rf.is_t_redundantly_rigid(g, a.dim, a.t, TRIALS, a.seed, DEFAULT_PRIME),
+        lambda g, a: rf.is_t_redundantly_rigid(g, a.dim, a.t, TRIALS, a.seed),
         flags=_DRAWS | {"--t": _INT}),
     "connectivity": Command("exact vertex connectivity", lambda g, a: rf.vertex_connectivity(g)),
     "gpi": Command("build the ordered subgraph", _gpi, flags=_DRAWS | {"--ordering": {
@@ -169,25 +169,24 @@ COMMANDS = {
     "grn-bound": Command("lower bound on the best nontrivial globally rigid dimension",
         lambda g, a: rf.grn_lower_bound(g.n, g.edge_count)),
     "check-theorem1": Command("assert: d(d+1)-connected implies rigid",
-        lambda g, a: rf.theorem1_spot_check(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME),
+        lambda g, a: rf.theorem1_spot_check(g, a.dim, TRIALS, a.seed),
         flags=_DRAWS, check="passed"),
     "check-theorem2": Command("assert: d(d+1)-connected implies globally rigid",
-        lambda g, a: rf.theorem2_spot_check(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME),
+        lambda g, a: rf.theorem2_spot_check(g, a.dim, TRIALS, a.seed),
         flags=_DRAWS, check="passed"),
     "check-theorem9": Command("assert the sharp redundancy constants",
-        lambda _, a: rf.theorem9_check(a.dim, TRIALS, a.seed, DEFAULT_PRIME),
+        lambda _, a: rf.theorem9_check(a.dim, TRIALS, a.seed),
         reads=None, flags=_DRAWS, check="passed"),
     "check-theorem10": Command("assert the m_{d,k} rank lower bound",
-        lambda g, a: rf.theorem10_check(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME),
+        lambda g, a: rf.theorem10_check(g, a.dim, TRIALS, a.seed),
         flags=_DRAWS, check="passed"),
     "check-lemma6": Command("assert ordered subgraphs are independent when no non-edge is linked",
-        lambda g, a: rf.lemma6_property_check(g, a.dim, TRIALS, a.seed, DEFAULT_PRIME),
+        lambda g, a: rf.lemma6_property_check(g, a.dim, TRIALS, a.seed),
         flags=_DRAWS, check="passed"),
     "check-lemma7-hyp": Command("check the expected-size lemma hypotheses",
         lambda g, a: rf.check_lemma7_hypotheses(g, a.dim), flags=_DIM, check="all_ok"),
     "wgl": Command("sufficient condition for weak global linkedness",
-        lambda g, a: rf.wgl_sufficient(
-            g, a.dim, a.u, a.v, _csv_ints(a.v0), TRIALS, a.seed, DEFAULT_PRIME),
+        lambda g, a: rf.wgl_sufficient(g, a.dim, a.u, a.v, _csv_ints(a.v0), TRIALS, a.seed),
         flags=_DRAWS | _PAIR | {"--v0": {
             "required": True, "help": "comma-separated vertex set containing u and v"}}, pick="value"),
 }
@@ -271,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(report, Graph):  # a generator
             sys.stdout.write(report.to_edge_list())
             return 0
-        result = jsonable(report)
+        result = _jsonable(report)
         # a randomized report carries its own tag; an exact command's answer is certain
         confidence = result.pop("confidence", "certain") if isinstance(result, dict) else "certain"
         if cmd.pick:

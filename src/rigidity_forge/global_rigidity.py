@@ -27,9 +27,9 @@ class StressCertificate(NamedTuple):
     target: int
 
 
-def stress_matrix(g: Graph, stress: tuple[int, ...], p: int = DEFAULT_PRIME) -> ModMatrix:
-    """Assemble the n x n stress matrix: -w_uv off-diagonal, row sums zero."""
-    n = g.n
+def stress_matrix(g: Graph, stress: tuple[int, ...]) -> ModMatrix:
+    """Assemble the n x n stress matrix over Z_p: -w_uv off-diagonal, row sums zero."""
+    n, p = g.n, DEFAULT_PRIME
     data: list[dict[int, int]] = [{} for _ in range(n)]
     for w, (u, v) in zip(stress, g.sorted_edges()):
         w %= p
@@ -43,9 +43,7 @@ def stress_matrix(g: Graph, stress: tuple[int, ...], p: int = DEFAULT_PRIME) -> 
     return ModMatrix(data, n, p)
 
 
-def stress_matrix_rank(
-    g: Graph, d: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
-) -> StressCertificate:
+def stress_matrix_rank(g: Graph, d: int, trials: int = 2, seed: int = 0) -> StressCertificate:
     """Best stress-matrix rank over the stresses of :func:`rigidity._stresses`.
 
     The first best trial is kept; a zero stress's matrix ranks 0.  Requires
@@ -56,8 +54,8 @@ def stress_matrix_rank(
         raise ValueError("stress certificates need at least d+2 vertices")
     target = n - d - 1
     best = StressCertificate((0,) * g.edge_count, 0, target)
-    for _, (stress,) in _stresses(g, d, trials, seed, p):
-        omega_rank = rank(stress_matrix(g, stress, p))
+    for _, (stress,) in _stresses(g, d, trials, seed):
+        omega_rank = rank(stress_matrix(g, stress))
         if omega_rank > best.omega_rank:
             best = StressCertificate(tuple(stress), omega_rank, target)
             if omega_rank >= target:
@@ -65,9 +63,7 @@ def stress_matrix_rank(
     return best
 
 
-def is_globally_rigid(
-    g: Graph, d: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
-) -> Verdict:
+def is_globally_rigid(g: Graph, d: int, trials: int = 2, seed: int = 0) -> Verdict:
     """Generic global rigidity verdict.
 
     Complete graphs are globally rigid; on n <= d+1 vertices completeness is
@@ -81,7 +77,7 @@ def is_globally_rigid(
         return Verdict(g.is_complete(), CERTAIN)
     if d == 1:
         return Verdict(vertex_connectivity(g, 2) >= 2, CERTAIN)
-    if not (rigid := is_rigid(g, d, trials, seed, p)).value:
+    if not (rigid := is_rigid(g, d, trials, seed)).value:
         return rigid
     if d == 2:
         if vertex_connectivity(g, 3) < 3:  # Hendrickson, SIAM J. Comput. 21, 1992
@@ -90,22 +86,13 @@ def is_globally_rigid(
         common = (mask(u) & mask(v) for u, v in g.sorted_edges())  # uv is in a K4 iff two are adjacent
         if all(any(mask(w) & c for w in _bits(c)) for c in common):
             return Verdict(True, CERTAIN, rank=rigid.rank)
-        redundant = is_t_redundantly_rigid(g, 2, 2, trials, seed, p)
+        redundant = is_t_redundantly_rigid(g, 2, 2, trials, seed)
         return Verdict(redundant.value, redundant.confidence, rank=rigid.rank)
-    cert = stress_matrix_rank(g, d, trials, seed, p)
+    cert = stress_matrix_rank(g, d, trials, seed)
     return Verdict(cert.omega_rank == cert.target, WHP, rank=rigid.rank)
 
 
-def wgl_sufficient(
-    g: Graph,
-    d: int,
-    u: int,
-    v: int,
-    v0,
-    trials: int = 2,
-    seed: int = 0,
-    p: int = DEFAULT_PRIME,
-) -> Verdict:
+def wgl_sufficient(g: Graph, d: int, u: int, v: int, v0, trials: int = 2, seed: int = 0) -> Verdict:
     """Sufficient condition for {u,v} weakly globally linked in g.
 
     True iff {u,v} is linked in the subgraph induced on v0 and some u-v path
@@ -121,5 +108,5 @@ def wgl_sufficient(
         return Verdict(False, CERTAIN)
     sub, mapping = induced_subgraph(g, vs)
     local = {old: new for new, old in enumerate(mapping)}
-    linked = is_linked(sub, d, local[u], local[v], trials, seed, p)
+    linked = is_linked(sub, d, local[u], local[v], trials, seed)
     return Verdict(linked.value, linked.confidence)

@@ -1,59 +1,32 @@
-"""Exact linear algebra over a large prime field Z_p.
+"""Exact linear algebra over a prime field Z_p.
 
 Every operation rests on one incremental row-echelon basis,
 :class:`RowBasis`, whose rows are sparse: a row is a dict mapping each
 column of a nonzero entry to that entry, reduced mod p (zero entries are
-left out).
+left out).  The modulus is taken on trust: it must be prime.  Every module
+above this one computes over the one field :data:`DEFAULT_PRIME`.
 
 All randomness flows through :func:`make_rng`, a Mersenne Twister
 (``random.Random``) seeded with a 64-bit unsigned integer.  The generator
 algorithm is fixed across platforms and CPython versions for the methods
 used here (``getrandbits`` / ``randrange``), so every downstream verdict is
-bit-reproducible from (seed, trials, p).
+bit-reproducible from (seed, trials).
 """
 
 from __future__ import annotations
 
-import functools
 import random
 
-#: Default modulus: the Mersenne prime 2^61 - 1.  One random evaluation misses
-#: a generic rank r with probability at most r / (p - 1) (Schwartz-Zippel: a
-#: nonzero r x r minor has degree r in coordinates drawn from p - 1 values),
-#: below 6e-14 for every accepted input, where r <= dn <= 120,000.
+#: The field of every verdict: the Mersenne prime 2^61 - 1.  One random
+#: evaluation misses a generic rank r with probability at most r / (p - 1)
+#: (Schwartz-Zippel: a nonzero r x r minor has degree r in coordinates drawn
+#: from p - 1 values), below 6e-14 for every accepted input, where
+#: r <= dn <= 120,000.
 DEFAULT_PRIME = (1 << 61) - 1
 
 MASK64 = (1 << 64) - 1
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 Row = dict[int, int]
-
-
-@functools.lru_cache(maxsize=64)  # every placement stream asks: up to 21 times a check-lemma6 call
-def is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit integers."""
-    if m < 2:
-        return False
-    for q in _MR_BASES:
-        if m % q == 0:
-            return m == q
-    d = m - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def make_rng(seed: int) -> random.Random:

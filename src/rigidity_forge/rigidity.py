@@ -1,10 +1,11 @@
 """The d-dimensional generic rigidity matroid, evaluated over Z_p.
 
-Generic placements are emulated by uniform random coordinates in a large
-prime field; a random evaluation never overestimates the generic rank, and
-underestimates it with negligible probability.  :func:`settled` tags each
-verdict "certain" when certain bounds decide it (the rank found below; |E|,
-the cap dn - C(d+1,2) and a clique cover's bound above), "whp" otherwise.
+Generic placements are emulated by uniform random coordinates in the one
+prime field it computes over, that of :data:`modlinalg.DEFAULT_PRIME`; a
+random evaluation never overestimates the generic rank, and underestimates
+it with negligible probability.  :func:`settled` tags each verdict "certain"
+when certain bounds decide it (the rank found below; |E|, the cap
+dn - C(d+1,2) and a clique cover's bound above), "whp" otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .modlinalg import (
     ModMatrix,
     Row,
     RowBasis,
-    is_prime,
     left_kernel_sample,
     make_rng,
     rank_of_rows,
@@ -82,17 +82,15 @@ def settled(lower: int, upper: int, target: int) -> str:
     return CERTAIN if lower >= target or upper < target else WHP
 
 
-def placements(
-    n: int, d: int, trials: int, seed: int, p: int
-) -> Iterator[tuple[list[int], random.Random]]:
+def placements(n: int, d: int, trials: int, seed: int) -> Iterator[tuple[list[int], random.Random]]:
     """The seeded placement stream behind every randomized verdict.
 
     Yields, for each of `trials` placements of n vertices in d dimensions,
     its coordinates and the stream itself, from which a caller may draw more
-    before the next placement.  Coordinates are uniform in [1, p-1], drawn
-    vertex by vertex: p(v) is points[v*d : v*d + d].  The modulus must be
-    prime: over a ring with zero divisors elimination is undefined.  More than
-    MAX_TRIALS placements or MAX_COORDINATES coordinates are refused at the call.
+    before the next placement.  Coordinates are uniform in [1, p-1] for
+    p = DEFAULT_PRIME, drawn vertex by vertex: p(v) is points[v*d : v*d + d].
+    More than MAX_TRIALS placements or MAX_COORDINATES coordinates are
+    refused at the call.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -100,17 +98,15 @@ def placements(
         raise ValueError(f"{trials} trials exceed the limit of {MAX_TRIALS}")
     if n * d > MAX_COORDINATES:
         raise ValueError(f"{n * d} coordinates exceed the limit of {MAX_COORDINATES}")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    rng = make_rng(seed)
+    rng, p = make_rng(seed), DEFAULT_PRIME
     return (([rng.randrange(1, p) for _ in range(n * d)], rng) for _ in range(trials))
 
 
-def _matrix_rows(edges: Iterable[Edge], d: int, points: Sequence[int], p: int) -> list[Row]:
+def _matrix_rows(edges: Iterable[Edge], d: int, points: Sequence[int]) -> list[Row]:
     """The rows of the rigidity matrix on a placement, one per edge uv, u < v,
     in the order given: the block of vertex u holds p(u)-p(v), the block of
     v holds p(v)-p(u)."""
-    rows = []
+    rows, p = [], DEFAULT_PRIME
     for u, v in edges:
         row = {}
         for t in range(d):
@@ -122,12 +118,12 @@ def _matrix_rows(edges: Iterable[Edge], d: int, points: Sequence[int], p: int) -
     return rows
 
 
-def _stresses(g: Graph, d: int, trials: int, seed: int, p: int, count: int = 1) -> Iterator[tuple[int, list]]:
+def _stresses(g: Graph, d: int, trials: int, seed: int, count: int = 1) -> Iterator[tuple[int, list]]:
     """Per seeded placement, the rank of R(G,p) (rows in sorted edge order) and `count` random
     stresses from its left kernel, each zero iff there is none, seeded by the stream's next draw."""
-    for points, rng in placements(g.n, d, trials, seed, p):
-        rows = _matrix_rows(g.sorted_edges(), d, points, p)
-        yield left_kernel_sample(ModMatrix(rows, d * g.n, p), rng.getrandbits(64), count)
+    for points, rng in placements(g.n, d, trials, seed):
+        rows = _matrix_rows(g.sorted_edges(), d, points)
+        yield left_kernel_sample(ModMatrix(rows, d * g.n, DEFAULT_PRIME), rng.getrandbits(64), count)
 
 
 def _cap_first(g: Graph, d: int) -> list[Edge]:
@@ -191,9 +187,7 @@ def _cover_first(g: Graph, d: int) -> tuple[list[Edge], int]:
     return rest + fed_first[::-1], bound + m - len(covered)
 
 
-def generic_rank(
-    g: Graph, d: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
-) -> RankReport:
+def generic_rank(g: Graph, d: int, trials: int = 2, seed: int = 0) -> RankReport:
     """Max rank of the rigidity matrix over independent random placements.
 
     The result is a certain lower bound on the generic rank and equals it
@@ -204,28 +198,24 @@ def generic_rank(
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    stream = placements(g.n, d, trials, seed, p)  # refuses its settings before the clique search
+    stream = placements(g.n, d, trials, seed)  # refuses its settings before the clique search
     order, bound = _cover_first(g, d)  # bound <= |E|
     stop = min(bound, generic_rank_cap(g.n, d))
     best = 0
     for points, _ in stream:
-        best = max(best, rank_of_rows(_matrix_rows(order, d, points, p), d * g.n, p, stop))
+        best = max(best, rank_of_rows(_matrix_rows(order, d, points), d * g.n, DEFAULT_PRIME, stop))
         if best == stop:
             break
     return RankReport(best, settled(best, stop, stop), stop)
 
 
-def is_independent(
-    g: Graph, d: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
-) -> Verdict:
+def is_independent(g: Graph, d: int, trials: int = 2, seed: int = 0) -> Verdict:
     """True iff the generic rank equals |E|; true verdicts are certain."""
-    rep = generic_rank(g, d, trials, seed, p)
+    rep = generic_rank(g, d, trials, seed)
     return Verdict(rep.rank == g.edge_count, settled(rep.rank, rep.upper, g.edge_count), rank=rep.rank)
 
 
-def is_rigid(
-    g: Graph, d: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
-) -> Verdict:
+def is_rigid(g: Graph, d: int, trials: int = 2, seed: int = 0) -> Verdict:
     """Generic rigidity via the rank characterization.
 
     For n <= d+1 the rank condition degenerates; there rigidity is defined
@@ -237,18 +227,11 @@ def is_rigid(
     if n <= d + 1:
         return Verdict(g.is_complete(), CERTAIN, rank=g.edge_count)
     target = generic_rank_cap(n, d)
-    rep = generic_rank(g, d, trials, seed, p)
+    rep = generic_rank(g, d, trials, seed)
     return Verdict(rep.rank == target, settled(rep.rank, rep.upper, target), rank=rep.rank)
 
 
-def linked_pairs(
-    g: Graph,
-    d: int,
-    pairs: Sequence[Edge],
-    trials: int = 2,
-    seed: int = 0,
-    p: int = DEFAULT_PRIME,
-) -> list[Verdict]:
+def linked_pairs(g: Graph, d: int, pairs: Sequence[Edge], trials: int = 2, seed: int = 0) -> list[Verdict]:
     """For each pair uv: True iff adding uv does not raise the generic rank.
 
     Each trial eliminates R(G,p) once and tests whether the row of each uv on
@@ -271,14 +254,14 @@ def linked_pairs(
     full = min(g.edge_count, cap)  # rank(G) <= full, so rank(G + uv) <= min(full + 1, cap)
     best_g = 0
     best_uv = dict.fromkeys(queries, 0)
-    for points, _ in placements(g.n, d, trials, seed, p):
-        basis = RowBasis(p).extend(_matrix_rows(g.sorted_edges(), d, points, p), cap)
+    for points, _ in placements(g.n, d, trials, seed):
+        basis = RowBasis(DEFAULT_PRIME).extend(_matrix_rows(g.sorted_edges(), d, points), cap)
         best_g = max(best_g, basis.rank)
         # at the cap no row raises the rank: no placement of a graph on n vertices ranks higher
         raises = basis.rank < cap
         for uv in queries:
             if best_uv[uv] <= basis.rank:
-                best_uv[uv] = basis.rank + (raises and not basis.in_span(_matrix_rows([uv], d, points, p)[0]))
+                best_uv[uv] = basis.rank + (raises and not basis.in_span(_matrix_rows([uv], d, points)[0]))
         # G at full and every pair one above it, or at the cap: no trial ranks higher
         top = best_g + (best_g < cap)
         if best_g == full and all(r == top for r in best_uv.values()):
@@ -290,16 +273,15 @@ def linked_pairs(
     return [Verdict(True, CERTAIN) if g.has_edge(u, v) else verdict[normalize_edge(u, v)] for u, v in pairs]
 
 
-def is_linked(
-    g: Graph, d: int, u: int, v: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
-) -> Verdict:
+def is_linked(g: Graph, d: int, u: int, v: int, trials: int = 2, seed: int = 0) -> Verdict:
     """True iff adding uv does not raise the generic rank (see :func:`linked_pairs`)."""
-    return linked_pairs(g, d, [(u, v)], trials, seed, p)[0]
+    return linked_pairs(g, d, [(u, v)], trials, seed)[0]
 
 
-def _slopes(rows: list[Sequence[int]], p: int) -> list[int | None]:
+def _slopes(rows: list[Sequence[int]]) -> list[int | None]:
     """The slope y/x mod p of each row (x, y), p where only x is 0 and None at (0, 0),
     with one inverse for them all (Montgomery's batch inversion)."""
+    p = DEFAULT_PRIME
     running = list(itertools.accumulate((x or 1 for x, _ in rows), lambda u, v: u * v % p, initial=1))
     inv, keys = pow(running[-1], -1, p), [None] * len(rows)
     for a in range(len(rows) - 1, -1, -1):  # inv = 1/running[a + 1]
@@ -309,7 +291,7 @@ def _slopes(rows: list[Sequence[int]], p: int) -> list[int | None]:
     return keys
 
 
-def _rejects(dual: list[tuple[int, ...]], k: int, p: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+def _rejects(dual: list[tuple[int, ...]], k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Every k-subset of range(len(dual)) whose dual rows are dependent, in lexicographic
     order, each after its position in that order (from 1).  Depth-first: a prefix holds a
     basis c_1, c_2, ... of the vectors orthogonal to its rows, one per row still to add, as
@@ -318,12 +300,12 @@ def _rejects(dual: list[tuple[int, ...]], k: int, p: int) -> Iterator[tuple[int,
     and drops c_j.  A prefix with every c.r zero rejects its extensions unreduced.  With two
     vectors left, a last pair is dependent iff its 2 x 2 determinant vanishes: the two rows'
     slopes match or one row is zero, whose pairs take no comparison."""
-    m = len(dual)
+    m, p = len(dual), DEFAULT_PRIME
 
     def walk(prefix: tuple[int, ...], rows: list[Sequence[int]], pos: int):  # pos subsets precede
         lo, left = m - len(rows), k - len(prefix)
         if left == 2:
-            keys = _slopes(rows, p)
+            keys = _slopes(rows)
             for a, key in enumerate(keys):
                 later = range(a + 1, len(keys))
                 if key is not None:
@@ -345,9 +327,7 @@ def _rejects(dual: list[tuple[int, ...]], k: int, p: int) -> Iterator[tuple[int,
     return walk((), dual, 0) if k else iter(())
 
 
-def is_t_redundantly_rigid(
-    g: Graph, d: int, t: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
-) -> RedundancyReport:
+def is_t_redundantly_rigid(g: Graph, d: int, t: int, trials: int = 2, seed: int = 0) -> RedundancyReport:
     """Rigid after deleting any edge set of size < t.
 
     By rank monotonicity it suffices to enumerate deletions of size exactly
@@ -375,7 +355,7 @@ def is_t_redundantly_rigid(
         return RedundancyReport(ok, CERTAIN, None if ok else edges[:k], 1)
     target = generic_rank_cap(g.n, d)
     # rank(G - S) = full_rank - |S| + rank of the kernel's dual rows of S, at least those of a view
-    views = (list(zip(*stresses)) for full_rank, stresses in _stresses(g, d, trials, seed, p, k)
+    views = (list(zip(*stresses)) for full_rank, stresses in _stresses(g, d, trials, seed, k)
              if full_rank >= target)
     first, drawn = next(views, None), []
     failed = settled(0, m - k, target)  # a failing S leaves rank(G - S) <= |E| - |S|
@@ -386,7 +366,7 @@ def is_t_redundantly_rigid(
         for view in views:
             drawn.append(view)
             yield view
-    for checked, subset in _rejects(first, k, p):
-        if all(any(_rejects([dual[i] for i in subset], k, p)) for dual in later()):
+    for checked, subset in _rejects(first, k):
+        if all(any(_rejects([dual[i] for i in subset], k)) for dual in later()):
             return RedundancyReport(False, failed, tuple(edges[i] for i in subset), checked)
     return RedundancyReport(True, CERTAIN, None, comb(m, k))

@@ -3,17 +3,15 @@ brute-force oracles (kept deliberately naive, separate from the library)."""
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import random
 import statistics
-import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, sqrt
 
-from rigidity_forge import modlinalg
+from rigidity_forge import global_rigidity, rigidity
 from rigidity_forge.combinatorics import CliqueSystem
 from rigidity_forge.experiments import Theorem9Report
 from rigidity_forge.global_rigidity import stress_matrix, stress_matrix_rank
@@ -25,7 +23,6 @@ from rigidity_forge.graph_core import (
     normalize_edge,
 )
 from rigidity_forge.modlinalg import (
-    DEFAULT_PRIME,
     ModMatrix,
     Row,
     RowBasis,
@@ -53,13 +50,26 @@ def add_edges(g: Graph, new_edges: Iterable[Edge]) -> Graph:
     return Graph(g.n, itertools.chain(g.sorted_edges(), new_edges))
 
 
+def field() -> int:
+    """The modulus the verdict layer computes over: `rigidity.DEFAULT_PRIME`
+    as it stands at the call, so the oracles below follow :func:`use_field`."""
+    return rigidity.DEFAULT_PRIME
+
+
+def use_field(monkeypatch, p: int) -> None:
+    """Make the verdict layer, and the oracles below, compute over Z_p for
+    the rest of the test: the small fields where placements miss ranks."""
+    for module in (rigidity, global_rigidity):
+        monkeypatch.setattr(module, "DEFAULT_PRIME", p)
+
+
 def placed_rows(
-    g: Graph, d: int, trials: int, seed: int, p: int
+    g: Graph, d: int, trials: int, seed: int
 ) -> Iterator[tuple[list[dict[int, int]], random.Random]]:
     """The rows of R(G,p), one per sorted edge of g, for each placement
     `rigidity.placements` draws, with its stream."""
-    for points, rng in placements(g.n, d, trials, seed, p):
-        yield _matrix_rows(g.sorted_edges(), d, points, p), rng
+    for points, rng in placements(g.n, d, trials, seed):
+        yield _matrix_rows(g.sorted_edges(), d, points), rng
 
 
 def edge_positions(g: Graph, edges: Iterable[Edge]) -> list[int]:
@@ -399,33 +409,11 @@ def forward_left_kernel_sample(m: ModMatrix, seed: int) -> tuple[int, list[list[
     return basis.rank, [_back_substitute(basis, w)]
 
 
-@contextlib.contextmanager
-def miller_rabin_runs() -> Iterator[list[int]]:
-    """The moduli that Miller-Rabin runs on inside the block, one entry per
-    run: each call that reaches the body of the cached `modlinalg.is_prime`,
-    whose cache is cleared first.  Runs are seen by a profile hook on the
-    body's code object, so no name is patched."""
-    body = modlinalg.is_prime.__wrapped__.__code__
-    runs: list[int] = []
-
-    def hook(frame, event, arg):
-        if event == "call" and frame.f_code is body:
-            runs.append(frame.f_locals["m"])
-
-    modlinalg.is_prime.cache_clear()
-    saved = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        yield runs
-    finally:
-        sys.setprofile(saved)
-
-
 # -- stop-free references for the randomized scans -----------------------------
 
 
 def stop_free_linked_pairs(
-    g: Graph, d: int, pairs: Sequence[Edge], trials: int, seed: int, p: int
+    g: Graph, d: int, pairs: Sequence[Edge], trials: int, seed: int
 ) -> list[Verdict]:
     """`linked_pairs` drawing every one of its `trials` placements and making
     every span test below the cap: the loop before its early stops, kept as
@@ -440,9 +428,9 @@ def stop_free_linked_pairs(
     cap = generic_rank_cap(g.n, d)
     best_g = 0
     best_uv = dict.fromkeys(queries, 0)
-    for rows, _ in placed_rows(placed, d, trials, seed, p):
+    for rows, _ in placed_rows(placed, d, trials, seed):
         row_of = dict(zip(placed.sorted_edges(), rows))
-        basis = RowBasis(p).extend([row_of[e] for e in g.sorted_edges()], cap)
+        basis = RowBasis(field()).extend([row_of[e] for e in g.sorted_edges()], cap)
         best_g = max(best_g, basis.rank)
         raises = basis.rank < cap
         for uv in queries:
@@ -463,7 +451,7 @@ def stop_free_linked_pairs(
     return out
 
 
-def kernel_view(rows: list[Row], cols: int, p: int) -> tuple[int, int, list[Row]]:
+def kernel_view(rows: list[Row], cols: int) -> tuple[int, int, list[Row]]:
     """What edge deletions need from one placement: the rank of R(G,p), the
     dimension of its left kernel, and the canonical left-kernel basis K held
     as one dual row per edge (the edge's column of K, keyed by basis index).
@@ -472,30 +460,26 @@ def kernel_view(rows: list[Row], cols: int, p: int) -> tuple[int, int, list[Row]
     dual rows of S, and the stresses of G - S are the K-combinations that
     vanish on S.  The exact route, the oracle of the sampled views.
     """
-    kernel = left_kernel_basis(ModMatrix(rows, cols, p))
+    kernel = left_kernel_basis(ModMatrix(rows, cols, field()))
     dual = [{f: vec[i] for f, vec in enumerate(kernel) if vec[i]} for i in range(len(rows))]
     return len(rows) - len(kernel), len(kernel), dual
 
 
-def kernel_views(
-    g: Graph, d: int, trials: int, seed: int, p: int
-) -> list[tuple[int, int, list[Row]]]:
+def kernel_views(g: Graph, d: int, trials: int, seed: int) -> list[tuple[int, int, list[Row]]]:
     """:func:`kernel_view` of every placement `placed_rows` draws: each
     edge's dual row is its column of the left-kernel basis."""
-    return [kernel_view(rows, d * g.n, p) for rows, _ in placed_rows(g, d, trials, seed, p)]
+    return [kernel_view(rows, d * g.n) for rows, _ in placed_rows(g, d, trials, seed)]
 
 
-def redundancy_views(
-    g: Graph, d: int, t: int, trials: int, seed: int, p: int
-) -> list[tuple[int, int, list[Row]]]:
+def redundancy_views(g: Graph, d: int, t: int, trials: int, seed: int) -> list[tuple[int, int, list[Row]]]:
     """The views `is_t_redundantly_rigid` reads: per placement `placed_rows`
     draws, its rank, k = t - 1 and each edge's entries in k stresses,
     one `left_kernel_sample` seeded by the stream's next draw, as a sparse
     dual row of k columns."""
     k = t - 1
     views = []
-    for rows, rng in placed_rows(g, d, trials, seed, p):
-        full, stresses = left_kernel_sample(ModMatrix(rows, d * g.n, p), rng.getrandbits(64), k)
+    for rows, rng in placed_rows(g, d, trials, seed):
+        full, stresses = left_kernel_sample(ModMatrix(rows, d * g.n, field()), rng.getrandbits(64), k)
         views.append((full, k, [{f: x for f, x in enumerate(col) if x} for col in zip(*stresses)]))
     return views
 
@@ -507,9 +491,7 @@ def redundancy_failure(g: Graph, d: int, witness: tuple[Edge, ...], checked: int
     return RedundancyReport(False, CERTAIN if short else WHP, witness, checked)
 
 
-def eager_redundancy(
-    g: Graph, d: int, t: int, trials: int, seed: int, p: int
-) -> RedundancyReport:
+def eager_redundancy(g: Graph, d: int, t: int, trials: int, seed: int) -> RedundancyReport:
     """`is_t_redundantly_rigid` building all `trials` views before its
     prefix walk: the loop before views were drawn on demand, kept as its
     oracle (argument checks left out)."""
@@ -521,14 +503,14 @@ def eager_redundancy(
         ok = g.is_complete() and k == 0
         return RedundancyReport(ok, CERTAIN, None if ok else edges[:k], 1)
     target = generic_rank_cap(n, d)
-    views = redundancy_views(g, d, t, trials, seed, p)
+    views = redundancy_views(g, d, t, trials, seed)
     views = [(kernel_dim, dual) for full_rank, kernel_dim, dual in views if full_rank >= target]
     if not views:
         return redundancy_failure(g, d, edges[:k], 1)
     dim, first = views[0]
     dense = [tuple(row.get(f, 0) for f in range(dim)) for row in first]
-    for checked, subset in _rejects(dense, k, p):
-        if not any(rank_of_rows([dual[i] for i in subset], kernel_dim, p) == k
+    for checked, subset in _rejects(dense, k):
+        if not any(rank_of_rows([dual[i] for i in subset], kernel_dim, field()) == k
                    for kernel_dim, dual in views[1:]):
             return redundancy_failure(g, d, tuple(edges[i] for i in subset), checked)
     return RedundancyReport(True, CERTAIN, None, comb(m, k))
@@ -537,9 +519,7 @@ def eager_redundancy(
 # -- per-subset redundancy scan ----------------------------------------------
 
 
-def per_subset_redundancy(
-    g: Graph, d: int, t: int, trials: int, seed: int, p: int, views=None
-) -> RedundancyReport:
+def per_subset_redundancy(g: Graph, d: int, t: int, trials: int, seed: int, views=None) -> RedundancyReport:
     """`is_t_redundantly_rigid` as one fresh rank per subset and view, in
     lexicographic order: the loop the prefix walk replaced, kept as its
     oracle (argument checks left out).  It reads `redundancy_views` unless
@@ -555,7 +535,7 @@ def per_subset_redundancy(
         return RedundancyReport(False, "certain", edges[:k], 1)
     target = d * n - comb(d + 1, 2)
     if views is None:
-        views = redundancy_views(g, d, t, trials, seed, p)
+        views = redundancy_views(g, d, t, trials, seed)
     checked = 0
     for subset in itertools.combinations(range(g.edge_count), k):
         checked += 1
@@ -563,7 +543,7 @@ def per_subset_redundancy(
         for full_rank, kernel_dim, dual in views:
             if full_rank < target:
                 continue
-            if rank_of_rows([dual[i] for i in subset], kernel_dim, p) == k:
+            if rank_of_rows([dual[i] for i in subset], kernel_dim, field()) == k:
                 ok = True
                 break
         if not ok:
@@ -574,16 +554,14 @@ def per_subset_redundancy(
 # -- global rigidity through stress matrices ----------------------------------
 
 
-def stress_globally_rigid(
-    g: Graph, d: int, trials: int = 2, seed: int = 0, p: int = DEFAULT_PRIME
-) -> Verdict:
+def stress_globally_rigid(g: Graph, d: int, trials: int = 2, seed: int = 0) -> Verdict:
     """`is_globally_rigid` of a graph on n >= d+2 vertices by the stress route
     in every dimension: rigid, then a sampled stress matrix of rank n-d-1.
     The oracle of the plane route (3-connected and redundantly rigid)."""
-    rigid = is_rigid(g, d, trials, seed, p)
+    rigid = is_rigid(g, d, trials, seed)
     if not rigid.value:
         return Verdict(False, "whp", rank=rigid.rank)
-    cert = stress_matrix_rank(g, d, trials, seed, p)
+    cert = stress_matrix_rank(g, d, trials, seed)
     return Verdict(cert.omega_rank == cert.target, "whp", rank=rigid.rank)
 
 
@@ -593,7 +571,6 @@ def globally_rigid_deletions(
     deletions: Iterable[Iterable[Edge]],
     trials: int = 2,
     seed: int = 0,
-    p: int = DEFAULT_PRIME,
 ) -> Iterator[Verdict]:
     """Yield the global-rigidity verdict of G - S for each edge set S of G.
 
@@ -609,11 +586,11 @@ def globally_rigid_deletions(
     n = g.n
     if d < 2 or n < d + 2:
         raise ValueError("deletion scans need d >= 2 and at least d+2 vertices")
-    target, omega_target = d * n - comb(d + 1, 2), n - d - 1
+    target, omega_target, p = d * n - comb(d + 1, 2), n - d - 1, field()
     index = {e: i for i, e in enumerate(g.sorted_edges())}
     views = []
-    for rows, rng in placed_rows(g, d, trials, seed, p):  # rng then draws the stresses
-        views.append(kernel_view(rows, d * n, p))
+    for rows, rng in placed_rows(g, d, trials, seed):  # rng then draws the stresses
+        views.append(kernel_view(rows, d * n))
     for gone in deletions:
         try:
             subset = sorted({index[normalize_edge(u, v)] for u, v in gone})
@@ -636,7 +613,7 @@ def globally_rigid_deletions(
                 _, (c,) = left_kernel_sample(ModMatrix(picked, len(subset), p), rng.getrandbits(64))
                 # entry e of K.c, summed over the dual row of edge e
                 stress = tuple(sum(c[f] * x for f, x in row.items()) % p for row in dual)
-                omega = stress_matrix(g, stress, p).data if any(stress) else []
+                omega = stress_matrix(g, stress).data if any(stress) else []
                 if rank_of_rows(omega, n, p, omega_target) >= omega_target:
                     value = True
                     break
@@ -663,17 +640,17 @@ def random_regular_graph(rng: random.Random, n: int, k: int) -> Graph:
 
 
 def theorem9_by_scan(
-    g: Graph, matching: Sequence[tuple[int, int]], d: int, trials: int, seed: int, p: int
+    g: Graph, matching: Sequence[tuple[int, int]], d: int, trials: int, seed: int
 ) -> Theorem9Report:
     """`theorem9_check` on (g, matching) with every (c-1)-edge deletion run
     through `globally_rigid_deletions` and the boundary through
     :func:`stress_globally_rigid`: the stress-matrix route, kept as the
     oracle of the plane route."""
     c = comb(d + 1, 2)
-    red = is_t_redundantly_rigid(g, d, c + 1, trials, seed, p)
-    over = is_rigid(g.remove_edges(matching[: c + 1]), d, trials, seed, p)
+    red = is_t_redundantly_rigid(g, d, c + 1, trials, seed)
+    over = is_rigid(g.remove_edges(matching[: c + 1]), d, trials, seed)
     shown, scanned = itertools.tee(itertools.combinations(g.sorted_edges(), c - 1))
-    verdicts = globally_rigid_deletions(g, d, scanned, trials, seed, p)
+    verdicts = globally_rigid_deletions(g, d, scanned, trials, seed)
     gr_witness = next((gone for gone, v in zip(shown, verdicts) if not v.value), None)
     boundary = g.remove_edges(matching[:c])
     return Theorem9Report(
@@ -682,7 +659,7 @@ def theorem9_by_scan(
         not over.value,
         gr_witness is None,
         gr_witness,
-        is_rigid(boundary, d, trials, seed, p).value,
-        not stress_globally_rigid(boundary, d, trials, seed, p).value,
+        is_rigid(boundary, d, trials, seed).value,
+        not stress_globally_rigid(boundary, d, trials, seed).value,
         "whp",  # the stress route's verdicts are all whp
     )

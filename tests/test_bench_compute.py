@@ -32,6 +32,11 @@ def test_probe_reports_medians_per_command_and_fails_on_a_changed_output(
     assert len(counting["pass_s"]) == len(result["host.ref_loop_ms"]) == 3
     assert sorted(counting["pass_s"])[1] == counting["compute_s"]
     assert all(ms > 0 for ms in result["host.ref_loop_ms"])
+    # and the slowest invocations, each by its median over the passes
+    slowest = counting["slowest"]
+    assert sorted(call["argv"] for call in slowest) == sorted(" ".join(inv.args) for _, inv in two_invocations())
+    assert [call["ms"] for call in slowest] == sorted((call["ms"] for call in slowest), reverse=True)
+    assert all(call["ms"] > 0 for call in slowest)
 
     golden = json.loads(compute.GOLDEN.read_text())
     name, gpi = two_invocations()[1]

@@ -33,7 +33,7 @@ from rigidity_forge.graph_core import (
     parse_graph,
 )
 
-from helpers import graph6, miller_rabin_runs
+from helpers import graph6
 
 K4_TEXT = complete_graph(4).to_edge_list()
 C4_TEXT = cycle_graph(4).to_edge_list()
@@ -246,14 +246,6 @@ def test_check_lemma6_fails_on_a_dependent_ordering(capsys, c4_file, monkeypatch
     orderings.clear()
     code, payload = run_json(capsys, "check-lemma6", "--input", c4_file)
     assert code == 1 and payload["result"]["passed"] is False
-
-
-def test_a_randomized_command_runs_miller_rabin_once(capsys, c4_file):
-    # every placement stream asks about the one modulus; the test runs once
-    with miller_rabin_runs() as runs:
-        code, payload = run_json(capsys, "globally-rigid", "--input", c4_file)
-    assert code == 0 and payload["result"] is False
-    assert runs == [rigidity.DEFAULT_PRIME]
 
 
 @pytest.mark.parametrize("argv, text", [

@@ -168,3 +168,28 @@ def test_every_optional_parameter_is_passed_by_some_caller():
     unpassed = unpassed_parameters(modules, callers)
     assert UNPASSED_ALLOWED <= unpassed
     assert sorted(unpassed - UNPASSED_ALLOWED) == []
+
+
+def parameters_named(source: str, name: str) -> list[str]:
+    """The functions and lambdas of a source that take a parameter of this name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+            if any(a.arg == name for a in every):
+                found.append(getattr(node, "name", "<lambda>"))
+    return found
+
+
+def test_only_modlinalg_takes_a_modulus():
+    # the verdict layer computes over the one field modlinalg.DEFAULT_PRIME,
+    # so no modulus is passed to it, and none needs a primality test
+    assert parameters_named("def f(g, p=5):\n    return lambda p: p\n\ndef h(q, *, p):\n    pass\n",
+                            "p") == ["f", "h", "<lambda>"]
+    taking = {path.stem: parameters_named(path.read_text(encoding="utf-8"), "p")
+              for path in SRC.glob("*.py") if path.stem != "modlinalg"}
+    assert {module: names for module, names in taking.items() if names} == {}
+    defined = {node.name for node in ast.walk(ast.parse((SRC / "modlinalg.py").read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)}
+    assert "is_prime" not in defined

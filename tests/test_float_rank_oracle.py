@@ -31,6 +31,8 @@ from rigidity_forge.graph_core import Graph, parse_graph
 from rigidity_forge.modlinalg import DEFAULT_PRIME
 from rigidity_forge.rigidity import generic_rank, generic_rank_cap, is_independent, is_rigid
 
+from helpers import use_field
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
@@ -62,7 +64,7 @@ def float_rank(g: Graph, d: int, rng: np.random.Generator) -> int:
 
 def check_tags(g: Graph, d: int, rng: np.random.Generator, *stream) -> dict:
     """Assert the certain tags of g's rank, rigidity and independence verdicts,
-    drawn from the placement stream (trials, seed, p), against its float
+    drawn from the placement stream (trials, seed), against its float
     rank; count the certain verdicts of each kind, and a missed rank."""
     exact = float_rank(g, d, rng)
     rank = generic_rank(g, d, *stream)
@@ -123,13 +125,14 @@ def test_certain_tags_agree_with_the_float_rank_on_the_workload_graphs():
 
 
 @pytest.mark.parametrize("trials, p", [(2, DEFAULT_PRIME), (1, 5)])
-def test_certain_tags_agree_with_the_float_rank_on_clique_rich_graphs(trials, p):
+def test_certain_tags_agree_with_the_float_rank_on_clique_rich_graphs(monkeypatch, trials, p):
+    use_field(monkeypatch, p)
     rng, np_rng = random.Random(4242), np.random.default_rng(4242)
     seen = dict.fromkeys(("certain rank", "certain not rigid", "certain dependent", "missed", "cover"), 0)
     for d in (2, 3):
         for _ in range(60):
             g = clique_rich_graph(rng, d)
-            for kind, count in check_tags(g, d, np_rng, trials, rng.getrandbits(64), p).items():
+            for kind, count in check_tags(g, d, np_rng, trials, rng.getrandbits(64)).items():
                 seen[kind] += count
             upper = generic_rank(g, d).upper
             seen["cover"] += upper < min(g.edge_count, generic_rank_cap(g.n, d))

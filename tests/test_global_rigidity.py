@@ -261,7 +261,7 @@ def test_plane_fallback_reads_the_rank_of_its_stress_elimination(monkeypatch):
     monkeypatch.setattr(rigidity, "left_kernel_sample", lambda *a: sampled.append(a) or sample(*a))
     assert is_globally_rigid(g, 2, seed=seed) == (True, "certain", 57)
     assert ranked == ["rigidity"] and len(sampled) == 1
-    rows, _ = next(placed_rows(g, 2, 1, seed, P))
+    rows, _ = next(placed_rows(g, 2, 1, seed))
     assert sample(*sampled[0])[0] == 57 == rank_of_rows(rows, 60, P)
 
 

@@ -4,7 +4,7 @@ their derived properties, and the validating clique-system class."""
 import pytest
 
 from rigidity_forge import combinatorics, constructions, experiments, global_rigidity, rigidity
-from rigidity_forge.cli import jsonable
+from rigidity_forge.cli import _jsonable
 from rigidity_forge.combinatorics import CliqueSystem
 from rigidity_forge.graph_core import complete_bipartite_graph, complete_graph, cycle_graph
 from rigidity_forge.rigidity import Verdict
@@ -47,7 +47,7 @@ def test_jsonable_renders_every_result_type_as_an_object():
                 check(value, rendered)
 
     for result in seeded_results():
-        check(result, jsonable(result))
+        check(result, _jsonable(result))
     assert seen == result_types
 
 

@@ -15,7 +15,6 @@ from rigidity_forge.constructions import (
     sharpness_example,
     sharpness_matching,
 )
-from rigidity_forge.global_rigidity import stress_matrix_rank
 from rigidity_forge.graph_core import MAX_VERTICES, Graph, complete_graph, cycle_graph, vertex_connectivity
 from rigidity_forge.modlinalg import DEFAULT_PRIME, RowBasis, make_rng, rank_of_rows
 from rigidity_forge.rigidity import (
@@ -35,13 +34,14 @@ from helpers import (
     eager_redundancy,
     edge_positions,
     exact_generic_rank,
+    field,
     kernel_views,
-    miller_rabin_runs,
     per_subset_redundancy,
     placed_rows,
     random_graph,
     redundancy_views,
     stop_free_linked_pairs,
+    use_field,
 )
 
 P = DEFAULT_PRIME
@@ -51,7 +51,7 @@ P = DEFAULT_PRIME
 
 
 def first_placement(g, d, seed):
-    rows, _ = next(placed_rows(g, d, 1, seed, P))
+    rows, _ = next(placed_rows(g, d, 1, seed))
     return rows
 
 
@@ -73,41 +73,21 @@ def test_rigidity_matrix_triangle_rank():
 
 
 def test_placements_draw_fresh_points_per_trial():
-    (first, _), (second, _) = placements(3, 2, 2, 7, P)
+    (first, _), (second, _) = placements(3, 2, 2, 7)
     assert len(first) == len(second) == 6 and first != second
     with pytest.raises(ValueError):
-        next(placements(3, 2, 0, 7, P))
+        next(placements(3, 2, 0, 7))
 
 
 def test_placements_refuse_more_coordinates_than_the_limit():
     # every graph Graph accepts is placeable up to d = 6; LY(3,12), the
     # largest benchmark placement, has 396 coordinates
     assert rigidity.MAX_COORDINATES >= MAX_VERTICES * 6
-    (points, _), = placements(MAX_VERTICES, 6, 1, 7, P)
+    (points, _), = placements(MAX_VERTICES, 6, 1, 7)
     assert len(points) == MAX_VERTICES * 6
     too_many = rigidity.MAX_COORDINATES + 1
     with pytest.raises(ValueError, match=f"^{too_many} coordinates exceed the limit"):
-        next(placements(too_many, 1, 1, 7, P))
-
-
-def test_composite_modulus_is_refused():
-    for p in (15, 91):
-        message = f"modulus {p} is not prime"
-        with pytest.raises(ValueError, match=message):
-            generic_rank(complete_graph(6), 2, p=p)
-        with pytest.raises(ValueError, match=message):
-            is_linked(cycle_graph(6), 2, 0, 2, p=p)
-        with pytest.raises(ValueError, match=message):
-            stress_matrix_rank(complete_graph(6), 2, p=p)
-
-    with pytest.raises(ValueError, match="modulus 1 is not prime"):  # below 2: no prime
-        generic_rank(complete_graph(6), 2, p=1)
-
-    # a prime is tested once, not once per placement stream
-    with miller_rabin_runs() as calls:
-        for seed in range(3):
-            generic_rank(complete_graph(6), 2, seed=seed, p=P)
-    assert calls == [P]
+        next(placements(too_many, 1, 1, 7))
 
 
 # -- generic rank ----------------------------------------------------------
@@ -155,7 +135,7 @@ def test_capped_rank_matches_the_uncapped_rank():
         assert sorted(order) == list(range(g.edge_count))
         seed = rng.getrandbits(64)
         ranks = []
-        for rows, _ in placed_rows(g, d, 2, seed, P):
+        for rows, _ in placed_rows(g, d, 2, seed):
             ranks.append(rank_of_rows(rows, d * g.n, P))
             assert rank_of_rows([rows[i] for i in order], d * g.n, P, cap) == ranks[-1]
         best = max(ranks)
@@ -225,7 +205,7 @@ def test_cover_feed_ranks_as_the_cap_first_feed():
         kinds.add("below cap" if bound < cap else "gated" if bound == g.edge_count else "at cap")
         if d * g.n <= 36:
             assert bound >= exact_generic_rank(g, d)
-        for rows, _ in placed_rows(g, d, 1, rng.getrandbits(64), P):
+        for rows, _ in placed_rows(g, d, 1, rng.getrandbits(64)):
             full = rank_of_rows(rows, d * g.n, P)
             assert full <= bound
             assert rank_of_rows([rows[i] for i in order], d * g.n, P, min(cap, bound)) == full
@@ -410,7 +390,7 @@ def test_linked_pairs_match_rank_increments_on_random_graphs():
             g2 = add_edges(g, [(u, v)])
             uv = g2.sorted_edges().index((min(u, v), max(u, v)))
             best_g = best_g2 = 0
-            for rows, _ in placed_rows(g2, d, 2, seed, P):
+            for rows, _ in placed_rows(g2, d, 2, seed):
                 best_g2 = max(best_g2, rank_of_rows(rows, d * g.n, P))
                 best_g = max(best_g, rank_of_rows(rows[:uv] + rows[uv + 1:], d * g.n, P))
             assert verdict.value == (best_g == best_g2) and verdict.rank == best_g
@@ -510,18 +490,19 @@ def test_early_stops_match_the_stop_free_loops(monkeypatch):
     for _ in range(250):
         d = rng.choice((1, 2, 3))
         g = random_graph(rng, rng.randint(2, 11), rng.random())
-        trials, p, seed = rng.randint(1, 3), rng.choice(primes), rng.getrandbits(32)
+        trials, seed = rng.randint(1, 3), rng.getrandbits(32)
+        use_field(monkeypatch, rng.choice(primes))
         pairs = nonedges(g)
         if pairs:
             drawn.clear()
-            want = stop_free_linked_pairs(g, d, pairs, trials, seed, p)
-            assert linked_pairs(g, d, pairs, trials, seed, p) == want
+            want = stop_free_linked_pairs(g, d, pairs, trials, seed)
+            assert linked_pairs(g, d, pairs, trials, seed) == want
             stopped += len(drawn) < trials
-            raised += stop_free_linked_pairs(g, d, pairs, 1, seed, p) != want
+            raised += stop_free_linked_pairs(g, d, pairs, 1, seed) != want
         t = rng.randint(1, min(3, g.edge_count + 1))
-        want = eager_redundancy(g, d, t, trials, seed, p)
-        assert is_t_redundantly_rigid(g, d, t, trials, seed, p) == want
-        redrawn += eager_redundancy(g, d, t, 1, seed, p) != want
+        want = eager_redundancy(g, d, t, trials, seed)
+        assert is_t_redundantly_rigid(g, d, t, trials, seed) == want
+        redrawn += eager_redundancy(g, d, t, 1, seed) != want
     assert raised and stopped and redrawn
 
 
@@ -592,8 +573,9 @@ def test_redundancy_builds_no_left_kernel(monkeypatch):
         d = rng.randint(1, 3)
         g = random_graph(rng, rng.randint(d + 2, d + 5), rng.uniform(0.5, 1.0))
         t = rng.randint(1, min(5, g.edge_count + 1))
-        p = rng.choice((5, 7, P))
-        seen.add((t, is_t_redundantly_rigid(g, d, t, 3, rng.getrandbits(32), p).value))
+        use_field(monkeypatch, rng.choice((5, 7, P)))
+        seen.add((t, is_t_redundantly_rigid(g, d, t, 3, rng.getrandbits(32)).value))
+    use_field(monkeypatch, P)
     assert {t for t, _ in seen} == set(range(1, 6)) and {value for _, value in seen} == {True, False}
     assert is_t_redundantly_rigid(sharpness_example(2), 2, 4) == (True, "certain", None, comb(36, 3))
 
@@ -611,8 +593,8 @@ def test_redundancy_matches_the_kernel_oracle():
         if t - 1 > g.edge_count:
             continue
         trials, seed = rng.randint(1, 3), rng.getrandbits(32)
-        rep = is_t_redundantly_rigid(g, d, t, trials, seed, P)
-        assert rep == per_subset_redundancy(g, d, t, trials, seed, P, kernel_views(g, d, trials, seed, P))
+        rep = is_t_redundantly_rigid(g, d, t, trials, seed)
+        assert rep == per_subset_redundancy(g, d, t, trials, seed, kernel_views(g, d, trials, seed))
         seen[t, rep.value, rep.confidence] += 1
     assert set(seen) == {(t, value, tag) for t in range(1, 6) for value, tag in
                          ((True, "certain"), (False, "certain"), (False, "whp"))}
@@ -656,18 +638,18 @@ def test_redundancy_t3_at_scale_holds_no_left_kernel():
     assert rep == (True, "certain", None, comb(900, 2)) and peak <= 2 * 2**20, peak
 
 
-def full_rank_views(g, d, t, trials, seed, p):
+def full_rank_views(g, d, t, trials, seed):
     target = d * g.n - comb(d + 1, 2)
-    views = redundancy_views(g, d, t, trials, seed, p)
+    views = redundancy_views(g, d, t, trials, seed)
     return [(kernel_dim, dual) for full, kernel_dim, dual in views if full >= target]
 
 
-def independent_in(view, subset, p):
+def independent_in(view, subset):
     kernel_dim, dual = view
-    return rank_of_rows([dual[i] for i in subset], kernel_dim, p) == len(subset)
+    return rank_of_rows([dual[i] for i in subset], kernel_dim, field()) == len(subset)
 
 
-def test_prefix_walk_matches_per_subset_scan():
+def test_prefix_walk_matches_per_subset_scan(monkeypatch):
     # small primes make the views disagree and prefixes dependent, so the
     # sample must reach both the re-test on later views and the pruning
     rng = random.Random(1414)
@@ -677,18 +659,19 @@ def test_prefix_walk_matches_per_subset_scan():
         d = rng.randint(1, 3)
         g = random_graph(rng, rng.randint(d + 2, d + 4), rng.uniform(0.6, 1.0))
         t = rng.randint(1, min(4, g.edge_count + 1))
-        trials, p, seed = rng.randint(1, 3), rng.choice(primes), rng.getrandbits(32)
-        rep = is_t_redundantly_rigid(g, d, t, trials, seed, p)
-        assert rep == per_subset_redundancy(g, d, t, trials, seed, p)
-        views = full_rank_views(g, d, t, trials, seed, p) if g.n > d + 1 else []
+        trials, seed = rng.randint(1, 3), rng.getrandbits(32)
+        use_field(monkeypatch, rng.choice(primes))
+        rep = is_t_redundantly_rigid(g, d, t, trials, seed)
+        assert rep == per_subset_redundancy(g, d, t, trials, seed)
+        views = full_rank_views(g, d, t, trials, seed) if g.n > d + 1 else []
         if not views:
             continue
         walked = itertools.combinations(range(g.edge_count), t - 1)
         for subset in itertools.islice(walked, rep.subsets_checked):
-            if independent_in(views[0], subset, p):
+            if independent_in(views[0], subset):
                 continue
-            retested += any(independent_in(view, subset, p) for view in views[1:])
-            pruned += len(subset) >= 2 and not independent_in(views[0], subset[:-1], p)
+            retested += any(independent_in(view, subset) for view in views[1:])
+            pruned += len(subset) >= 2 and not independent_in(views[0], subset[:-1])
     assert retested and pruned
 
 
@@ -718,29 +701,29 @@ class Tally(int):
     __hash__ = int.__hash__
 
 
-def walk_work(monkeypatch, g, d, t, trials, seed, p):
+def walk_work(monkeypatch, g, d, t, trials, seed):
     """The prefix walk of the first full-rank view of g: the rows it reduces
     to slopes, at most one per inner node and later row, and the leaf tests it
     makes (comparisons of two slopes)."""
     k = t - 1
-    view = next(list(zip(*stresses)) for full, stresses in rigidity._stresses(g, d, trials, seed, p, k)
+    view = next(list(zip(*stresses)) for full, stresses in rigidity._stresses(g, d, trials, seed, k)
                 if full == generic_rank_cap(g.n, d))
     work, slopes = Counter(), rigidity._slopes
 
-    def tallied(rows, p):
+    def tallied(rows):
         work["slopes"] += len(rows)
-        return [None if key is None else Tally(key) for key in slopes(rows, p)]
+        return [None if key is None else Tally(key) for key in slopes(rows)]
 
     monkeypatch.setattr(rigidity, "_slopes", tallied)
     Tally.comparisons = 0
-    list(rigidity._rejects(view, k, p))
+    list(rigidity._rejects(view, k))
     return {"slopes": work["slopes"], "leaf_tests": Tally.comparisons}
 
 
 def test_prefix_walk_work_on_sharpness_example(monkeypatch):
     g = sharpness_example(2)
     assert is_t_redundantly_rigid(g, 2, 4) == (True, "certain", None, 7140)
-    work = walk_work(monkeypatch, g, 2, 4, 2, 0, P)
+    work = walk_work(monkeypatch, g, 2, 4, 2, 0)
     # one slope comparison per leaf; each node with two basis vectors left
     # reduces each later row once, to its slope
     assert work["leaf_tests"] == comb(36, 3)
@@ -750,13 +733,14 @@ def test_prefix_walk_work_on_sharpness_example(monkeypatch):
 def test_dependent_prefix_costs_no_leaf_test(monkeypatch):
     # K6 in the plane mod 7: the first view has dependent 2-prefixes, whose
     # extensions later views accept, so the walk goes on past them
-    g, d, t, trials, seed, p = complete_graph(6), 2, 4, 3, 44, 7
-    first = full_rank_views(g, d, t, trials, seed, p)[0]
+    g, d, t, trials, seed = complete_graph(6), 2, 4, 3, 44
+    use_field(monkeypatch, 7)
+    first = full_rank_views(g, d, t, trials, seed)[0]
     leaves = list(itertools.combinations(range(g.edge_count), t - 1))
-    under_dependent = sum(not independent_in(first, s[:-1], p) for s in leaves)
+    under_dependent = sum(not independent_in(first, s[:-1]) for s in leaves)
     assert under_dependent > 0
-    assert is_t_redundantly_rigid(g, d, t, trials, seed, p) == (True, "certain", None, len(leaves))
-    assert walk_work(monkeypatch, g, d, t, trials, seed, p)["leaf_tests"] == len(leaves) - under_dependent
+    assert is_t_redundantly_rigid(g, d, t, trials, seed) == (True, "certain", None, len(leaves))
+    assert walk_work(monkeypatch, g, d, t, trials, seed)["leaf_tests"] == len(leaves) - under_dependent
 
 
 # -- cover bound -------------------------------------------------------------
