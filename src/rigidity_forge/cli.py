@@ -29,11 +29,9 @@ except ImportError:
 import rigidity_forge as rf
 
 from .graph_core import Graph, parse_graph
-from .modlinalg import DEFAULT_PRIME, MASK64, make_rng
+from .modlinalg import DEFAULT_PRIME, MASK64, TRIALS, make_rng
 
 SCHEMA = "rigidity-forge/1"
-#: placements per randomized verdict, each over Z_p at p = DEFAULT_PRIME
-TRIALS = 2
 
 
 def _check_settings(args: SimpleNamespace) -> None:
@@ -90,10 +88,10 @@ def _gpi(g: Graph, args: SimpleNamespace) -> dict:
     }
 
 
-def _clique_system(text: str, dim: int):
+def _clique_system(text: str):
     try:
         payload = json.loads(text)
-        n, d, sets = payload["n"], payload.get("d", dim), [list(h) for h in payload["sets"]]
+        n, d, sets = payload["n"], payload["d"], [list(h) for h in payload["sets"]]
         # type(x) is int: JSON integers only, so no float, bool or string is truncated
         if not all(type(x) is int for x in (n, d, *(x for h in sets for x in h))):
             raise TypeError("n, d and set members must be integers")
@@ -135,17 +133,17 @@ _PAIR = {"--u": _INT, "--v": _INT}
 
 COMMANDS = {
     "rank": Command("generic rigidity matroid rank",
-        lambda g, a: rf.generic_rank(g, a.dim, TRIALS, a.seed), flags=_DRAWS, pick="rank"),
+        lambda g, a: rf.generic_rank(g, a.dim, seed=a.seed), flags=_DRAWS, pick="rank"),
     "rigid": Command("generic rigidity verdict",
-        lambda g, a: rf.is_rigid(g, a.dim, TRIALS, a.seed), flags=_DRAWS, pick="value"),
+        lambda g, a: rf.is_rigid(g, a.dim, a.seed), flags=_DRAWS, pick="value"),
     "globally-rigid": Command("generic global rigidity verdict",
-        lambda g, a: rf.is_globally_rigid(g, a.dim, TRIALS, a.seed),
+        lambda g, a: rf.is_globally_rigid(g, a.dim, a.seed),
         flags=_DRAWS, pick="value"),
     "linked": Command("is the pair {u,v} linked",
-        lambda g, a: rf.is_linked(g, a.dim, a.u, a.v, TRIALS, a.seed),
+        lambda g, a: rf.is_linked(g, a.dim, a.u, a.v, a.seed),
         flags=_DRAWS | _PAIR, pick="value"),
     "redundant": Command("t-redundant rigidity verdict",
-        lambda g, a: rf.is_t_redundantly_rigid(g, a.dim, a.t, TRIALS, a.seed),
+        lambda g, a: rf.is_t_redundantly_rigid(g, a.dim, a.t, a.seed),
         flags=_DRAWS | {"--t": _INT}),
     "connectivity": Command("exact vertex connectivity", lambda g, a: rf.vertex_connectivity(g)),
     "gpi": Command("build the ordered subgraph", _gpi, flags=_DRAWS | {"--ordering": {
@@ -161,32 +159,32 @@ COMMANDS = {
         lambda _, a: rf.harary_graph(a.k, a.s),
         reads=None, flags={"--k": _INT, "--s": _INT}),
     "comblemma": Command("verify the covered-subset bound on a clique system (JSON input)",
-        lambda text, a: rf.verify_comblemma(_clique_system(text, a.dim), a.m),
-        reads="text", flags=_DIM | {"--m": _INT}),
+        lambda text, a: rf.verify_comblemma(_clique_system(text), a.m),
+        reads="text", flags={"--m": _INT}),
     "mdk": Command("sharp rank density m_{d,k}",
         lambda _, a: rf.m_dk(a.dim, a.k),
         reads=None, flags=_DIM | {"--k": _INT}),
     "grn-bound": Command("lower bound on the best nontrivial globally rigid dimension",
         lambda g, a: rf.grn_lower_bound(g.n, g.edge_count)),
     "check-theorem1": Command("assert: d(d+1)-connected implies rigid",
-        lambda g, a: rf.theorem1_spot_check(g, a.dim, TRIALS, a.seed),
+        lambda g, a: rf.theorem1_spot_check(g, a.dim, a.seed),
         flags=_DRAWS, check="passed"),
     "check-theorem2": Command("assert: d(d+1)-connected implies globally rigid",
-        lambda g, a: rf.theorem2_spot_check(g, a.dim, TRIALS, a.seed),
+        lambda g, a: rf.theorem2_spot_check(g, a.dim, a.seed),
         flags=_DRAWS, check="passed"),
     "check-theorem9": Command("assert the sharp redundancy constants",
-        lambda _, a: rf.theorem9_check(a.dim, TRIALS, a.seed),
+        lambda _, a: rf.theorem9_check(a.dim, a.seed),
         reads=None, flags=_DRAWS, check="passed"),
     "check-theorem10": Command("assert the m_{d,k} rank lower bound",
-        lambda g, a: rf.theorem10_check(g, a.dim, TRIALS, a.seed),
+        lambda g, a: rf.theorem10_check(g, a.dim, a.seed),
         flags=_DRAWS, check="passed"),
     "check-lemma6": Command("assert ordered subgraphs are independent when no non-edge is linked",
-        lambda g, a: rf.lemma6_property_check(g, a.dim, TRIALS, a.seed),
+        lambda g, a: rf.lemma6_property_check(g, a.dim, a.seed),
         flags=_DRAWS, check="passed"),
     "check-lemma7-hyp": Command("check the expected-size lemma hypotheses",
         lambda g, a: rf.check_lemma7_hypotheses(g, a.dim), flags=_DIM, check="all_ok"),
     "wgl": Command("sufficient condition for weak global linkedness",
-        lambda g, a: rf.wgl_sufficient(g, a.dim, a.u, a.v, _csv_ints(a.v0), TRIALS, a.seed),
+        lambda g, a: rf.wgl_sufficient(g, a.dim, a.u, a.v, _csv_ints(a.v0), a.seed),
         flags=_DRAWS | _PAIR | {"--v0": {
             "required": True, "help": "comma-separated vertex set containing u and v"}}, pick="value"),
 }

@@ -35,13 +35,6 @@ class GpiResult(NamedTuple):
         return self.subgraph.edge_count
 
 
-def validate_ordering(n: int, ordering: Sequence[int]) -> list[int]:
-    order = [int(v) for v in ordering]
-    if sorted(order) != list(range(n)):
-        raise ValueError("ordering must be a permutation of range(n)")
-    return order
-
-
 def build_gpi(g: Graph, d: int, ordering: Sequence[int]) -> GpiResult:
     """Process vertices in order, keeping a bounded set of backward edges.
 
@@ -53,7 +46,9 @@ def build_gpi(g: Graph, d: int, ordering: Sequence[int]) -> GpiResult:
     """
     if d < 2:
         raise ValueError("ordered construction requires dimension >= 2")
-    order = validate_ordering(g.n, ordering)
+    order = [int(v) for v in ordering]
+    if sorted(order) != list(range(g.n)):
+        raise ValueError("ordering must be a permutation of range(n)")
     placed = 0
     edges: list[Edge] = []
     steps: list[GpiStep] = []

@@ -42,23 +42,23 @@ class SpotCheckReport(NamedTuple):
     confidence: str
 
 
-def _connectivity_spot_check(verdict, g, d, trials, seed) -> SpotCheckReport:
+def _connectivity_spot_check(verdict, g, d, seed) -> SpotCheckReport:
     kappa = vertex_connectivity(g)
     threshold = d * (d + 1)
     if kappa < threshold:
         return SpotCheckReport("inapplicable", kappa, threshold, None, None, CERTAIN)
-    v = verdict(g, d, trials, seed)
+    v = verdict(g, d, seed)
     return SpotCheckReport("checked", kappa, threshold, v, v.value, v.confidence)
 
 
-def theorem1_spot_check(g: Graph, d: int, trials: int = 2, seed: int = 0) -> SpotCheckReport:
+def theorem1_spot_check(g: Graph, d: int, seed: int = 0) -> SpotCheckReport:
     """d(d+1)-connected graphs must be rigid; inapplicable below threshold."""
-    return _connectivity_spot_check(is_rigid, g, d, trials, seed)
+    return _connectivity_spot_check(is_rigid, g, d, seed)
 
 
-def theorem2_spot_check(g: Graph, d: int, trials: int = 2, seed: int = 0) -> SpotCheckReport:
+def theorem2_spot_check(g: Graph, d: int, seed: int = 0) -> SpotCheckReport:
     """d(d+1)-connected graphs must be globally rigid."""
-    return _connectivity_spot_check(is_globally_rigid, g, d, trials, seed)
+    return _connectivity_spot_check(is_globally_rigid, g, d, seed)
 
 
 class Theorem9Report(NamedTuple):
@@ -79,7 +79,7 @@ class Theorem9Report(NamedTuple):
                 and self.boundary_rigid and self.boundary_not_globally_rigid)
 
 
-def theorem9_check(d: int = 2, trials: int = 2, seed: int = 0) -> Theorem9Report:
+def theorem9_check(d: int = 2, seed: int = 0) -> Theorem9Report:
     """Exercise the sharp redundancy constants on the matched-cliques example.
 
     Deleting any C(d+1,2) edges must keep it rigid and any C(d+1,2)-1 edges
@@ -105,8 +105,8 @@ def theorem9_check(d: int = 2, trials: int = 2, seed: int = 0) -> Theorem9Report
         verdicts.append(v)
         return v
 
-    red = seen(is_t_redundantly_rigid(g, d, c + 1, trials, seed))
-    over = seen(is_rigid(g.remove_edges(matching[: c + 1]), d, trials, seed))
+    red = seen(is_t_redundantly_rigid(g, d, c + 1, seed))
+    over = seen(is_rigid(g.remove_edges(matching[: c + 1]), d, seed))
     deletions = itertools.combinations(g.sorted_edges(), c - 1)
     boundary = g.remove_edges(matching[:c])
     # Every G - S is globally rigid if each is redundantly rigid, which red
@@ -116,11 +116,11 @@ def theorem9_check(d: int = 2, trials: int = 2, seed: int = 0) -> Theorem9Report
     gr_witness = None
     if not every_gr:
         gr_witness = next((gone for gone in deletions if not seen(is_globally_rigid(
-            g.remove_edges(gone), 2, trials, seed)).value), None)
+            g.remove_edges(gone), 2, seed)).value), None)
     # boundary less matching[c] is the graph `over` tests: if that is not
     # rigid, the boundary is not redundantly rigid, so not globally rigid
-    boundary_gr = over.value and seen(is_globally_rigid(boundary, 2, trials, seed)).value
-    boundary_rigid = seen(is_rigid(boundary, d, trials, seed)).value
+    boundary_gr = over.value and seen(is_globally_rigid(boundary, 2, seed)).value
+    boundary_rigid = seen(is_rigid(boundary, d, seed)).value
     return Theorem9Report(d, red.value, not over.value, gr_witness is None, gr_witness, boundary_rigid,
                           not boundary_gr, _weakest(v.confidence for v in verdicts))
 
@@ -134,7 +134,7 @@ class Theorem10Report(NamedTuple):
     confidence: str
 
 
-def theorem10_check(g: Graph, d: int, trials: int = 2, seed: int = 0) -> Theorem10Report:
+def theorem10_check(g: Graph, d: int, seed: int = 0) -> Theorem10Report:
     """k-connected non-rigid graphs have rank at least m_{d,k} |V|.  The
     rigidity verdict is computed only for 1 <= k < d(d+1), where the bound
     applies."""
@@ -142,7 +142,7 @@ def theorem10_check(g: Graph, d: int, trials: int = 2, seed: int = 0) -> Theorem
         raise ValueError("dimension must be at least 1")
     kappa = vertex_connectivity(g)
     # kappa is exact and a rigid verdict certain, so inapplicability is certain
-    if not 1 <= kappa < d * (d + 1) or (rigid := is_rigid(g, d, trials, seed)).value:
+    if not 1 <= kappa < d * (d + 1) or (rigid := is_rigid(g, d, seed)).value:
         return Theorem10Report("inapplicable", kappa, None, None, None, CERTAIN)
     bound = m_dk(d, kappa) * g.n
     # the rank is a certain lower bound: a pass rests on the rigidity verdict alone
@@ -162,7 +162,7 @@ class Lemma6Report(NamedTuple):
         return None if self.status == "inapplicable" else self.all_independent
 
 
-def lemma6_property_check(g: Graph, d: int, trials: int = 2, seed: int = 0) -> Lemma6Report:
+def lemma6_property_check(g: Graph, d: int, seed: int = 0) -> Lemma6Report:
     """When no non-adjacent pair is linked, every ordered subgraph must be
     independent.  The hypothesis scan is exhaustive over non-edges, hence
     the n <= 40 bound.  A linked non-edge, the first in lexicographic order,
@@ -174,14 +174,14 @@ def lemma6_property_check(g: Graph, d: int, trials: int = 2, seed: int = 0) -> L
         raise ValueError("ordered construction requires dimension >= 2")
     rng = make_rng(seed)
     nonedges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
-    verdicts = linked_pairs(g, d, nonedges, trials, rng.getrandbits(64))
+    verdicts = linked_pairs(g, d, nonedges, rng.getrandbits(64))
     pair = next(((uv, v) for uv, v in zip(nonedges, verdicts) if v.value), None)
     if pair is not None:
         return Lemma6Report("inapplicable", pair[0], 0, None, pair[1].confidence)
     order = list(range(g.n))
     for built in range(1, ORDERINGS + 1):
         rng.shuffle(order)
-        verdicts.append(is_independent(build_gpi(g, d, order).subgraph, d, trials, rng.getrandbits(64)))
+        verdicts.append(is_independent(build_gpi(g, d, order).subgraph, d, rng.getrandbits(64)))
         if not verdicts[-1].value:
             break
     tag = _weakest(v.confidence for v in verdicts)

@@ -43,7 +43,7 @@ def stress_matrix(g: Graph, stress: tuple[int, ...]) -> ModMatrix:
     return ModMatrix(data, n, p)
 
 
-def stress_matrix_rank(g: Graph, d: int, trials: int = 2, seed: int = 0) -> StressCertificate:
+def stress_matrix_rank(g: Graph, d: int, seed: int = 0) -> StressCertificate:
     """Best stress-matrix rank over the stresses of :func:`rigidity._stresses`.
 
     The first best trial is kept; a zero stress's matrix ranks 0.  Requires
@@ -54,7 +54,7 @@ def stress_matrix_rank(g: Graph, d: int, trials: int = 2, seed: int = 0) -> Stre
         raise ValueError("stress certificates need at least d+2 vertices")
     target = n - d - 1
     best = StressCertificate((0,) * g.edge_count, 0, target)
-    for _, (stress,) in _stresses(g, d, trials, seed):
+    for _, (stress,) in _stresses(g, d, seed):
         omega_rank = rank(stress_matrix(g, stress))
         if omega_rank > best.omega_rank:
             best = StressCertificate(tuple(stress), omega_rank, target)
@@ -63,7 +63,7 @@ def stress_matrix_rank(g: Graph, d: int, trials: int = 2, seed: int = 0) -> Stre
     return best
 
 
-def is_globally_rigid(g: Graph, d: int, trials: int = 2, seed: int = 0) -> Verdict:
+def is_globally_rigid(g: Graph, d: int, seed: int = 0) -> Verdict:
     """Generic global rigidity verdict.
 
     Complete graphs are globally rigid; on n <= d+1 vertices completeness is
@@ -77,7 +77,7 @@ def is_globally_rigid(g: Graph, d: int, trials: int = 2, seed: int = 0) -> Verdi
         return Verdict(g.is_complete(), CERTAIN)
     if d == 1:
         return Verdict(vertex_connectivity(g, 2) >= 2, CERTAIN)
-    if not (rigid := is_rigid(g, d, trials, seed)).value:
+    if not (rigid := is_rigid(g, d, seed)).value:
         return rigid
     if d == 2:
         if vertex_connectivity(g, 3) < 3:  # Hendrickson, SIAM J. Comput. 21, 1992
@@ -86,13 +86,13 @@ def is_globally_rigid(g: Graph, d: int, trials: int = 2, seed: int = 0) -> Verdi
         common = (mask(u) & mask(v) for u, v in g.sorted_edges())  # uv is in a K4 iff two are adjacent
         if all(any(mask(w) & c for w in _bits(c)) for c in common):
             return Verdict(True, CERTAIN, rank=rigid.rank)
-        redundant = is_t_redundantly_rigid(g, 2, 2, trials, seed)
+        redundant = is_t_redundantly_rigid(g, 2, 2, seed)
         return Verdict(redundant.value, redundant.confidence, rank=rigid.rank)
-    cert = stress_matrix_rank(g, d, trials, seed)
+    cert = stress_matrix_rank(g, d, seed)
     return Verdict(cert.omega_rank == cert.target, WHP, rank=rigid.rank)
 
 
-def wgl_sufficient(g: Graph, d: int, u: int, v: int, v0, trials: int = 2, seed: int = 0) -> Verdict:
+def wgl_sufficient(g: Graph, d: int, u: int, v: int, v0, seed: int = 0) -> Verdict:
     """Sufficient condition for {u,v} weakly globally linked in g.
 
     True iff {u,v} is linked in the subgraph induced on v0 and some u-v path
@@ -108,5 +108,5 @@ def wgl_sufficient(g: Graph, d: int, u: int, v: int, v0, trials: int = 2, seed: 
         return Verdict(False, CERTAIN)
     sub, mapping = induced_subgraph(g, vs)
     local = {old: new for new, old in enumerate(mapping)}
-    linked = is_linked(sub, d, local[u], local[v], trials, seed)
+    linked = is_linked(sub, d, local[u], local[v], seed)
     return Verdict(linked.value, linked.confidence)

@@ -44,12 +44,12 @@ def check_size(n: int, m: int) -> None:
         raise ValueError(f"{m} edges exceed the limit of {MAX_EDGES}")
 
 
-def as_vertex_set(vertices: Iterable[int], n: int | None = None) -> tuple[int, ...]:
+def as_vertex_set(vertices: Iterable[int], n: int) -> tuple[int, ...]:
     """Sorted tuple of distinct vertex indices, range-checked against ``n``."""
     out = sorted(set(int(v) for v in vertices))
     if out and out[0] < 0:
         raise ValueError(f"negative vertex index {out[0]}")
-    if n is not None and out and out[-1] >= n:
+    if out and out[-1] >= n:
         raise ValueError(f"vertex {out[-1]} out of range for n={n}")
     return tuple(out)
 

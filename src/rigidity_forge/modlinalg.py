@@ -4,13 +4,14 @@ Every operation rests on one incremental row-echelon basis,
 :class:`RowBasis`, whose rows are sparse: a row is a dict mapping each
 column of a nonzero entry to that entry, reduced mod p (zero entries are
 left out).  The modulus is taken on trust: it must be prime.  Every module
-above this one computes over the one field :data:`DEFAULT_PRIME`.
+above this one computes over the one field :data:`DEFAULT_PRIME`, and each
+randomized verdict draws :data:`TRIALS` placements.
 
 All randomness flows through :func:`make_rng`, a Mersenne Twister
 (``random.Random``) seeded with a 64-bit unsigned integer.  The generator
 algorithm is fixed across platforms and CPython versions for the methods
 used here (``getrandbits`` / ``randrange``), so every downstream verdict is
-bit-reproducible from (seed, trials).
+bit-reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ import random
 #: from p - 1 values), below 6e-14 for every accepted input, where
 #: r <= dn <= 120,000.
 DEFAULT_PRIME = (1 << 61) - 1
+#: The placements of every randomized verdict: a verdict misses only if
+#: each of them does.
+TRIALS = 2
 
 MASK64 = (1 << 64) - 1
 

@@ -22,6 +22,7 @@ from .modlinalg import (
     ModMatrix,
     Row,
     RowBasis,
+    TRIALS,
     left_kernel_sample,
     make_rng,
     rank_of_rows,
@@ -118,10 +119,10 @@ def _matrix_rows(edges: Iterable[Edge], d: int, points: Sequence[int]) -> list[R
     return rows
 
 
-def _stresses(g: Graph, d: int, trials: int, seed: int, count: int = 1) -> Iterator[tuple[int, list]]:
-    """Per seeded placement, the rank of R(G,p) (rows in sorted edge order) and `count` random
-    stresses from its left kernel, each zero iff there is none, seeded by the stream's next draw."""
-    for points, rng in placements(g.n, d, trials, seed):
+def _stresses(g: Graph, d: int, seed: int, count: int = 1) -> Iterator[tuple[int, list]]:
+    """Per seeded placement (TRIALS of them), the rank of R(G,p), rows in sorted edge order, and `count`
+    random stresses from its left kernel, each zero iff there is none, seeded by the stream's next draw."""
+    for points, rng in placements(g.n, d, TRIALS, seed):
         rows = _matrix_rows(g.sorted_edges(), d, points)
         yield left_kernel_sample(ModMatrix(rows, d * g.n, DEFAULT_PRIME), rng.getrandbits(64), count)
 
@@ -187,7 +188,7 @@ def _cover_first(g: Graph, d: int) -> tuple[list[Edge], int]:
     return rest + fed_first[::-1], bound + m - len(covered)
 
 
-def generic_rank(g: Graph, d: int, trials: int = 2, seed: int = 0) -> RankReport:
+def generic_rank(g: Graph, d: int, trials: int = TRIALS, seed: int = 0) -> RankReport:
     """Max rank of the rigidity matrix over independent random placements.
 
     The result is a certain lower bound on the generic rank and equals it
@@ -209,13 +210,13 @@ def generic_rank(g: Graph, d: int, trials: int = 2, seed: int = 0) -> RankReport
     return RankReport(best, settled(best, stop, stop), stop)
 
 
-def is_independent(g: Graph, d: int, trials: int = 2, seed: int = 0) -> Verdict:
+def is_independent(g: Graph, d: int, seed: int = 0) -> Verdict:
     """True iff the generic rank equals |E|; true verdicts are certain."""
-    rep = generic_rank(g, d, trials, seed)
+    rep = generic_rank(g, d, TRIALS, seed)
     return Verdict(rep.rank == g.edge_count, settled(rep.rank, rep.upper, g.edge_count), rank=rep.rank)
 
 
-def is_rigid(g: Graph, d: int, trials: int = 2, seed: int = 0) -> Verdict:
+def is_rigid(g: Graph, d: int, seed: int = 0) -> Verdict:
     """Generic rigidity via the rank characterization.
 
     For n <= d+1 the rank condition degenerates; there rigidity is defined
@@ -227,11 +228,11 @@ def is_rigid(g: Graph, d: int, trials: int = 2, seed: int = 0) -> Verdict:
     if n <= d + 1:
         return Verdict(g.is_complete(), CERTAIN, rank=g.edge_count)
     target = generic_rank_cap(n, d)
-    rep = generic_rank(g, d, trials, seed)
+    rep = generic_rank(g, d, TRIALS, seed)
     return Verdict(rep.rank == target, settled(rep.rank, rep.upper, target), rank=rep.rank)
 
 
-def linked_pairs(g: Graph, d: int, pairs: Sequence[Edge], trials: int = 2, seed: int = 0) -> list[Verdict]:
+def linked_pairs(g: Graph, d: int, pairs: Sequence[Edge], seed: int = 0) -> list[Verdict]:
     """For each pair uv: True iff adding uv does not raise the generic rank.
 
     Each trial eliminates R(G,p) once and tests whether the row of each uv on
@@ -254,7 +255,7 @@ def linked_pairs(g: Graph, d: int, pairs: Sequence[Edge], trials: int = 2, seed:
     full = min(g.edge_count, cap)  # rank(G) <= full, so rank(G + uv) <= min(full + 1, cap)
     best_g = 0
     best_uv = dict.fromkeys(queries, 0)
-    for points, _ in placements(g.n, d, trials, seed):
+    for points, _ in placements(g.n, d, TRIALS, seed):
         basis = RowBasis(DEFAULT_PRIME).extend(_matrix_rows(g.sorted_edges(), d, points), cap)
         best_g = max(best_g, basis.rank)
         # at the cap no row raises the rank: no placement of a graph on n vertices ranks higher
@@ -273,9 +274,9 @@ def linked_pairs(g: Graph, d: int, pairs: Sequence[Edge], trials: int = 2, seed:
     return [Verdict(True, CERTAIN) if g.has_edge(u, v) else verdict[normalize_edge(u, v)] for u, v in pairs]
 
 
-def is_linked(g: Graph, d: int, u: int, v: int, trials: int = 2, seed: int = 0) -> Verdict:
+def is_linked(g: Graph, d: int, u: int, v: int, seed: int = 0) -> Verdict:
     """True iff adding uv does not raise the generic rank (see :func:`linked_pairs`)."""
-    return linked_pairs(g, d, [(u, v)], trials, seed)[0]
+    return linked_pairs(g, d, [(u, v)], seed)[0]
 
 
 def _slopes(rows: list[Sequence[int]]) -> list[int | None]:
@@ -327,7 +328,7 @@ def _rejects(dual: list[tuple[int, ...]], k: int) -> Iterator[tuple[int, tuple[i
     return walk((), dual, 0) if k else iter(())
 
 
-def is_t_redundantly_rigid(g: Graph, d: int, t: int, trials: int = 2, seed: int = 0) -> RedundancyReport:
+def is_t_redundantly_rigid(g: Graph, d: int, t: int, seed: int = 0) -> RedundancyReport:
     """Rigid after deleting any edge set of size < t.
 
     By rank monotonicity it suffices to enumerate deletions of size exactly
@@ -355,7 +356,7 @@ def is_t_redundantly_rigid(g: Graph, d: int, t: int, trials: int = 2, seed: int 
         return RedundancyReport(ok, CERTAIN, None if ok else edges[:k], 1)
     target = generic_rank_cap(g.n, d)
     # rank(G - S) = full_rank - |S| + rank of the kernel's dual rows of S, at least those of a view
-    views = (list(zip(*stresses)) for full_rank, stresses in _stresses(g, d, trials, seed, k)
+    views = (list(zip(*stresses)) for full_rank, stresses in _stresses(g, d, seed, k)
              if full_rank >= target)
     first, drawn = next(views, None), []
     failed = settled(0, m - k, target)  # a failing S leaves rank(G - S) <= |E| - |S|

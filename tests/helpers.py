@@ -63,6 +63,12 @@ def use_field(monkeypatch, p: int) -> None:
         monkeypatch.setattr(module, "DEFAULT_PRIME", p)
 
 
+def use_trials(monkeypatch, k: int) -> None:
+    """Make every randomized verdict draw k placements for the rest of the
+    test; `rigidity.generic_rank` called directly keeps its own `trials`."""
+    monkeypatch.setattr(rigidity, "TRIALS", k)
+
+
 def placed_rows(
     g: Graph, d: int, trials: int, seed: int
 ) -> Iterator[tuple[list[dict[int, int]], random.Random]]:
@@ -554,14 +560,14 @@ def per_subset_redundancy(g: Graph, d: int, t: int, trials: int, seed: int, view
 # -- global rigidity through stress matrices ----------------------------------
 
 
-def stress_globally_rigid(g: Graph, d: int, trials: int = 2, seed: int = 0) -> Verdict:
+def stress_globally_rigid(g: Graph, d: int, seed: int = 0) -> Verdict:
     """`is_globally_rigid` of a graph on n >= d+2 vertices by the stress route
     in every dimension: rigid, then a sampled stress matrix of rank n-d-1.
     The oracle of the plane route (3-connected and redundantly rigid)."""
-    rigid = is_rigid(g, d, trials, seed)
+    rigid = is_rigid(g, d, seed)
     if not rigid.value:
         return Verdict(False, "whp", rank=rigid.rank)
-    cert = stress_matrix_rank(g, d, trials, seed)
+    cert = stress_matrix_rank(g, d, seed)
     return Verdict(cert.omega_rank == cert.target, "whp", rank=rigid.rank)
 
 
@@ -569,13 +575,12 @@ def globally_rigid_deletions(
     g: Graph,
     d: int,
     deletions: Iterable[Iterable[Edge]],
-    trials: int = 2,
     seed: int = 0,
 ) -> Iterator[Verdict]:
     """Yield the global-rigidity verdict of G - S for each edge set S of G.
 
-    Every verdict is read off the same `trials` placements of G, each
-    eliminated once.  Per placement, the rank of G - S is the rank of G
+    Every verdict is read off the same `rigidity.TRIALS` placements of G,
+    each eliminated once.  Per placement, the rank of G - S is the rank of G
     minus |S| plus the rank of the dual rows of S, and a stress of G - S is
     w = K.c with K the left-kernel basis of G and c a uniform left-kernel
     element of the |S|-column matrix of the dual entries of S, so w
@@ -589,7 +594,7 @@ def globally_rigid_deletions(
     target, omega_target, p = d * n - comb(d + 1, 2), n - d - 1, field()
     index = {e: i for i, e in enumerate(g.sorted_edges())}
     views = []
-    for rows, rng in placed_rows(g, d, trials, seed):  # rng then draws the stresses
+    for rows, rng in placed_rows(g, d, rigidity.TRIALS, seed):  # rng then draws the stresses
         views.append(kernel_view(rows, d * n))
     for gone in deletions:
         try:
@@ -640,17 +645,17 @@ def random_regular_graph(rng: random.Random, n: int, k: int) -> Graph:
 
 
 def theorem9_by_scan(
-    g: Graph, matching: Sequence[tuple[int, int]], d: int, trials: int, seed: int
+    g: Graph, matching: Sequence[tuple[int, int]], d: int, seed: int
 ) -> Theorem9Report:
     """`theorem9_check` on (g, matching) with every (c-1)-edge deletion run
     through `globally_rigid_deletions` and the boundary through
     :func:`stress_globally_rigid`: the stress-matrix route, kept as the
     oracle of the plane route."""
     c = comb(d + 1, 2)
-    red = is_t_redundantly_rigid(g, d, c + 1, trials, seed)
-    over = is_rigid(g.remove_edges(matching[: c + 1]), d, trials, seed)
+    red = is_t_redundantly_rigid(g, d, c + 1, seed)
+    over = is_rigid(g.remove_edges(matching[: c + 1]), d, seed)
     shown, scanned = itertools.tee(itertools.combinations(g.sorted_edges(), c - 1))
-    verdicts = globally_rigid_deletions(g, d, scanned, trials, seed)
+    verdicts = globally_rigid_deletions(g, d, scanned, seed)
     gr_witness = next((gone for gone, v in zip(shown, verdicts) if not v.value), None)
     boundary = g.remove_edges(matching[:c])
     return Theorem9Report(
@@ -659,7 +664,7 @@ def theorem9_by_scan(
         not over.value,
         gr_witness is None,
         gr_witness,
-        is_rigid(boundary, d, trials, seed).value,
-        not stress_globally_rigid(boundary, d, trials, seed).value,
+        is_rigid(boundary, d, seed).value,
+        not stress_globally_rigid(boundary, d, seed).value,
         "whp",  # the stress route's verdicts are all whp
     )

@@ -195,6 +195,14 @@ def test_comblemma_command(capsys, tmp_path):
     assert payload["result"]["holds"] is True and payload["result"]["count"] == 2
 
 
+def test_comblemma_reads_its_dimension_from_the_json_alone(capsys, tmp_path):
+    # d is a field of the system, and --dim no comblemma flag: no default fills it in
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"n": 6, "sets": [[0, 1, 2], [3, 4, 5]]}))
+    code, payload = run_json(capsys, "comblemma", "--m", "3", "--input", str(path))
+    assert code == 2 and payload["error"] == "bad clique-system JSON: 'd'"
+
+
 # int() would truncate each of these values into a system that checks cleanly
 @pytest.mark.parametrize("change", [
     {"n": 6.9}, {"n": True, "sets": [[0]]}, {"n": "6"},
@@ -314,7 +322,7 @@ def test_usage_errors_exit_two(capsys, tmp_path, monkeypatch):
     assert code == 2 and payload["error"] == "requires dimension >= 2"
 
     # a JSON number too large for a float overflows int()
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 1e400, "sets": []}\n'))
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 1e400, "d": 2, "sets": []}\n'))
     code, payload = run_json(capsys, "comblemma", "--m", "3")
     assert code == 2 and "error" in payload
 
@@ -471,7 +479,7 @@ def test_a_command_takes_exactly_the_flags_its_runner_reads(name):
 UNREAD_SETTINGS = [(name, "--seed") for name in (
     "connectivity", "expected-gpi", "comblemma", "mdk", "grn-bound", "check-lemma7-hyp",
     "gen-ly", "gen-sharpness", "gen-harary")] + [
-    (name, "--dim") for name in ("connectivity", "grn-bound", "gen-harary")]
+    (name, "--dim") for name in ("connectivity", "grn-bound", "gen-harary", "comblemma")]
 
 
 @pytest.mark.parametrize("name, flag", UNREAD_SETTINGS, ids=[f"{n} {f}" for n, f in UNREAD_SETTINGS])

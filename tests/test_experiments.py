@@ -351,7 +351,7 @@ def test_theorem9_plane_route_matches_the_stress_scan(monkeypatch, build, passes
     monkeypatch.setattr(experiments, "sharpness_example", lambda d: g)
     rep = theorem9_check(2, seed=5)
     # the stress route tags every verdict whp; the plane route may be certain
-    assert rep._replace(confidence="whp") == theorem9_by_scan(g, sharpness_matching(2), 2, 2, 5)
+    assert rep._replace(confidence="whp") == theorem9_by_scan(g, sharpness_matching(2), 2, 5)
     assert rep.passed is passes
     assert (rep.gr_witness is not None) is witnessed
 
@@ -421,7 +421,7 @@ def test_theorem10_reads_the_rank_off_the_rigidity_verdict(monkeypatch):
     calls = []
     real = rigidity.generic_rank
     monkeypatch.setattr(rigidity, "generic_rank", lambda *a: calls.append(a) or real(*a))
-    assert [theorem10_check(g, 2, 2, 5).rank for g in (ly, path)] == ranks
+    assert [theorem10_check(g, 2, 5).rank for g in (ly, path)] == ranks
     assert calls == [(ly, 2, 2, 5)]  # is_rigid's own, on ly alone
 
 

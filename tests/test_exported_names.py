@@ -5,6 +5,8 @@ use belongs in `tests/helpers.py`."""
 import ast
 from pathlib import Path
 
+import pytest
+
 import rigidity_forge
 from rigidity_forge.graph_core import Graph
 
@@ -182,14 +184,45 @@ def parameters_named(source: str, name: str) -> list[str]:
     return found
 
 
-def test_only_modlinalg_takes_a_modulus():
-    # the verdict layer computes over the one field modlinalg.DEFAULT_PRIME,
-    # so no modulus is passed to it, and none needs a primality test
+def assigned_names(source: str) -> set[str]:
+    """The names a source binds at module level by assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names |= {target.id for target in targets if isinstance(target, ast.Name)}
+    return names
+
+
+# each setting the verdict layer reads from one module constant: the
+# constant, the module defining it, and the functions still allowed to take
+# the setting as a parameter (a module name allows all of its functions)
+FIXED_SETTINGS = {
+    # one field: modlinalg's eliminations take p, nothing above them does
+    "p": ("DEFAULT_PRIME", "modlinalg", {"modlinalg"}),
+    # generic_rank's count is the one perfbench's trials_requested counter
+    # reads; it hands that count on to the placement stream
+    "trials": ("TRIALS", "modlinalg", {"rigidity.generic_rank", "rigidity.placements"}),
+}
+
+
+def test_guard_reads_parameters_and_module_constants():
     assert parameters_named("def f(g, p=5):\n    return lambda p: p\n\ndef h(q, *, p):\n    pass\n",
                             "p") == ["f", "h", "<lambda>"]
-    taking = {path.stem: parameters_named(path.read_text(encoding="utf-8"), "p")
-              for path in SRC.glob("*.py") if path.stem != "modlinalg"}
-    assert {module: names for module, names in taking.items() if names} == {}
+    assert assigned_names("A = 1\nB: int = 2\nC, D = 3, 4\n\ndef f():\n    E = 5\n") == {"A", "B"}
+
+
+@pytest.mark.parametrize("setting", FIXED_SETTINGS)
+def test_a_fixed_setting_is_one_constant_not_a_parameter(setting):
+    constant, home, allowed = FIXED_SETTINGS[setting]
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    taking = {f"{module}.{name}" for module, source in sources.items()
+              for name in parameters_named(source, setting) if module not in allowed}
+    assert sorted(taking - allowed) == []
+    assert [module for module, source in sources.items() if constant in assigned_names(source)] == [home]
+
+
+def test_the_field_is_taken_on_trust():
+    # with one prime field, nothing needs a primality test
     defined = {node.name for node in ast.walk(ast.parse((SRC / "modlinalg.py").read_text(encoding="utf-8")))
                if isinstance(node, ast.FunctionDef)}
     assert "is_prime" not in defined

@@ -26,12 +26,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rigidity_forge import rigidity
 from rigidity_forge.constructions import lovasz_yemini_family, sharpness_example, sharpness_matching
 from rigidity_forge.graph_core import Graph, parse_graph
 from rigidity_forge.modlinalg import DEFAULT_PRIME
 from rigidity_forge.rigidity import generic_rank, generic_rank_cap, is_independent, is_rigid
 
-from helpers import use_field
+from helpers import use_field, use_trials
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -62,22 +63,23 @@ def float_rank(g: Graph, d: int, rng: np.random.Generator) -> int:
     raise AssertionError(f"singular-value gap below {GAP:g} on two placements")
 
 
-def check_tags(g: Graph, d: int, rng: np.random.Generator, *stream) -> dict:
+def check_tags(g: Graph, d: int, rng: np.random.Generator, seed: int) -> dict:
     """Assert the certain tags of g's rank, rigidity and independence verdicts,
-    drawn from the placement stream (trials, seed), against its float
-    rank; count the certain verdicts of each kind, and a missed rank."""
+    drawn from the seeded placement stream of `rigidity.TRIALS` placements,
+    against its float rank; count the certain verdicts of each kind, and a
+    missed rank."""
     exact = float_rank(g, d, rng)
-    rank = generic_rank(g, d, *stream)
+    rank = generic_rank(g, d, rigidity.TRIALS, seed)
     assert rank.rank <= exact <= rank.upper, (g.n, g.edge_count, rank, exact)
     seen = {"certain rank": 0, "certain not rigid": 0, "certain dependent": 0, "missed": rank.rank < exact}
     if rank.confidence == "certain":
         assert rank.rank == exact
         seen["certain rank"] += 1
-    rigid = is_rigid(g, d, *stream)
+    rigid = is_rigid(g, d, seed)
     if rigid.confidence == "certain" and not rigid.value and g.n > d + 1:
         assert exact < generic_rank_cap(g.n, d)
         seen["certain not rigid"] += 1
-    independent = is_independent(g, d, *stream)
+    independent = is_independent(g, d, seed)
     if independent.confidence == "certain" and not independent.value:
         assert exact < g.edge_count
         seen["certain dependent"] += 1
@@ -116,7 +118,7 @@ def test_certain_tags_agree_with_the_float_rank_on_the_workload_graphs():
     rng = np.random.default_rng(1000)
     seen = dict.fromkeys(("certain rank", "certain not rigid", "certain dependent", "missed"), 0)
     for i, (g, d) in enumerate(workload_graphs()):
-        for kind, count in check_tags(g, d, rng, 2, i).items():
+        for kind, count in check_tags(g, d, rng, i).items():
             seen[kind] += count
     # LY(2, s) and the example less 4 matching edges are certainly not rigid
     # by their cover bounds; the example itself is certainly dependent
@@ -127,12 +129,13 @@ def test_certain_tags_agree_with_the_float_rank_on_the_workload_graphs():
 @pytest.mark.parametrize("trials, p", [(2, DEFAULT_PRIME), (1, 5)])
 def test_certain_tags_agree_with_the_float_rank_on_clique_rich_graphs(monkeypatch, trials, p):
     use_field(monkeypatch, p)
+    use_trials(monkeypatch, trials)
     rng, np_rng = random.Random(4242), np.random.default_rng(4242)
     seen = dict.fromkeys(("certain rank", "certain not rigid", "certain dependent", "missed", "cover"), 0)
     for d in (2, 3):
         for _ in range(60):
             g = clique_rich_graph(rng, d)
-            for kind, count in check_tags(g, d, np_rng, trials, rng.getrandbits(64)).items():
+            for kind, count in check_tags(g, d, np_rng, rng.getrandbits(64)).items():
                 seen[kind] += count
             upper = generic_rank(g, d).upper
             seen["cover"] += upper < min(g.edge_count, generic_rank_cap(g.n, d))

@@ -33,6 +33,7 @@ from helpers import (
     placed_rows,
     random_graph,
     stress_globally_rigid,
+    use_trials,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -224,6 +225,7 @@ def test_plane_route_on_a_k4_covered_graph_draws_no_stress(monkeypatch):
 
 
 def test_plane_route_without_a_k4_cover_samples_one_stress_per_trial(monkeypatch):
+    use_trials(monkeypatch, 3)
     calls = []
     sample = rigidity.left_kernel_sample
 
@@ -232,7 +234,7 @@ def test_plane_route_without_a_k4_cover_samples_one_stress_per_trial(monkeypatch
         return sample(m, seed, count)
 
     monkeypatch.setattr(rigidity, "left_kernel_sample", spy)
-    assert is_globally_rigid(complete_bipartite_graph(4, 4), 2, trials=3) == (True, "certain", 13)
+    assert is_globally_rigid(complete_bipartite_graph(4, 4), 2) == (True, "certain", 13)
     assert len(calls) == 1  # a full-support stress on the first placement settles it
     calls.clear()
     # the benchmark's seed-1 30-vertex graph has two edges in no K4
@@ -243,7 +245,7 @@ def test_plane_route_without_a_k4_cover_samples_one_stress_per_trial(monkeypatch
     calls.clear()
     # K_{3,3} is minimally rigid: no placement carries a nonzero stress, and
     # deleting an edge leaves 8 edges, below the cap 9, so the False is certain
-    assert is_globally_rigid(complete_bipartite_graph(3, 3), 2, trials=3) == (False, "certain", 9)
+    assert is_globally_rigid(complete_bipartite_graph(3, 3), 2) == (False, "certain", 9)
     assert len(calls) == 3
 
 

@@ -615,11 +615,11 @@ def test_path_avoiding_monotone_under_shrinking_v0():
 
 
 def test_as_vertex_set():
-    assert as_vertex_set([3, 1, 1, 2]) == (1, 2, 3)
+    assert as_vertex_set([3, 1, 1, 2], 4) == (1, 2, 3)
     with pytest.raises(ValueError):
         as_vertex_set([0, 4], n=4)
     with pytest.raises(ValueError):
-        as_vertex_set([-1])
+        as_vertex_set([-1], 4)
 
 
 def test_disconnected_graphs_have_connectivity_zero():

@@ -15,7 +15,7 @@ from rigidity_forge.constructions import lovasz_yemini_family, sharpness_example
 from rigidity_forge.modlinalg import DEFAULT_PRIME, ModMatrix, left_kernel_basis, left_kernel_sample
 from rigidity_forge.rigidity import RedundancyReport, is_t_redundantly_rigid
 
-from helpers import placed_rows, random_graph
+from helpers import placed_rows, random_graph, use_trials
 
 P = DEFAULT_PRIME
 
@@ -52,5 +52,6 @@ MATCHING = ((0, 6), (1, 7), (2, 8), (3, 9))
     ],
     ids=["t5-trials1", "t4-trials2"],
 )
-def test_sharpness_redundancy_reports(t, trials, report, seed):
-    assert is_t_redundantly_rigid(sharpness_example(2), 2, t, trials=trials, seed=seed) == report
+def test_sharpness_redundancy_reports(monkeypatch, t, trials, report, seed):
+    use_trials(monkeypatch, trials)
+    assert is_t_redundantly_rigid(sharpness_example(2), 2, t, seed=seed) == report

@@ -42,6 +42,7 @@ from helpers import (
     redundancy_views,
     stop_free_linked_pairs,
     use_field,
+    use_trials,
 )
 
 P = DEFAULT_PRIME
@@ -443,7 +444,7 @@ def test_linked_pairs_of_c40_hold_only_the_rows_of_g():
     assert len(scan) == 740 and peak <= 250_000, peak
 
 
-def test_linked_pairs_validation_and_edges():
+def test_linked_pairs_validation_and_edges(monkeypatch):
     g = cycle_graph(5)
     with pytest.raises(ValueError):
         linked_pairs(g, 2, [(0, 2), (1, 1)])
@@ -451,9 +452,10 @@ def test_linked_pairs_validation_and_edges():
         linked_pairs(g, 2, [(0, 5)])
     assert linked_pairs(g, 2, []) == []
     # pairs that are edges need no placement, so no trial either
-    assert linked_pairs(g, 2, [(0, 1), (4, 0)], trials=0) == [Verdict(True, "certain")] * 2
+    use_trials(monkeypatch, 0)
+    assert linked_pairs(g, 2, [(0, 1), (4, 0)]) == [Verdict(True, "certain")] * 2
     with pytest.raises(ValueError):
-        linked_pairs(g, 2, [(0, 2)], trials=0)
+        linked_pairs(g, 2, [(0, 2)])
 
 
 def count_placements(monkeypatch):
@@ -492,16 +494,17 @@ def test_early_stops_match_the_stop_free_loops(monkeypatch):
         g = random_graph(rng, rng.randint(2, 11), rng.random())
         trials, seed = rng.randint(1, 3), rng.getrandbits(32)
         use_field(monkeypatch, rng.choice(primes))
+        use_trials(monkeypatch, trials)
         pairs = nonedges(g)
         if pairs:
             drawn.clear()
             want = stop_free_linked_pairs(g, d, pairs, trials, seed)
-            assert linked_pairs(g, d, pairs, trials, seed) == want
+            assert linked_pairs(g, d, pairs, seed) == want
             stopped += len(drawn) < trials
             raised += stop_free_linked_pairs(g, d, pairs, 1, seed) != want
         t = rng.randint(1, min(3, g.edge_count + 1))
         want = eager_redundancy(g, d, t, trials, seed)
-        assert is_t_redundantly_rigid(g, d, t, trials, seed) == want
+        assert is_t_redundantly_rigid(g, d, t, seed) == want
         redrawn += eager_redundancy(g, d, t, 1, seed) != want
     assert raised and stopped and redrawn
 
@@ -542,9 +545,10 @@ def test_redundancy_agrees_with_direct_deletion():
             assert not is_rigid(g.remove_edges(rep.witness), 2, seed=3).value
 
 
-def test_sharpness_redundancy_witness():
+def test_sharpness_redundancy_witness(monkeypatch):
     g = sharpness_example(2)
-    rep = is_t_redundantly_rigid(g, 2, 5, trials=1)
+    use_trials(monkeypatch, 1)
+    rep = is_t_redundantly_rigid(g, 2, 5)
     assert not rep.value
     assert rep.witness == sharpness_matching(2)[:4]
 
@@ -569,18 +573,20 @@ def test_redundancy_builds_no_left_kernel(monkeypatch):
     monkeypatch.setattr(modlinalg, "left_kernel_basis", forbidden)
     rng = random.Random(1616)
     seen = set()
+    use_trials(monkeypatch, 3)
     for _ in range(100):
         d = rng.randint(1, 3)
         g = random_graph(rng, rng.randint(d + 2, d + 5), rng.uniform(0.5, 1.0))
         t = rng.randint(1, min(5, g.edge_count + 1))
         use_field(monkeypatch, rng.choice((5, 7, P)))
-        seen.add((t, is_t_redundantly_rigid(g, d, t, 3, rng.getrandbits(32)).value))
+        seen.add((t, is_t_redundantly_rigid(g, d, t, rng.getrandbits(32)).value))
     use_field(monkeypatch, P)
+    use_trials(monkeypatch, 2)
     assert {t for t, _ in seen} == set(range(1, 6)) and {value for _, value in seen} == {True, False}
     assert is_t_redundantly_rigid(sharpness_example(2), 2, 4) == (True, "certain", None, comb(36, 3))
 
 
-def test_redundancy_matches_the_kernel_oracle():
+def test_redundancy_matches_the_kernel_oracle(monkeypatch):
     # the kernel views rank every deletion exactly, an independent route; at
     # p = 2^61 - 1, t - 1 stresses per placement give the same report, though
     # the stress stream draws each later placement after its seed
@@ -593,7 +599,8 @@ def test_redundancy_matches_the_kernel_oracle():
         if t - 1 > g.edge_count:
             continue
         trials, seed = rng.randint(1, 3), rng.getrandbits(32)
-        rep = is_t_redundantly_rigid(g, d, t, trials, seed)
+        use_trials(monkeypatch, trials)
+        rep = is_t_redundantly_rigid(g, d, t, seed)
         assert rep == per_subset_redundancy(g, d, t, trials, seed, kernel_views(g, d, trials, seed))
         seen[t, rep.value, rep.confidence] += 1
     assert set(seen) == {(t, value, tag) for t in range(1, 6) for value, tag in
@@ -661,7 +668,8 @@ def test_prefix_walk_matches_per_subset_scan(monkeypatch):
         t = rng.randint(1, min(4, g.edge_count + 1))
         trials, seed = rng.randint(1, 3), rng.getrandbits(32)
         use_field(monkeypatch, rng.choice(primes))
-        rep = is_t_redundantly_rigid(g, d, t, trials, seed)
+        use_trials(monkeypatch, trials)
+        rep = is_t_redundantly_rigid(g, d, t, seed)
         assert rep == per_subset_redundancy(g, d, t, trials, seed)
         views = full_rank_views(g, d, t, trials, seed) if g.n > d + 1 else []
         if not views:
@@ -701,12 +709,12 @@ class Tally(int):
     __hash__ = int.__hash__
 
 
-def walk_work(monkeypatch, g, d, t, trials, seed):
+def walk_work(monkeypatch, g, d, t, seed):
     """The prefix walk of the first full-rank view of g: the rows it reduces
     to slopes, at most one per inner node and later row, and the leaf tests it
     makes (comparisons of two slopes)."""
     k = t - 1
-    view = next(list(zip(*stresses)) for full, stresses in rigidity._stresses(g, d, trials, seed, k)
+    view = next(list(zip(*stresses)) for full, stresses in rigidity._stresses(g, d, seed, k)
                 if full == generic_rank_cap(g.n, d))
     work, slopes = Counter(), rigidity._slopes
 
@@ -723,7 +731,7 @@ def walk_work(monkeypatch, g, d, t, trials, seed):
 def test_prefix_walk_work_on_sharpness_example(monkeypatch):
     g = sharpness_example(2)
     assert is_t_redundantly_rigid(g, 2, 4) == (True, "certain", None, 7140)
-    work = walk_work(monkeypatch, g, 2, 4, 2, 0)
+    work = walk_work(monkeypatch, g, 2, 4, 0)
     # one slope comparison per leaf; each node with two basis vectors left
     # reduces each later row once, to its slope
     assert work["leaf_tests"] == comb(36, 3)
@@ -735,12 +743,13 @@ def test_dependent_prefix_costs_no_leaf_test(monkeypatch):
     # extensions later views accept, so the walk goes on past them
     g, d, t, trials, seed = complete_graph(6), 2, 4, 3, 44
     use_field(monkeypatch, 7)
+    use_trials(monkeypatch, trials)
     first = full_rank_views(g, d, t, trials, seed)[0]
     leaves = list(itertools.combinations(range(g.edge_count), t - 1))
     under_dependent = sum(not independent_in(first, s[:-1]) for s in leaves)
     assert under_dependent > 0
-    assert is_t_redundantly_rigid(g, d, t, trials, seed) == (True, "certain", None, len(leaves))
-    assert walk_work(monkeypatch, g, d, t, trials, seed)["leaf_tests"] == len(leaves) - under_dependent
+    assert is_t_redundantly_rigid(g, d, t, seed) == (True, "certain", None, len(leaves))
+    assert walk_work(monkeypatch, g, d, t, seed)["leaf_tests"] == len(leaves) - under_dependent
 
 
 # -- cover bound -------------------------------------------------------------
