@@ -35,10 +35,10 @@ SCHEMA = "rigidity-forge/1"
 
 
 def _check_settings(args: SimpleNamespace) -> None:
-    """Refuse a dimension or seed that no command can run with."""
-    if args.dim < 1:
+    """Refuse a dimension or seed, where the command takes one, that no command can run with."""
+    if getattr(args, "dim", 1) < 1:
         raise ValueError("dimension must be at least 1")
-    if not (0 <= args.seed <= MASK64):
+    if not (0 <= getattr(args, "seed", 0) <= MASK64):
         raise ValueError("seed must be a 64-bit unsigned integer")
 
 
@@ -88,13 +88,14 @@ def _gpi(g: Graph, args: SimpleNamespace) -> dict:
     }
 
 
-def _clique_system(text: str):
+def _clique_system(text: str, args: SimpleNamespace):
     try:
         payload = json.loads(text)
         n, d, sets = payload["n"], payload["d"], [list(h) for h in payload["sets"]]
         # type(x) is int: JSON integers only, so no float, bool or string is truncated
         if not all(type(x) is int for x in (n, d, *(x for h in sets for x in h))):
             raise TypeError("n, d and set members must be integers")
+        args.dim = d  # the system's dimension joins the namespace, printed as a flag's is
         return rf.CliqueSystem(n, d, sets)
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"bad clique-system JSON: {exc}") from None
@@ -126,8 +127,6 @@ class Command(NamedTuple):
 _DIM = {"--dim": {"type": int, "default": 2, "help": "dimension d (default 2)"}}
 _DRAWS = _DIM | {"--seed": {"type": int, "default": 0, "help": "64-bit seed (default 0)"}}
 _INPUT = {"--input": {"default": "-", "help": "graph file or - for stdin"}}
-#: dim and seed in every command's namespace: at their defaults where the command takes no such flag
-DEFAULTS = MappingProxyType({flag[2:]: spec["default"] for flag, spec in _DRAWS.items()})
 _INT = {"type": int, "required": True}
 _PAIR = {"--u": _INT, "--v": _INT}
 
@@ -159,7 +158,7 @@ COMMANDS = {
         lambda _, a: rf.harary_graph(a.k, a.s),
         reads=None, flags={"--k": _INT, "--s": _INT}),
     "comblemma": Command("verify the covered-subset bound on a clique system (JSON input)",
-        lambda text, a: rf.verify_comblemma(_clique_system(text), a.m),
+        lambda text, a: rf.verify_comblemma(_clique_system(text, a), a.m),
         reads="text", flags={"--m": _INT}),
     "mdk": Command("sharp rank density m_{d,k}",
         lambda _, a: rf.m_dk(a.dim, a.k),
@@ -205,7 +204,6 @@ def build_parser(names=COMMANDS):
     sub = parser.add_subparsers(dest="command", required=True)
     for name in names:
         p = sub.add_parser(name, help=COMMANDS[name].help)
-        p.set_defaults(**DEFAULTS)
         for flag, spec in COMMANDS[name].all_flags.items():
             p.add_argument(flag, **spec)
     return parser
@@ -219,7 +217,7 @@ def parse_direct(argv: list[str]) -> SimpleNamespace | None:
     if not argv or argv[0] not in COMMANDS:
         return None
     specs = COMMANDS[argv[0]].all_flags
-    values = dict(DEFAULTS, command=argv[0]) | {flag[2:]: spec.get("default") for flag, spec in specs.items()}
+    values = {"command": argv[0]} | {flag[2:]: spec.get("default") for flag, spec in specs.items()}
     tokens = iter(argv[1:])
     for flag in tokens:
         spec = specs.get(flag)
@@ -270,23 +268,24 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         result = _jsonable(report)
         # a randomized report carries its own tag; an exact command's answer is certain
-        confidence = result.pop("confidence", "certain") if isinstance(result, dict) else "certain"
+        randomized = isinstance(result, dict) and "confidence" in result
+        confidence = result.pop("confidence") if randomized else "certain"
         if cmd.pick:
             result = result[cmd.pick]
         code = 0
         if cmd.check:
             result[cmd.check] = getattr(report, cmd.check)
             code = 1 if result[cmd.check] is False else 0
-        runtime_ms = int((time.perf_counter() - started) * 1000)
+        params = {key: value for key, value in vars(args).items() if key in ("dim", "seed")}
         payload = {
             "schema": SCHEMA,
             "command": args.command,
             "input_digest": digest,
-            "params": {"dim": args.dim, "trials": TRIALS, "prime": DEFAULT_PRIME},
+            # the settings the command ran with: its own dim and seed, and the draws of a randomized one
+            "params": params | ({"trials": TRIALS, "prime": DEFAULT_PRIME} if randomized else {}),
             "result": result,
             "confidence": confidence,
-            "seed": args.seed,
-            "runtime_ms": runtime_ms,
+            "runtime_ms": int((time.perf_counter() - started) * 1000),
         }
         print(json.dumps(payload, sort_keys=True))
         return code

@@ -11,7 +11,7 @@ from collections.abc import Iterable
 from math import comb, isqrt
 from typing import TYPE_CHECKING, NamedTuple
 
-from .graph_core import Graph, _bits, _non_adjacent_pair
+from .graph_core import Graph, _bits, _non_adjacent_pair, check_size
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -31,6 +31,7 @@ class CliqueSystem:
     def __init__(self, n: int, d: int, sets: Iterable[Iterable[int]]) -> None:
         if n < 0:
             raise ValueError("ground set size must be non-negative")
+        check_size(n, 0)  # before any binomial of n: the ground set is a vertex set, bounded as a graph's
         self.n, self.d = n, d
         self.sets: tuple[frozenset[int], ...] = tuple(frozenset(h) for h in sets)
         for h in self.sets:

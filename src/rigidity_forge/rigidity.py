@@ -349,7 +349,7 @@ def is_t_redundantly_rigid(g: Graph, d: int, t: int, seed: int = 0) -> Redundanc
     if k > m:
         raise ValueError(f"cannot delete {k} edges from {m}")
     if comb(m, k) > REDUNDANCY_BUDGET:
-        raise ValueError(f"{comb(m, k)} edge subsets exceed the budget of {REDUNDANCY_BUDGET}")
+        raise ValueError(f"C({m}, {k}) edge subsets exceed the budget of {REDUNDANCY_BUDGET}")
     edges = g.sorted_edges()
     if g.n <= d + 1:
         ok = g.is_complete() and k == 0

@@ -1,13 +1,22 @@
 """Acceptance suite: one test per release criterion, each asserting its
 stated tolerances and printing a single pass/fail line (run with -s to see
-them live)."""
+them live).
 
+Three criteria pin CLI outputs in ``golden/criterion_12.json``,
+``golden/scans.json`` and ``golden/counting.json``.  A change of output
+regenerates all three with ``PYTHONPATH=src python tests/test_acceptance.py``
+(run from the repository root, or with ``tests`` on the path), which prints
+the file and argv of each record it changed, and a count per file.
+"""
+
+import io
 import json
 import math
 import random
 import re
+import tempfile
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -292,21 +301,21 @@ def test_criterion_12_byte_identical_reruns(capsys, tmp_path):
             assert scrub_runtime(out_a) == scrub_runtime(out_b), argv
 
 
-def cli_runs(capsys, tmp_path, invocations) -> list[dict]:
+def cli_runs(tmp_path, invocations) -> list[dict]:
     """Exit code and runtime-free stdout of each command line."""
     runs = []
     for argv in invocations:
-        code = cli_main(list(argv))
-        out = scrub_runtime(capsys.readouterr().out)
+        with redirect_stdout(io.StringIO()) as out:
+            code = cli_main(list(argv))
         label = " ".join(a.replace(str(tmp_path) + "/", "") for a in argv)
-        runs.append({"argv": label, "code": code, "stdout": out})
+        runs.append({"argv": label, "code": code, "stdout": scrub_runtime(out.getvalue())})
     return runs
 
 
-def golden_outputs(capsys, tmp_path) -> dict:
+def golden_outputs(tmp_path) -> dict:
     """Exit code and runtime-free stdout of every criterion-12 command line,
     plus the stress vectors of a few certificates, which no command prints."""
-    runs = cli_runs(capsys, tmp_path, criterion_12_invocations(tmp_path))
+    runs = cli_runs(tmp_path, criterion_12_invocations(tmp_path))
     stresses = {
         "complete_graph(5), d=2": stress_matrix_rank(complete_graph(5), 2),
         "sharpness_example(2), d=2": stress_matrix_rank(sharpness_example(2), 2),
@@ -315,11 +324,11 @@ def golden_outputs(capsys, tmp_path) -> dict:
     return {"cli": runs, "stress": {k: list(c.stress) for k, c in stresses.items()}}
 
 
-def test_criterion_12_outputs_match_golden_file(capsys, tmp_path):
+def test_criterion_12_outputs_match_golden_file(tmp_path):
     # the stress vectors reach no CLI output, so only this pin catches a
     # changed kernel basis or placement draw order
     expected = json.loads(GOLDEN_OUTPUTS.read_text())
-    actual = golden_outputs(capsys, tmp_path)
+    actual = golden_outputs(tmp_path)
     for want, got in zip(expected["cli"], actual["cli"]):
         assert got == want
     assert len(actual["cli"]) == len(expected["cli"])
@@ -356,11 +365,11 @@ def scan_invocations(tmp_path):
     return out
 
 
-def test_scan_outputs_match_golden_file(capsys, tmp_path):
+def test_scan_outputs_match_golden_file(tmp_path):
     # written by the per-pair and per-deletion code that the shared-placement
     # scans replaced
     expected = json.loads(SCAN_GOLDEN_OUTPUTS.read_text())
-    actual = cli_runs(capsys, tmp_path, scan_invocations(tmp_path))
+    actual = cli_runs(tmp_path, scan_invocations(tmp_path))
     for want, got in zip(expected, actual):
         assert got == want
     assert len(actual) == len(expected)
@@ -401,11 +410,56 @@ def counting_invocations(tmp_path):
     return out
 
 
-def test_counting_outputs_match_golden_file(capsys, tmp_path):
+def test_counting_outputs_match_golden_file(tmp_path):
     # written by the code that enumerated covered subsets and neighbourhood
     # cliques, before the closed form and the clique polynomial replaced it
     expected = json.loads(COUNTING_GOLDEN_OUTPUTS.read_text())
-    actual = cli_runs(capsys, tmp_path, counting_invocations(tmp_path))
+    actual = cli_runs(tmp_path, counting_invocations(tmp_path))
     for want, got in zip(expected, actual):
         assert got == want
     assert len(actual) == len(expected)
+
+
+#: each acceptance golden file, and the outputs it pins from input files written to a directory
+GOLDEN_FILES = {
+    GOLDEN_OUTPUTS: golden_outputs,
+    SCAN_GOLDEN_OUTPUTS: lambda tmp_path: cli_runs(tmp_path, scan_invocations(tmp_path)),
+    COUNTING_GOLDEN_OUTPUTS: lambda tmp_path: cli_runs(tmp_path, counting_invocations(tmp_path)),
+}
+
+
+def keyed_records(outputs) -> dict[str, object]:
+    """A golden file's records by name: each CLI run by its argv, and each
+    stress vector of criterion 12 by its certificate."""
+    runs, stresses = (outputs["cli"], outputs["stress"]) if isinstance(outputs, dict) else (outputs, {})
+    return {run["argv"]: run for run in runs} | {f"stress {k}": v for k, v in stresses.items()}
+
+
+def regenerate(golden: Path, outputs) -> list[str]:
+    """Rewrite a golden file with `outputs`; return the name of each record
+    that differs from, or is missing in, the file as it was."""
+    old = keyed_records(json.loads(golden.read_text())) if golden.exists() else {}
+    golden.write_text(json.dumps(outputs, indent=1) + "\n")
+    return [name for name, record in keyed_records(outputs).items() if old.get(name) != record]
+
+
+def test_regenerate_reports_only_the_records_that_changed(tmp_path):
+    golden, inputs = tmp_path / "golden.json", tmp_path / "inputs"
+    inputs.mkdir()
+    outputs = {"cli": cli_runs(inputs, criterion_12_invocations(inputs)[:3]), "stress": {"a": [1, 2]}}
+    assert regenerate(golden, outputs) == [run["argv"] for run in outputs["cli"]] + ["stress a"]  # all new
+    assert regenerate(golden, outputs) == []
+    assert json.loads(golden.read_text()) == outputs
+    outputs["cli"][1]["code"], outputs["stress"]["a"] = 1, [2, 1]
+    assert regenerate(golden, outputs) == [outputs["cli"][1]["argv"], "stress a"]
+    assert regenerate(golden, outputs["cli"]) == []  # a list of runs is keyed by argv alike
+
+
+if __name__ == "__main__":
+    for path, pinned in GOLDEN_FILES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            outputs = pinned(Path(tmp))
+        changed = regenerate(path, outputs)
+        for name in changed:
+            print(path.name, name)
+        print(f"{path.name}: {len(changed)} of {len(keyed_records(outputs))} records changed")

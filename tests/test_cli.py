@@ -25,6 +25,7 @@ from rigidity_forge.constructions import harary_graph, lovasz_yemini_family, sha
 from rigidity_forge.graph_core import (
     GRAPH6_BYTES,
     MAX_EDGES,
+    MAX_VERTICES,
     Graph,
     GraphFormatWarning,
     complete_bipartite_graph,
@@ -203,6 +204,23 @@ def test_comblemma_reads_its_dimension_from_the_json_alone(capsys, tmp_path):
     assert code == 2 and payload["error"] == "bad clique-system JSON: 'd'"
 
 
+@pytest.mark.parametrize("n", [MAX_VERTICES + 1, 10**12])
+def test_comblemma_refuses_a_ground_set_above_the_vertex_limit(capsys, monkeypatch, tmp_path, n):
+    # refused before any binomial: C(10^12 - 1, 300000) alone would take seconds
+    def forbidden(*args):
+        raise AssertionError("binomial computed")
+
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"n": n, "d": 3, "sets": [[0, 1, 2]]}))
+    monkeypatch.setattr(combinatorics, "comb", forbidden)
+    code, payload = run_json(capsys, "comblemma", "--m", "300", "--input", str(path))
+    assert (code, payload["error"]) == (2, f"{n} vertices exceed the limit of {MAX_VERTICES}")
+    monkeypatch.undo()
+    path.write_text(json.dumps({"n": MAX_VERTICES, "d": 3, "sets": [[0, 1, 2]]}))
+    code, payload = run_json(capsys, "comblemma", "--m", "300", "--input", str(path))
+    assert code == 0 and payload["result"]["bound"] == comb(MAX_VERTICES - 1, 300)
+
+
 # int() would truncate each of these values into a system that checks cleanly
 @pytest.mark.parametrize("change", [
     {"n": 6.9}, {"n": True, "sets": [[0]]}, {"n": "6"},
@@ -298,9 +316,21 @@ def test_a_redundancy_scan_over_the_budget_is_refused_before_any_placement(capsy
     _forbid(monkeypatch, rigidity, "make_rng")
     code, payload = run_json(capsys, "redundant", "--t", "6", "--input", str(path))
     assert code == 2
-    assert payload["error"] == f"{comb(120, 5)} edge subsets exceed the budget of {rigidity.REDUNDANCY_BUDGET}"
+    assert payload["error"] == f"C(120, 5) edge subsets exceed the budget of {rigidity.REDUNDANCY_BUDGET}"
     # theorem 9's plane scan and the benchmark's scans stay inside it
     assert max(comb(36, 2), comb(36, 3)) <= rigidity.REDUNDANCY_BUDGET < comb(120, 5)
+
+
+def test_a_redundancy_refusal_names_its_count_whatever_its_digits(capsys, monkeypatch, tmp_path):
+    # Harary(4, 10,000) has 20,000 edges: C(20000, 2999) has 3,669 digits, and
+    # C(20000, 5999) more than the 4,300 that int-to-str conversion allows
+    path = tmp_path / "harary.txt"
+    path.write_text(harary_graph(4, 10_000).to_edge_list())
+    _forbid(monkeypatch, rigidity, "make_rng")
+    for t in (3000, 6000):
+        code, payload = run_json(capsys, "redundant", "--t", str(t), "--input", str(path))
+        assert (code, payload["error"]) == (
+            2, f"C(20000, {t - 1}) edge subsets exceed the budget of {rigidity.REDUNDANCY_BUDGET}")
 
 
 @pytest.mark.parametrize("text", ["4 3\n0 1\n1 2\n2 3\n", K4_TEXT], ids=["P4", "K4"])
@@ -495,6 +525,41 @@ def test_unread_settings_name_every_command_without_the_flag():
     assert sorted(UNREAD_SETTINGS) == sorted(
         (name, flag) for name, cmd in COMMANDS.items() for flag in ("--dim", "--seed")
         if flag not in cmd.all_flags)
+
+
+#: the `params` keys of each JSON command: the settings it takes among dim
+#: and seed (comblemma's dim is its JSON's), and the trials and prime of
+#: every report that carries its own confidence tag, as each drawn from placements does
+PARAMS_KEYS = {
+    "connectivity": set(), "grn-bound": set(),
+    **dict.fromkeys(("expected-gpi", "check-lemma7-hyp", "mdk", "comblemma"), {"dim"}),
+    "gpi": {"dim", "seed"},
+    **dict.fromkeys(("rank", "rigid", "globally-rigid", "linked", "redundant", "check-theorem1",
+                     "check-theorem2", "check-theorem9", "check-theorem10", "check-lemma6", "wgl"),
+                    {"dim", "seed", "trials", "prime"}),
+}
+
+
+@pytest.mark.parametrize("name", PARAMS_KEYS)
+def test_params_state_the_settings_the_command_ran_with(capsys, monkeypatch, name):
+    cmd = COMMANDS[name]
+    system = json.dumps({"n": 8, "d": 3, "sets": [[0, 1, 2, 3]]})  # d = 3: not the --dim default
+    argv = [name, *REQUIRED_FLAGS.get(name, []), *["--seed", "7"] * ("--seed" in cmd.all_flags)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(system if cmd.reads == "text" else K4_TEXT))
+    code, payload = run_json(capsys, *argv)
+    assert code in (0, 1) and "seed" not in payload
+    source = {"graph": parse_graph(K4_TEXT), "text": system, None: None}[cmd.reads]
+    tagged = "confidence" in getattr(cmd.run(source, parse_direct(argv)), "_fields", ())
+    taken = {flag[2:] for flag in cmd.all_flags if flag in ("--dim", "--seed")}
+    taken |= {"dim"} if cmd.reads == "text" else set()  # the system's own d
+    assert set(payload["params"]) == PARAMS_KEYS[name] == taken | ({"trials", "prime"} if tagged else set())
+    values = {"dim": 3 if cmd.reads == "text" else 2, "seed": 7,
+              "trials": rigidity.TRIALS, "prime": rigidity.DEFAULT_PRIME}
+    assert payload["params"] == {key: values[key] for key in PARAMS_KEYS[name]}
+
+
+def test_params_keys_name_every_json_command():
+    assert set(PARAMS_KEYS) == {name for name in COMMANDS if not name.startswith("gen-")}
 
 
 def test_missing_input_file(capsys):
