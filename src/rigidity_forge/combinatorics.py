@@ -7,6 +7,7 @@ Everything here is exact rational or integer arithmetic; no floats.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Iterable
 from math import comb, isqrt
 from typing import TYPE_CHECKING, NamedTuple
@@ -60,20 +61,17 @@ class CliqueSystem:
 def covered_subset_count(system: CliqueSystem, m: int, method: str = "auto") -> int:
     """Number of m-subsets of [n] contained in some H_j.
 
-    "enumerate" checks every m-subset (always valid).  "binomial" is the
-    closed form sum_j C(|H_j|, m), exact when no m-subset lies in two of the
-    sets: the system hypotheses bound every pairwise intersection by d-2, so
-    it is guarded by m > d-2 plus the hypotheses.  "auto" takes the closed
-    form when the guard holds and enumerates otherwise.
+    "enumerate" checks every m-subset (always valid).  "auto" takes the
+    closed form sum_j C(|H_j|, m) exactly when its guard holds, and
+    enumerates otherwise.  The closed form is exact when no m-subset lies in
+    two of the sets: the system hypotheses bound every pairwise intersection
+    by d-2, so the guard is m > d-2 plus the hypotheses.
     """
     if not (0 <= m <= system.n):
         raise ValueError(f"m={m} out of range [0, {system.n}]")
-    if method not in ("enumerate", "binomial", "auto"):
+    if method not in ("enumerate", "auto"):
         raise ValueError(f"unknown method {method!r}")
-    closed_form_ok = m > system.d - 2 and system.hypothesis_violation() is None
-    if method == "binomial" and not closed_form_ok:
-        raise ValueError("binomial shortcut guard failed; use enumerate")
-    if method != "enumerate" and closed_form_ok:
+    if method == "auto" and m > system.d - 2 and system.hypothesis_violation() is None:
         return sum(comb(len(h), m) for h in system.sets)
     return _enumerated_covered_count(system, m)
 
@@ -106,12 +104,15 @@ def verify_comblemma(system: CliqueSystem, m: int) -> CombLemmaReport:
     theorem, so this exists for fuzzing, not deciding.  Admissibility puts m
     at d+1 or more, inside :func:`covered_subset_count`'s closed-form guard,
     so the count is sum_j C(|H_j|, m), taken without checking the
-    hypotheses a second time."""
+    hypotheses a second time.  A bound with more digits than the interpreter
+    prints is refused; the count, at most the bound, never has more."""
     reason = system.hypothesis_violation(m)
     if reason is not None:
         return CombLemmaReport("inapplicable", reason, None, None, None)
+    bound, digits = comb(system.n - 1, m), getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if digits and bound >= 10**digits:
+        raise ValueError(f"C({system.n - 1}, {m}) exceeds the limit of {digits} digits")
     count = sum(comb(len(h), m) for h in system.sets)
-    bound = comb(system.n - 1, m)
     return CombLemmaReport("checked", None, count, bound, count <= bound)
 
 

@@ -4,7 +4,8 @@ A graph on n >= d+2 vertices is generically globally rigid exactly when it
 is rigid and a generic placement carries an equilibrium stress whose stress
 matrix has rank n-d-1.  A random stress of the one stress stream,
 :func:`rigidity._stresses`, evaluates that with one-sided error each way, so
-both verdicts are "whp" (a graph found not rigid keeps :func:`is_rigid`'s).
+both verdicts are "whp" (a graph found not rigid keeps :func:`is_rigid`'s),
+but a False is certain when exact connectivity is at most d (Hendrickson).
 In the plane it is rigid, 3-connected and redundantly rigid (Jackson & Jordan,
 *JCTB* 94, 2005).  There a False keeps the tag of the test it failed, certain for
 exact 3-connectivity, and a True is certain: rigidity at the cap and redundancy are.
@@ -72,9 +73,8 @@ def is_globally_rigid(g: Graph, d: int, seed: int = 0) -> Verdict:
     stress-matrix certificate, or in the plane with 3-connectivity and
     redundant rigidity (every edge in a K4, a plane circuit, or t = 2).
     """
-    n = g.n
-    if n <= d + 1 or g.is_complete():
-        return Verdict(g.is_complete(), CERTAIN)
+    if g.is_complete():
+        return Verdict(True, CERTAIN)
     if d == 1:
         return Verdict(vertex_connectivity(g, 2) >= 2, CERTAIN)
     if not (rigid := is_rigid(g, d, seed)).value:
@@ -88,8 +88,10 @@ def is_globally_rigid(g: Graph, d: int, seed: int = 0) -> Verdict:
             return Verdict(True, CERTAIN, rank=rigid.rank)
         redundant = is_t_redundantly_rigid(g, 2, 2, seed)
         return Verdict(redundant.value, redundant.confidence, rank=rigid.rank)
-    cert = stress_matrix_rank(g, d, seed)
-    return Verdict(cert.omega_rank == cert.target, WHP, rank=rigid.rank)
+    if (cert := stress_matrix_rank(g, d, seed)).omega_rank == cert.target:
+        return Verdict(True, WHP, rank=rigid.rank)
+    # connectivity only for a False: a globally rigid graph on n >= d+2 vertices is (d+1)-connected
+    return Verdict(False, CERTAIN if vertex_connectivity(g, d + 1) <= d else WHP, rank=rigid.rank)
 
 
 def wgl_sufficient(g: Graph, d: int, u: int, v: int, v0, seed: int = 0) -> Verdict:

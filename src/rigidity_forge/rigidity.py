@@ -195,11 +195,14 @@ def generic_rank(g: Graph, d: int, trials: int = TRIALS, seed: int = 0) -> RankR
     with high probability.  The report's `upper` is the lowest certain upper
     bound held: min(|E|, dn - C(d+1,2), the clique-cover bound of
     :func:`_cover_first`).  Eliminations and trials stop there, and the rank
-    is "certain" exactly when it reaches it.
+    is "certain" exactly when it reaches it.  A graph on n <= d+1 vertices
+    is independent (K_{d+1} is), so its rank is |E|, certain, with no placement.
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
     stream = placements(g.n, d, trials, seed)  # refuses its settings before the clique search
+    if g.n <= d + 1:
+        return RankReport(g.edge_count, CERTAIN, g.edge_count)
     order, bound = _cover_first(g, d)  # bound <= |E|
     stop = min(bound, generic_rank_cap(g.n, d))
     best = 0
@@ -217,17 +220,10 @@ def is_independent(g: Graph, d: int, seed: int = 0) -> Verdict:
 
 
 def is_rigid(g: Graph, d: int, seed: int = 0) -> Verdict:
-    """Generic rigidity via the rank characterization.
-
-    For n <= d+1 the rank condition degenerates; there rigidity is defined
-    as completeness (simplices and sub-simplices), so graphs on 0 or 1
-    vertices are rigid.  Such a graph is independent (K_{d+1} is), so its
-    rank is |E|, exactly.
-    """
-    n = g.n
-    if n <= d + 1:
-        return Verdict(g.is_complete(), CERTAIN, rank=g.edge_count)
-    target = generic_rank_cap(n, d)
+    """Generic rigidity via the rank characterization: rank dn - C(d+1,2), or
+    C(n,2) on n <= d+1 vertices, where rigid means complete (simplices and
+    sub-simplices), so graphs on 0 or 1 vertices are rigid."""
+    target = generic_rank_cap(g.n, d)
     rep = generic_rank(g, d, TRIALS, seed)
     return Verdict(rep.rank == target, settled(rep.rank, rep.upper, target), rank=rep.rank)
 

@@ -221,6 +221,19 @@ def test_comblemma_refuses_a_ground_set_above_the_vertex_limit(capsys, monkeypat
     assert code == 0 and payload["result"]["bound"] == comb(MAX_VERTICES - 1, 300)
 
 
+@pytest.mark.parametrize("n, m, refused", [(20000, 9999, True), (14293, 7146, True), (14000, 6999, False)])
+def test_comblemma_refuses_a_bound_with_more_digits_than_print(capsys, tmp_path, n, m, refused):
+    # C(19999, 9999) has 6,019 digits and C(14292, 7146) 4,301, beyond the
+    # interpreter's 4,300; C(13999, 6999) has 4,212 and is printed
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"n": n, "d": 3, "sets": [[0, 1, 2, 3]]}))
+    code, payload = run_json(capsys, "comblemma", "--m", str(m), "--input", str(path))
+    if refused:
+        assert (code, payload["error"]) == (2, f"C({n - 1}, {m}) exceeds the limit of 4300 digits")
+    else:
+        assert code == 0 and payload["result"]["bound"] == comb(n - 1, m)
+
+
 # int() would truncate each of these values into a system that checks cleanly
 @pytest.mark.parametrize("change", [
     {"n": 6.9}, {"n": True, "sets": [[0]]}, {"n": "6"},
@@ -277,9 +290,12 @@ def test_check_lemma6_fails_on_a_dependent_ordering(capsys, c4_file, monkeypatch
 @pytest.mark.parametrize("argv, text", [
     (("rank",), "2 1\n0 1\n"),
     (("linked", "--u", "0", "--v", "1"), "2 0\n"),  # a non-edge: an edge is linked unplaced
-], ids=["rank", "linked"])
+    # graphs on at most d+1 vertices are ranked unplaced, but refused first as rank is
+    (("rigid",), "2 1\n0 1\n"),
+    (("globally-rigid",), "3 2\n0 1\n1 2\n"),  # not complete: is_rigid decides it
+], ids=["rank", "linked", "rigid", "globally-rigid"])
 def test_a_huge_dimension_is_refused_before_any_coordinate(capsys, monkeypatch, tmp_path, argv, text):
-    # 2 * 4,000,000 coordinates would take gigabytes; the stream refuses them unseeded
+    # n * 4,000,000 coordinates would take gigabytes; the stream refuses them unseeded
     def forbidden(seed):
         raise AssertionError("placement stream seeded")
 
@@ -288,7 +304,8 @@ def test_a_huge_dimension_is_refused_before_any_coordinate(capsys, monkeypatch, 
     path.write_text(text)
     code, payload = run_json(capsys, *argv, "--dim", "4000000", "--input", str(path))
     assert code == 2
-    assert payload["error"] == f"8000000 coordinates exceed the limit of {rigidity.MAX_COORDINATES}"
+    n = int(text.split()[0])
+    assert payload["error"] == f"{n * 4000000} coordinates exceed the limit of {rigidity.MAX_COORDINATES}"
 
 
 def _forbid(monkeypatch, module, name):

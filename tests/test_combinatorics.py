@@ -73,23 +73,32 @@ def test_covered_subset_count_zero_beyond_largest_set():
     assert covered_subset_count(sys_, 5) == 0
 
 
-def test_covered_subset_count_methods_agree():
+def test_covered_subset_count_methods_agree(monkeypatch):
+    # wherever the guard holds, "auto" takes the closed form, enumerating nothing
+    enumerated = []
+    enumerate_ = combinatorics._enumerated_covered_count
+    monkeypatch.setattr(combinatorics, "_enumerated_covered_count",
+                        lambda system, m: enumerated.append(m) or enumerate_(system, m))
     rng = random.Random(70)
     for _ in range(60):
         d = rng.choice((2, 3, 4))
         n = rng.randint(d + 2, 10)
         sys_ = random_clique_system(rng, n, d)
         for m in range(d - 1, n + 1):
-            assert covered_subset_count(sys_, m, method="binomial") == (
-                covered_subset_count(sys_, m, method="enumerate")
-            )
+            closed = sum(comb(len(h), m) for h in sys_.sets)
+            enumerated.clear()
+            assert covered_subset_count(sys_, m, method="auto") == closed and enumerated == []
+            assert covered_subset_count(sys_, m, method="enumerate") == closed
     overlapping = system(8, 4, {0, 1, 2, 3}, {2, 3, 4, 5})
-    assert covered_subset_count(overlapping, 3, method="binomial") == (
+    enumerated.clear()
+    assert covered_subset_count(overlapping, 3, method="auto") == (
         covered_subset_count(overlapping, 3, method="enumerate")
-    )
-    with pytest.raises(ValueError):
-        # guard: with m <= d-2 the 2-subset {2, 3} lies in both sets
-        covered_subset_count(overlapping, 2, method="binomial")
+    ) == 8
+    assert enumerated == [3]  # the enumerate call's own
+    # guard: with m <= d-2 the 2-subset {2, 3} lies in both sets, so the closed
+    # form's 12 counts it twice; "auto" enumerates instead
+    assert covered_subset_count(overlapping, 2, method="auto") == 11
+    assert enumerated == [3, 2]
 
 
 def test_covered_subset_count_auto_matches_enumeration():
@@ -289,8 +298,9 @@ def test_clique_size_counts_of_a_wheel_hub_read_no_pair_of_its_neighbours():
 
 
 def test_refused_arguments():
-    with pytest.raises(ValueError, match="unknown method 'x'"):
-        covered_subset_count(system(4, 2, {0, 1}), 2, method="x")
+    for method in ("x", "binomial"):
+        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+            covered_subset_count(system(4, 2, {0, 1}), 2, method=method)
     with pytest.raises(ValueError, match="dimension must be at least 1"):
         m_dk(0, 1)
     with pytest.raises(ValueError, match="edge count must be non-negative"):

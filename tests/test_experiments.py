@@ -416,13 +416,15 @@ def test_theorem10_tests_rigidity_only_where_the_bound_applies(monkeypatch):
 
 def test_theorem10_reads_the_rank_off_the_rigidity_verdict(monkeypatch):
     ly = lovasz_yemini_family(2, 8)
-    path = Graph(3, [(0, 1), (1, 2)])  # n <= d+1: the verdict carries |E| without a rank call
+    path = Graph(3, [(0, 1), (1, 2)])  # n <= d+1: generic_rank carries |E| without an elimination
     ranks = [rigidity.generic_rank(g, 2, 2, 5).rank for g in (ly, path)]
-    calls = []
-    real = rigidity.generic_rank
+    calls, eliminated = [], []
+    real, feed = rigidity.generic_rank, rigidity.rank_of_rows
     monkeypatch.setattr(rigidity, "generic_rank", lambda *a: calls.append(a) or real(*a))
-    assert [theorem10_check(g, 2, 5).rank for g in (ly, path)] == ranks
-    assert calls == [(ly, 2, 2, 5)]  # is_rigid's own, on ly alone
+    monkeypatch.setattr(rigidity, "rank_of_rows", lambda *a: eliminated.append(a[1]) or feed(*a))
+    assert [theorem10_check(g, 2, 5).rank for g in (ly, path)] == ranks == [76, 2]
+    assert calls == [(ly, 2, 2, 5), (path, 2, 2, 5)]  # is_rigid's own, one per graph
+    assert eliminated == [2 * ly.n]  # ly's alone
 
 
 def test_lemma6_property_check():

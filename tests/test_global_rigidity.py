@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from rigidity_forge import global_rigidity, rigidity
-from rigidity_forge.constructions import sharpness_example, sharpness_matching
+from rigidity_forge.constructions import harary_graph, sharpness_example, sharpness_matching
 from rigidity_forge.global_rigidity import (
     is_globally_rigid,
     stress_matrix,
@@ -112,6 +112,20 @@ def test_plane_false_forced_by_connectivity_is_certain():
     g = Graph(6, [*complete_graph(4).sorted_edges(), (0, 4), (0, 5), (1, 4), (1, 5), (4, 5)])
     assert vertex_connectivity(g) == 2
     assert is_globally_rigid(g, 2) == (False, "certain", 9)
+
+
+def test_a_false_above_the_plane_forced_by_connectivity_is_certain(monkeypatch):
+    # two K5 sharing a triangle: rigid in R^3, but the triangle is a 3-cut
+    g = Graph(7, {*itertools.combinations(range(5), 2), *itertools.combinations(range(2, 7), 2)})
+    assert vertex_connectivity(g) == 3
+    assert is_globally_rigid(g, 3) == (False, "certain", 15)
+    # K_{5,5} is 5-connected and rigid in R^3 but not globally rigid: only the stress says so
+    k55 = complete_bipartite_graph(5, 5)
+    assert vertex_connectivity(k55) == 5 and is_rigid(k55, 3) == (True, "certain", 24)
+    assert is_globally_rigid(k55, 3) == (False, "whp", 24)
+    # a True verdict computes no connectivity
+    monkeypatch.setattr(global_rigidity, "vertex_connectivity", None)
+    assert is_globally_rigid(harary_graph(12, 20), 3).value
 
 
 def test_globally_rigid_small_and_d1_conventions():

@@ -151,12 +151,13 @@ def test_capped_rank_matches_the_uncapped_rank():
 @pytest.mark.parametrize("n, d", [(2, 1), (7, 1), (3, 2), (9, 2), (4, 3), (11, 3)])
 def test_capped_rank_of_a_complete_graph_adds_only_basis_rows(monkeypatch, n, d):
     # each vertex's first d edges of K_n are a basis: K_{d+1} plus one
-    # d-valent vertex at a time, so the elimination adds exactly cap rows
+    # d-valent vertex at a time, so the elimination adds exactly cap rows;
+    # K_n on n <= d+1 vertices is independent, ranked with no elimination
     counts = count_basis_calls(monkeypatch)
     rep = generic_rank(complete_graph(n), d)
     cap = min(comb(n, 2), generic_rank_cap(n, d))
     assert (rep.rank, rep.confidence) == (cap, "certain")
-    assert counts["add"] == cap
+    assert counts["add"] == (cap if n > d + 1 else 0)
 
 
 def test_generic_rank_stops_its_trials_at_the_cover_bound(monkeypatch):
@@ -280,8 +281,10 @@ def test_is_rigid_small_vertex_conventions():
     assert is_rigid(Graph(2, [(0, 1)]), 3).value
 
 
-def test_a_small_graphs_verdict_carries_its_exact_rank():
-    # every graph on at most d+1 vertices is independent (K_{d+1} is): 1,192 graphs
+def test_a_small_graphs_verdict_carries_its_exact_rank(monkeypatch):
+    # every graph on at most d+1 vertices is independent (K_{d+1} is), ranked
+    # with no row added to any basis: 1,192 graphs
+    counts = count_basis_calls(monkeypatch)
     graphs = 0
     for d in range(1, 5):
         for n in range(d + 2):
@@ -292,6 +295,7 @@ def test_a_small_graphs_verdict_carries_its_exact_rank():
                 assert generic_rank(g, d) == (g.edge_count, "certain", g.edge_count)
                 graphs += 1
     assert graphs == 1192
+    assert counts == {"add": 0, "in_span": 0}
 
 
 def test_rigid_implies_d_connected():

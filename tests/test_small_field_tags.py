@@ -10,7 +10,9 @@ patches the field and the trial count as `helpers.use_field` and
 in d = 2..4 against exact answers: rank, rigidity, linked pairs and global
 rigidity against the line facts of `test_coning_oracle`, and t-redundant
 rigidity at t = 2, 3 against the rational oracle `helpers.exact_generic_rank`
-on every deletion, where d*n <= 36 and the deletions are few.
+on every deletion, where d*n <= 36 and the deletions are few.  The theorem
+checks rest on those verdicts, and the theorems hold, so no `certain` report
+of theorems 1, 2 (on Harary graphs) or 10 (on LY graphs) may fail.
 """
 
 import itertools
@@ -21,6 +23,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rigidity_forge.constructions import harary_graph, lovasz_yemini_family
+from rigidity_forge.experiments import theorem1_spot_check, theorem2_spot_check, theorem10_check
 from rigidity_forge.global_rigidity import is_globally_rigid
 from rigidity_forge.graph_core import Graph, complete_graph
 from rigidity_forge.rigidity import (
@@ -107,3 +111,26 @@ def test_certain_verdicts_hold_over_tiny_fields():
     assert min(checked.values()) >= 10 and len(checked) == 6, checked
     assert {(kind, value) for kind in checked if kind != "rank" for value in (False, True)} <= seen
     assert wrong_whp[3] > 0, wrong_whp
+
+
+def test_certain_theorem_reports_hold_over_tiny_fields():
+    # Harary graphs below and at the threshold d(d+1) in d = 2, 3, and LY graphs
+    # in the plane: LY(2, 6) is rigid (inapplicable), LY(2, 8) and LY(2, 10) are not
+    harary = [(2, harary_graph(k, s)) for k, s in ((5, 10), (6, 9), (6, 12), (7, 10), (8, 11))]
+    harary += [(3, harary_graph(k, s)) for k, s in ((11, 14), (12, 14), (12, 15), (13, 16))]
+    ly = [lovasz_yemini_family(2, s) for s in (6, 8, 10)]
+    reports = Counter()
+    for seed, (p, trials) in enumerate(itertools.product(PRIMES, (1, 2))):
+        with pytest.MonkeyPatch.context() as mp:
+            use_field(mp, p)
+            use_trials(mp, trials)
+            runs = [(name, check(g, d, seed)) for d, g in harary
+                    for name, check in (("theorem 1", theorem1_spot_check), ("theorem 2", theorem2_spot_check))]
+            runs += [("theorem 10", theorem10_check(g, 2, seed)) for g in ly]
+        for name, rep in runs:
+            assert rep.passed is not False or rep.confidence == "whp", (name, p, trials, seed, rep)
+            reports[name, rep.status, rep.passed, rep.confidence, p == 3] += 1
+    # each theorem has certain passes, and a tiny field does fail some whp report
+    for name in ("theorem 1", "theorem 2", "theorem 10"):
+        assert any(n == name and passed and tag == "certain" for n, _, passed, tag, _ in reports), name
+    assert any(passed is False and at_3 for _, _, passed, _, at_3 in reports), reports
