@@ -144,8 +144,8 @@ def _cap_first(g: Graph, d: int) -> list[Edge]:
 
 
 def _cover_first(g: Graph, d: int) -> tuple[list[Edge], int]:
-    """g's edges in a feed order for :func:`rank_of_rows`, and an upper bound
-    on the generic rank of g, from a greedy clique cover.
+    """g's edges in a feed order for :func:`rank_of_rows`, and the certain bound
+    min(|E|, dn - C(d+1,2), a greedy clique cover's) on the generic rank of g.
 
     The maximal cliques on k >= d+2 vertices are taken largest first, and
     each is kept when its rank bound d*k - C(d+1,2) is below its number of
@@ -159,16 +159,16 @@ def _cover_first(g: Graph, d: int) -> tuple[list[Edge], int]:
     of the clique's other rows.
 
     The search is skipped, and the plain :func:`_cap_first` order returned
-    with the bound |E|, when no edge has d common neighbours (so there is no
-    K_{d+2}) or g has more maximal cliques than vertices.
+    with the bound min(|E|, cap), when no edge has d common neighbours (so
+    there is no K_{d+2}) or g has more maximal cliques than vertices.
     """
     order, m = _cap_first(g, d), g.edge_count
-    mask = g.neighbor_mask
+    ceiling, mask = min(m, generic_rank_cap(g.n, d)), g.neighbor_mask
     if not any((mask(u) & mask(v)).bit_count() >= d for u, v in g.sorted_edges()):
-        return order, m
+        return order, ceiling
     cliques = list(itertools.islice(iter_maximal_cliques(g), g.n + 1))
     if len(cliques) > g.n:
-        return order, m
+        return order, ceiling
     covered: set[Edge] = set()
     bound, tree = 0, []
     for c in sorted((c for c in cliques if len(c) >= d + 2), key=len, reverse=True):
@@ -185,7 +185,7 @@ def _cover_first(g: Graph, d: int) -> tuple[list[Edge], int]:
     fed_first = list(dict.fromkeys((v, u) for u, v in tree))
     skip = set(fed_first)
     rest = sorted((e for e in order if e not in skip), key=lambda e: e not in covered)
-    return rest + fed_first[::-1], bound + m - len(covered)
+    return rest + fed_first[::-1], min(ceiling, bound + m - len(covered))
 
 
 def generic_rank(g: Graph, d: int, trials: int = TRIALS, seed: int = 0) -> RankReport:
@@ -193,8 +193,8 @@ def generic_rank(g: Graph, d: int, trials: int = TRIALS, seed: int = 0) -> RankR
 
     The result is a certain lower bound on the generic rank and equals it
     with high probability.  The report's `upper` is the lowest certain upper
-    bound held: min(|E|, dn - C(d+1,2), the clique-cover bound of
-    :func:`_cover_first`).  Eliminations and trials stop there, and the rank
+    bound held, that of :func:`_cover_first`: min(|E|, dn - C(d+1,2), a
+    clique-cover bound).  Eliminations and trials stop there, and the rank
     is "certain" exactly when it reaches it.  A graph on n <= d+1 vertices
     is independent (K_{d+1} is), so its rank is |E|, certain, with no placement.
     """
@@ -203,8 +203,7 @@ def generic_rank(g: Graph, d: int, trials: int = TRIALS, seed: int = 0) -> RankR
     stream = placements(g.n, d, trials, seed)  # refuses its settings before the clique search
     if g.n <= d + 1:
         return RankReport(g.edge_count, CERTAIN, g.edge_count)
-    order, bound = _cover_first(g, d)  # bound <= |E|
-    stop = min(bound, generic_rank_cap(g.n, d))
+    order, stop = _cover_first(g, d)
     best = 0
     for points, _ in stream:
         best = max(best, rank_of_rows(_matrix_rows(order, d, points), d * g.n, DEFAULT_PRIME, stop))
@@ -231,13 +230,13 @@ def is_rigid(g: Graph, d: int, seed: int = 0) -> Verdict:
 def linked_pairs(g: Graph, d: int, pairs: Sequence[Edge], seed: int = 0) -> list[Verdict]:
     """For each pair uv: True iff adding uv does not raise the generic rank.
 
-    Each trial eliminates R(G,p) once and tests whether the row of each uv on
-    the same placement lies in its row space, which makes
-    rank(G) <= rank(G+uv) <= rank(G)+1 hold exactly per trial.  A pair is
-    linked when its best rank over the trials equals the best rank of G.
-    Edges of G are linked with certainty and cost nothing.  A pair's row is
-    built only for its span test, which a pair above a trial's rank of G
-    skips, and trials end once none can rise.
+    Each trial eliminates R(G,p) once, in :func:`_cover_first`'s order up to
+    its bound, and tests whether the row of each uv on the same placement lies
+    in its row space, which makes rank(G) <= rank(G+uv) <= rank(G)+1 hold
+    exactly per trial.  A pair is linked when its best rank over the trials
+    equals the best rank of G.  Edges of G are linked with certainty and cost
+    nothing.  A pair's row is built only for its span test, which a pair
+    above a trial's rank of G skips, and trials end once none can rise.
     """
     for u, v in pairs:
         if u == v:
@@ -248,11 +247,11 @@ def linked_pairs(g: Graph, d: int, pairs: Sequence[Edge], seed: int = 0) -> list
     if not queries:
         return [Verdict(True, CERTAIN) for _ in pairs]
     cap = generic_rank_cap(g.n, d)
-    full = min(g.edge_count, cap)  # rank(G) <= full, so rank(G + uv) <= min(full + 1, cap)
+    order, full = _cover_first(g, d)  # rank(G) <= full, so rank(G + uv) <= min(full + 1, cap)
     best_g = 0
     best_uv = dict.fromkeys(queries, 0)
     for points, _ in placements(g.n, d, TRIALS, seed):
-        basis = RowBasis(DEFAULT_PRIME).extend(_matrix_rows(g.sorted_edges(), d, points), cap)
+        basis = RowBasis(DEFAULT_PRIME).extend(_matrix_rows(order, d, points), full)
         best_g = max(best_g, basis.rank)
         # at the cap no row raises the rank: no placement of a graph on n vertices ranks higher
         raises = basis.rank < cap
@@ -264,7 +263,7 @@ def linked_pairs(g: Graph, d: int, pairs: Sequence[Edge], seed: int = 0) -> list
         if best_g == full and all(r == top for r in best_uv.values()):
             break
     # uv raises the rank by at least best - full and at most min(full + 1, cap) - best_g, and it
-    # is linked iff by 0: certain when rank(G) is at the cap, or at |E| (G is independent)
+    # is linked iff by 0: certain when rank(G) is at the cap, or uv raises it from full
     verdict = {uv: Verdict(best == best_g, settled(best - full, min(full + 1, cap) - best_g, 1), rank=best_g)
                for uv, best in best_uv.items()}
     return [Verdict(True, CERTAIN) if g.has_edge(u, v) else verdict[normalize_edge(u, v)] for u, v in pairs]
@@ -334,9 +333,10 @@ def is_t_redundantly_rigid(g: Graph, d: int, t: int, seed: int = 0) -> Redundanc
     in the kernel dependent with probability at most k/p (Schwartz-Zippel on a
     k x k determinant).  A subset independent in a full-rank view keeps the rank
     at the cap once deleted, so True is certain; one dependent in every view
-    fails, certainly when |E| - k is below the cap.  The witness is the first
-    failing subset in lexicographic order, and subsets_checked counts up to it.
-    :func:`_rejects` walks the first view; only its rejects are re-tested.
+    fails, certainly when |E| - k is below the cap, or no view is full-rank and
+    :func:`_cover_first`'s bound on rank(G) >= rank(G - S) is.  The witness is
+    the first failing subset in lexicographic order, subsets_checked counts up
+    to it, and :func:`_rejects` walks the first view; only its rejects are re-tested.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -355,9 +355,8 @@ def is_t_redundantly_rigid(g: Graph, d: int, t: int, seed: int = 0) -> Redundanc
     views = (list(zip(*stresses)) for full_rank, stresses in _stresses(g, d, seed, k)
              if full_rank >= target)
     first, drawn = next(views, None), []
-    failed = settled(0, m - k, target)  # a failing S leaves rank(G - S) <= |E| - |S|
-    if first is None:
-        return RedundancyReport(False, failed, edges[:k], 1)
+    if first is None:  # a failing S leaves rank(G - S) <= min(|E| - |S|, rank(G))
+        return RedundancyReport(False, settled(0, min(m - k, _cover_first(g, d)[1]), target), edges[:k], 1)
     def later():  # the views after the first, each drawn when a reject first needs it
         yield from drawn
         for view in views:
@@ -365,5 +364,5 @@ def is_t_redundantly_rigid(g: Graph, d: int, t: int, seed: int = 0) -> Redundanc
             yield view
     for checked, subset in _rejects(first, k):
         if all(any(_rejects([dual[i] for i in subset], k)) for dual in later()):
-            return RedundancyReport(False, failed, tuple(edges[i] for i in subset), checked)
+            return RedundancyReport(False, settled(0, m - k, target), tuple(edges[i] for i in subset), checked)
     return RedundancyReport(True, CERTAIN, None, comb(m, k))

@@ -50,6 +50,16 @@ def add_edges(g: Graph, new_edges: Iterable[Edge]) -> Graph:
     return Graph(g.n, itertools.chain(g.sorted_edges(), new_edges))
 
 
+def nonedges(g: Graph) -> list[Edge]:
+    """The pairs uv, u < v, that are not edges of g, in lexicographic order."""
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+
+
+def clique_union(n: int, cliques: Iterable[Iterable[int]]) -> Graph:
+    """The graph on n vertices whose edges are those of the cliques given."""
+    return Graph(n, [e for c in cliques for e in itertools.combinations(sorted(c), 2)])
+
+
 def field() -> int:
     """The modulus the verdict layer computes over: `rigidity.DEFAULT_PRIME`
     as it stands at the call, so the oracles below follow :func:`use_field`."""
@@ -425,13 +435,16 @@ def stop_free_linked_pairs(
     every span test below the cap: the loop before its early stops, kept as
     their oracle (argument checks left out).  It reads the rows of G plus
     every queried pair on one placement, so it also checks the pair rows
-    `linked_pairs` builds one at a time."""
+    `linked_pairs` builds one at a time.  A pair that raises rank(G) is
+    certainly not linked when rank(G) meets the one certain bound on it,
+    that of `rigidity._cover_first`."""
     queries = {normalize_edge(u, v) for u, v in pairs if not g.has_edge(u, v)}
     if not queries:
         return [Verdict(True, CERTAIN) for _ in pairs]
     # placing G plus every queried pair draws the same coordinates as placing G
     placed = add_edges(g, queries)
     cap = generic_rank_cap(g.n, d)
+    bound = rigidity._cover_first(g, d)[1]
     best_g = 0
     best_uv = dict.fromkeys(queries, 0)
     for rows, _ in placed_rows(placed, d, trials, seed):
@@ -449,7 +462,7 @@ def stop_free_linked_pairs(
         value = best_g == best_uv[normalize_edge(u, v)]
         if value and best_g == cap:
             confidence = CERTAIN
-        elif not value and best_g == g.edge_count:
+        elif not value and best_g == bound:
             confidence = CERTAIN
         else:
             confidence = WHP
@@ -491,9 +504,11 @@ def redundancy_views(g: Graph, d: int, t: int, trials: int, seed: int) -> list[t
 
 
 def redundancy_failure(g: Graph, d: int, witness: tuple[Edge, ...], checked: int) -> RedundancyReport:
-    """A failing redundancy report, "certain" when the edges left are fewer
-    than the rank cap, since G - S ranks at most |E| - |S|."""
-    short = g.edge_count - len(witness) < d * g.n - comb(d + 1, 2)
+    """A failing redundancy report, "certain" when the edges left, or the
+    certain bound of `rigidity._cover_first` on the rank of G, are below the
+    rank cap, since G - S ranks at most min(|E| - |S|, rank(G))."""
+    left = min(g.edge_count - len(witness), rigidity._cover_first(g, d)[1])
+    short = left < d * g.n - comb(d + 1, 2)
     return RedundancyReport(False, CERTAIN if short else WHP, witness, checked)
 
 

@@ -34,7 +34,7 @@ from rigidity_forge.graph_core import (
     parse_graph,
 )
 
-from helpers import graph6
+from helpers import clique_union, graph6
 
 K4_TEXT = complete_graph(4).to_edge_list()
 C4_TEXT = cycle_graph(4).to_edge_list()
@@ -164,6 +164,19 @@ def test_redundant_command(capsys, k4_file):
 def test_redundant_failure_under_the_cap_is_certain(capsys, c4_file):
     # C4 less any edge has 3 edges, below the plane rank cap 5
     code, payload = run_json(capsys, "redundant", "--t", "2", "--input", c4_file)
+    assert code == 0 and payload["confidence"] == "certain"
+    assert payload["result"] == {"value": False, "witness": [[0, 1]], "subsets_checked": 1}
+
+
+def test_two_k5_sharing_a_vertex_are_certainly_unlinked_and_not_redundant(capsys, tmp_path):
+    # the clique cover bounds the plane rank by 7 + 7 = 14, below the cap 15,
+    # and each placement ranks 14: a cross pair raises it, and a deletion keeps it low
+    path = tmp_path / "k5s.txt"
+    path.write_text(clique_union(9, [range(5), range(4, 9)]).to_edge_list())
+    assert path.read_text().startswith("9 20\n")
+    code, payload = run_json(capsys, "linked", "--u", "0", "--v", "8", "--input", str(path))
+    assert code == 0 and (payload["result"], payload["confidence"]) == (False, "certain")
+    code, payload = run_json(capsys, "redundant", "--t", "2", "--input", str(path))
     assert code == 0 and payload["confidence"] == "certain"
     assert payload["result"] == {"value": False, "witness": [[0, 1]], "subsets_checked": 1}
 

@@ -36,6 +36,7 @@ from helpers import (
     exact_generic_rank,
     field,
     kernel_views,
+    nonedges,
     per_subset_redundancy,
     placed_rows,
     random_graph,
@@ -184,8 +185,8 @@ def moon_moser_graph(n):
 
 
 def test_cover_feed_ranks_as_the_cap_first_feed():
-    # per placement, the cover bound is never below the rank, and the
-    # cover-fed elimination stopped at min(cap, bound) ranks as the full one
+    # per placement, the bound, min(|E|, cap, cover bound), is never below the
+    # rank, and the cover-fed elimination stopped there ranks as the full one
     rng = random.Random(18)
     graphs = [(lovasz_yemini_family(2, s), 2) for s in (6, 10)]
     graphs += [(lovasz_yemini_family(3, s), 3) for s in (12, 14)]
@@ -202,15 +203,16 @@ def test_cover_feed_ranks_as_the_cap_first_feed():
         order = edge_positions(g, edges)
         assert sorted(order) == list(range(g.edge_count))
         cap = min(g.edge_count, generic_rank_cap(g.n, d))
+        assert bound <= cap
         if (g, d) in gated:
-            assert (edges, bound) == (rigidity._cap_first(g, d), g.edge_count)
-        kinds.add("below cap" if bound < cap else "gated" if bound == g.edge_count else "at cap")
+            assert (edges, bound) == (rigidity._cap_first(g, d), cap)
+        kinds.add("below cap" if bound < cap else "gated" if (g, d) in gated else "at cap")
         if d * g.n <= 36:
             assert bound >= exact_generic_rank(g, d)
         for rows, _ in placed_rows(g, d, 1, rng.getrandbits(64)):
             full = rank_of_rows(rows, d * g.n, P)
             assert full <= bound
-            assert rank_of_rows([rows[i] for i in order], d * g.n, P, min(cap, bound)) == full
+            assert rank_of_rows([rows[i] for i in order], d * g.n, P, bound) == full
     assert kinds == {"below cap", "gated", "at cap"}
 
 
@@ -352,10 +354,6 @@ def test_rank_monotone_per_shared_framework():
 # -- linked-pair scans -------------------------------------------------------
 
 
-def nonedges(g):
-    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
-
-
 @pytest.mark.parametrize(
     "g, stride",
     [
@@ -425,7 +423,7 @@ def test_linked_pairs_build_no_graph(monkeypatch):
 
 def test_linked_pairs_at_the_cap_build_no_pair_row(monkeypatch):
     # K12 less two edges ranks at the cap on its first placement, so no span
-    # test runs: the only rows built are G's, once
+    # test runs: the only rows built are G's, once, in _cover_first's order
     g = complete_graph(12).remove_edges([(3, 7), (0, 11)])
     built = []
     matrix_rows = rigidity._matrix_rows
@@ -433,15 +431,19 @@ def test_linked_pairs_at_the_cap_build_no_pair_row(monkeypatch):
                         or matrix_rows(edges, *a))
     drawn = count_placements(monkeypatch)
     assert linked_pairs(g, 2, [(3, 7), (0, 11)], seed=9) == [Verdict(True, "certain", rank=21)] * 2
-    assert len(drawn) == 1 and built == [list(g.sorted_edges())]
+    assert len(drawn) == 1 and built == [rigidity._cover_first(g, 2)[0]]
 
 
 def test_linked_pairs_of_c40_hold_only_the_rows_of_g():
-    # 740 pair rows held at once peaked at 0.48 MB; one at a time they fit in half that
+    # 740 pair rows held at once peaked at 0.48 MB; one at a time they fit in half that.
+    # The pairs are built, and a scan on another seed makes the first-call allocations,
+    # before the trace starts, so the peak is the scan's alone in any test order
     g = cycle_graph(40)
+    pairs = nonedges(g)
+    linked_pairs(g, 2, pairs, seed=8)
     tracemalloc.start()
     try:
-        scan = linked_pairs(g, 2, nonedges(g), seed=9)
+        scan = linked_pairs(g, 2, pairs, seed=9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -607,6 +609,14 @@ def test_redundancy_matches_the_kernel_oracle(monkeypatch):
         rep = is_t_redundantly_rigid(g, d, t, seed)
         assert rep == per_subset_redundancy(g, d, t, trials, seed, kernel_views(g, d, trials, seed))
         seen[t, rep.value, rep.confidence] += 1
+    # every flexible sample at t = 1 is certain (a triangle and an edge apart in the line rank at
+    # most its cover bound 3 < 4); the double banana, with no K5 and |E| at the cap, is flexible
+    # by its placements alone
+    g = double_banana()
+    use_trials(monkeypatch, 2)
+    rep = is_t_redundantly_rigid(g, 3, 1, 7)
+    assert rep == per_subset_redundancy(g, 3, 1, 2, 7, kernel_views(g, 3, 2, 7))
+    seen[1, rep.value, rep.confidence] += 1
     assert set(seen) == {(t, value, tag) for t in range(1, 6) for value, tag in
                          ((True, "certain"), (False, "certain"), (False, "whp"))}
 

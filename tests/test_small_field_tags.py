@@ -12,10 +12,13 @@ rigidity against the line facts of `test_coning_oracle`, and t-redundant
 rigidity at t = 2, 3 against the rational oracle `helpers.exact_generic_rank`
 on every deletion, where d*n <= 36 and the deletions are few.  The theorem
 checks rest on those verdicts, and the theorems hold, so no `certain` report
-of theorems 1, 2 (on Harary graphs) or 10 (on LY graphs) may fail.
+of theorems 1, 2 (on Harary graphs) or 10 (on LY graphs) may fail.  Unions
+of cliques test the clique-cover bound, which tags linked-pair and redundancy
+verdicts as it tags ranks, against the rational oracle on every pair.
 """
 
 import itertools
+import random
 from collections import Counter
 from math import comb
 
@@ -35,7 +38,7 @@ from rigidity_forge.rigidity import (
     linked_pairs,
 )
 
-from helpers import exact_generic_rank, use_field, use_trials
+from helpers import add_edges, clique_union, exact_generic_rank, nonedges, random_graph, use_field, use_trials
 from test_coning_oracle import LineFacts, cone
 
 PRIMES = (3, 5, 7, 11)
@@ -134,3 +137,81 @@ def test_certain_theorem_reports_hold_over_tiny_fields():
     for name in ("theorem 1", "theorem 2", "theorem 10"):
         assert any(n == name and passed and tag == "certain" for n, _, passed, tag, _ in reports), name
     assert any(passed is False and at_3 for _, _, passed, _, at_3 in reports), reports
+
+
+def clique_unions(rng: random.Random, count: int, dims: tuple) -> list:
+    """`count` seeded unions of two or three cliques on d+2 to d+4 vertices,
+    each with its d drawn from `dims` and small enough for the rational oracle."""
+    out = []
+    for _ in range(count):
+        d = rng.choice(dims)
+        n = rng.randint(d + 4, min(12, 36 // d))
+        out.append((clique_union(n, [rng.sample(range(n), rng.randint(d + 2, d + 4))
+                                     for _ in range(rng.randint(2, 3))]), d))
+    return out
+
+
+def redundancy_oracle(g: Graph, d: int, t: int, rank: int) -> tuple[bool, list] | None:
+    """What :func:`exactly_redundant` says of g, read off its exact rank: below
+    the cap every deletion leaves g flexible, and at it g is 1-redundantly
+    rigid.  None for t > 1 at the cap, which the cone audit checks deletion by
+    deletion."""
+    if rank < generic_rank_cap(g.n, d):
+        return False, list(itertools.combinations(g.sorted_edges(), t - 1))
+    return (True, []) if t == 1 else None
+
+
+def test_certain_linked_and_redundancy_tags_on_clique_unions_hold_over_tiny_fields():
+    # two K5 sharing vertex 4 rank 14 in the plane, their cover bound, below the
+    # cap 15: no cross pair is linked, and no edge is redundant.  Two K6 sharing
+    # an edge rank 23 in R^3, below their cover bound 24 (the cap), so no bound
+    # decides their tags
+    k5s, k6s = clique_union(9, [range(5), range(4, 9)]), clique_union(10, [range(6), range(4, 10)])
+    rng = random.Random(5)
+    graphs = [(k5s, 2, nonedges(k5s)), (k6s, 3, rng.sample(nonedges(k6s), 6))]
+    graphs += [(g, d, rng.sample(nonedges(g), min(6, len(nonedges(g)))))
+               for g, d in clique_unions(rng, 4, (2, 3, 4))]
+    facts = [{"rank": exact_generic_rank(g, d)} for g, d, _ in graphs]  # and each answer asked for
+    assert (facts[0]["rank"], facts[1]["rank"]) == (14, 23)
+    tags = Counter()  # (graph, kind, value, tag)
+    for p, trials in itertools.product(PRIMES, (1, 2)):
+        for i, (g, d, pairs) in enumerate(graphs):
+            seed = rng.getrandbits(64)
+            with pytest.MonkeyPatch.context() as mp:
+                use_field(mp, p)
+                use_trials(mp, trials)
+                linked = linked_pairs(g, d, pairs, seed)
+                redundant = [(t, is_t_redundantly_rigid(g, d, t, seed)) for t in (1, 2)]
+            for uv, verdict in zip(pairs, linked):
+                tags[i, "linked", verdict.value, verdict.confidence] += 1
+                if verdict.confidence == "certain":
+                    if uv not in facts[i]:
+                        facts[i][uv] = exact_generic_rank(add_edges(g, [uv]), d) == facts[i]["rank"]
+                    assert verdict.value == facts[i][uv], (g, d, uv, p, trials, verdict)
+            for t, rep in redundant:
+                tags[i, f"redundant t={t}", rep.value, rep.confidence] += 1
+                if rep.confidence == "certain":
+                    if t not in facts[i]:
+                        facts[i][t] = redundancy_oracle(g, d, t, facts[i]["rank"])
+                    if facts[i][t] is not None:
+                        value, flexible = facts[i][t]
+                        assert rep.value == value and (value or rep.witness in flexible), (g, d, t, rep)
+    # the bounds decide the K5 pair's cross pairs and its t = 2, and none of the K6 pair's verdicts
+    assert tags[0, "linked", False, "certain"] and tags[0, "redundant t=2", False, "certain"], tags
+    assert not any(key[0] == 1 and key[3] == "certain" for key in tags), tags
+    assert sum(n for (i, kind, value, tag), n in tags.items() if i > 1 and tag == "certain" and not value)
+
+
+def test_linked_pairs_rank_g_as_generic_rank_does():
+    # one policy: on the same seed and at the default field and trial count, the
+    # scan's rank of G is generic_rank's, in the one feed order and stopped at the one bound
+    rng = random.Random(12)
+    graphs = [(lovasz_yemini_family(2, 8), 2), (lovasz_yemini_family(3, 12), 3)]
+    graphs += [(random_graph(rng, rng.randint(d + 2, 14), rng.random()), d) for d in (1, 2, 3, 4) for _ in range(10)]
+    graphs += clique_unions(rng, 8, (1, 2, 3, 4))
+    for g, d in graphs:
+        seed = rng.getrandbits(64)
+        pairs = rng.sample(nonedges(g), min(200, len(nonedges(g))))
+        if pairs:
+            ranks = {v.rank for v in linked_pairs(g, d, pairs, seed)}
+            assert ranks == {generic_rank(g, d, seed=seed).rank}, (g, d)
