@@ -4,8 +4,8 @@ A graph on n >= d+2 vertices is generically globally rigid exactly when it
 is rigid and a generic placement carries an equilibrium stress whose stress
 matrix has rank n-d-1.  A random stress of the one stress stream,
 :func:`rigidity._stresses`, evaluates that with one-sided error each way, so
-both verdicts are "whp" (a graph found not rigid keeps :func:`is_rigid`'s),
-but a False is certain when exact connectivity is at most d (Hendrickson).
+both verdicts are "whp" (a graph found not rigid keeps :func:`is_rigid`'s), but a False
+is certain when G is minimally rigid or exact connectivity is at most d (Hendrickson).
 In the plane it is rigid, 3-connected and redundantly rigid (Jackson & Jordan,
 *JCTB* 94, 2005).  There a False keeps the tag of the test it failed, certain for
 exact 3-connectivity, and a True is certain: rigidity at the cap and redundancy are.
@@ -79,6 +79,8 @@ def is_globally_rigid(g: Graph, d: int, seed: int = 0) -> Verdict:
         return Verdict(vertex_connectivity(g, 2) >= 2, CERTAIN)
     if not (rigid := is_rigid(g, d, seed)).value:
         return rigid
+    if g.edge_count == rigid.rank:  # minimally rigid: no edge in a circuit, so not redundantly rigid
+        return Verdict(False, CERTAIN, rank=rigid.rank)
     if d == 2:
         if vertex_connectivity(g, 3) < 3:  # Hendrickson, SIAM J. Comput. 21, 1992
             return Verdict(False, CERTAIN, rank=rigid.rank)

@@ -59,8 +59,8 @@ class RowBasis:
 
     def _reduce(self, row: Row) -> Row:
         """A copy of row minus basis rows until its leading column is not a
-        pivot; empty iff row lies in the span.  This is the one elimination
-        loop of the package."""
+        pivot; empty iff row lies in the span.  Every rank, span test and kernel
+        reduces here; only the redundancy walk's dual rows do not."""
         row = dict(row)
         pivots, p = self.pivots, self.p
         while row:

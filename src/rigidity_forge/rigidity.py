@@ -121,10 +121,10 @@ def _matrix_rows(edges: Iterable[Edge], d: int, points: Sequence[int]) -> list[R
 
 def _stresses(g: Graph, d: int, seed: int, count: int = 1) -> Iterator[tuple[int, list]]:
     """Per seeded placement (TRIALS of them), the rank of R(G,p), rows in sorted edge order, and `count`
-    random stresses from its left kernel, each zero iff there is none, seeded by the stream's next draw."""
-    for points, rng in placements(g.n, d, TRIALS, seed):
-        rows = _matrix_rows(g.sorted_edges(), d, points)
-        yield left_kernel_sample(ModMatrix(rows, d * g.n, DEFAULT_PRIME), rng.getrandbits(64), count)
+    random stresses from its left kernel, each zero iff there is none, seeded by the stream's next draw.
+    The stream's settings are refused at the call, before any is drawn."""
+    return (left_kernel_sample(ModMatrix(_matrix_rows(g.sorted_edges(), d, points), d * g.n, DEFAULT_PRIME),
+                               rng.getrandbits(64), count) for points, rng in placements(g.n, d, TRIALS, seed))
 
 
 def _cap_first(g: Graph, d: int) -> list[Edge]:
@@ -326,37 +326,35 @@ def _rejects(dual: list[tuple[int, ...]], k: int) -> Iterator[tuple[int, tuple[i
 def is_t_redundantly_rigid(g: Graph, d: int, t: int, seed: int = 0) -> RedundancyReport:
     """Rigid after deleting any edge set of size < t.
 
-    By rank monotonicity it suffices to enumerate deletions of size exactly
-    k = t-1.  Each trial's placement gives every edge a dual row, its entries in
-    k stresses of :func:`_stresses`: its column of the left-kernel basis
-    projected on that many random directions, which makes a subset independent
-    in the kernel dependent with probability at most k/p (Schwartz-Zippel on a
-    k x k determinant).  A subset independent in a full-rank view keeps the rank
-    at the cap once deleted, so True is certain; one dependent in every view
-    fails, certainly when |E| - k is below the cap, or no view is full-rank and
-    :func:`_cover_first`'s bound on rank(G) >= rank(G - S) is.  The witness is
-    the first failing subset in lexicographic order, subsets_checked counts up
-    to it, and :func:`_rejects` walks the first view; only its rejects are re-tested.
+    By rank monotonicity it suffices to enumerate deletions of size exactly k = t-1.
+    After the refusals (of t and k, the subset budget, the placement settings), one
+    count decides with no placement: G - S ranks at most min(|E| - k, rank(G)), so
+    when that or :func:`_cover_first`'s bound on rank(G) is below the cap, the first
+    k edges fail, certainly.  Otherwise each placement gives every edge a dual row,
+    its entries in k stresses of :func:`_stresses`: its column of the left-kernel
+    basis projected on k random directions, which makes a subset independent in the
+    kernel dependent with probability at most k/p (Schwartz-Zippel on a k x k
+    determinant).  A subset independent in a full-rank view keeps the rank at the cap
+    once deleted, so True is certain; a failure left to the views is whp.  The witness
+    is the first failing subset in lexicographic order, subsets_checked counts up to
+    it, and :func:`_rejects` walks the first view; only its rejects are re-tested.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    k = t - 1
-    m = g.edge_count
+    k, m = t - 1, g.edge_count
     if k > m:
         raise ValueError(f"cannot delete {k} edges from {m}")
     if comb(m, k) > REDUNDANCY_BUDGET:
         raise ValueError(f"C({m}, {k}) edge subsets exceed the budget of {REDUNDANCY_BUDGET}")
-    edges = g.sorted_edges()
-    if g.n <= d + 1:
-        ok = g.is_complete() and k == 0
-        return RedundancyReport(ok, CERTAIN, None if ok else edges[:k], 1)
-    target = generic_rank_cap(g.n, d)
+    edges, target = g.sorted_edges(), generic_rank_cap(g.n, d)
+    stresses = _stresses(g, d, seed, k)  # refuses its settings before the count
+    if min(m - k, _cover_first(g, d)[1]) < target:  # rank(G - S) <= min(|E| - |S|, rank(G))
+        return RedundancyReport(False, CERTAIN, edges[:k], 1)
     # rank(G - S) = full_rank - |S| + rank of the kernel's dual rows of S, at least those of a view
-    views = (list(zip(*stresses)) for full_rank, stresses in _stresses(g, d, seed, k)
-             if full_rank >= target)
+    views = (list(zip(*view)) for full_rank, view in stresses if full_rank >= target)
     first, drawn = next(views, None), []
-    if first is None:  # a failing S leaves rank(G - S) <= min(|E| - |S|, rank(G))
-        return RedundancyReport(False, settled(0, min(m - k, _cover_first(g, d)[1]), target), edges[:k], 1)
+    if first is None:
+        return RedundancyReport(False, WHP, edges[:k], 1)
     def later():  # the views after the first, each drawn when a reject first needs it
         yield from drawn
         for view in views:
@@ -364,5 +362,5 @@ def is_t_redundantly_rigid(g: Graph, d: int, t: int, seed: int = 0) -> Redundanc
             yield view
     for checked, subset in _rejects(first, k):
         if all(any(_rejects([dual[i] for i in subset], k)) for dual in later()):
-            return RedundancyReport(False, settled(0, m - k, target), tuple(edges[i] for i in subset), checked)
+            return RedundancyReport(False, WHP, tuple(edges[i] for i in subset), checked)
     return RedundancyReport(True, CERTAIN, None, comb(m, k))

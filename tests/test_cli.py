@@ -306,7 +306,8 @@ def test_check_lemma6_fails_on_a_dependent_ordering(capsys, c4_file, monkeypatch
     # graphs on at most d+1 vertices are ranked unplaced, but refused first as rank is
     (("rigid",), "2 1\n0 1\n"),
     (("globally-rigid",), "3 2\n0 1\n1 2\n"),  # not complete: is_rigid decides it
-], ids=["rank", "linked", "rigid", "globally-rigid"])
+    (("redundant", "--t", "1"), "2 1\n0 1\n"),  # refused before the count would pass it
+], ids=["rank", "linked", "rigid", "globally-rigid", "redundant"])
 def test_a_huge_dimension_is_refused_before_any_coordinate(capsys, monkeypatch, tmp_path, argv, text):
     # n * 4,000,000 coordinates would take gigabytes; the stream refuses them unseeded
     def forbidden(seed):

@@ -257,10 +257,10 @@ def test_plane_route_without_a_k4_cover_samples_one_stress_per_trial(monkeypatch
     assert g.n == 30 and not _k4_covered(g)
     assert is_globally_rigid(g, 2) == (True, "certain", 57) and len(calls) == 1
     calls.clear()
-    # K_{3,3} is minimally rigid: no placement carries a nonzero stress, and
-    # deleting an edge leaves 8 edges, below the cap 9, so the False is certain
+    # K_{3,3} is minimally rigid, |E| = 9 = its rank: no edge lies in a circuit,
+    # so it is not redundantly rigid, certainly, and no stress is drawn
     assert is_globally_rigid(complete_bipartite_graph(3, 3), 2) == (False, "certain", 9)
-    assert len(calls) == 3
+    assert len(calls) == 0
 
 
 def test_plane_fallback_reads_the_rank_of_its_stress_elimination(monkeypatch):

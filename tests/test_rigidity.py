@@ -529,7 +529,9 @@ def test_redundancy_examples():
 
 
 def test_redundancy_small_vertex_cases():
-    assert is_t_redundantly_rigid(complete_graph(3), 2, 1).value
+    # no branch of their own: the count passes them to one full-rank placement
+    for g in (Graph(0), Graph(1), complete_graph(3)):
+        assert is_t_redundantly_rigid(g, 2, 1) == (True, "certain", None, 1)
     rep = is_t_redundantly_rigid(complete_graph(3), 2, 2)
     assert not rep.value and rep.witness is not None
 
@@ -628,6 +630,21 @@ def test_redundancy_failure_below_the_cap_is_certain():
     # no fewer than 2n - 3 = 7, so only the placements show the failure
     g = Graph(5, [*complete_graph(4).sorted_edges(), (0, 4), (1, 4)])
     assert is_t_redundantly_rigid(g, 2, 2) == (False, "whp", ((0, 4),), 4)
+
+
+def test_redundancy_below_the_cap_by_counting_draws_no_placement(monkeypatch):
+    # |E| - 1 = 4,999 on the 5,000-vertex cycle, and the cover bound 455 on LY(3, 14),
+    # are below the caps 9,997 and 456: every deletion fails, with no stress drawn
+    def forbidden(*args):
+        raise AssertionError("left kernel sampled")
+
+    monkeypatch.setattr(rigidity, "left_kernel_sample", forbidden)
+    started = time.perf_counter()
+    assert is_t_redundantly_rigid(cycle_graph(5000), 2, 2) == (False, "certain", ((0, 1),), 1)
+    assert time.perf_counter() - started < 0.5
+    g = lovasz_yemini_family(3, 14)
+    assert (rigidity._cover_first(g, 3)[1], generic_rank_cap(g.n, 3)) == (455, 456)
+    assert is_t_redundantly_rigid(g, 3, 2) == (False, "certain", ((0, 1),), 1)
 
 
 def traced_redundancy(g, d, t):

@@ -14,7 +14,9 @@ on every deletion, where d*n <= 36 and the deletions are few.  The theorem
 checks rest on those verdicts, and the theorems hold, so no `certain` report
 of theorems 1, 2 (on Harary graphs) or 10 (on LY graphs) may fail.  Unions
 of cliques test the clique-cover bound, which tags linked-pair and redundancy
-verdicts as it tags ranks, against the rational oracle on every pair.
+verdicts as it tags ranks, against the rational oracle on every pair.  The
+answers that counting gives with no placement, redundancy below the cap and
+the minimally rigid graph's "not globally rigid", are audited last.
 """
 
 import itertools
@@ -22,10 +24,12 @@ import random
 from collections import Counter
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rigidity_forge import rigidity
 from rigidity_forge.constructions import harary_graph, lovasz_yemini_family
 from rigidity_forge.experiments import theorem1_spot_check, theorem2_spot_check, theorem10_check
 from rigidity_forge.global_rigidity import is_globally_rigid
@@ -38,8 +42,19 @@ from rigidity_forge.rigidity import (
     linked_pairs,
 )
 
-from helpers import add_edges, clique_union, exact_generic_rank, nonedges, random_graph, use_field, use_trials
+from helpers import (
+    add_edges,
+    clique_union,
+    exact_generic_rank,
+    nonedges,
+    one_extension,
+    random_graph,
+    use_field,
+    use_trials,
+    zero_extension,
+)
 from test_coning_oracle import LineFacts, cone
+from test_float_rank_oracle import float_rank
 
 PRIMES = (3, 5, 7, 11)
 #: the most edge rows, over all deletions, that the rational oracle
@@ -215,3 +230,66 @@ def test_linked_pairs_rank_g_as_generic_rank_does():
         if pairs:
             ranks = {v.rank for v in linked_pairs(g, d, pairs, seed)}
             assert ranks == {generic_rank(g, d, seed=seed).rank}, (g, d)
+
+
+def laterations(rng: random.Random, d: int, n: int) -> Graph:
+    """A d-lateration on n vertices: K_{d+1}, then each vertex joined to d earlier
+    ones, a minimally rigid graph with |E| = dn - C(d+1,2)."""
+    edges = list(itertools.combinations(range(d + 1), 2))
+    edges += [(u, v) for v in range(d + 1, n) for u in sorted(rng.sample(range(v), d))]
+    return Graph(n, edges)
+
+
+def laman_graph(rng: random.Random, n: int) -> Graph:
+    """A Laman graph on n >= 3 vertices by random Henneberg 0- and 1-extensions of K_3."""
+    g = complete_graph(3)
+    while g.n < n:
+        if rng.random() < 0.5:
+            g = zero_extension(g, 2, rng.sample(range(g.n), 2))
+        else:
+            u, v = rng.choice(g.sorted_edges())
+            g = one_extension(g, 2, (u, v), [rng.choice([w for w in range(g.n) if w not in (u, v)])])
+    return g
+
+
+def test_counted_verdicts_hold_over_tiny_fields():
+    # two counts decide with no placement.  Redundancy: G - S ranks at most
+    # min(|E| - |S|, rank(G)), so a graph whose |E| - (t-1), or clique-cover
+    # bound, is below the cap fails certainly, witnessed by its first t-1 edges:
+    # sparse graphs, LY(2, s) for s = 8, 10 (cover bound 9.5s < 10s - 3) and cones
+    # of clique unions on the line.  Global rigidity: a rigid graph with
+    # |E| = rank(G) is minimally rigid, so not redundantly rigid, so not globally
+    # rigid on n >= d+2 vertices (Hendrickson): Laman graphs in the plane, and the
+    # octahedron and 3-laterations in R^3
+    rng = random.Random(54)
+    below = [(random_graph(rng, n, 0.25), d) for d in (2, 3, 4) for n in range(d + 2, 36 // d + 1)]
+    below = [(g, d) for g, d in below if g.edge_count < generic_rank_cap(g.n, d)]
+    below += [(lovasz_yemini_family(2, s), 2) for s in (8, 10)]
+    for a in (3, 4):  # in the plane, K_{a+1} and K_{9-a} sharing the apex, and the apex's pendant edge
+        below.append((cone(clique_union(9, [range(a), range(a, 8)]), 1), 2))
+    for d in (3, 4):  # and the (d-1)-fold cone of a forest, short of the cap by |E|
+        forest = Graph(8, [(v, rng.randrange(v)) for v in range(1, 8) if v != 4])
+        below.append((cone(forest, d - 1), d))
+    octahedron = Graph(6, [e for e in itertools.combinations(range(6), 2) if e not in ((0, 1), (2, 3), (4, 5))])
+    minimal = [(laman_graph(rng, n), 2) for n in range(4, 13)]
+    minimal += [(octahedron, 3)] + [(laterations(rng, 3, n), 3) for n in range(5, 12)]
+    checked = Counter()
+    for p, trials in itertools.product(PRIMES, (1, 2)):
+        with pytest.MonkeyPatch.context() as mp:
+            use_field(mp, p)
+            use_trials(mp, trials)
+            sampled = []
+            sample = rigidity.left_kernel_sample
+            mp.setattr(rigidity, "left_kernel_sample", lambda *a: sampled.append(a) or sample(*a))
+            for (g, d), t in itertools.product(below, (1, 2)):
+                sampled.clear()
+                rep = is_t_redundantly_rigid(g, d, t, seed=rng.getrandbits(64))
+                assert rep == (False, "certain", g.sorted_edges()[:t - 1], 1) and not sampled, (g, d, t)
+            for g, d in minimal:
+                verdict = is_globally_rigid(g, d, seed=rng.getrandbits(64))
+                assert verdict.value is False and g.edge_count == generic_rank_cap(g.n, d), (g, d)
+                checked["minimally rigid", verdict.confidence, d] += 1
+    # an independent rank agrees: each G ranks below the cap, and so does each G - S
+    assert all(float_rank(g, d, np.random.default_rng(54)) < generic_rank_cap(g.n, d) for g, d in below)
+    # the minimally rigid False is certain wherever a placement reaches the cap, in both dimensions
+    assert checked["minimally rigid", "certain", 2] and checked["minimally rigid", "certain", 3], checked
