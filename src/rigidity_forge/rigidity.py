@@ -326,18 +326,18 @@ def _rejects(dual: list[tuple[int, ...]], k: int) -> Iterator[tuple[int, tuple[i
 def is_t_redundantly_rigid(g: Graph, d: int, t: int, seed: int = 0) -> RedundancyReport:
     """Rigid after deleting any edge set of size < t.
 
-    By rank monotonicity it suffices to enumerate deletions of size exactly k = t-1.
-    After the refusals (of t and k, the subset budget, the placement settings), one
-    count decides with no placement: G - S ranks at most min(|E| - k, rank(G)), so
-    when that or :func:`_cover_first`'s bound on rank(G) is below the cap, the first
-    k edges fail, certainly.  Otherwise each placement gives every edge a dual row,
-    its entries in k stresses of :func:`_stresses`: its column of the left-kernel
-    basis projected on k random directions, which makes a subset independent in the
-    kernel dependent with probability at most k/p (Schwartz-Zippel on a k x k
-    determinant).  A subset independent in a full-rank view keeps the rank at the cap
-    once deleted, so True is certain; a failure left to the views is whp.  The witness
-    is the first failing subset in lexicographic order, subsets_checked counts up to
-    it, and :func:`_rejects` walks the first view; only its rejects are re-tested.
+    By rank monotonicity it suffices to enumerate deletions of size exactly k = t-1.  After the
+    refusals (of t and k, the subset budget, the placement settings), one count decides with no
+    placement: G - S ranks at most min(|E| - k, rank(G)), so the first k edges fail, certainly,
+    when that or :func:`_cover_first`'s bound on rank(G) is below the cap; on n <= d+1, where
+    every graph is independent, the count is exact and is the verdict.  Otherwise each placement
+    gives every edge a dual row, its entries in k stresses of :func:`_stresses`: its column of
+    the left-kernel basis projected on k random directions, which makes a subset independent in
+    the kernel dependent with probability at most k/p (Schwartz-Zippel on a k x k determinant).
+    A subset independent in a full-rank view keeps the rank at the cap once deleted, so True is
+    certain; a failure left to the views is whp.  The witness is the first failing subset in
+    lexicographic order, subsets_checked counts up to it, and :func:`_rejects` walks the first
+    view; only its rejects are re-tested.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -348,8 +348,8 @@ def is_t_redundantly_rigid(g: Graph, d: int, t: int, seed: int = 0) -> Redundanc
         raise ValueError(f"C({m}, {k}) edge subsets exceed the budget of {REDUNDANCY_BUDGET}")
     edges, target = g.sorted_edges(), generic_rank_cap(g.n, d)
     stresses = _stresses(g, d, seed, k)  # refuses its settings before the count
-    if min(m - k, _cover_first(g, d)[1]) < target:  # rank(G - S) <= min(|E| - |S|, rank(G))
-        return RedundancyReport(False, CERTAIN, edges[:k], 1)
+    if not (ok := m - k >= target and _cover_first(g, d)[1] >= target) or g.n <= d + 1:
+        return RedundancyReport(ok, CERTAIN, None if ok else edges[:k], 1)
     # rank(G - S) = full_rank - |S| + rank of the kernel's dual rows of S, at least those of a view
     views = (list(zip(*view)) for full_rank, view in stresses if full_rank >= target)
     first, drawn = next(views, None), []

@@ -528,12 +528,21 @@ def test_redundancy_examples():
         is_t_redundantly_rigid(k4, 2, 0)
 
 
-def test_redundancy_small_vertex_cases():
-    # no branch of their own: the count passes them to one full-rank placement
+def test_redundancy_small_vertex_cases(monkeypatch):
+    # on n <= d+1 every graph is independent, so the count is exact: no stress is drawn
+    def forbidden(*args):
+        raise AssertionError("left kernel sampled")
+
+    monkeypatch.setattr(rigidity, "left_kernel_sample", forbidden)
     for g in (Graph(0), Graph(1), complete_graph(3)):
         assert is_t_redundantly_rigid(g, 2, 1) == (True, "certain", None, 1)
     rep = is_t_redundantly_rigid(complete_graph(3), 2, 2)
     assert not rep.value and rep.witness is not None
+    started = time.perf_counter()
+    assert is_t_redundantly_rigid(complete_graph(80), 79, 1) == (True, "certain", None, 1)
+    assert is_t_redundantly_rigid(complete_graph(80), 79, 2) == (False, "certain", ((0, 1),), 1)
+    assert is_t_redundantly_rigid(Graph(4, [(0, 1), (1, 2)]), 3, 1) == (False, "certain", (), 1)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_redundancy_agrees_with_direct_deletion():
