@@ -16,8 +16,8 @@ _EXPORTS = {
     "global_rigidity": ("StressCertificate", "is_globally_rigid", "stress_matrix",
                         "stress_matrix_rank", "wgl_sufficient"),
     "graph_core": ("Graph", "GraphParseError", "as_vertex_set", "complete_bipartite_graph",
-                   "complete_graph", "cycle_graph", "induced_subgraph", "iter_maximal_cliques",
-                   "parse_graph", "path_avoiding", "vertex_connectivity"),
+                   "induced_subgraph", "iter_maximal_cliques", "parse_graph", "path_avoiding",
+                   "vertex_connectivity"),
     "modlinalg": ("DEFAULT_PRIME", "ModMatrix", "RowBasis", "left_kernel_basis",
                   "left_kernel_sample", "make_rng", "rank"),
     "rigidity": ("RankReport", "Verdict", "generic_rank", "generic_rank_cap", "is_independent",

@@ -41,7 +41,7 @@ def stress_matrix(g: Graph, stress: tuple[int, ...]) -> ModMatrix:
     for i, row in enumerate(data):
         if row.get(i) == 0:
             del row[i]
-    return ModMatrix(data, n, p)
+    return ModMatrix(data, n)
 
 
 def stress_matrix_rank(g: Graph, d: int, seed: int = 0) -> StressCertificate:

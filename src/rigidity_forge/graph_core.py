@@ -139,16 +139,6 @@ class Graph:
 # -- factories -----------------------------------------------------------
 
 
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def complete_bipartite_graph(a: int, b: int) -> Graph:
     return Graph(a + b, [(u, a + w) for u in range(a) for w in range(b)])
 

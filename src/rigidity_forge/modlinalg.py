@@ -3,9 +3,9 @@
 Every operation rests on one incremental row-echelon basis,
 :class:`RowBasis`, whose rows are sparse: a row is a dict mapping each
 column of a nonzero entry to that entry, reduced mod p (zero entries are
-left out).  The modulus is taken on trust: it must be prime.  Every module
-above this one computes over the one field :data:`DEFAULT_PRIME`, and each
-randomized verdict draws :data:`TRIALS` placements.
+left out).  Every layer, this one included, computes over the one field of
+:data:`DEFAULT_PRIME`, read at each call, and each randomized verdict draws
+:data:`TRIALS` placements.
 
 All randomness flows through :func:`make_rng`, a Mersenne Twister
 (``random.Random``) seeded with a 64-bit unsigned integer.  The generator
@@ -47,10 +47,9 @@ class RowBasis:
     every later pivot row, so :meth:`extend` feeds them last-first.
     """
 
-    __slots__ = ("p", "pivots")
+    __slots__ = ("pivots",)
 
-    def __init__(self, p: int):
-        self.p = p
+    def __init__(self):
         self.pivots: dict[int, Row] = {}
 
     @property
@@ -62,7 +61,7 @@ class RowBasis:
         pivot; empty iff row lies in the span.  Every rank, span test and kernel
         reduces here; only the redundancy walk's dual rows do not."""
         row = dict(row)
-        pivots, p = self.pivots, self.p
+        pivots, p = self.pivots, DEFAULT_PRIME
         while row:
             lead = min(row)
             prow = pivots.get(lead)
@@ -83,8 +82,8 @@ class RowBasis:
         if not rest:
             return False
         lead = min(rest)
-        inv = pow(rest.pop(lead), -1, self.p)
-        self.pivots[lead] = {j: x * inv % self.p for j, x in rest.items()}
+        inv = pow(rest.pop(lead), -1, DEFAULT_PRIME)
+        self.pivots[lead] = {j: x * inv % DEFAULT_PRIME for j, x in rest.items()}
         return True
 
     def in_span(self, row: Row) -> bool:
@@ -104,32 +103,30 @@ class RowBasis:
 class ModMatrix:
     """A rows x cols matrix over Z_p held as sparse rows (see module doc)."""
 
-    __slots__ = ("data", "rows", "cols", "p")
+    __slots__ = ("data", "rows", "cols")
 
-    def __init__(self, data: list[Row], cols: int, p: int = DEFAULT_PRIME):
+    def __init__(self, data: list[Row], cols: int):
         self.data = data
         self.rows = len(data)
         self.cols = cols
-        self.p = p
-
-    def __repr__(self) -> str:
-        return f"ModMatrix({self.rows}x{self.cols} mod {self.p})"
 
 
-def rank_of_rows(rows: list[Row], cols: int, p: int, cap: int | None = None) -> int:
-    """Rank of the span of sparse rows; the rows are not changed.
+def rank_of_rows(rows: list[Row], cols: int, *, cap: int | None = None) -> int:
+    """Rank of the span of sparse rows over the field of :data:`DEFAULT_PRIME`;
+    the rows are not changed.
 
     cols, the row length, states the matrix shape; the sparse elimination
     does not need it (perfbench reads it to count eliminated cells).  With a
     cap, elimination stops once the rank reaches it, so the result is
     min(rank, cap); a caller whose rank cannot exceed the cap loses nothing.
+    The cap is keyword-only, so no third positional argument is read as one.
     """
-    return RowBasis(p).extend(rows, cap).rank
+    return RowBasis().extend(rows, cap).rank
 
 
 def rank(m: ModMatrix) -> int:
     """Exact rank over Z_p; 0 for empty matrices."""
-    return rank_of_rows(m.data, m.cols, m.p)
+    return rank_of_rows(m.data, m.cols)
 
 
 def _column_basis(m: ModMatrix) -> RowBasis:
@@ -144,15 +141,14 @@ def _column_basis(m: ModMatrix) -> RowBasis:
     for i, row in enumerate(m.data):
         for j, x in row.items():
             columns[j][i] = x
-    return RowBasis(m.p).extend(columns)
+    return RowBasis().extend(columns)
 
 
 def _kernel_vector(basis: RowBasis, w: list[int]) -> list[int]:
     """Fill the pivot coordinates of w, whose free coordinates are set, so
     that w is orthogonal to every basis row (back-substitution)."""
-    p = basis.p
     for q in sorted(basis.pivots, reverse=True):
-        w[q] = -sum(x * w[j] for j, x in basis.pivots[q].items()) % p
+        w[q] = -sum(x * w[j] for j, x in basis.pivots[q].items()) % DEFAULT_PRIME
     return w
 
 
@@ -187,7 +183,7 @@ def left_kernel_sample(m: ModMatrix, seed: int, count: int = 1) -> tuple[int, li
     rng, out = make_rng(seed), []
     for _ in range(count):
         w = [0] * m.rows
-        draws = ([rng.randrange(m.p) for _ in free] for _ in range(8))
+        draws = ([rng.randrange(DEFAULT_PRIME) for _ in free] for _ in range(8))
         for f, c in zip(free, next((c for c in draws if any(c)), [1])):
             w[f] = c
         out.append(_kernel_vector(basis, w) if free else w)

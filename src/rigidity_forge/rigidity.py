@@ -90,9 +90,11 @@ def placements(n: int, d: int, trials: int, seed: int) -> Iterator[tuple[list[in
     its coordinates and the stream itself, from which a caller may draw more
     before the next placement.  Coordinates are uniform in [1, p-1] for
     p = DEFAULT_PRIME, drawn vertex by vertex: p(v) is points[v*d : v*d + d].
-    More than MAX_TRIALS placements or MAX_COORDINATES coordinates are
-    refused at the call.
+    A dimension below 1, more than MAX_TRIALS placements or MAX_COORDINATES
+    coordinates are refused at the call.
     """
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
     if trials < 1:
         raise ValueError("need at least one trial")
     if trials > MAX_TRIALS:
@@ -123,7 +125,7 @@ def _stresses(g: Graph, d: int, seed: int, count: int = 1) -> Iterator[tuple[int
     """Per seeded placement (TRIALS of them), the rank of R(G,p), rows in sorted edge order, and `count`
     random stresses from its left kernel, each zero iff there is none, seeded by the stream's next draw.
     The stream's settings are refused at the call, before any is drawn."""
-    return (left_kernel_sample(ModMatrix(_matrix_rows(g.sorted_edges(), d, points), d * g.n, DEFAULT_PRIME),
+    return (left_kernel_sample(ModMatrix(_matrix_rows(g.sorted_edges(), d, points), d * g.n),
                                rng.getrandbits(64), count) for points, rng in placements(g.n, d, TRIALS, seed))
 
 
@@ -198,15 +200,13 @@ def generic_rank(g: Graph, d: int, trials: int = TRIALS, seed: int = 0) -> RankR
     is "certain" exactly when it reaches it.  A graph on n <= d+1 vertices
     is independent (K_{d+1} is), so its rank is |E|, certain, with no placement.
     """
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
     stream = placements(g.n, d, trials, seed)  # refuses its settings before the clique search
     if g.n <= d + 1:
         return RankReport(g.edge_count, CERTAIN, g.edge_count)
     order, stop = _cover_first(g, d)
     best = 0
     for points, _ in stream:
-        best = max(best, rank_of_rows(_matrix_rows(order, d, points), d * g.n, DEFAULT_PRIME, stop))
+        best = max(best, rank_of_rows(_matrix_rows(order, d, points), d * g.n, cap=stop))
         if best == stop:
             break
     return RankReport(best, settled(best, stop, stop), stop)
@@ -222,8 +222,8 @@ def is_rigid(g: Graph, d: int, seed: int = 0) -> Verdict:
     """Generic rigidity via the rank characterization: rank dn - C(d+1,2), or
     C(n,2) on n <= d+1 vertices, where rigid means complete (simplices and
     sub-simplices), so graphs on 0 or 1 vertices are rigid."""
+    rep = generic_rank(g, d, TRIALS, seed)  # refuses d < 1 before the cap reads d
     target = generic_rank_cap(g.n, d)
-    rep = generic_rank(g, d, TRIALS, seed)
     return Verdict(rep.rank == target, settled(rep.rank, rep.upper, target), rank=rep.rank)
 
 
@@ -246,12 +246,13 @@ def linked_pairs(g: Graph, d: int, pairs: Sequence[Edge], seed: int = 0) -> list
     queries = {normalize_edge(u, v) for u, v in pairs if not g.has_edge(u, v)}
     if not queries:
         return [Verdict(True, CERTAIN) for _ in pairs]
+    stream = placements(g.n, d, TRIALS, seed)  # refuses its settings before any arithmetic on d
     cap = generic_rank_cap(g.n, d)
     order, full = _cover_first(g, d)  # rank(G) <= full, so rank(G + uv) <= min(full + 1, cap)
     best_g = 0
     best_uv = dict.fromkeys(queries, 0)
-    for points, _ in placements(g.n, d, TRIALS, seed):
-        basis = RowBasis(DEFAULT_PRIME).extend(_matrix_rows(order, d, points), full)
+    for points, _ in stream:
+        basis = RowBasis().extend(_matrix_rows(order, d, points), full)
         best_g = max(best_g, basis.rank)
         # at the cap no row raises the rank: no placement of a graph on n vertices ranks higher
         raises = basis.rank < cap
@@ -346,8 +347,8 @@ def is_t_redundantly_rigid(g: Graph, d: int, t: int, seed: int = 0) -> Redundanc
         raise ValueError(f"cannot delete {k} edges from {m}")
     if comb(m, k) > REDUNDANCY_BUDGET:
         raise ValueError(f"C({m}, {k}) edge subsets exceed the budget of {REDUNDANCY_BUDGET}")
-    edges, target = g.sorted_edges(), generic_rank_cap(g.n, d)
     stresses = _stresses(g, d, seed, k)  # refuses its settings before the count
+    edges, target = g.sorted_edges(), generic_rank_cap(g.n, d)
     if not (ok := m - k >= target and _cover_first(g, d)[1] >= target) or g.n <= d + 1:
         return RedundancyReport(ok, CERTAIN, None if ok else edges[:k], 1)
     # rank(G - S) = full_rank - |S| + rank of the kernel's dual rows of S, at least those of a view

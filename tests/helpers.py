@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, sqrt
 
-from rigidity_forge import global_rigidity, rigidity
+from rigidity_forge import global_rigidity, modlinalg, rigidity
 from rigidity_forge.combinatorics import CliqueSystem
 from rigidity_forge.experiments import Theorem9Report
 from rigidity_forge.global_rigidity import stress_matrix, stress_matrix_rank
@@ -55,21 +55,32 @@ def nonedges(g: Graph) -> list[Edge]:
     return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
 
 
+def complete_graph(n: int) -> Graph:
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
 def clique_union(n: int, cliques: Iterable[Iterable[int]]) -> Graph:
     """The graph on n vertices whose edges are those of the cliques given."""
     return Graph(n, [e for c in cliques for e in itertools.combinations(sorted(c), 2)])
 
 
 def field() -> int:
-    """The modulus the verdict layer computes over: `rigidity.DEFAULT_PRIME`
-    as it stands at the call, so the oracles below follow :func:`use_field`."""
+    """The modulus every layer computes over: `DEFAULT_PRIME` as it stands
+    at the call, so the oracles below follow :func:`use_field`."""
     return rigidity.DEFAULT_PRIME
 
 
 def use_field(monkeypatch, p: int) -> None:
-    """Make the verdict layer, and the oracles below, compute over Z_p for
-    the rest of the test: the small fields where placements miss ranks."""
-    for module in (rigidity, global_rigidity):
+    """Make every layer, the elimination core included, and the oracles
+    below compute over Z_p for the rest of the test: the small fields where
+    placements miss ranks and eliminations meet dependencies that Q lacks."""
+    for module in (modlinalg, rigidity, global_rigidity):
         monkeypatch.setattr(module, "DEFAULT_PRIME", p)
 
 
@@ -382,7 +393,7 @@ def forward_column_basis(m: ModMatrix) -> RowBasis:
     for i, row in enumerate(m.data):
         for j, x in row.items():
             columns[j][i] = x
-    basis = RowBasis(m.p)
+    basis = RowBasis()
     for column in columns:
         basis.add(column)
     return basis
@@ -390,7 +401,7 @@ def forward_column_basis(m: ModMatrix) -> RowBasis:
 
 def _back_substitute(basis: RowBasis, w: list[int]) -> list[int]:
     for q in sorted(basis.pivots, reverse=True):
-        w[q] = -sum(x * w[j] for j, x in basis.pivots[q].items()) % basis.p
+        w[q] = -sum(x * w[j] for j, x in basis.pivots[q].items()) % field()
     return w
 
 
@@ -415,7 +426,7 @@ def forward_left_kernel_sample(m: ModMatrix, seed: int) -> tuple[int, list[list[
         return basis.rank, [w]
     rng = make_rng(seed)
     for _ in range(8):
-        coeffs = [rng.randrange(m.p) for _ in free]
+        coeffs = [rng.randrange(field()) for _ in free]
         if any(coeffs):
             break
     else:
@@ -449,7 +460,7 @@ def stop_free_linked_pairs(
     best_uv = dict.fromkeys(queries, 0)
     for rows, _ in placed_rows(placed, d, trials, seed):
         row_of = dict(zip(placed.sorted_edges(), rows))
-        basis = RowBasis(field()).extend([row_of[e] for e in g.sorted_edges()], cap)
+        basis = RowBasis().extend([row_of[e] for e in g.sorted_edges()], cap)
         best_g = max(best_g, basis.rank)
         raises = basis.rank < cap
         for uv in queries:
@@ -479,7 +490,7 @@ def kernel_view(rows: list[Row], cols: int) -> tuple[int, int, list[Row]]:
     dual rows of S, and the stresses of G - S are the K-combinations that
     vanish on S.  The exact route, the oracle of the sampled views.
     """
-    kernel = left_kernel_basis(ModMatrix(rows, cols, field()))
+    kernel = left_kernel_basis(ModMatrix(rows, cols))
     dual = [{f: vec[i] for f, vec in enumerate(kernel) if vec[i]} for i in range(len(rows))]
     return len(rows) - len(kernel), len(kernel), dual
 
@@ -498,7 +509,7 @@ def redundancy_views(g: Graph, d: int, t: int, trials: int, seed: int) -> list[t
     k = t - 1
     views = []
     for rows, rng in placed_rows(g, d, trials, seed):
-        full, stresses = left_kernel_sample(ModMatrix(rows, d * g.n, field()), rng.getrandbits(64), k)
+        full, stresses = left_kernel_sample(ModMatrix(rows, d * g.n), rng.getrandbits(64), k)
         views.append((full, k, [{f: x for f, x in enumerate(col) if x} for col in zip(*stresses)]))
     return views
 
@@ -531,7 +542,7 @@ def eager_redundancy(g: Graph, d: int, t: int, trials: int, seed: int) -> Redund
     dim, first = views[0]
     dense = [tuple(row.get(f, 0) for f in range(dim)) for row in first]
     for checked, subset in _rejects(dense, k):
-        if not any(rank_of_rows([dual[i] for i in subset], kernel_dim, field()) == k
+        if not any(rank_of_rows([dual[i] for i in subset], kernel_dim) == k
                    for kernel_dim, dual in views[1:]):
             return redundancy_failure(g, d, tuple(edges[i] for i in subset), checked)
     return RedundancyReport(True, CERTAIN, None, comb(m, k))
@@ -564,7 +575,7 @@ def per_subset_redundancy(g: Graph, d: int, t: int, trials: int, seed: int, view
         for full_rank, kernel_dim, dual in views:
             if full_rank < target:
                 continue
-            if rank_of_rows([dual[i] for i in subset], kernel_dim, field()) == k:
+            if rank_of_rows([dual[i] for i in subset], kernel_dim) == k:
                 ok = True
                 break
         if not ok:
@@ -619,7 +630,7 @@ def globally_rigid_deletions(
         best = 0
         for full, kernel_dim, dual in views:
             best = max(best, full - len(subset)
-                       + rank_of_rows([dual[i] for i in subset], kernel_dim, p))
+                       + rank_of_rows([dual[i] for i in subset], kernel_dim))
             if best == target:  # no placement ranks higher
                 break
         value = False
@@ -630,11 +641,11 @@ def globally_rigid_deletions(
                 for j, i in enumerate(subset):
                     for f, x in dual[i].items():
                         picked[f][j] = x
-                _, (c,) = left_kernel_sample(ModMatrix(picked, len(subset), p), rng.getrandbits(64))
+                _, (c,) = left_kernel_sample(ModMatrix(picked, len(subset)), rng.getrandbits(64))
                 # entry e of K.c, summed over the dual row of edge e
                 stress = tuple(sum(c[f] * x for f, x in row.items()) % p for row in dual)
                 omega = stress_matrix(g, stress).data if any(stress) else []
-                if rank_of_rows(omega, n, p, omega_target) >= omega_target:
+                if rank_of_rows(omega, n, cap=omega_target) >= omega_target:
                     value = True
                     break
         yield Verdict(value, WHP, rank=best)

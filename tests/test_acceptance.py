@@ -39,8 +39,6 @@ from rigidity_forge.global_rigidity import is_globally_rigid, stress_matrix_rank
 from rigidity_forge.graph_core import (
     Graph,
     complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
     vertex_connectivity,
 )
 from rigidity_forge.rigidity import (
@@ -53,6 +51,8 @@ from rigidity_forge.rigidity import (
 
 from helpers import (
     brute_force_expected_gpi,
+    complete_graph,
+    cycle_graph,
     monte_carlo_gpi,
     one_extension,
     random_clique_system,

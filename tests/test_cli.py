@@ -29,12 +29,10 @@ from rigidity_forge.graph_core import (
     Graph,
     GraphFormatWarning,
     complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
     parse_graph,
 )
 
-from helpers import clique_union, graph6
+from helpers import clique_union, complete_graph, cycle_graph, graph6
 
 K4_TEXT = complete_graph(4).to_edge_list()
 C4_TEXT = cycle_graph(4).to_edge_list()

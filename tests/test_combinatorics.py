@@ -20,14 +20,14 @@ from rigidity_forge.combinatorics import (
 from rigidity_forge.graph_core import (
     Graph,
     complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
 )
 
 from helpers import (
     add_edges,
     brute_covered_count,
     brute_force_expected_gpi,
+    complete_graph,
+    cycle_graph,
     enumerated_clique_size_counts,
     expected_gpi_by_backward_degree,
     random_clique_system,

@@ -31,8 +31,10 @@ from hypothesis import strategies as st
 
 from rigidity_forge.constructions import harary_graph, lovasz_yemini_family
 from rigidity_forge.global_rigidity import is_globally_rigid
-from rigidity_forge.graph_core import Graph, cycle_graph, parse_graph
+from rigidity_forge.graph_core import Graph, parse_graph
 from rigidity_forge.rigidity import generic_rank, is_rigid, linked_pairs
+
+from helpers import cycle_graph
 
 nx = pytest.importorskip("networkx")
 

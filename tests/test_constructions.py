@@ -16,13 +16,11 @@ from rigidity_forge.constructions import (
 )
 from rigidity_forge.graph_core import (
     complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
     vertex_connectivity,
 )
 from rigidity_forge.rigidity import _cover_first, is_independent
 
-from helpers import gpi_edge_count, one_extension, random_graph, zero_extension
+from helpers import complete_graph, cycle_graph, gpi_edge_count, one_extension, random_graph, zero_extension
 
 
 # -- Henneberg extensions ----------------------------------------------------

@@ -26,14 +26,14 @@ from rigidity_forge.combinatorics import (
 from rigidity_forge.graph_core import (
     Graph,
     complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
     induced_subgraph,
 )
 
 from helpers import (
     add_edges,
     brute_force_expected_gpi,
+    complete_graph,
+    cycle_graph,
     exact_generic_rank,
     is_clique,
     maximal_cliques,
@@ -421,7 +421,7 @@ def test_theorem10_reads_the_rank_off_the_rigidity_verdict(monkeypatch):
     calls, eliminated = [], []
     real, feed = rigidity.generic_rank, rigidity.rank_of_rows
     monkeypatch.setattr(rigidity, "generic_rank", lambda *a: calls.append(a) or real(*a))
-    monkeypatch.setattr(rigidity, "rank_of_rows", lambda *a: eliminated.append(a[1]) or feed(*a))
+    monkeypatch.setattr(rigidity, "rank_of_rows", lambda *a, **k: eliminated.append(a[1]) or feed(*a, **k))
     assert [theorem10_check(g, 2, 5).rank for g in (ly, path)] == ranks == [76, 2]
     assert calls == [(ly, 2, 2, 5), (path, 2, 2, 5)]  # is_rigid's own, one per graph
     assert eliminated == [2 * ly.n]  # ly's alone

@@ -14,9 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "rigidity_forge"
 
 # exported although no module under src/ refers to them
 ALLOWED = {
-    # the README's library tour builds standard graphs with these
-    "complete_graph",
-    "cycle_graph",
+    # the README's library tour builds a standard graph with it
     "complete_bipartite_graph",
     # perfbench's combinatorics.covered_subsets hook reads its arguments
     "covered_subset_count",
@@ -197,8 +195,8 @@ def assigned_names(source: str) -> set[str]:
 # constant, the module defining it, and the functions still allowed to take
 # the setting as a parameter (a module name allows all of its functions)
 FIXED_SETTINGS = {
-    # one field: modlinalg's eliminations take p, nothing above them does
-    "p": ("DEFAULT_PRIME", "modlinalg", {"modlinalg"}),
+    # one field, read at each call: no function takes a modulus
+    "p": ("DEFAULT_PRIME", "modlinalg", set()),
     # generic_rank's count is the one perfbench's trials_requested counter
     # reads; it hands that count on to the placement stream
     "trials": ("TRIALS", "modlinalg", {"rigidity.generic_rank", "rigidity.placements"}),

@@ -17,8 +17,6 @@ from rigidity_forge.global_rigidity import (
 from rigidity_forge.graph_core import (
     Graph,
     complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
     parse_graph,
     vertex_connectivity,
 )
@@ -28,6 +26,8 @@ from rigidity_forge.rigidity import generic_rank, generic_rank_cap, is_rigid
 from helpers import (
     add_edges,
     brute_vertex_connectivity,
+    complete_graph,
+    cycle_graph,
     globally_rigid_deletions,
     neighbors,
     placed_rows,
@@ -270,15 +270,15 @@ def test_plane_fallback_reads_the_rank_of_its_stress_elimination(monkeypatch):
     g, seed = parse_graph(inv.stdin), int(inv.args[-1])
     ranked, sampled = [], []
     rank_of_rows, sample = rigidity.rank_of_rows, rigidity.left_kernel_sample
-    monkeypatch.setattr(rigidity, "rank_of_rows", lambda *a: ranked.append("rigidity") or rank_of_rows(*a))
+    monkeypatch.setattr(rigidity, "rank_of_rows", lambda *a, **k: ranked.append("rigidity") or rank_of_rows(*a, **k))
     # a rank check of global_rigidity's own would call this name
     monkeypatch.setattr(global_rigidity, "rank_of_rows",
-                        lambda *a: ranked.append("global_rigidity") or rank_of_rows(*a), raising=False)
+                        lambda *a, **k: ranked.append("global_rigidity") or rank_of_rows(*a, **k), raising=False)
     monkeypatch.setattr(rigidity, "left_kernel_sample", lambda *a: sampled.append(a) or sample(*a))
     assert is_globally_rigid(g, 2, seed=seed) == (True, "certain", 57)
     assert ranked == ["rigidity"] and len(sampled) == 1
     rows, _ = next(placed_rows(g, 2, 1, seed))
-    assert sample(*sampled[0])[0] == 57 == rank_of_rows(rows, 60, P)
+    assert sample(*sampled[0])[0] == 57 == rank_of_rows(rows, 60)
 
 
 # -- deletion scans ------------------------------------------------------------
@@ -367,3 +367,30 @@ def test_stress_certificate_is_seed_deterministic():
     a = stress_matrix_rank(g, 2, seed=77)
     b = stress_matrix_rank(g, 2, seed=77)
     assert a == b
+
+
+# -- dimension refusals --------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, answer", [
+    (lambda c5: rigidity.is_t_redundantly_rigid(c5, 0, 2), None),
+    (lambda c5: rigidity.is_t_redundantly_rigid(c5, -1, 2), None),
+    (lambda c5: rigidity.is_linked(c5, 0, 0, 2), None),
+    (lambda c5: rigidity.is_linked(c5, -2, 0, 2), None),
+    (lambda c5: wgl_sufficient(c5, 0, 0, 2, [0, 1, 2]), None),
+    (lambda c5: stress_matrix_rank(c5, -1), None),
+    (lambda c5: is_rigid(c5, -2), None),
+    (lambda c5: generic_rank(c5, 0), None),
+    # no placement is drawn: an edge pair, a complete graph, no u-v path
+    (lambda c5: rigidity.is_linked(c5, 0, 0, 1), (True, "certain", None)),
+    (lambda c5: is_globally_rigid(complete_graph(5), 0), (True, "certain", None)),
+    (lambda c5: wgl_sufficient(c5, 0, 0, 2, [0, 1, 2, 3, 4]), (False, "certain", None)),
+], ids=["redundant-0", "redundant-neg", "linked-0", "linked-neg", "wgl-0", "stress-neg", "rigid-neg",
+        "rank-0", "edge-pair", "complete", "no-path"])
+def test_a_dimension_below_one_is_refused_where_a_placement_is_drawn(call, answer):
+    # the placement stream refuses d < 1 before any arithmetic on d
+    if answer is None:
+        with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+            call(cycle_graph(5))
+    else:
+        assert call(cycle_graph(5)) == answer

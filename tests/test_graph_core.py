@@ -18,8 +18,6 @@ from rigidity_forge.graph_core import (
     _non_adjacent_pair,
     as_vertex_set,
     complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
     induced_subgraph,
     iter_maximal_cliques,
     parse_edge_list,
@@ -32,6 +30,8 @@ from rigidity_forge.graph_core import (
 from helpers import (
     brute_maximal_cliques,
     brute_vertex_connectivity,
+    complete_graph,
+    cycle_graph,
     graph6,
     is_clique,
     maximal_cliques,

@@ -13,7 +13,7 @@ from rigidity_forge.modlinalg import (
     rank_of_rows,
 )
 
-from helpers import forward_left_kernel_basis, forward_left_kernel_sample, placed_rows, random_graph
+from helpers import forward_left_kernel_basis, forward_left_kernel_sample, placed_rows, random_graph, use_field
 
 P = DEFAULT_PRIME
 
@@ -90,12 +90,22 @@ def test_rank_matches_rational_oracle():
         if r >= 2 and rng.random() < 0.5:
             rows[-1] = [2 * x for x in rows[0]]
         sparse_rows = [sparse(row) for row in rows]
-        assert rank_of_rows(sparse_rows, c, P) == rational_rank(rows)
+        assert rank_of_rows(sparse_rows, c) == rational_rank(rows)
         assert sparse_rows == [sparse(row) for row in rows]  # rows are not consumed
 
 
+def test_the_elimination_core_computes_over_the_field_of_the_call(monkeypatch):
+    # det [[1, 2], [3, 1]] = -5: independent over Q, dependent in Z_5
+    rows = [[1, 2], [3, 1]]
+    assert rational_rank(rows) == rank_of_rows([sparse(row) for row in rows], 2) == 2
+    use_field(monkeypatch, 5)
+    assert rank_of_rows([sparse(row) for row in rows], 2) == 1
+    assert rank(ModMatrix([sparse(row) for row in rows], 2)) == 1
+    assert left_kernel_sample(ModMatrix([sparse(row) for row in rows], 2), seed=3)[0] == 1
+
+
 def test_row_basis_add_and_in_span():
-    basis = RowBasis(P)
+    basis = RowBasis()
     assert basis.add({0: 1, 2: 5}) and basis.add({1: 3})
     assert not basis.add({0: 2, 1: 6, 2: 10})  # 2*(first) + 2*(second)
     assert basis.rank == 2
@@ -123,13 +133,14 @@ def test_left_kernel_sample_draws_its_elements_from_one_stream():
     assert len({tuple(w) for w in ws}) == 3
     for w in ws:
         assert left_product(w, [[1, 2], [2, 4], [3, 6], [0, 1]], 2) == [0, 0]
-    assert rank_of_rows([sparse(w) for w in ws], 4, P) == 2
+    assert rank_of_rows([sparse(w) for w in ws], 4) == 2
 
 
-def test_left_kernel_sample_falls_back_after_eight_zero_draws():
+def test_left_kernel_sample_falls_back_after_eight_zero_draws(monkeypatch):
     # seed 15 draws a zero free coordinate eight times in Z_2; the fallback
     # sets the first free coordinate to 1
-    m = ModMatrix([{0: 1}, {0: 1}], 1, 2)
+    use_field(monkeypatch, 2)
+    m = ModMatrix([{0: 1}, {0: 1}], 1)
     rng = make_rng(15)
     assert [rng.randrange(2) for _ in range(8)] == [0] * 8
     assert left_kernel_sample(m, seed=15) == (1, [[1, 1]])
@@ -142,7 +153,7 @@ def test_left_kernel_sample_annihilates_exactly():
         rows = [[rng.randrange(P) if rng.random() < 0.7 else 0 for _ in range(c)] for _ in range(r)]
         m = matrix(rows, c)
         full, ws = left_kernel_sample(m, seed=trial, count=trial % 3 + 1)
-        assert full == rank_of_rows(m.data, c, P) and len(ws) == trial % 3 + 1
+        assert full == rank_of_rows(m.data, c) and len(ws) == trial % 3 + 1
         basis = left_kernel_basis(m)
         assert len(basis) == r - rank(m)
         for w in ws:
@@ -161,7 +172,7 @@ def test_left_kernel_basis_is_canonical():
             rows[2] = [(a - b) % P for a, b in zip(rows[0], rows[1])]
         sparse_rows = [sparse(row) for row in rows]
         free = [i for i in range(r)
-                if rank_of_rows(sparse_rows[: i + 1], c, P) == rank_of_rows(sparse_rows[:i], c, P)]
+                if rank_of_rows(sparse_rows[: i + 1], c) == rank_of_rows(sparse_rows[:i], c)]
         basis = left_kernel_basis(ModMatrix(sparse_rows, c))
         assert len(basis) == len(free)
         for f, w in zip(free, basis):
@@ -177,7 +188,7 @@ def test_appending_row_in_row_space_keeps_rank():
         coeffs = [rng.randrange(P) for _ in range(r)]
         extra = [sum(k * row[j] for k, row in zip(coeffs, rows)) % P for j in range(c)]
         assert rank(matrix(rows + [extra], c)) == rank(matrix(rows, c))
-        basis = RowBasis(P)
+        basis = RowBasis()
         for row in rows:
             basis.add(sparse(row))
         assert basis.in_span(sparse(extra))
@@ -234,14 +245,14 @@ def test_rank_of_rows_ignores_the_row_feed_order():
     for n in (8, 12, 16):
         g = random_graph(rng, n, 0.6)
         rows, stream = next(placed_rows(g, 2, 1, rng.getrandbits(32)))
-        _, (stress,) = left_kernel_sample(ModMatrix(rows, 2 * n, P), stream.getrandbits(64))
+        _, (stress,) = left_kernel_sample(ModMatrix(rows, 2 * n), stream.getrandbits(64))
         assert any(stress)
         cases.append((stress_matrix(g, tuple(stress)).data, n))
     for rows, cols in cases:
-        forward = RowBasis(P)
+        forward = RowBasis()
         for row in rows:
             forward.add(row)
         for _ in range(4):
             shuffled = rows[:]
             rng.shuffle(shuffled)
-            assert rank_of_rows(shuffled, cols, P) == forward.rank
+            assert rank_of_rows(shuffled, cols) == forward.rank

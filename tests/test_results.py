@@ -6,8 +6,10 @@ import pytest
 from rigidity_forge import combinatorics, constructions, experiments, global_rigidity, rigidity
 from rigidity_forge.cli import _jsonable
 from rigidity_forge.combinatorics import CliqueSystem
-from rigidity_forge.graph_core import complete_bipartite_graph, complete_graph, cycle_graph
+from rigidity_forge.graph_core import complete_bipartite_graph
 from rigidity_forge.rigidity import Verdict
+
+from helpers import complete_graph, cycle_graph
 
 SEED = 11
 

@@ -15,7 +15,7 @@ from rigidity_forge.constructions import (
     sharpness_example,
     sharpness_matching,
 )
-from rigidity_forge.graph_core import MAX_VERTICES, Graph, complete_graph, cycle_graph, vertex_connectivity
+from rigidity_forge.graph_core import MAX_VERTICES, Graph, vertex_connectivity
 from rigidity_forge.modlinalg import DEFAULT_PRIME, RowBasis, make_rng, rank_of_rows
 from rigidity_forge.rigidity import (
     Verdict,
@@ -31,10 +31,11 @@ from rigidity_forge.rigidity import (
 
 from helpers import (
     add_edges,
+    complete_graph,
+    cycle_graph,
     eager_redundancy,
     edge_positions,
     exact_generic_rank,
-    field,
     kernel_views,
     nonedges,
     per_subset_redundancy,
@@ -71,7 +72,7 @@ def test_rigidity_matrix_empty_graph():
 def test_rigidity_matrix_triangle_rank():
     rows = first_placement(complete_graph(3), 2, seed=3)
     assert len(rows) == 3 and all(len(row) == 4 for row in rows)  # 2d entries per edge
-    assert rank_of_rows(rows, 6, P) == 3  # the cap 2*3 - 3
+    assert rank_of_rows(rows, 6) == 3  # the cap 2*3 - 3
 
 
 def test_placements_draw_fresh_points_per_trial():
@@ -138,8 +139,8 @@ def test_capped_rank_matches_the_uncapped_rank():
         seed = rng.getrandbits(64)
         ranks = []
         for rows, _ in placed_rows(g, d, 2, seed):
-            ranks.append(rank_of_rows(rows, d * g.n, P))
-            assert rank_of_rows([rows[i] for i in order], d * g.n, P, cap) == ranks[-1]
+            ranks.append(rank_of_rows(rows, d * g.n))
+            assert rank_of_rows([rows[i] for i in order], d * g.n, cap=cap) == ranks[-1]
         best = max(ranks)
         assert generic_rank(g, d, 2, seed).rank == best
         if best == g.edge_count:
@@ -167,9 +168,9 @@ def test_generic_rank_stops_its_trials_at_the_cover_bound(monkeypatch):
     calls = []
     feed = rigidity.rank_of_rows
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return feed(*args)
+        return feed(*args, **kwargs)
 
     monkeypatch.setattr(rigidity, "rank_of_rows", counted)
     ly = lovasz_yemini_family(2, 8)
@@ -210,9 +211,9 @@ def test_cover_feed_ranks_as_the_cap_first_feed():
         if d * g.n <= 36:
             assert bound >= exact_generic_rank(g, d)
         for rows, _ in placed_rows(g, d, 1, rng.getrandbits(64)):
-            full = rank_of_rows(rows, d * g.n, P)
+            full = rank_of_rows(rows, d * g.n)
             assert full <= bound
-            assert rank_of_rows([rows[i] for i in order], d * g.n, P, bound) == full
+            assert rank_of_rows([rows[i] for i in order], d * g.n, cap=bound) == full
     assert kinds == {"below cap", "gated", "at cap"}
 
 
@@ -341,13 +342,13 @@ def test_rank_monotone_per_shared_framework():
         g2 = add_edges(g, [e])
         rows = first_placement(g2, 2, seed=rng.randrange(2**32))
         uv_row = rows.pop(g2.sorted_edges().index(e))
-        basis = RowBasis(P)
+        basis = RowBasis()
         for row in rows:
             basis.add(row)
         r1 = basis.rank
         r2 = r1 + (not basis.in_span(uv_row))
-        assert r1 == rank_of_rows(rows, 2 * g.n, P)
-        assert r2 == rank_of_rows(rows + [uv_row], 2 * g.n, P)
+        assert r1 == rank_of_rows(rows, 2 * g.n)
+        assert r2 == rank_of_rows(rows + [uv_row], 2 * g.n)
         assert r1 <= r2 <= r1 + 1
 
 
@@ -394,8 +395,8 @@ def test_linked_pairs_match_rank_increments_on_random_graphs():
             uv = g2.sorted_edges().index((min(u, v), max(u, v)))
             best_g = best_g2 = 0
             for rows, _ in placed_rows(g2, d, 2, seed):
-                best_g2 = max(best_g2, rank_of_rows(rows, d * g.n, P))
-                best_g = max(best_g, rank_of_rows(rows[:uv] + rows[uv + 1:], d * g.n, P))
+                best_g2 = max(best_g2, rank_of_rows(rows, d * g.n))
+                best_g = max(best_g, rank_of_rows(rows[:uv] + rows[uv + 1:], d * g.n))
             assert verdict.value == (best_g == best_g2) and verdict.rank == best_g
             linked += verdict.value
             unlinked += not verdict.value
@@ -693,7 +694,7 @@ def full_rank_views(g, d, t, trials, seed):
 
 def independent_in(view, subset):
     kernel_dim, dual = view
-    return rank_of_rows([dual[i] for i in subset], kernel_dim, field()) == len(subset)
+    return rank_of_rows([dual[i] for i in subset], kernel_dim) == len(subset)
 
 
 def test_prefix_walk_matches_per_subset_scan(monkeypatch):

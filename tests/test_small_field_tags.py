@@ -33,7 +33,7 @@ from rigidity_forge import rigidity
 from rigidity_forge.constructions import harary_graph, lovasz_yemini_family
 from rigidity_forge.experiments import theorem1_spot_check, theorem2_spot_check, theorem10_check
 from rigidity_forge.global_rigidity import is_globally_rigid
-from rigidity_forge.graph_core import Graph, complete_graph
+from rigidity_forge.graph_core import Graph
 from rigidity_forge.rigidity import (
     generic_rank,
     generic_rank_cap,
@@ -45,6 +45,7 @@ from rigidity_forge.rigidity import (
 from helpers import (
     add_edges,
     clique_union,
+    complete_graph,
     exact_generic_rank,
     nonedges,
     one_extension,
